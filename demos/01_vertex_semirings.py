@@ -6,11 +6,11 @@ region spanned by a set of exponents.  Addition is union, multiplication is
 Minkowski sum, and after either operation the non-corners are discarded.
 """
 
-from tropdiff import VertexFraction, VertexPoly, omega_chain, vertex_extract
+from tropdiff import VertexFraction, VertexPoly, omega_chain
 
 # Extraction: (1,1) survives below, (2,2) is inside the staircase and drops.
 raw = [(3, 0), (2, 2), (1, 1), (0, 3)]
-a = vertex_extract(2, raw)
+a = VertexPoly(2, raw)
 print("corners of", raw, "->", a)
 
 b = VertexPoly(2, [(1, 0), (0, 1)])

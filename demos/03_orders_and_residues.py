@@ -12,7 +12,6 @@ from tropdiff import (
     GT,
     LT,
     max_ideal_member,
-    order_compare,
     order_from_membership,
     order_standard,
     order_validate,
@@ -29,7 +28,7 @@ ufirst = order_validate([[1, 0], [0, 1]])  # u before t
 pairs = [((1, 0), (0, 1)), ((2, 0), (1, 1)), ((0, 3), (2, 0))]
 for order, label in ((lex, "lex"), (grevlex, "grevlex"), (ufirst, "u-first")):
     shown = ", ".join(
-        f"{I} {NAME[order_compare(order, I, J)]} {J}" for I, J in pairs
+        f"{I} {NAME[order.compare(I, J)]} {J}" for I, J in pairs
     )
     print(f"{label:8s} {shown}")
 
@@ -50,4 +49,4 @@ oracle = lambda f: max_ideal_member(f, grevlex)
 for I, J in [((1, 0), (0, 1)), ((1, 1), (0, 2)), ((2, 3), (2, 3))]:
     rel = order_from_membership(oracle, I, J)
     print(f"membership says {I} {NAME[rel]} {J};",
-          "direct comparison agrees:", rel == order_compare(grevlex, I, J))
+          "direct comparison agrees:", rel == grevlex.compare(I, J))

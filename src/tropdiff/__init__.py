@@ -9,6 +9,7 @@ from .diffpoly import DiffMonomial, DiffPoly, multi_indices, prolong
 from .errors import (
     DimensionMismatch,
     InconsistentOracle,
+    InternalInconsistency,
     NegativeExponent,
     NotAMonomialOrder,
     NotInUnitBall,
@@ -24,8 +25,6 @@ from .orders import (
     GT,
     LT,
     MonomialOrder,
-    order_compare,
-    order_min,
     order_standard,
     order_validate,
 )
@@ -58,7 +57,6 @@ from .vertexpoly import (
     omega_chain,
     omega_witness,
     staircase_vertices_2d,
-    vertex_extract,
 )
 from .weights import BooleanWeight, SubstitutionKernel, substitution_poly
 
@@ -72,6 +70,7 @@ __all__ = [
     "EQ",
     "GT",
     "InconsistentOracle",
+    "InternalInconsistency",
     "LT",
     "MonomialOrder",
     "NegativeExponent",
@@ -99,9 +98,7 @@ __all__ = [
     "normalizer",
     "omega_chain",
     "omega_witness",
-    "order_compare",
     "order_from_membership",
-    "order_min",
     "order_standard",
     "order_validate",
     "parse_poly",
@@ -116,6 +113,5 @@ __all__ = [
     "trop_frac",
     "trop_poly",
     "tropw",
-    "vertex_extract",
     "__version__",
 ]

@@ -21,11 +21,12 @@ from . import jsonio
 from .diffpoly import DiffMonomial, DiffPoly, multi_indices, prolong
 from .errors import (
     InconsistentOracle,
+    InternalInconsistency,
     PolyParseError,
     SchemaError,
     TropdiffError,
 )
-from .orders import EQ, GT, LT, order_compare, order_standard, order_validate
+from .orders import EQ, GT, LT, order_standard, order_validate
 from .parsing import parse_rational
 from .series import (
     bezout_witness,
@@ -35,7 +36,7 @@ from .series import (
     trop_frac,
 )
 from .translation import initial_form, initial_generators, translate, tropw
-from .vertexpoly import omega_chain, vertex_extract
+from .vertexpoly import VertexPoly, omega_chain
 from .weights import BooleanWeight, SubstitutionKernel
 
 _REL_NAME = {LT: "LT", EQ: "EQ", GT: "GT"}
@@ -131,22 +132,27 @@ def cmd_tropw(args) -> int:
     return _emit(args, payload, lines)
 
 
+def _emit_derivatives(args, problem: jsonio.ProblemFile, step) -> int:
+    """Emit step(d^J P) for each selected P and each |J| <= bound."""
+    bound = _bound_of(args, problem)
+    indices = multi_indices(problem.m, bound)
+    payload = []
+    lines = []
+    for name, poly in _selected(problem, args.names):
+        for J, derived in zip(indices, prolong(poly, bound)):
+            image = step(derived)
+            payload.append(
+                {"name": name, "J": list(J), "poly": jsonio.diffpoly_json(image)}
+            )
+            lines.append(f"{name} J={list(J)}: {image}")
+    return _emit(args, payload, lines)
+
+
 def cmd_translate(args) -> int:
     problem = _load_problem(args)
     weights = _weights_of(problem)
     kernel = _kernel_of(args, problem)
-    bound = _bound_of(args, problem)
-    payload = []
-    lines = []
-    for name, poly in _selected(problem, args.names):
-        indices = multi_indices(problem.m, bound)
-        for J, derived in zip(indices, prolong(poly, bound)):
-            moved = translate(derived, weights, kernel)
-            payload.append(
-                {"name": name, "J": list(J), "poly": jsonio.diffpoly_json(moved)}
-            )
-            lines.append(f"{name} J={list(J)}: {moved}")
-    return _emit(args, payload, lines)
+    return _emit_derivatives(args, problem, lambda q: translate(q, weights, kernel))
 
 
 def cmd_initial(args) -> int:
@@ -163,18 +169,7 @@ def cmd_initial(args) -> int:
 
 
 def cmd_prolong(args) -> int:
-    problem = _load_problem(args)
-    bound = _bound_of(args, problem)
-    payload = []
-    lines = []
-    for name, poly in _selected(problem, args.names):
-        indices = multi_indices(problem.m, bound)
-        for J, derived in zip(indices, prolong(poly, bound)):
-            payload.append(
-                {"name": name, "J": list(J), "poly": jsonio.diffpoly_json(derived)}
-            )
-            lines.append(f"{name} J={list(J)}: {derived}")
-    return _emit(args, payload, lines)
+    return _emit_derivatives(args, _load_problem(args), lambda q: q)
 
 
 def cmd_order_recover(args) -> int:
@@ -182,16 +177,7 @@ def cmd_order_recover(args) -> int:
     order = _order_of(problem)
     pairs = list(problem.pairs)
     if args.pairs is not None:
-        decoded = json.loads(args.pairs)
-        if not isinstance(decoded, list):
-            raise SchemaError("--pairs must be a JSON list of [I, J] pairs")
-        for pair in decoded:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise SchemaError(f"pair must be [I, J], got {pair!r}")
-            I, J = (tuple(int(v) for v in side) for side in pair)
-            if len(I) != problem.m or len(J) != problem.m:
-                raise SchemaError(f"pair {pair!r} does not match m={problem.m}")
-            pairs.append((I, J))
+        pairs += jsonio.pairs_from(json.loads(args.pairs), problem.m)
 
     def oracle(q):
         return max_ideal_member(q, order)
@@ -200,11 +186,12 @@ def cmd_order_recover(args) -> int:
     lines = []
     for I, J in pairs:
         recovered = order_from_membership(oracle, I, J)
-        direct = order_compare(order, I, J)
-        assert recovered == direct, (
-            f"membership oracle recovered {_REL_NAME[recovered]} for {I}, {J} "
-            f"but direct comparison says {_REL_NAME[direct]}"
-        )
+        direct = order.compare(I, J)
+        if recovered != direct:
+            raise InternalInconsistency(
+                f"membership oracle recovered {_REL_NAME[recovered]} for {I}, {J} "
+                f"but direct comparison says {_REL_NAME[direct]}"
+            )
         payload.append({"I": list(I), "J": list(J), "relation": _REL_NAME[recovered]})
         lines.append(f"{list(I)} {_REL_SIGN[recovered]} {list(J)}")
     return _emit(args, payload, lines)
@@ -226,7 +213,8 @@ def cmd_omega_chain(args) -> int:
         raise SchemaError("count must be at least 1")
     chain = omega_chain(args.count)
     for earlier, later in zip(chain, chain[1:]):
-        assert earlier <= later and earlier != later, "chain failed to increase"
+        if not (earlier <= later and earlier != later):
+            raise InternalInconsistency("chain failed to increase")
     payload = [jsonio.vertexfraction_json(value) for value in chain]
     lines = [f"omega_{k + 1} = {value}" for k, value in enumerate(chain)]
     return _emit(args, payload, lines)
@@ -246,7 +234,7 @@ def _selftest_checks():
     )
     yield (
         "vertex extraction drops dominated points",
-        lambda: vertex_extract(2, [(3, 0), (2, 2), (1, 1), (0, 3)]).points
+        lambda: VertexPoly(2, [(3, 0), (2, 2), (1, 1), (0, 3)]).points
         == ((0, 3), (1, 1), (3, 0)),
     )
 
@@ -276,7 +264,7 @@ def _selftest_checks():
     def growing():
         chain = omega_chain(5)
         return all(
-            a <= b and a != b and b.in_unit_ball for a, b in zip(chain, chain[1:])
+            a <= b and a != b and b.in_unit_ball() for a, b in zip(chain, chain[1:])
         )
 
     yield ("unit-ball chain grows strictly", growing)
@@ -306,7 +294,10 @@ def cmd_selftest(args) -> int:
     total = 0
     for label, check in _selftest_checks():
         total += 1
-        ok = bool(check())
+        try:
+            ok = bool(check())
+        except TropdiffError:
+            ok = False
         print(f"{'ok' if ok else 'FAIL'}: {label}")
         if not ok:
             failures += 1
@@ -403,7 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (PolyParseError, SchemaError, json.JSONDecodeError) as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
-    except (InconsistentOracle, AssertionError) as exc:
+    except (InconsistentOracle, InternalInconsistency) as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 4
     except TropdiffError as exc:

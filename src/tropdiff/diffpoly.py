@@ -128,6 +128,14 @@ class DiffPoly:
                 cleaned[mono] = c
         self.terms = cleaned
 
+    @classmethod
+    def _trusted(cls, m: int, n: int, terms: dict[DiffMonomial, RationalFunction]) -> "DiffPoly":
+        out = object.__new__(cls)
+        out.m = m
+        out.n = n
+        out.terms = terms
+        return out
+
     def _coerce_coeff(self, c) -> RationalFunction:
         if isinstance(c, QPoly):
             c = RationalFunction(c)
@@ -174,12 +182,12 @@ class DiffPoly:
                 out.pop(mono, None)
             else:
                 out[mono] = s
-        return DiffPoly(self.m, self.n, out)
+        return DiffPoly._trusted(self.m, self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffPoly(self.m, self.n, {mono: -c for mono, c in self.terms.items()})
+        return DiffPoly._trusted(self.m, self.n, {mono: -c for mono, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, DiffPoly):
@@ -203,7 +211,7 @@ class DiffPoly:
                     out.pop(mono, None)
                 else:
                     out[mono] = s
-        return DiffPoly(self.m, self.n, out)
+        return DiffPoly._trusted(self.m, self.n, out)
 
     __rmul__ = __mul__
 
@@ -226,7 +234,7 @@ class DiffPoly:
                 add(mono, dc)
             for pos, (_, p) in enumerate(mono.factors):
                 add(mono.bump(pos, k), c * p)
-        return DiffPoly(self.m, self.n, acc)
+        return DiffPoly._trusted(self.m, self.n, acc)
 
     def deriv(self, J: Sequence[int]) -> "DiffPoly":
         out = self

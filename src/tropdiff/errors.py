@@ -29,6 +29,10 @@ class InconsistentOracle(TropdiffError):
     """Membership answers do not describe any total monomial order."""
 
 
+class InternalInconsistency(TropdiffError):
+    """A cross-check between two routes to the same answer failed."""
+
+
 class SchemaError(TropdiffError):
     """Structured input (JSON problem file or value) does not match the schema."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any
 
 from .diffpoly import DiffMonomial, DiffPoly
 from .errors import SchemaError
@@ -91,6 +91,14 @@ def _int_list(obj: Any, what: str) -> tuple[int, ...]:
     return tuple(obj)
 
 
+def _index_list(obj: Any, what: str) -> tuple[int, ...]:
+    """An exponent or multi-index: integers, none negative."""
+    out = _int_list(obj, what)
+    if any(v < 0 for v in out):
+        raise SchemaError(f"{what} must be nonnegative, got {list(out)}")
+    return out
+
+
 def _explicit_m(obj: Any) -> int | None:
     """Exponent width written out somewhere in a serialized value, if any."""
     if isinstance(obj, dict):
@@ -119,7 +127,7 @@ def qpoly_from(obj: Any, m: int | None = None) -> QPoly:
                 raise SchemaError("cannot infer the exponent width of {\"terms\": []}")
         terms: dict[tuple[int, ...], Fraction] = {}
         for entry in obj["terms"]:
-            exp = _int_list(entry.get("exp"), "exponent")
+            exp = _index_list(entry.get("exp"), "exponent")
             try:
                 coeff = Fraction(entry.get("coeff"))
             except (TypeError, ValueError) as exc:
@@ -158,10 +166,12 @@ def weight_from(obj: Any, m: int) -> BooleanWeight:
     if kind == "full":
         return BooleanWeight.full(m)
     if kind == "finite":
-        return BooleanWeight.finite(m, [_int_list(p, "weight point") for p in obj.get("points", [])])
+        return BooleanWeight.finite(
+            m, [_index_list(p, "weight point") for p in obj.get("points", [])]
+        )
     if kind == "cofinite":
         return BooleanWeight.cofinite(
-            m, [_int_list(p, "excluded point") for p in obj.get("excluded", [])]
+            m, [_index_list(p, "excluded point") for p in obj.get("excluded", [])]
         )
     raise SchemaError(f"unknown weight type {kind!r}")
 
@@ -201,7 +211,7 @@ def diffpoly_from(obj: Any, m: int, n: int) -> DiffPoly:
             i = var[0]
             if not isinstance(i, int) or not 1 <= i <= n:
                 raise SchemaError(f"unknown index {i!r} out of range for n={n}")
-            J = _int_list(var[1], "derivative multi-index")
+            J = _index_list(var[1], "derivative multi-index")
             if len(J) != m:
                 raise SchemaError(f"multi-index {J} does not have {m} coordinates")
             power = fac.get("pow", 1)
@@ -210,6 +220,21 @@ def diffpoly_from(obj: Any, m: int, n: int) -> DiffPoly:
             factors.append(((i, J), power))
         total = total + DiffPoly(m, n, {DiffMonomial(factors): coeff})
     return total
+
+
+def pairs_from(obj: Any, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Exponent pairs [[I, J], ...] for order recovery."""
+    if not isinstance(obj, list):
+        raise SchemaError(f"pairs must be a list of [I, J] pairs, got {obj!r}")
+    pairs = []
+    for pair in obj:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"pair must be [I, J], got {pair!r}")
+        I, J = (_index_list(side, "pair exponent") for side in pair)
+        if len(I) != m or len(J) != m:
+            raise SchemaError(f"pair {pair!r} does not match m={m}")
+        pairs.append((I, J))
+    return pairs
 
 
 # -- problem files -----------------------------------------------------------
@@ -263,13 +288,5 @@ def problem_from(obj: Any) -> ProblemFile:
     if not isinstance(bound, int) or bound < 0:
         raise SchemaError(f"prolong_bound must be a nonnegative integer, got {bound!r}")
 
-    pairs = []
-    for pair in obj.get("pairs", []):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise SchemaError(f"pair must be [I, J], got {pair!r}")
-        I, J = (_int_list(side, "pair exponent") for side in pair)
-        if len(I) != m or len(J) != m:
-            raise SchemaError(f"pair {pair!r} does not match m={m}")
-        pairs.append((I, J))
-
+    pairs = pairs_from(obj.get("pairs", []), m)
     return ProblemFile(m, n, polynomials, weights, order, kernel, bound, pairs)

@@ -131,11 +131,3 @@ def order_standard(kind: str, m: int) -> MonomialOrder:
 def order_validate(rows: Sequence[Sequence[int]]) -> MonomialOrder:
     """Wrap a raw weight matrix, rejecting inadmissible ones."""
     return MonomialOrder(rows, kind="matrix")
-
-
-def order_compare(order: MonomialOrder, a: Exponent, b: Exponent) -> int:
-    return order.compare(tuple(a), tuple(b))
-
-
-def order_min(order: MonomialOrder, exponents: Iterable[Exponent]) -> Exponent:
-    return order.min(tuple(e) for e in exponents)

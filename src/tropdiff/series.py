@@ -12,17 +12,18 @@ separating constants below all live there.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
     InconsistentOracle,
+    InternalInconsistency,
     NotInUnitBall,
     ZeroDenominator,
     ZeroTropicalValue,
 )
 from .orders import EQ, GT, LT, MonomialOrder
-from .vertexpoly import VertexFraction, VertexPoly, vertex_extract
+from .vertexpoly import VertexFraction, VertexPoly
 
 Exponent = tuple[int, ...]
 
@@ -59,6 +60,13 @@ class QPoly:
                 if cleaned[e] == 0:
                     del cleaned[e]
         self.terms = cleaned
+
+    @classmethod
+    def _trusted(cls, m: int, terms: dict[Exponent, Fraction]) -> "QPoly":
+        out = object.__new__(cls)
+        out.m = m
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, m: int) -> "QPoly":
@@ -127,12 +135,12 @@ class QPoly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return QPoly(self.m, out)
+        return QPoly._trusted(self.m, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly(self.m, {e: -c for e, c in self.terms.items()})
+        return QPoly._trusted(self.m, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -156,7 +164,7 @@ class QPoly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return QPoly(self.m, out)
+        return QPoly._trusted(self.m, out)
 
     __rmul__ = __mul__
 
@@ -200,7 +208,7 @@ class QPoly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return QPoly(self.m, out)
+        return QPoly._trusted(self.m, out)
 
     # -- misc ---------------------------------------------------------------
 
@@ -371,7 +379,7 @@ def _as_rf(q) -> RationalFunction:
 
 def trop_poly(f: QPoly) -> VertexPoly:
     """Vertex set of the support; trop of the zero polynomial is 0."""
-    return vertex_extract(f.m, f.terms.keys())
+    return VertexPoly(f.m, f.terms.keys())
 
 
 def trop_frac(q) -> VertexFraction:
@@ -415,7 +423,7 @@ def bezout_witness(phi, psi) -> int:
     for mult in range(1, len(target.points) + 2):
         if trop_poly(phi.num * psi.den + psi.num * phi.den * mult) == target:
             return mult
-    raise AssertionError("no witness within the pigeonhole bound")
+    raise InternalInconsistency("no witness within the pigeonhole bound")
 
 
 def residue(q, order: MonomialOrder) -> Fraction:

@@ -18,10 +18,10 @@ which ranges over all derivative multi-indices.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .diffpoly import DiffPoly, prolong
-from .errors import DimensionMismatch, ZeroTropicalValue
+from .errors import DimensionMismatch, InternalInconsistency, ZeroTropicalValue
 from .orders import MonomialOrder
 from .series import QPoly, RationalFunction, in_unit_ball, residue, trop_frac
 from .vertexpoly import VertexFraction, VertexPoly
@@ -76,7 +76,6 @@ def translate(
     Keeps the monomial structure of P (some terms may drop when a shift
     empties a weight); every surviving coefficient has tropical value <= 1.
     """
-    _check_weights(P, weights)
     value = tropw(P, weights)
     if value.is_zero:
         return DiffPoly.zero(P.m, P.n)
@@ -93,7 +92,8 @@ def translate(
         if plug.is_zero:
             continue
         moved = pref * c * plug
-        assert in_unit_ball(moved), f"translated coefficient {moved} left the unit ball"
+        if not in_unit_ball(moved):
+            raise InternalInconsistency(f"translated coefficient {moved} left the unit ball")
         out[mono] = moved
     return DiffPoly(P.m, P.n, out)
 
@@ -114,11 +114,16 @@ def initial_form(
     return DiffPoly(P.m, P.n, out)
 
 
-def _dedup(polys: list[DiffPoly]) -> list[DiffPoly]:
+def _prolonged_nonzero(
+    generators: Sequence[DiffPoly], bound: int, step: Callable[[DiffPoly], DiffPoly]
+) -> list[DiffPoly]:
+    """step(d^J g) for every generator g and |J| <= bound, zeros and repeats dropped."""
     kept: list[DiffPoly] = []
-    for p in polys:
-        if not any(p == q for q in kept):
-            kept.append(p)
+    for g in generators:
+        for q in prolong(g, bound):
+            image = step(q)
+            if not image.is_zero and not any(image == k for k in kept):
+                kept.append(image)
     return kept
 
 
@@ -128,18 +133,8 @@ def translate_generators(
     bound: int,
     kernel: SubstitutionKernel = SubstitutionKernel.INDICATOR,
 ) -> list[DiffPoly]:
-    """Translations of all derivatives d^J g up to |J| <= bound.
-
-    Deduplicated, zero translations dropped.  A finite truncation: the full
-    generating set ranges over every multi-index.
-    """
-    out: list[DiffPoly] = []
-    for g in generators:
-        for q in prolong(g, bound):
-            moved = translate(q, weights, kernel)
-            if not moved.is_zero:
-                out.append(moved)
-    return _dedup(out)
+    """Nonzero translations of all derivatives up to the bound, deduplicated."""
+    return _prolonged_nonzero(generators, bound, lambda q: translate(q, weights, kernel))
 
 
 def initial_generators(
@@ -150,10 +145,6 @@ def initial_generators(
     kernel: SubstitutionKernel = SubstitutionKernel.INDICATOR,
 ) -> list[DiffPoly]:
     """Nonzero initial forms of all derivatives up to the bound, deduplicated."""
-    out: list[DiffPoly] = []
-    for g in generators:
-        for q in prolong(g, bound):
-            form = initial_form(q, weights, order, kernel)
-            if not form.is_zero:
-                out.append(form)
-    return _dedup(out)
+    return _prolonged_nonzero(
+        generators, bound, lambda q: initial_form(q, weights, order, kernel)
+    )

@@ -166,11 +166,6 @@ class VertexPoly:
     __repr__ = __str__
 
 
-def vertex_extract(m: int, points: Iterable[Sequence[int]]) -> VertexPoly:
-    """Vertices of conv(points + R^m_{>=0}), exact."""
-    return VertexPoly(m, points)
-
-
 class VertexFraction:
     """Formal quotient of vertex sets, compared by cross-multiplication.
 
@@ -189,10 +184,6 @@ class VertexFraction:
             raise ZeroDenominator("vertex fraction with zero denominator")
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_poly(cls, vp: VertexPoly) -> "VertexFraction":
-        return cls(vp)
 
     @classmethod
     def zero(cls, m: int) -> "VertexFraction":
@@ -255,9 +246,10 @@ def staircase_vertices_2d(points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
 
     Independent of the simplex route on purpose; only valid for m = 2.
     """
-    pts = sorted({(int(p[0]), int(p[1])) for p in points})
+    points = [tuple(p) for p in points]
     if any(len(p) != 2 for p in points):
         raise DimensionMismatch("staircase construction needs m = 2")
+    pts = sorted({(int(x), int(y)) for x, y in points})
     stair: list[Point] = []
     best_y: int | None = None
     for x, y in pts:

@@ -26,21 +26,9 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, TropdiffError
 from .series import QPoly
-from .vertexpoly import VertexPoly
+from .vertexpoly import VertexPoly, _validated_points
 
 Point = tuple[int, ...]
-
-
-def _clean_points(m: int, points: Iterable[Sequence[int]]) -> frozenset[Point]:
-    out = set()
-    for p in points:
-        q = tuple(int(v) for v in p)
-        if len(q) != m:
-            raise DimensionMismatch(f"point {q} does not have {m} coordinates")
-        if any(v < 0 for v in q):
-            raise ValueError(f"weight points must be nonnegative, got {q}")
-        out.add(q)
-    return frozenset(out)
 
 
 class BooleanWeight:
@@ -67,11 +55,11 @@ class BooleanWeight:
 
     @classmethod
     def finite(cls, m: int, points: Iterable[Sequence[int]]) -> "BooleanWeight":
-        return cls(m, "finite", _clean_points(m, points))
+        return cls(m, "finite", frozenset(_validated_points(m, points)))
 
     @classmethod
     def cofinite(cls, m: int, excluded: Iterable[Sequence[int]]) -> "BooleanWeight":
-        return cls(m, "cofinite", _clean_points(m, excluded))
+        return cls(m, "cofinite", frozenset(_validated_points(m, excluded)))
 
     def __contains__(self, point: Sequence[int]) -> bool:
         p = tuple(int(v) for v in point)

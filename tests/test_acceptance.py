@@ -33,7 +33,6 @@ from tropdiff import (
     max_ideal_member,
     multi_indices,
     omega_chain,
-    order_compare,
     order_from_membership,
     order_standard,
     order_validate,
@@ -46,7 +45,6 @@ from tropdiff import (
     trop_frac,
     trop_poly,
     tropw,
-    vertex_extract,
 )
 
 X = lambda J: DiffMonomial.var(1, J)
@@ -133,7 +131,7 @@ def test_criterion_04_order_recovery_bijection():
                     except InconsistentOracle:
                         inconsistencies += 1
                         continue
-                    assert got == order_compare(order, I, J)
+                    assert got == order.compare(I, J)
                     checked += 1
     assert inconsistencies == 0
     print(f"PASS criterion 4: membership recovers 16 orders on {checked} pairs")
@@ -202,7 +200,7 @@ def test_criterion_09_vertex_extraction_oracle():
             (rng.randrange(21), rng.randrange(21))
             for _ in range(rng.randint(1, 12))
         ]
-        got = vertex_extract(2, points)
+        got = VertexPoly(2, points)
         assert got.points == staircase_vertices_2d(points)
     print("PASS criterion 9: LP extraction equals the staircase oracle on 1000 sets")
 

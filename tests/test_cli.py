@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,8 @@ PROBLEM = "tests/data/exp_problem.json"
 PROBLEM_UFIRST = "tests/data/exp_problem_ufirst.json"
 
 TROP_GOLDEN = {"den": [[1, 0], [0, 1]], "num": [[1, 0]]}
+NEGATIVE_EXP = {"num": {"terms": [{"exp": [0, -1], "coeff": "1"}]}}
+NEGATIVE_J = [{"var": [1, [0, -1]], "pow": 1}]
 
 
 def run(capsys, *argv):
@@ -295,3 +301,52 @@ class TestExitCodes:
         lines = out.strip().splitlines()
         assert all(line.startswith("ok: ") for line in lines[:-1])
         assert lines[-1] == "selftest: 10/10 checks passed"
+
+    def test_selftest_reports_a_failing_check(self, capsys, monkeypatch):
+        from tropdiff import VertexFraction
+
+        monkeypatch.setattr(VertexFraction, "in_unit_ball", lambda self: False)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 4
+        assert "FAIL: unit-ball chain grows strictly" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weight", [{"type": "cofinite", "excluded": [[1, -1]]}]),
+            ("weight", [{"type": "finite", "points": [[-1, 0]]}]),
+            ("polynomials", [{"name": "P", "poly": [{"coeff": NEGATIVE_EXP}]}]),
+            ("polynomials", [{"name": "P", "poly": [{"coeff": "1", "monomial": NEGATIVE_J}]}]),
+            ("pairs", [[[1, 0], [0, -1]]]),
+        ],
+        ids=["excluded-point", "weight-point", "exponent", "multi-index", "pair-exponent"],
+    )
+    def test_negative_entries_are_schema_errors(self, capsys, tmp_path, field, value):
+        problem = json.loads(Path(PROBLEM).read_text())
+        problem[field] = value
+        source = tmp_path / "negative.json"
+        source.write_text(json.dumps(problem))
+        command = "order-recover" if field == "pairs" else "tropw"
+        code, _, err = run(capsys, command, "--input", str(source))
+        assert code == 2
+        assert "SchemaError" in err and "nonnegative" in err
+
+    def test_inconsistency_survives_optimized_mode(self, tmp_path):
+        # Under python -O a bare assert would vanish and the run would exit 0.
+        import tropdiff
+
+        src = str(Path(tropdiff.__file__).resolve().parent.parent)
+        script = (
+            "import sys\n"
+            "from tropdiff import cli\n"
+            "assert False, 'asserts must be stripped'\n"
+            "cli.order_from_membership = lambda oracle, I, J: 1\n"
+            f"sys.exit(cli.main(['order-recover', '--input', {PROBLEM!r}]))\n"
+        )
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 4, done.stderr
+        assert "inconsistency" in done.stderr

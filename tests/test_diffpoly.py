@@ -93,6 +93,19 @@ class TestArithmetic:
         with pytest.raises(DimensionMismatch):
             running_example() + DiffPoly.zero(3, 1)
 
+    def test_arithmetic_results_are_canonical(self):
+        # these results bypass the public constructor's checks, so they must
+        # already be what DiffPoly(m, n, terms) would build from their terms
+        rng = random.Random(83)
+        for _ in range(30):
+            P, Q = diffpoly(rng, 2, 2), diffpoly(rng, 2, 2)
+            for R in (P + Q, P - P, -P, P * Q, P.derive(0)):
+                assert R.terms.keys() == DiffPoly(2, 2, R.terms).terms.keys()
+                assert all(
+                    isinstance(c, RationalFunction) and not c.is_zero
+                    for c in R.terms.values()
+                )
+
 
 class TestDerive:
     def test_leibniz_golden(self):

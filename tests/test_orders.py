@@ -10,11 +10,9 @@ from tropdiff import (
     LT,
     DimensionMismatch,
     NotAMonomialOrder,
-    order_compare,
-    order_min,
+    VertexPoly,
     order_standard,
     order_validate,
-    vertex_extract,
 )
 
 EXPECTED = {"lex": lex_expected, "grlex": grlex_expected, "grevlex": grevlex_expected}
@@ -56,22 +54,22 @@ class TestStandardMatrices:
 
 class TestCompare:
     def test_lex_t1_smallest(self):
-        assert order_compare(order_standard("lex", 2), (1, 0), (0, 1)) == LT
+        assert order_standard("lex", 2).compare((1, 0), (0, 1)) == LT
 
     def test_zero_below_everything(self):
         for kind in ("lex", "grlex", "grevlex"):
-            assert order_compare(order_standard(kind, 2), (0, 0), (1, 1)) == LT
+            assert order_standard(kind, 2).compare((0, 0), (1, 1)) == LT
 
     def test_grevlex_degree_tie(self):
         ord3 = order_standard("grevlex", 3)
-        assert order_compare(ord3, (1, 1, 0), (0, 0, 2)) == LT
+        assert ord3.compare((1, 1, 0), (0, 0, 2)) == LT
 
     def test_equal(self):
-        assert order_compare(order_standard("grlex", 2), (2, 3), (2, 3)) == EQ
+        assert order_standard("grlex", 2).compare((2, 3), (2, 3)) == EQ
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            order_compare(order_standard("lex", 2), (1, 0, 0), (0, 1, 0))
+            order_standard("lex", 2).compare((1, 0, 0), (0, 1, 0))
 
     def test_exhaustive_against_definitions(self):
         # every standard kind against its textbook definition, |I| <= 4
@@ -86,19 +84,19 @@ class TestCompare:
 
 class TestMin:
     def test_lex_picks_t_axis(self):
-        assert order_min(order_standard("lex", 2), [(1, 0), (0, 1)]) == (1, 0)
+        assert order_standard("lex", 2).min([(1, 0), (0, 1)]) == (1, 0)
 
     def test_origin_always_wins(self):
         for kind in ("lex", "grlex", "grevlex"):
-            got = order_min(order_standard(kind, 2), [(4, 1), (0, 0), (2, 2)])
+            got = order_standard(kind, 2).min([(4, 1), (0, 0), (2, 2)])
             assert got == (0, 0)
 
     def test_grlex_prefers_low_degree(self):
-        assert order_min(order_standard("grlex", 2), [(3, 0), (1, 1), (0, 3)]) == (1, 1)
+        assert order_standard("grlex", 2).min([(3, 0), (1, 1), (0, 3)]) == (1, 1)
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            order_min(order_standard("lex", 2), [])
+            order_standard("lex", 2).min([])
 
 
 class TestValidate:
@@ -190,7 +188,7 @@ class TestOrderLaws:
                         for _ in range(rng.randint(1, 8))
                     ]
                     low = order.min(points)
-                    hull = vertex_extract(m, points)
+                    hull = VertexPoly(m, points)
                     assert low in hull.points
                     assert order.min(hull.points) == low
 

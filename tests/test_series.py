@@ -81,6 +81,16 @@ class TestQPolyArithmetic:
         with pytest.raises(ValueError):
             QPoly(2, {(-1, 0): 1})
 
+    def test_arithmetic_results_are_canonical(self):
+        # these results bypass the public constructor's checks, so they must
+        # already be what QPoly(m, terms) would build from their terms
+        rng = random.Random(43)
+        for _ in range(100):
+            f, g = qpoly(rng, 2), qpoly(rng, 2)
+            for h in (f + g, f - f, -f, f * g, f.deriv((1, 0))):
+                assert h.terms == QPoly(2, h.terms).terms
+                assert all(isinstance(c, Fraction) for c in h.terms.values())
+
 
 class TestRationalFunction:
     def test_zero_denominator(self):

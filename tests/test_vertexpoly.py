@@ -10,7 +10,6 @@ from tropdiff import (
     omega_chain,
     omega_witness,
     staircase_vertices_2d,
-    vertex_extract,
 )
 
 
@@ -20,17 +19,17 @@ def vp(*points):
 
 class TestExtraction:
     def test_midpoint_dropped(self):
-        assert vertex_extract(2, [(2, 0), (1, 1), (0, 2)]) == vp((2, 0), (0, 2))
+        assert VertexPoly(2, [(2, 0), (1, 1), (0, 2)]) == vp((2, 0), (0, 2))
 
     def test_domination(self):
-        assert vertex_extract(2, [(0, 0), (5, 7)]) == vp((0, 0))
+        assert VertexPoly(2, [(0, 0), (5, 7)]) == vp((0, 0))
 
     def test_below_the_segment_survives(self):
-        got = vertex_extract(2, [(3, 0), (1, 1), (0, 3)])
+        got = VertexPoly(2, [(3, 0), (1, 1), (0, 3)])
         assert got == vp((3, 0), (1, 1), (0, 3))
 
     def test_empty(self):
-        assert vertex_extract(2, []).is_zero
+        assert VertexPoly(2, []).is_zero
 
     def test_idempotent(self):
         rng = random.Random(7)
@@ -39,21 +38,21 @@ class TestExtraction:
                 tuple(rng.randrange(9) for _ in range(2))
                 for _ in range(rng.randint(1, 8))
             ]
-            once = vertex_extract(2, pts)
-            assert vertex_extract(2, once.points) == once
+            once = VertexPoly(2, pts)
+            assert VertexPoly(2, once.points) == once
 
     def test_three_dimensional(self):
         # (1,1,1) is the midpoint of (2,0,2),(0,2,0) and must go
-        got = vertex_extract(3, [(2, 0, 2), (1, 1, 1), (0, 2, 0)])
+        got = VertexPoly(3, [(2, 0, 2), (1, 1, 1), (0, 2, 0)])
         assert got.points == ((0, 2, 0), (2, 0, 2))
 
     def test_negative_coordinates_rejected(self):
         with pytest.raises(ValueError):
-            vertex_extract(2, [(1, -1)])
+            VertexPoly(2, [(1, -1)])
 
     def test_wrong_width_rejected(self):
         with pytest.raises(DimensionMismatch):
-            vertex_extract(2, [(1, 0, 0)])
+            VertexPoly(2, [(1, 0, 0)])
 
 
 class TestSemiringOps:
@@ -158,13 +157,21 @@ class TestStaircaseOracle:
                 (rng.randrange(21), rng.randrange(21))
                 for _ in range(rng.randint(1, 12))
             ]
-            assert vertex_extract(2, pts).points == staircase_vertices_2d(pts)
+            assert VertexPoly(2, pts).points == staircase_vertices_2d(pts)
 
     def test_collinear_points(self):
         assert staircase_vertices_2d([(0, 2), (1, 1), (2, 0)]) == ((0, 2), (2, 0))
 
     def test_single(self):
         assert staircase_vertices_2d([(4, 5)]) == ((4, 5),)
+
+    def test_wrong_width_rejected(self):
+        points = [(1, 2, 3), (0, 5, 1)]
+        with pytest.raises(DimensionMismatch):
+            staircase_vertices_2d(points)
+        with pytest.raises(DimensionMismatch):
+            staircase_vertices_2d(p for p in points)
+        assert staircase_vertices_2d(p for p in [(3, 0), (0, 3)]) == ((0, 3), (3, 0))
 
 
 class TestFractions:
