@@ -92,7 +92,11 @@ def _kernel_of(args, problem: jsonio.ProblemFile) -> SubstitutionKernel:
 
 
 def _bound_of(args, problem: jsonio.ProblemFile) -> int:
-    return problem.prolong_bound if args.bound is None else args.bound
+    if args.bound is None:
+        return problem.prolong_bound
+    if args.bound < 0:
+        raise SchemaError(f"--bound must be a nonnegative integer, got {args.bound!r}")
+    return args.bound
 
 
 # -- subcommands -------------------------------------------------------------
@@ -102,21 +106,13 @@ def cmd_trop(args) -> int:
     if args.expr is not None:
         source = args.expr
     elif args.input is not None:
-        source = _read_source(args.input).strip()
+        source = _read_source(args.input)
     else:
         raise SchemaError("no expression given: pass one or use --input")
 
-    stripped = source.strip()
-    if stripped.startswith("{") or stripped.startswith('"'):
-        decoded = json.loads(stripped)
-        if isinstance(decoded, str):
-            value = parse_rational(decoded, args.m)
-        else:
-            value = jsonio.rational_from(decoded, args.m)
-    else:
-        value = parse_rational(stripped, args.m)
-
-    vf = trop_frac(value)
+    text = source.strip()
+    decoded = json.loads(text) if text.startswith(("{", '"')) else text
+    vf = trop_frac(jsonio.rational_from(decoded, args.m))
     return _emit(args, jsonio.vertexfraction_json(vf), [str(vf)])
 
 

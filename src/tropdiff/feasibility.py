@@ -25,16 +25,7 @@ _ONE = Fraction(1)
 def covered(points: Sequence[Point], target: Point) -> bool:
     """True iff target lies in conv(points) + the nonnegative orthant."""
     n = len(points)
-    if n == 0:
-        return False
     m = len(target)
-    # Quick exits before setting up a tableau.
-    for q in points:
-        if all(qk <= pk for qk, pk in zip(q, target)):
-            return True
-    if n == 1:
-        return False
-
     # Columns: lambda_0..lambda_{n-1}, slack_0..slack_{m-1}, artificial.
     # Rows 0..m-1:  sum_j q_jk lambda_j + s_k = p_k   (rhs >= 0 since p in N^m)
     # Row m:        sum_j lambda_j + a = 1

@@ -7,9 +7,11 @@ I + J in the original set.  Cofinite weights stay cofinite (possibly becoming
 all of N^m); finite weights stay finite (possibly empty).
 
 vertices() returns the tropical value of the series: the vertex set of the
-support.  For a cofinite set the support is infinite, but every point with a
-coordinate beyond the excluded region is dominated by one inside a bounding
-box, so enumerating the box suffices.
+support.  For a cofinite set N^m minus E the support is infinite, but each
+of its minimal points is 0 or q + e_k for some q in E: a minimal p != 0 has
+some p_k > 0, and p - e_k must then lie in E.  Those candidates, minus E, lie
+in the set and reach every minimal point, so they span the same polyhedron.
+The full set N^m is the cofinite set with nothing excluded.
 
 substitution_poly is the polynomial that the translation machinery plugs in
 for a single derivative x_{i,J}.  The indicator kernel puts coefficient 1 on
@@ -20,7 +22,6 @@ as differentiation of the honest series would.
 from __future__ import annotations
 
 import enum
-import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -63,8 +64,6 @@ class BooleanWeight:
 
     def __contains__(self, point: Sequence[int]) -> bool:
         p = tuple(int(v) for v in point)
-        if self.kind == "full":
-            return True
         if self.kind == "finite":
             return p in self.data
         return p not in self.data
@@ -78,8 +77,6 @@ class BooleanWeight:
         J = tuple(int(v) for v in J)
         if len(J) != self.m:
             raise DimensionMismatch(f"multi-index {J} does not have {self.m} coordinates")
-        if self.kind == "full":
-            return self
         moved = frozenset(
             tuple(i - j for i, j in zip(p, J))
             for p in self.data
@@ -89,19 +86,13 @@ class BooleanWeight:
 
     def vertices(self) -> VertexPoly:
         """Tropical value of the series with this support."""
-        if self.kind == "full":
-            return VertexPoly.one(self.m)
         if self.kind == "finite":
             return VertexPoly(self.m, self.data)
-        # Any point beyond the box is dominated by the box point below it,
-        # which cannot be excluded, so the box carries every vertex.
-        bounds = [1 + max(p[k] for p in self.data) for k in range(self.m)]
-        support = [
-            p
-            for p in itertools.product(*(range(b + 1) for b in bounds))
-            if p not in self.data
-        ]
-        return VertexPoly(self.m, support)
+        candidates = {(0,) * self.m}
+        for q in self.data:
+            for k in range(self.m):
+                candidates.add(q[:k] + (q[k] + 1,) + q[k + 1 :])
+        return VertexPoly(self.m, candidates - self.data)
 
     def series(self) -> QPoly:
         """The honest polynomial, available for finite supports only."""

@@ -331,6 +331,12 @@ class TestExitCodes:
         assert code == 2
         assert "SchemaError" in err and "nonnegative" in err
 
+    @pytest.mark.parametrize("command", ["prolong", "translate", "initial"])
+    def test_negative_bound_is_a_usage_error(self, capsys, command):
+        code, _, err = run(capsys, command, "--input", PROBLEM, "--bound", "-1")
+        assert code == 2
+        assert "SchemaError" in err and "nonnegative" in err
+
     def test_inconsistency_survives_optimized_mode(self, tmp_path):
         # Under python -O a bare assert would vanish and the run would exit 0.
         import tropdiff

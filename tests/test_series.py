@@ -160,6 +160,12 @@ class TestTrop:
             p, q = rational(rng, 2), rational(rng, 2)
             assert trop_frac(p * q) == trop_frac(p) * trop_frac(q)
 
+    def test_poly_multiplicative_m3(self):
+        rng = random.Random(46)
+        for _ in range(100):
+            f, g = qpoly(rng, 3), qpoly(rng, 3)
+            assert trop_poly(f * g) == trop_poly(f) * trop_poly(g)
+
     def test_subadditive(self):
         rng = random.Random(44)
         for _ in range(100):

@@ -96,22 +96,23 @@ class TestSemiringOps:
 
 
 class TestSemiringLaws:
-    def random_vp(self, rng):
+    def random_vp(self, rng, m=2):
         if rng.random() < 0.1:
-            return VertexPoly.zero(2)
+            return VertexPoly.zero(m)
         return VertexPoly(
-            2,
+            m,
             [
-                tuple(rng.randrange(7) for _ in range(2))
+                tuple(rng.randrange(7) for _ in range(m))
                 for _ in range(rng.randint(1, 5))
             ],
         )
 
-    def test_axioms(self):
+    @pytest.mark.parametrize("m, draws", [(2, 300), (3, 80), (4, 20)], ids=["m2", "m3", "m4"])
+    def test_axioms(self, m, draws):
         rng = random.Random(11)
-        zero, one = VertexPoly.zero(2), VertexPoly.one(2)
-        for _ in range(300):
-            a, b, c = (self.random_vp(rng) for _ in range(3))
+        zero, one = VertexPoly.zero(m), VertexPoly.one(m)
+        for _ in range(draws):
+            a, b, c = (self.random_vp(rng, m) for _ in range(3))
             assert a + b == b + a
             assert (a + b) + c == a + (b + c)
             assert a + a == a

@@ -92,19 +92,28 @@ class TestVertices:
     def test_empty_finite(self):
         assert BooleanWeight.finite(2, []).vertices().is_zero
 
-    def test_cofinite_box_is_enough(self):
-        # brute enumeration over a much larger grid must agree
+    def test_full_is_cofinite_with_nothing_excluded(self):
+        full = BooleanWeight.full(3)
+        assert full.shift((1, 0, 2)) == full
+        assert full.vertices() == VertexPoly.one(3)
+
+    @pytest.mark.parametrize(
+        "m, draws, side", [(2, 50, 10), (3, 50, 6), (4, 20, 6)], ids=["m2", "m3", "m4"]
+    )
+    def test_cofinite_box_is_enough(self, m, draws, side):
+        # brute enumeration over a grid larger than the bounding box
+        # (coordinates up to 4) must agree
         rng = random.Random(92)
-        for _ in range(50):
+        for _ in range(draws):
             excluded = {
-                (rng.randint(0, 3), rng.randint(0, 3))
+                tuple(rng.randint(0, 3) for _ in range(m))
                 for _ in range(rng.randint(1, 5))
             }
-            w = BooleanWeight.cofinite(2, excluded)
+            w = BooleanWeight.cofinite(m, excluded)
             grid = [
-                p for p in itertools.product(range(10), repeat=2) if p in w
+                p for p in itertools.product(range(side), repeat=m) if p in w
             ]
-            assert w.vertices() == VertexPoly(2, grid)
+            assert w.vertices() == VertexPoly(m, grid)
 
 
 class TestSeries:
