@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Sequence
 
 from . import jsonio
 from .diffpoly import DiffMonomial, DiffPoly, multi_indices, prolong
@@ -43,11 +43,12 @@ _REL_NAME = {LT: "LT", EQ: "EQ", GT: "GT"}
 _REL_SIGN = {LT: "<", EQ: "=", GT: ">"}
 
 
-def _emit(args, payload: Any, pretty_lines: list[str]) -> int:
+def _emit(args, to_json, to_pretty) -> int:
+    """Print the requested rendering; only that one of the two is built."""
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(to_json(), sort_keys=True, indent=2))
     else:
-        for line in pretty_lines:
+        for line in to_pretty():
             print(line)
     return 0
 
@@ -73,22 +74,15 @@ def _selected(problem: jsonio.ProblemFile, names: Sequence[str]):
     return [(name, table[name]) for name in names]
 
 
-def _weights_of(problem: jsonio.ProblemFile) -> list[BooleanWeight]:
-    if problem.weights is None:
-        raise SchemaError("problem file declares no weight")
-    return problem.weights
-
-
-def _order_of(problem: jsonio.ProblemFile):
-    if problem.order is None:
-        raise SchemaError("problem file declares no order")
-    return problem.order
+def _declared(value, what: str):
+    if value is None:
+        raise SchemaError(f"problem file declares no {what}")
+    return value
 
 
 def _kernel_of(args, problem: jsonio.ProblemFile) -> SubstitutionKernel:
-    if args.kernel is not None:
-        return SubstitutionKernel.from_string(args.kernel)
-    return problem.kernel
+    # argparse's choices already hold --kernel to a kernel name
+    return problem.kernel if args.kernel is None else SubstitutionKernel(args.kernel)
 
 
 def _bound_of(args, problem: jsonio.ProblemFile) -> int:
@@ -97,6 +91,12 @@ def _bound_of(args, problem: jsonio.ProblemFile) -> int:
     if args.bound < 0:
         raise SchemaError(f"--bound must be a nonnegative integer, got {args.bound!r}")
     return args.bound
+
+
+def _m_of(args) -> int | None:
+    if args.m is not None and args.m < 1:
+        raise SchemaError(f"--m must be a positive integer, got {args.m!r}")
+    return args.m
 
 
 # -- subcommands -------------------------------------------------------------
@@ -112,56 +112,53 @@ def cmd_trop(args) -> int:
 
     text = source.strip()
     decoded = json.loads(text) if text.startswith(("{", '"')) else text
-    vf = trop_frac(jsonio.rational_from(decoded, args.m))
-    return _emit(args, jsonio.vertexfraction_json(vf), [str(vf)])
+    vf = trop_frac(jsonio.rational_from(decoded, _m_of(args)))
+    return _emit(args, lambda: jsonio.vertexfraction_json(vf), lambda: [str(vf)])
 
 
 def cmd_tropw(args) -> int:
     problem = _load_problem(args)
-    weights = _weights_of(problem)
-    payload = []
-    lines = []
-    for name, poly in _selected(problem, args.names):
-        value = tropw(poly, weights)
-        payload.append({"name": name, "value": jsonio.vertexfraction_json(value)})
-        lines.append(f"{name}: {value}")
-    return _emit(args, payload, lines)
+    weights = _declared(problem.weights, "weight")
+    values = [(name, tropw(poly, weights)) for name, poly in _selected(problem, args.names)]
+    return _emit(
+        args,
+        lambda: [{"name": n, "value": jsonio.vertexfraction_json(v)} for n, v in values],
+        lambda: [f"{n}: {v}" for n, v in values],
+    )
 
 
 def _emit_derivatives(args, problem: jsonio.ProblemFile, step) -> int:
     """Emit step(d^J P) for each selected P and each |J| <= bound."""
     bound = _bound_of(args, problem)
     indices = multi_indices(problem.m, bound)
-    payload = []
-    lines = []
-    for name, poly in _selected(problem, args.names):
-        for J, derived in zip(indices, prolong(poly, bound)):
-            image = step(derived)
-            payload.append(
-                {"name": name, "J": list(J), "poly": jsonio.diffpoly_json(image)}
-            )
-            lines.append(f"{name} J={list(J)}: {image}")
-    return _emit(args, payload, lines)
+    rows = [
+        (name, list(J), step(derived))
+        for name, poly in _selected(problem, args.names)
+        for J, derived in zip(indices, prolong(poly, bound))
+    ]
+    return _emit(
+        args,
+        lambda: [{"name": n, "J": J, "poly": jsonio.diffpoly_json(q)} for n, J, q in rows],
+        lambda: [f"{n} J={J}: {q}" for n, J, q in rows],
+    )
 
 
 def cmd_translate(args) -> int:
     problem = _load_problem(args)
-    weights = _weights_of(problem)
+    weights = _declared(problem.weights, "weight")
     kernel = _kernel_of(args, problem)
     return _emit_derivatives(args, problem, lambda q: translate(q, weights, kernel))
 
 
 def cmd_initial(args) -> int:
     problem = _load_problem(args)
-    weights = _weights_of(problem)
-    order = _order_of(problem)
+    weights = _declared(problem.weights, "weight")
+    order = _declared(problem.order, "order")
     kernel = _kernel_of(args, problem)
     bound = _bound_of(args, problem)
     generators = [poly for _, poly in _selected(problem, args.names)]
     forms = initial_generators(generators, weights, order, bound, kernel)
-    payload = [jsonio.diffpoly_json(form) for form in forms]
-    lines = [str(form) for form in forms]
-    return _emit(args, payload, lines)
+    return _emit(args, lambda: list(map(jsonio.diffpoly_json, forms)), lambda: map(str, forms))
 
 
 def cmd_prolong(args) -> int:
@@ -170,38 +167,35 @@ def cmd_prolong(args) -> int:
 
 def cmd_order_recover(args) -> int:
     problem = _load_problem(args)
-    order = _order_of(problem)
+    order = _declared(problem.order, "order")
     pairs = list(problem.pairs)
     if args.pairs is not None:
         pairs += jsonio.pairs_from(json.loads(args.pairs), problem.m)
-
-    def oracle(q):
-        return max_ideal_member(q, order)
-
-    payload = []
-    lines = []
+    relations = []
     for I, J in pairs:
-        recovered = order_from_membership(oracle, I, J)
+        recovered = order_from_membership(lambda q: max_ideal_member(q, order), I, J)
         direct = order.compare(I, J)
         if recovered != direct:
             raise InternalInconsistency(
                 f"membership oracle recovered {_REL_NAME[recovered]} for {I}, {J} "
                 f"but direct comparison says {_REL_NAME[direct]}"
             )
-        payload.append({"I": list(I), "J": list(J), "relation": _REL_NAME[recovered]})
-        lines.append(f"{list(I)} {_REL_SIGN[recovered]} {list(J)}")
-    return _emit(args, payload, lines)
+        relations.append((list(I), list(J), recovered))
+    return _emit(
+        args,
+        lambda: [{"I": I, "J": J, "relation": _REL_NAME[r]} for I, J, r in relations],
+        lambda: [f"{I} {_REL_SIGN[r]} {J}" for I, J, r in relations],
+    )
 
 
 def cmd_bezout(args) -> int:
-    first = parse_rational(args.phi, args.m)
-    second = parse_rational(args.psi, args.m)
-    if args.m is None and first.m != second.m:
+    texts = (args.phi, args.psi)
+    first, second = (parse_rational(text, _m_of(args)) for text in texts)
+    if first.m != second.m:  # both widths were inferred; parse again at the larger
         width = max(first.m, second.m)
-        first = parse_rational(args.phi, width)
-        second = parse_rational(args.psi, width)
+        first, second = (parse_rational(text, width) for text in texts)
     witness = bezout_witness(first, second)
-    return _emit(args, {"M": witness}, [f"M = {witness}"])
+    return _emit(args, lambda: {"M": witness}, lambda: [f"M = {witness}"])
 
 
 def cmd_omega_chain(args) -> int:
@@ -211,9 +205,11 @@ def cmd_omega_chain(args) -> int:
     for earlier, later in zip(chain, chain[1:]):
         if not (earlier <= later and earlier != later):
             raise InternalInconsistency("chain failed to increase")
-    payload = [jsonio.vertexfraction_json(value) for value in chain]
-    lines = [f"omega_{k + 1} = {value}" for k, value in enumerate(chain)]
-    return _emit(args, payload, lines)
+    return _emit(
+        args,
+        lambda: list(map(jsonio.vertexfraction_json, chain)),
+        lambda: [f"omega_{k} = {value}" for k, value in enumerate(chain, 1)],
+    )
 
 
 # -- selftest ----------------------------------------------------------------
@@ -286,19 +282,16 @@ def _selftest_checks():
 
 
 def cmd_selftest(args) -> int:
-    failures = 0
-    total = 0
+    passed = []
     for label, check in _selftest_checks():
-        total += 1
         try:
             ok = bool(check())
         except TropdiffError:
             ok = False
         print(f"{'ok' if ok else 'FAIL'}: {label}")
-        if not ok:
-            failures += 1
-    print(f"selftest: {total - failures}/{total} checks passed")
-    return 0 if failures == 0 else 4
+        passed.append(ok)
+    print(f"selftest: {sum(passed)}/{len(passed)} checks passed")
+    return 0 if all(passed) else 4
 
 
 # -- argument parsing --------------------------------------------------------

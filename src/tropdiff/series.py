@@ -7,6 +7,7 @@ of a polynomial is the vertex set of its support, and the value of a quotient
 is the corresponding vertex fraction.  Elements of tropical value <= 1 form
 the unit ball; the residue map, divisibility test, lifting witness and
 separating constants below all live there.
+Public constructors validate; _trusted only wraps results built from validated values.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ Exponent = tuple[int, ...]
 _ZERO = Fraction(0)
 
 
+def _check_width(m: int) -> None:
+    if m < 1:
+        raise ValueError("need at least one variable")
+
+
 def _var_names(m: int) -> tuple[str, ...]:
     if m == 1:
         return ("t",)
@@ -44,8 +50,7 @@ class QPoly:
     __slots__ = ("m", "terms")
 
     def __init__(self, m: int, terms: Mapping[Sequence[int], Fraction | int] | None = None):
-        if m < 1:
-            raise ValueError("need at least one variable")
+        _check_width(m)
         self.m = m
         cleaned: dict[Exponent, Fraction] = {}
         for exp, c in (terms or {}).items():
@@ -78,7 +83,9 @@ class QPoly:
 
     @classmethod
     def constant(cls, m: int, c) -> "QPoly":
-        return cls(m, {(0,) * m: Fraction(c)})
+        _check_width(m)
+        c = Fraction(c)
+        return cls._trusted(m, {(0,) * m: c} if c else {})
 
     @classmethod
     def monomial(cls, exponent: Sequence[int], coeff=1) -> "QPoly":
@@ -180,7 +187,7 @@ class QPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDenominator("division by zero")
-            return QPoly(self.m, {e: c / other for e, c in self.terms.items()})
+            return QPoly._trusted(self.m, {e: c / other for e, c in self.terms.items()})
         return NotImplemented
 
     # -- calculus ----------------------------------------------------------
@@ -262,6 +269,13 @@ class RationalFunction:
         self.den = den
 
     @classmethod
+    def _trusted(cls, num: QPoly, den: QPoly) -> "RationalFunction":
+        out = object.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
+
+    @classmethod
     def constant(cls, m: int, c) -> "RationalFunction":
         return cls(QPoly.constant(m, c))
 
@@ -288,12 +302,13 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+        num = self.num * other.den + other.num * self.den
+        return RationalFunction._trusted(num, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._trusted(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -308,7 +323,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction._trusted(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -318,16 +333,16 @@ class RationalFunction:
             return NotImplemented
         if other.num.is_zero:
             raise ZeroDenominator("division by zero")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return RationalFunction._trusted(self.num * other.den, self.den * other.num)
 
     def __pow__(self, k: int):
         if k < 0:
             return RationalFunction(self.den, self.num) ** (-k)
-        return RationalFunction(self.num**k, self.den**k)
+        return RationalFunction._trusted(self.num**k, self.den**k)
 
     def partial(self, k: int) -> "RationalFunction":
         num = self.num.partial(k) * self.den - self.num * self.den.partial(k)
-        return RationalFunction(num, self.den * self.den)
+        return RationalFunction._trusted(num, self.den * self.den)
 
     def deriv(self, J: Sequence[int]) -> "RationalFunction":
         out = self

@@ -18,6 +18,7 @@ which ranges over all derivative multi-indices.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .diffpoly import DiffPoly, prolong
@@ -37,7 +38,7 @@ def _check_weights(P: DiffPoly, weights: Sequence[BooleanWeight]):
 
 
 def _ones_poly(vp: VertexPoly) -> QPoly:
-    return QPoly(vp.m, {p: 1 for p in vp.points})
+    return QPoly._trusted(vp.m, dict.fromkeys(vp.points, Fraction(1)))
 
 
 def tropw(P: DiffPoly, weights: Sequence[BooleanWeight]) -> VertexFraction:
@@ -63,7 +64,7 @@ def normalizer(value: VertexFraction) -> RationalFunction:
     """
     if value.is_zero:
         raise ZeroTropicalValue("cannot normalize a zero tropical value")
-    return RationalFunction(_ones_poly(value.den), _ones_poly(value.num))
+    return RationalFunction._trusted(_ones_poly(value.den), _ones_poly(value.num))
 
 
 def translate(
@@ -95,7 +96,7 @@ def translate(
         if not in_unit_ball(moved):
             raise InternalInconsistency(f"translated coefficient {moved} left the unit ball")
         out[mono] = moved
-    return DiffPoly(P.m, P.n, out)
+    return DiffPoly._trusted(P.m, P.n, out)
 
 
 def initial_form(
@@ -111,7 +112,7 @@ def initial_form(
         r = residue(c, order)
         if r != 0:
             out[mono] = RationalFunction.constant(P.m, r)
-    return DiffPoly(P.m, P.n, out)
+    return DiffPoly._trusted(P.m, P.n, out)
 
 
 def _prolonged_nonzero(

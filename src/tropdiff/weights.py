@@ -143,12 +143,10 @@ def substitution_poly(
     vertices = weight.shift(J).vertices()
     terms: dict[Point, Fraction] = {}
     for p in vertices:
-        if kernel is SubstitutionKernel.INDICATOR:
-            c = 1
-        else:
-            c = 1
+        c = 1
+        if kernel is not SubstitutionKernel.INDICATOR:
             for i, j in zip(p, J):
                 for r in range(1, j + 1):
                     c *= i + r
         terms[p] = Fraction(c)
-    return QPoly(weight.m, terms)
+    return QPoly._trusted(weight.m, terms)

@@ -59,6 +59,29 @@ def unit_ball_fraction(rng, m, max_terms=4, hi=4, nonzero=False):
             return RationalFunction(f, g)
 
 
+def same_as_public(x) -> bool:
+    """Does x hold what the public constructors build from its own data?
+
+    Library results skip those constructors' checks, so they must already be
+    canonical: Fraction coefficients, no zero terms, nonzero denominators.
+    """
+    if isinstance(x, DiffPoly):
+        public = DiffPoly(x.m, x.n, x.terms)
+        return public.terms.keys() == x.terms.keys() and all(
+            isinstance(c, RationalFunction) and same_as_public(c) for c in x.terms.values()
+        )
+    if isinstance(x, RationalFunction):
+        return (
+            x.num.m == x.den.m
+            and not x.den.is_zero
+            and same_as_public(x.num)
+            and same_as_public(x.den)
+        )
+    return x.terms == QPoly(x.m, x.terms).terms and all(
+        isinstance(c, Fraction) for c in x.terms.values()
+    )
+
+
 def matrix_order(rng, m):
     """Random validated full-rank matrix order (first row positive)."""
     while True:

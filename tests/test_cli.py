@@ -11,6 +11,7 @@ from tropdiff import (
     BooleanWeight,
     DiffMonomial,
     DiffPoly,
+    VertexFraction,
     initial_generators,
     multi_indices,
     order_standard,
@@ -28,6 +29,24 @@ PROBLEM_UFIRST = "tests/data/exp_problem_ufirst.json"
 TROP_GOLDEN = {"den": [[1, 0], [0, 1]], "num": [[1, 0]]}
 NEGATIVE_EXP = {"num": {"terms": [{"exp": [0, -1], "coeff": "1"}]}}
 NEGATIVE_J = [{"var": [1, [0, -1]], "pow": 1}]
+
+
+TRANSLATE_PRETTY = """\
+P J=[0, 0]: ((t + u)/(t + u))*x_(1,1) + (-t/(t + u))*x_(0,0)
+P J=[1, 0]: x_(2,1) + (-t)*x_(1,0) - x_(0,0)
+P J=[0, 1]: x_(1,2) + (-t)*x_(0,1)
+P J=[2, 0]: x_(3,1) + (-t)*x_(2,0) - 2*x_(1,0)
+P J=[1, 1]: x_(2,2) + (-t^2 - t*u)*x_(1,1) - x_(0,1)
+P J=[0, 2]: x_(1,3) + (-t)*x_(0,2)
+"""
+PROLONG_PRETTY = """\
+P J=[0, 0]: x_(1,1) + (-t)*x_(0,0)
+P J=[1, 0]: x_(2,1) + (-t)*x_(1,0) - x_(0,0)
+P J=[0, 1]: x_(1,2) + (-t)*x_(0,1)
+P J=[2, 0]: x_(3,1) + (-t)*x_(2,0) - 2*x_(1,0)
+P J=[1, 1]: x_(2,2) + (-t)*x_(1,1) - x_(0,1)
+P J=[0, 2]: x_(1,3) + (-t)*x_(0,2)
+"""
 
 
 def run(capsys, *argv):
@@ -99,6 +118,21 @@ class TestProblemCommands:
         want = vertexfraction_json(tropw(running_example(), w))
         assert json.loads(out) == [{"name": "P", "value": want}]
         assert want["num"] == [[1, 0], [0, 1]]
+
+    def test_tropw_pretty(self, capsys):
+        code, out, _ = run(capsys, "tropw", "--input", PROBLEM, "--format", "pretty")
+        assert code == 0
+        assert out == "P: {(1,0), (0,1)}\n"
+
+    def test_translate_pretty(self, capsys):
+        code, out, _ = run(capsys, "translate", "--input", PROBLEM, "--format", "pretty")
+        assert code == 0
+        assert out == TRANSLATE_PRETTY
+
+    def test_prolong_pretty(self, capsys):
+        code, out, _ = run(capsys, "prolong", "--input", PROBLEM, "--format", "pretty")
+        assert code == 0
+        assert out == PROLONG_PRETTY
 
     def test_translate_follows_prolongation(self, capsys):
         code, out, _ = run(capsys, "translate", "--input", PROBLEM)
@@ -191,6 +225,31 @@ class TestProblemCommands:
         code, _, err = run(capsys, "tropw", "--input", "tests/data/nope.json")
         assert code == 2
         assert "error" in err
+
+
+class TestRendering:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tropw", "--input", PROBLEM],
+            ["translate", "--input", PROBLEM],
+            ["initial", "--input", PROBLEM],
+            ["prolong", "--input", PROBLEM],
+            ["order-recover", "--input", PROBLEM],
+            ["trop", "t/(t+u)"],
+            ["omega-chain", "--count", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_runs_build_no_pretty_text(self, capsys, monkeypatch, argv):
+        def refuse(self):
+            raise AssertionError("pretty text built for a JSON run")
+
+        monkeypatch.setattr(DiffPoly, "__str__", refuse)
+        monkeypatch.setattr(VertexFraction, "__str__", refuse)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        json.loads(out)
 
 
 class TestOrderRecover:
@@ -336,6 +395,16 @@ class TestExitCodes:
         code, _, err = run(capsys, command, "--input", PROBLEM, "--bound", "-1")
         assert code == 2
         assert "SchemaError" in err and "nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["trop", "--m", "0", "1"], ["trop", "--m", "-1", "1"], ["bezout", "--m", "0", "1", "2"]],
+        ids=["trop-0", "trop-negative", "bezout-0"],
+    )
+    def test_width_below_one_is_a_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "SchemaError" in err and "--m must be a positive integer" in err
 
     def test_inconsistency_survives_optimized_mode(self, tmp_path):
         # Under python -O a bare assert would vanish and the run would exit 0.

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import diffpoly, qpoly
+from helpers import diffpoly, qpoly, same_as_public
 from tropdiff import (
     DiffMonomial,
     DiffPoly,
@@ -97,14 +97,16 @@ class TestArithmetic:
         # these results bypass the public constructor's checks, so they must
         # already be what DiffPoly(m, n, terms) would build from their terms
         rng = random.Random(83)
-        for _ in range(30):
-            P, Q = diffpoly(rng, 2, 2), diffpoly(rng, 2, 2)
-            for R in (P + Q, P - P, -P, P * Q, P.derive(0)):
-                assert R.terms.keys() == DiffPoly(2, 2, R.terms).terms.keys()
-                assert all(
-                    isinstance(c, RationalFunction) and not c.is_zero
-                    for c in R.terms.values()
-                )
+        for m in (2, 3):
+            for _ in range(30):
+                P, Q = diffpoly(rng, m, 2), diffpoly(rng, m, 2)
+                for R in (P + Q, P - P, -P, P * Q, P.derive(0), P.derive(m - 1), 3 * P):
+                    assert R.terms.keys() == DiffPoly(m, 2, R.terms).terms.keys()
+                    assert all(
+                        isinstance(c, RationalFunction) and not c.is_zero
+                        for c in R.terms.values()
+                    )
+                    assert same_as_public(R)
 
 
 class TestDerive:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import matrix_order, qpoly, rational, unit_ball_fraction
+from helpers import NONZERO, matrix_order, qpoly, rational, same_as_public, unit_ball_fraction
 from tropdiff import (
     EQ,
     GT,
@@ -85,11 +85,22 @@ class TestQPolyArithmetic:
         # these results bypass the public constructor's checks, so they must
         # already be what QPoly(m, terms) would build from their terms
         rng = random.Random(43)
-        for _ in range(100):
-            f, g = qpoly(rng, 2), qpoly(rng, 2)
-            for h in (f + g, f - f, -f, f * g, f.deriv((1, 0))):
-                assert h.terms == QPoly(2, h.terms).terms
-                assert all(isinstance(c, Fraction) for c in h.terms.values())
+        for m in (2, 3):
+            J = (1,) + (0,) * (m - 1)
+            for _ in range(100):
+                f, g = qpoly(rng, m), qpoly(rng, m)
+                c = rng.choice(NONZERO + (0, Fraction(1, 2)))
+                for h in (f + g, f - f, -f, f * g, f.deriv(J), f**2, f / 3, f + c, f * c):
+                    assert same_as_public(h)
+                assert same_as_public(QPoly.constant(m, c))
+
+    def test_constant_checks_its_input(self):
+        assert QPoly.constant(3, Fraction(1, 2)).terms == QPoly(3, {(0, 0, 0): Fraction(1, 2)}).terms
+        assert QPoly.constant(2, 0).terms == QPoly(2, {(0, 0): 0}).terms == {}
+        with pytest.raises(ValueError):
+            QPoly.constant(0, 1)
+        with pytest.raises(ValueError):
+            QPoly.constant(2, "t")
 
 
 class TestRationalFunction:
@@ -116,6 +127,19 @@ class TestRationalFunction:
     def test_inverse_power(self):
         q = rf("t/(t+u)")
         assert q**-1 == rf("(t+u)/t")
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_arithmetic_results_are_canonical(self, m):
+        # these results bypass RationalFunction's constructor, so they must
+        # already be what it builds from their num and den
+        rng = random.Random(47 + m)
+        for _ in range(40):
+            p, q, f = rational(rng, m), rational(rng, m), qpoly(rng, m)
+            c = rng.choice(NONZERO)
+            for h in (p + q, p - q, -p, p * q, p / q, p**2, p**-1, p**0, p.partial(0),
+                      p.partial(m - 1), p + c, c * p, p * f, f - p, p / c):
+                assert same_as_public(h)
+            assert same_as_public(RationalFunction.constant(m, c))
 
     def test_as_qpoly(self):
         assert rf("(t^2+t)/2").as_qpoly() == parse_poly("(t^2+t)/2")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import diff_monomial, diffpoly, finite_weight, qpoly, weight
+from helpers import diff_monomial, diffpoly, finite_weight, qpoly, same_as_public, weight
 from tropdiff import (
     BooleanWeight,
     DiffMonomial,
@@ -22,6 +22,7 @@ from tropdiff import (
     order_validate,
     parse_poly,
     parse_rational,
+    substitution_poly,
     translate,
     translate_generators,
     trop_frac,
@@ -270,6 +271,28 @@ def matrix_order(rng):
     from helpers import matrix_order as mk
 
     return mk(rng, 2)
+
+
+class TestTrustedBuilds:
+    # these results skip the public constructors, because every input was
+    # checked on its way in; they must hold what those constructors would build
+    @pytest.mark.parametrize("kernel", [IND, FACT], ids=["indicator", "factorial"])
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_results_match_public_construction(self, m, kernel):
+        rng = random.Random(101 + m)
+        order = order_standard("grlex", m)
+        for _ in range(8):
+            n = rng.randint(1, 2)
+            weights = [weight(rng, m) for _ in range(n)]
+            P = diffpoly(rng, m, n)
+            for w in weights:
+                for J in multi_indices(m, 2):
+                    assert same_as_public(substitution_poly(w, J, kernel))
+            value = tropw(P, weights)
+            if not value.is_zero:
+                assert same_as_public(normalizer(value))
+            assert same_as_public(translate(P, weights, kernel))
+            assert same_as_public(initial_form(P, weights, order, kernel))
 
 
 class TestGenerators:
