@@ -39,6 +39,10 @@ from .translation import initial_form, initial_generators, translate, tropw
 from .vertexpoly import VertexPoly, omega_chain
 from .weights import BooleanWeight, SubstitutionKernel
 
+# Each chain element costs a few exact vertex extractions, so the run time grows
+# linearly with --count; the cap keeps a run to seconds instead of hours.
+MAX_OMEGA_COUNT = 1000
+
 _REL_NAME = {LT: "LT", EQ: "EQ", GT: "GT"}
 _REL_SIGN = {LT: "<", EQ: "=", GT: ">"}
 
@@ -199,8 +203,8 @@ def cmd_bezout(args) -> int:
 
 
 def cmd_omega_chain(args) -> int:
-    if args.count < 1:
-        raise SchemaError("count must be at least 1")
+    if not 1 <= args.count <= MAX_OMEGA_COUNT:
+        raise SchemaError(f"count must be between 1 and {MAX_OMEGA_COUNT}, got {args.count}")
     chain = omega_chain(args.count)
     for earlier, later in zip(chain, chain[1:]):
         if not (earlier <= later and earlier != later):

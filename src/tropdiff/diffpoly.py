@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .series import QPoly, RationalFunction
+from .series import QPoly, RationalFunction, _summed
 
 Var = tuple[int, tuple[int, ...]]  # (unknown index from 1, derivative multi-index)
 Factor = tuple[Var, int]
@@ -112,21 +112,14 @@ class DiffPoly:
             raise ValueError("need at least one variable and one unknown")
         self.m = m
         self.n = n
-        cleaned: dict[DiffMonomial, RationalFunction] = {}
-        for mono, c in (terms or {}).items():
+        terms = terms or {}
+        for mono in terms:
             for (i, J), _ in mono.factors:
                 if not 1 <= i <= n:
                     raise DimensionMismatch(f"unknown index {i} out of range for n={n}")
                 if len(J) != m:
                     raise DimensionMismatch(f"multi-index {J} does not have {m} coordinates")
-            c = self._coerce_coeff(c)
-            if mono in cleaned:
-                c = cleaned[mono] + c
-            if c.is_zero:
-                cleaned.pop(mono, None)
-            else:
-                cleaned[mono] = c
-        self.terms = cleaned
+        self.terms = _summed((mono, self._coerce_coeff(c)) for mono, c in terms.items())
 
     @classmethod
     def _trusted(cls, m: int, n: int, terms: dict[DiffMonomial, RationalFunction]) -> "DiffPoly":
@@ -175,14 +168,8 @@ class DiffPoly:
         if not isinstance(other, DiffPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out[mono] + c if mono in out else c
-            if s.is_zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return DiffPoly._trusted(self.m, self.n, out)
+        pairs = itertools.chain(self.terms.items(), other.terms.items())
+        return DiffPoly._trusted(self.m, self.n, _summed(pairs))
 
     __radd__ = __add__
 
@@ -201,17 +188,10 @@ class DiffPoly:
         if not isinstance(other, DiffPoly):
             return NotImplemented
         self._check(other)
-        out: dict[DiffMonomial, RationalFunction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1 * m2
-                c = c1 * c2
-                s = out[mono] + c if mono in out else c
-                if s.is_zero:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return DiffPoly._trusted(self.m, self.n, out)
+        products = (
+            (m1 * m2, c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()
+        )
+        return DiffPoly._trusted(self.m, self.n, _summed(products))
 
     __rmul__ = __mul__
 
@@ -219,22 +199,13 @@ class DiffPoly:
         """Total derivative in the k-th direction, 0-indexed."""
         if not 0 <= k < self.m:
             raise DimensionMismatch(f"direction {k} out of range for m={self.m}")
-        acc: dict[DiffMonomial, RationalFunction] = {}
-
-        def add(mono: DiffMonomial, c: RationalFunction):
-            s = acc[mono] + c if mono in acc else c
-            if s.is_zero:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = s
-
+        pieces: list[tuple[DiffMonomial, RationalFunction]] = []
         for mono, c in self.terms.items():
             dc = c.partial(k)
-            if not dc.is_zero:
-                add(mono, dc)
-            for pos, (_, p) in enumerate(mono.factors):
-                add(mono.bump(pos, k), c * p)
-        return DiffPoly._trusted(self.m, self.n, acc)
+            if dc:  # a zero 0/d added onto a kept term would widen its denominator
+                pieces.append((mono, dc))
+            pieces.extend((mono.bump(pos, k), c * p) for pos, (_, p) in enumerate(mono.factors))
+        return DiffPoly._trusted(self.m, self.n, _summed(pieces))
 
     def deriv(self, J: Sequence[int]) -> "DiffPoly":
         out = self

@@ -104,6 +104,8 @@ def _explicit_m(obj: Any) -> int | None:
     if isinstance(obj, dict):
         exp = obj.get("exp")
         if isinstance(exp, (list, tuple)):
+            if not exp:
+                raise SchemaError("an exponent list needs at least one coordinate, got []")
             return len(exp)
         for value in obj.values():
             got = _explicit_m(value)
@@ -128,6 +130,8 @@ def qpoly_from(obj: Any, m: int | None = None) -> QPoly:
         terms: dict[tuple[int, ...], Fraction] = {}
         for entry in obj["terms"]:
             exp = _index_list(entry.get("exp"), "exponent")
+            if len(exp) != m:
+                raise SchemaError(f"exponent {list(exp)} does not have {m} coordinates")
             try:
                 coeff = Fraction(entry.get("coeff"))
             except (TypeError, ValueError) as exc:

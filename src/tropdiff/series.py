@@ -8,12 +8,20 @@ is the corresponding vertex fraction.  Elements of tropical value <= 1 form
 the unit ball; the residue map, divisibility test, lifting witness and
 separating constants below all live there.
 Public constructors validate; _trusted only wraps results built from validated values.
+
+Every sparse sum, here and in DiffPoly, goes through _summed: values at equal
+keys are added in order, and a key is dropped as soon as its running sum is
+zero.  Dropping at once matters because a RationalFunction is never reduced:
+a later term c/e added onto a kept 0/d would come out as (d*c)/(d*e), not c/e.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -29,6 +37,19 @@ from .vertexpoly import VertexFraction, VertexPoly
 Exponent = tuple[int, ...]
 
 _ZERO = Fraction(0)
+
+
+def _summed(pairs: Iterable[tuple]) -> dict:
+    """Sum the values per key in order, dropping a key once its sum is zero."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            value = out[key] + value
+        if value:
+            out[key] = value
+        else:
+            out.pop(key, None)
+    return out
 
 
 def _check_width(m: int) -> None:
@@ -52,19 +73,17 @@ class QPoly:
     def __init__(self, m: int, terms: Mapping[Sequence[int], Fraction | int] | None = None):
         _check_width(m)
         self.m = m
-        cleaned: dict[Exponent, Fraction] = {}
-        for exp, c in (terms or {}).items():
-            e = tuple(int(v) for v in exp)
-            if len(e) != m:
-                raise DimensionMismatch(f"exponent {e} does not have {m} coordinates")
-            if any(v < 0 for v in e):
-                raise ValueError(f"exponents must be nonnegative, got {e}")
-            c = Fraction(c)
-            if c != 0:
-                cleaned[e] = cleaned.get(e, _ZERO) + c
-                if cleaned[e] == 0:
-                    del cleaned[e]
-        self.terms = cleaned
+        self.terms = _summed(
+            (self._exponent(exp), Fraction(c)) for exp, c in (terms or {}).items()
+        )
+
+    def _exponent(self, exp: Sequence[int]) -> Exponent:
+        e = tuple(int(v) for v in exp)
+        if len(e) != self.m:
+            raise DimensionMismatch(f"exponent {e} does not have {self.m} coordinates")
+        if any(v < 0 for v in e):
+            raise ValueError(f"exponents must be nonnegative, got {e}")
+        return e
 
     @classmethod
     def _trusted(cls, m: int, terms: dict[Exponent, Fraction]) -> "QPoly":
@@ -135,14 +154,8 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, _ZERO) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return QPoly._trusted(self.m, out)
+        pairs = itertools.chain(self.terms.items(), other.terms.items())
+        return QPoly._trusted(self.m, _summed(pairs))
 
     __radd__ = __add__
 
@@ -162,16 +175,12 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, _ZERO) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return QPoly._trusted(self.m, out)
+        products = (
+            (tuple(map(operator.add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return QPoly._trusted(self.m, _summed(products))
 
     __rmul__ = __mul__
 
@@ -201,21 +210,15 @@ class QPoly:
         J = tuple(int(v) for v in J)
         if len(J) != self.m:
             raise DimensionMismatch(f"multi-index {J} does not have {self.m} coordinates")
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            if any(i < j for i, j in zip(exp, J)):
-                continue
-            f = 1
-            for i, j in zip(exp, J):
-                for r in range(j):
-                    f *= i - r
-            e = tuple(i - j for i, j in zip(exp, J))
-            s = out.get(e, _ZERO) + c * f
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return QPoly._trusted(self.m, out)
+        # e -> e - J is injective, so no two terms meet
+        return QPoly._trusted(
+            self.m,
+            {
+                tuple(map(operator.sub, e, J)): c * math.prod(map(math.perm, e, J))
+                for e, c in self.terms.items()
+                if all(map(operator.ge, e, J))
+            },
+        )
 
     # -- misc ---------------------------------------------------------------
 
@@ -286,6 +289,9 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
+
+    def __bool__(self):
+        return not self.num.is_zero
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):

@@ -46,14 +46,13 @@ def tropw(P: DiffPoly, weights: Sequence[BooleanWeight]) -> VertexFraction:
     _check_weights(P, weights)
     total = VertexFraction.zero(P.m)
     for mono, c in P.terms.items():
-        term = trop_frac(c)
+        value = trop_frac(c)
+        num = value.num
         for (i, J), p in mono.factors:
-            v = weights[i - 1].shift(J).vertices()
-            if v.is_zero:
-                term = VertexFraction.zero(P.m)
-                break
-            term = term * VertexFraction(v) ** p
-        total = total + term
+            num = num * weights[i - 1].shift(J).vertices() ** p
+        # a vanished term is skipped: adding 0/den would widen the denominator
+        if num:
+            total = total + VertexFraction(num, value.den)
     return total
 
 

@@ -121,12 +121,12 @@ class VertexPoly:
         return VertexPoly(self.m, pairs)
 
     def __pow__(self, k: int) -> "VertexPoly":
+        """k-fold product: the vertices of conv(S) + ... + conv(S) = k conv(S) are k S."""
         if k < 0:
             raise ValueError("negative power of a vertex set")
-        out = VertexPoly.one(self.m)
-        for _ in range(k):
-            out = out * self
-        return out
+        if k == 0:
+            return VertexPoly.one(self.m)
+        return VertexPoly._trusted(self.m, tuple(tuple(k * v for v in p) for p in self.points))
 
     def __le__(self, other: "VertexPoly") -> bool:
         if not isinstance(other, VertexPoly):

@@ -22,6 +22,7 @@ as differentiation of the honest series would.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -145,8 +146,6 @@ def substitution_poly(
     for p in vertices:
         c = 1
         if kernel is not SubstitutionKernel.INDICATOR:
-            for i, j in zip(p, J):
-                for r in range(1, j + 1):
-                    c *= i + r
+            c = math.prod(math.perm(i + j, j) for i, j in zip(p, J))
         terms[p] = Fraction(c)
     return QPoly._trusted(weight.m, terms)

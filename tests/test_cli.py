@@ -333,6 +333,14 @@ class TestOmegaChain:
         code, _, err = run(capsys, "omega-chain", "--count", "0")
         assert code == 2
 
+    def test_count_above_the_cap_is_refused_before_any_work(self, capsys, monkeypatch):
+        from tropdiff import cli
+
+        monkeypatch.setattr(cli, "omega_chain", lambda count: pytest.fail("chain was built"))
+        code, _, err = run(capsys, "omega-chain", "--count", str(cli.MAX_OMEGA_COUNT + 1))
+        assert code == 2
+        assert "SchemaError" in err and str(cli.MAX_OMEGA_COUNT) in err
+
 
 class TestExitCodes:
     def test_parse_error(self, capsys):
@@ -405,6 +413,19 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "SchemaError" in err and "--m must be a positive integer" in err
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [{"exp": [], "coeff": "1"}],
+            [{"exp": [1, 0], "coeff": "1"}, {"exp": [1], "coeff": "1"}],
+        ],
+        ids=["empty-exponent", "mixed-widths"],
+    )
+    def test_exponent_widths_are_schema_errors(self, capsys, terms):
+        code, _, err = run(capsys, "trop", json.dumps({"num": {"terms": terms}}))
+        assert code == 2
+        assert "SchemaError" in err and "coordinate" in err
 
     def test_inconsistency_survives_optimized_mode(self, tmp_path):
         # Under python -O a bare assert would vanish and the run would exit 0.

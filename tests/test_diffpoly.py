@@ -93,6 +93,16 @@ class TestArithmetic:
         with pytest.raises(DimensionMismatch):
             running_example() + DiffPoly.zero(3, 1)
 
+    def test_cancelled_coefficient_leaves_no_zero_behind(self):
+        # x00*x10 collects 1/(tu) - 1/(tu) + 1; the pair cancels first, so the
+        # 1 must not be added onto 0/(t^2 u^2) and come out as t^2u^2/t^2u^2
+        x00, x10 = X((0, 0)), X((1, 0))
+        inv = lambda text: RationalFunction(QPoly.one(2), parse_poly(text, 2))
+        P = DiffPoly(2, 1, {x00: inv("t"), x10: inv("u"), DiffMonomial.one(): 1})
+        Q = DiffPoly(2, 1, {x10: inv("u"), x00: -inv("t"), x00 * x10: 1})
+        c = (P * Q).coeff(x00 * x10)
+        assert (c.num.terms, c.den.terms) == ({(0, 0): 1}, {(0, 0): 1})
+
     def test_arithmetic_results_are_canonical(self):
         # these results bypass the public constructor's checks, so they must
         # already be what DiffPoly(m, n, terms) would build from their terms

@@ -69,6 +69,23 @@ class TestTropw:
         P = DiffPoly(2, 1, {X((2, 0)): 1})
         assert tropw(P, [BooleanWeight.finite(2, [(1, 0)])]).is_zero
 
+    def test_vanished_term_leaves_the_denominator_alone(self):
+        # the shift by (3,0) empties the weight, so the middle term's 1/u must
+        # not reach the unreduced value that normalizer prints from
+        w = BooleanWeight.finite(2, [(1, 0), (0, 1), (2, 2)])
+        P = DiffPoly(
+            2,
+            1,
+            {
+                X((0, 0)): RationalFunction(T),
+                X((3, 0)): parse_rational("1/u", 2),
+                X((0, 1)): parse_rational("t*u + u^2", 2),
+            },
+        )
+        got = tropw(P, [w])
+        assert got.num.points == ((0, 2), (2, 0))
+        assert got.den.points == ((0, 0),)
+
     def test_weight_validation(self):
         with pytest.raises(DimensionMismatch):
             tropw(running_example(), [W, W])

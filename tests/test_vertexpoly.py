@@ -122,6 +122,10 @@ class TestSemiringLaws:
             assert a + zero == a
             assert a * one == a
             assert (a * zero).is_zero
+            product = one  # the k-fold product is the oracle for a ** k
+            for k in range(4):
+                assert a**k == product
+                product = product * a
 
     def test_cancellative(self):
         rng = random.Random(12)
