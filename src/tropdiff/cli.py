@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -42,6 +43,10 @@ from .weights import BooleanWeight, SubstitutionKernel
 # Each chain element costs a few exact vertex extractions, so the run time grows
 # linearly with --count; the cap keeps a run to seconds instead of hours.
 MAX_OMEGA_COUNT = 1000
+# A generator over m unknowns has C(bound + m, m) derivatives up to the bound,
+# and each costs more as the bound grows; the cap (about 5 s at m = 2) refuses
+# a prolongation that would run for minutes before printing anything.
+MAX_DERIVATIVES = 2000
 
 _REL_NAME = {LT: "LT", EQ: "EQ", GT: "GT"}
 _REL_SIGN = {LT: "<", EQ: "=", GT: ">"}
@@ -89,12 +94,17 @@ def _kernel_of(args, problem: jsonio.ProblemFile) -> SubstitutionKernel:
     return problem.kernel if args.kernel is None else SubstitutionKernel(args.kernel)
 
 
-def _bound_of(args, problem: jsonio.ProblemFile) -> int:
-    if args.bound is None:
-        return problem.prolong_bound
-    if args.bound < 0:
+def _bound_of(args, problem: jsonio.ProblemFile, generators: int) -> int:
+    """The prolongation bound, refused when the derivatives would exceed the cap."""
+    bound = problem.prolong_bound if args.bound is None else args.bound
+    if bound < 0:
         raise SchemaError(f"--bound must be a nonnegative integer, got {args.bound!r}")
-    return args.bound
+    size = generators * math.comb(bound + problem.m, problem.m)
+    if size > MAX_DERIVATIVES:
+        raise SchemaError(
+            f"bound {bound} asks for {size} derivatives, more than {MAX_DERIVATIVES}"
+        )
+    return bound
 
 
 def _m_of(args) -> int | None:
@@ -133,11 +143,12 @@ def cmd_tropw(args) -> int:
 
 def _emit_derivatives(args, problem: jsonio.ProblemFile, step) -> int:
     """Emit step(d^J P) for each selected P and each |J| <= bound."""
-    bound = _bound_of(args, problem)
+    selected = _selected(problem, args.names)
+    bound = _bound_of(args, problem, len(selected))
     indices = multi_indices(problem.m, bound)
     rows = [
         (name, list(J), step(derived))
-        for name, poly in _selected(problem, args.names)
+        for name, poly in selected
         for J, derived in zip(indices, prolong(poly, bound))
     ]
     return _emit(
@@ -159,8 +170,8 @@ def cmd_initial(args) -> int:
     weights = _declared(problem.weights, "weight")
     order = _declared(problem.order, "order")
     kernel = _kernel_of(args, problem)
-    bound = _bound_of(args, problem)
     generators = [poly for _, poly in _selected(problem, args.names)]
+    bound = _bound_of(args, problem, len(generators))
     forms = initial_generators(generators, weights, order, bound, kernel)
     return _emit(args, lambda: list(map(jsonio.diffpoly_json, forms)), lambda: map(str, forms))
 

@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, integers
 from .series import QPoly, RationalFunction, _summed
 
 Var = tuple[int, tuple[int, ...]]  # (unknown index from 1, derivative multi-index)
@@ -36,7 +36,7 @@ class DiffMonomial:
                 raise ValueError("negative power in a differential monomial")
             if p == 0:
                 continue
-            var = (int(i), tuple(int(v) for v in J))
+            var = (integers((i,), "variable indices")[0], integers(J))
             merged[var] = merged.get(var, 0) + p
         self.factors = tuple(sorted(merged.items()))
 

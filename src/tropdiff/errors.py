@@ -1,4 +1,16 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its integer check."""
+
+import operator
+from typing import Iterable
+
+
+def integers(values: Iterable, what: str = "exponents") -> tuple[int, ...]:
+    """values as a tuple of ints; a non-integer entry raises, never truncates."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values}") from None
 
 
 class TropdiffError(Exception):

@@ -1,25 +1,32 @@
-"""Exact rational feasibility test for convex domination.
+"""Exact feasibility test for convex domination, in integer arithmetic.
 
 The single question answered here: given integer points q_1..q_n and a target
 p in N^m, does p lie in conv({q_j}) + R^m_{>=0}?  Equivalently, is the system
 
     lambda_j >= 0,  sum_j lambda_j = 1,  sum_j lambda_j q_j <= p  (componentwise)
 
-feasible over the rationals?  Everything runs on Fraction, so the answer is
-exact.  Instances are tiny (a handful of points in low dimension), which makes
-a dense phase-1 simplex with Bland's rule the right tool: guaranteed to
-terminate, no floating point anywhere.
+feasible over the rationals?  Instances are tiny (a handful of points in low
+dimension), which makes a dense phase-1 simplex with Bland's rule the right
+tool: guaranteed to terminate, no floating point anywhere.
+
+The tableau is fraction-free (Bareiss, Math. Comp. 22, 1968): it holds ints
+and one common denominator det, the previous pivot, so each rational entry is
+entry / det.  A pivot leaves its row as it is, maps every other row v to
+(v * piv - f * w) // det with f = v[enter] and w the pivot row, and sets
+det = piv.  The division is exact: by Sylvester's identity every entry is a
+minor of the initial tableau, whose basis is the identity (det starts at 1).
+Every pivot is positive, so det > 0 and each int has the sign of the rational
+it stands for.  The ratio test compares rhs_i / coef_i by cross-multiplying,
+and entering and leaving choices are Bland's, exactly as on the rationals, so
+the pivots, the termination guarantee and every answer are those of the
+rational tableau.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 Point = Sequence[int]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def covered(points: Sequence[Point], target: Point) -> bool:
@@ -33,17 +40,13 @@ def covered(points: Sequence[Point], target: Point) -> bool:
     width = n + m + 1
     art = n + m
     rhs = width
-    rows: list[list[Fraction]] = []
-    for k in range(m):
-        row = [_ZERO] * (width + 1)
-        for j in range(n):
-            row[j] = Fraction(points[j][k])
-        row[n + k] = _ONE
-        row[rhs] = Fraction(target[k])
-        rows.append(row)
-    conv_row = [_ONE] * n + [_ZERO] * m + [_ONE, _ONE]
-    rows.append(conv_row)
+    rows = [
+        [q[k] for q in points] + [int(k == i) for i in range(m)] + [0, target[k]]
+        for k in range(m)
+    ]
+    rows.append([1] * n + [0] * m + [1, 1])
     basis = list(range(n, n + m)) + [art]
+    det = 1
 
     while True:
         try:
@@ -55,27 +58,23 @@ def covered(points: Sequence[Point], target: Point) -> bool:
         # The objective equals the artificial's row value; any nonbasic column
         # with a positive entry in that row can decrease it.  Bland: take the
         # lowest such index.
-        enter = -1
-        for j in range(width):
-            if j not in basis and rows[arow][j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(width) if j not in basis and rows[arow][j] > 0), -1)
         if enter < 0:
             return False
-        # Ratio test, ties broken by smallest basic variable (Bland again).
-        leave = -1
-        best: Fraction | None = None
+        # Ratio test rhs_i / coef_i on cross products (both coefs positive),
+        # ties broken by smallest basic variable (Bland again).
+        leave, prow = -1, None
         for i, row in enumerate(rows):
             coef = row[enter]
-            if coef > 0:
-                ratio = row[rhs] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        piv = rows[leave][enter]
-        rows[leave] = [v / piv for v in rows[leave]]
+            if coef > 0 and (
+                prow is None
+                or (row[rhs] * prow[enter], basis[i]) < (prow[rhs] * coef, basis[leave])
+            ):
+                leave, prow = i, row
+        piv = prow[enter]
         for i, row in enumerate(rows):
-            if i != leave and row[enter] != 0:
-                factor = row[enter]
-                rows[i] = [v - factor * w for v, w in zip(row, rows[leave])]
+            if i != leave:
+                f = row[enter]
+                rows[i] = [(v * piv - f * w) // det for v, w in zip(row, prow)]
+        det = piv
         basis[leave] = enter

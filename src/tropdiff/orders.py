@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, NotAMonomialOrder
+from .errors import DimensionMismatch, NotAMonomialOrder, integers
 
 Exponent = tuple[int, ...]
 
@@ -57,7 +57,7 @@ class MonomialOrder:
     __slots__ = ("m", "rows", "kind", "rank_deficient")
 
     def __init__(self, rows: Sequence[Sequence[int]], kind: str = "matrix"):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(integers(row, "weight matrix entries") for row in rows)
         if not rows or any(len(row) != len(rows[0]) for row in rows):
             raise NotAMonomialOrder("weight matrix must be rectangular and nonempty")
         m = len(rows[0])

@@ -30,6 +30,7 @@ from .errors import (
     NotInUnitBall,
     ZeroDenominator,
     ZeroTropicalValue,
+    integers,
 )
 from .orders import EQ, GT, LT, MonomialOrder
 from .vertexpoly import VertexFraction, VertexPoly
@@ -78,7 +79,7 @@ class QPoly:
         )
 
     def _exponent(self, exp: Sequence[int]) -> Exponent:
-        e = tuple(int(v) for v in exp)
+        e = integers(exp)
         if len(e) != self.m:
             raise DimensionMismatch(f"exponent {e} does not have {self.m} coordinates")
         if any(v < 0 for v in e):
@@ -207,7 +208,7 @@ class QPoly:
 
     def deriv(self, J: Sequence[int]) -> "QPoly":
         """Iterated derivative d^J, exact falling-factorial coefficients."""
-        J = tuple(int(v) for v in J)
+        J = integers(J)
         if len(J) != self.m:
             raise DimensionMismatch(f"multi-index {J} does not have {self.m} coordinates")
         # e -> e - J is injective, so no two terms meet
@@ -477,7 +478,7 @@ def order_from_membership(
     I < J exactly when t^J/(t^I + t^J) lies in the ideal.  An oracle that
     answers the same on both quotients does not describe a total order.
     """
-    I, J = tuple(int(v) for v in I), tuple(int(v) for v in J)
+    I, J = integers(I), integers(J)
     if len(I) != len(J):
         raise DimensionMismatch(f"comparing {I} with {J}")
     if I == J:

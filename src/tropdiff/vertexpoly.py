@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, ZeroDenominator
+from .errors import DimensionMismatch, ZeroDenominator, integers
 from .feasibility import covered
 
 Point = tuple[int, ...]
@@ -31,7 +31,7 @@ Point = tuple[int, ...]
 def _validated_points(m: int, points: Iterable[Sequence[int]]) -> set[Point]:
     cleaned = set()
     for p in points:
-        q = tuple(int(v) for v in p)
+        q = integers(p)
         if len(q) != m:
             raise DimensionMismatch(f"point {q} does not have {m} coordinates")
         if any(v < 0 for v in q):
@@ -86,7 +86,7 @@ class VertexPoly:
 
     @classmethod
     def point(cls, exponent: Sequence[int]) -> "VertexPoly":
-        p = tuple(int(v) for v in exponent)
+        p = integers(exponent)
         if any(v < 0 for v in p):
             raise ValueError(f"exponents must be nonnegative, got {p}")
         return cls._trusted(len(p), (p,))
@@ -246,10 +246,10 @@ def staircase_vertices_2d(points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
 
     Independent of the simplex route on purpose; only valid for m = 2.
     """
-    points = [tuple(p) for p in points]
+    points = {integers(p) for p in points}
     if any(len(p) != 2 for p in points):
         raise DimensionMismatch("staircase construction needs m = 2")
-    pts = sorted({(int(x), int(y)) for x, y in points})
+    pts = sorted(points)
     stair: list[Point] = []
     best_y: int | None = None
     for x, y in pts:

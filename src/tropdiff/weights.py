@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, TropdiffError
+from .errors import DimensionMismatch, TropdiffError, integers
 from .series import QPoly
 from .vertexpoly import VertexPoly, _validated_points
 
@@ -64,7 +64,7 @@ class BooleanWeight:
         return cls(m, "cofinite", frozenset(_validated_points(m, excluded)))
 
     def __contains__(self, point: Sequence[int]) -> bool:
-        p = tuple(int(v) for v in point)
+        p = integers(point)
         if self.kind == "finite":
             return p in self.data
         return p not in self.data
@@ -75,7 +75,7 @@ class BooleanWeight:
 
     def shift(self, J: Sequence[int]) -> "BooleanWeight":
         """The set {I >= 0 : I + J in self}."""
-        J = tuple(int(v) for v in J)
+        J = integers(J)
         if len(J) != self.m:
             raise DimensionMismatch(f"multi-index {J} does not have {self.m} coordinates")
         moved = frozenset(
@@ -140,7 +140,7 @@ def substitution_poly(
     Supported on the vertices of the shifted weight; zero when the shift
     empties the support.
     """
-    J = tuple(int(v) for v in J)
+    J = integers(J)
     vertices = weight.shift(J).vertices()
     terms: dict[Point, Fraction] = {}
     for p in vertices:

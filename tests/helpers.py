@@ -4,6 +4,7 @@ Everything takes an explicit random.Random so failures reproduce; the
 acceptance suite fixes its own seeds.
 """
 
+import itertools
 from fractions import Fraction
 
 from tropdiff import (
@@ -80,6 +81,52 @@ def same_as_public(x) -> bool:
     return x.terms == QPoly(x.m, x.terms).terms and all(
         isinstance(c, Fraction) for c in x.terms.values()
     )
+
+
+def covered_by_bases(points, target) -> bool:
+    """Is target in conv(points) + R^m_{>=0}?  By brute force over bases.
+
+    The system [Q I; 1 0] x = [target; 1], x >= 0 (the columns of Q are the
+    points, I carries the slacks) has full row rank once there is a point, so
+    it is feasible iff some basic solution is nonnegative.  A basis takes the
+    point columns J and the slack columns of the rows outside some R, with
+    |R| = |J| - 1.  Those slacks only absorb their own rows, so the basis is
+    the |J| x |J| system of rows R and the convexity row, solved by Fraction
+    elimination; the slacks are then target - sum lambda_j q_j off R.  No
+    simplex is involved.
+    """
+    m = len(target)
+    for size in range(1, m + 2):
+        for J in itertools.combinations(points, size):
+            for R in itertools.combinations(range(m), size - 1):
+                lam = _solve(
+                    [[q[k] for q in J] for k in R] + [[1] * size],
+                    [target[k] for k in R] + [1],
+                )
+                if lam is not None and all(v >= 0 for v in lam) and all(
+                    sum(x * q[k] for x, q in zip(lam, J)) <= target[k] for k in range(m)
+                ):
+                    return True
+    return False
+
+
+def _solve(matrix, rhs):
+    """The unique solution of a square system, or None when it is singular."""
+    size = len(rhs)
+    aug = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(matrix, rhs)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(col + 1, size):
+            if aug[r][col] != 0:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    x = [Fraction(0)] * size
+    for r in reversed(range(size)):
+        x[r] = (aug[r][size] - sum(aug[r][c] * x[c] for c in range(r + 1, size))) / aug[r][r]
+    return x
 
 
 def matrix_order(rng, m):

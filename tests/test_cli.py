@@ -404,6 +404,39 @@ class TestExitCodes:
         assert code == 2
         assert "SchemaError" in err and "nonnegative" in err
 
+    @pytest.mark.parametrize("command", ["prolong", "translate", "initial"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_oversized_prolongation_is_refused_before_any_work(
+        self, capsys, monkeypatch, tmp_path, command, source
+    ):
+        from tropdiff import cli, translation
+
+        refuse = lambda *a: pytest.fail("prolong was called")
+        monkeypatch.setattr(cli, "prolong", refuse)
+        monkeypatch.setattr(translation, "prolong", refuse)
+        # m = 2 and one generator: bound 62 gives C(64, 2) = 2016 derivatives
+        if source == "flag":
+            argv = [command, "--input", PROBLEM, "--bound", "62"]
+        else:
+            problem = json.loads(Path(PROBLEM).read_text())
+            problem["prolong_bound"] = 62
+            big = tmp_path / "big.json"
+            big.write_text(json.dumps(problem))
+            argv = [command, "--input", str(big)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "SchemaError" in err and "2016 derivatives" in err
+        assert str(cli.MAX_DERIVATIVES) in err
+
+    def test_prolongation_under_the_cap_is_allowed(self, capsys, monkeypatch):
+        from tropdiff import cli
+
+        # bound 61 gives C(63, 2) = 1953 derivatives, under the cap
+        monkeypatch.setattr(cli, "prolong", lambda poly, bound: [poly])
+        code, out, _ = run(capsys, "prolong", "--input", PROBLEM, "--bound", "61")
+        assert code == 0
+        assert len(json.loads(out)) == 1
+
     @pytest.mark.parametrize(
         "argv",
         [["trop", "--m", "0", "1"], ["trop", "--m", "-1", "1"], ["bezout", "--m", "0", "1", "2"]],

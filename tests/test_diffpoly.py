@@ -37,6 +37,12 @@ class TestDiffMonomial:
         with pytest.raises(ValueError):
             DiffMonomial([((1, (1, 0)), -1)])
 
+    def test_non_integer_variable_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            DiffMonomial([((1, (1.5, 0)), 1)])
+        with pytest.raises(ValueError, match="variable indices must be integers"):
+            DiffMonomial([((1.0, (1, 0)), 1)])
+
     def test_mul(self):
         assert X((1, 0)) * X((1, 0)) == DiffMonomial([((1, (1, 0)), 2)])
 

@@ -114,6 +114,11 @@ class TestValidate:
         with pytest.raises(NotAMonomialOrder):
             order_validate([[1, -2], [0, 1]])
 
+    def test_non_integer_entry_rejected(self):
+        # int() would have made this the identity
+        with pytest.raises(ValueError, match=r"weight matrix entries must be integers"):
+            order_validate([[1.9, 0], [0, 1]])
+
     def test_grevlex_shape_is_valid(self):
         order = order_validate([[1, 1], [0, -1]])
         assert not order.rank_deficient

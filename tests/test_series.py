@@ -81,6 +81,15 @@ class TestQPolyArithmetic:
         with pytest.raises(ValueError):
             QPoly(2, {(-1, 0): 1})
 
+    def test_non_integer_exponent_rejected(self):
+        # int() would have printed t
+        with pytest.raises(ValueError, match=r"integers, got \(1\.5, 0\)"):
+            QPoly(2, {(1.5, 0): 1})
+
+    def test_non_integer_derivative_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            parse_poly("t^3*u", 2).deriv((1.5, 0))
+
     def test_arithmetic_results_are_canonical(self):
         # these results bypass the public constructor's checks, so they must
         # already be what QPoly(m, terms) would build from their terms
@@ -342,6 +351,11 @@ class TestOrderRecovery:
         oracle = lambda q: max_ideal_member(q, T_LEX)
         assert order_from_membership(oracle, (1, 0), (0, 1)) == LT
         assert order_from_membership(oracle, (0, 1), (1, 0)) == GT
+
+    def test_non_integer_exponent_rejected(self):
+        oracle = lambda q: max_ideal_member(q, T_LEX)
+        with pytest.raises(ValueError, match="integers"):
+            order_from_membership(oracle, (1.5, 0), (0, 1))
 
     def test_equal(self):
         oracle = lambda q: max_ideal_member(q, T_LEX)

@@ -54,6 +54,15 @@ class TestExtraction:
         with pytest.raises(DimensionMismatch):
             VertexPoly(2, [(1, 0, 0)])
 
+    def test_non_integer_coordinates_rejected(self):
+        # int() would have kept (1, 0)
+        with pytest.raises(ValueError, match=r"integers, got \(1\.5, 0\)"):
+            VertexPoly(2, [(1.5, 0)])
+
+    def test_non_integer_point_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            VertexPoly.point((2, 0.5))
+
 
 class TestSemiringOps:
     def test_add_keeps_incomparable(self):
@@ -169,6 +178,10 @@ class TestStaircaseOracle:
 
     def test_single(self):
         assert staircase_vertices_2d([(4, 5)]) == ((4, 5),)
+
+    def test_non_integer_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            staircase_vertices_2d([(0, 3), (1.9, 0)])
 
     def test_wrong_width_rejected(self):
         points = [(1, 2, 3), (0, 5, 1)]

@@ -43,10 +43,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BooleanWeight(2, "half-open", frozenset())
 
+    def test_non_integer_points_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            BooleanWeight.cofinite(2, [(1.5, 1)])
+        with pytest.raises(ValueError, match="integers"):
+            (1.5, 1) in COF11
+
 
 class TestShift:
     def test_excluded_point_moves(self):
         assert COF11.shift((1, 1)) == BooleanWeight.cofinite(2, [(0, 0)])
+
+    def test_non_integer_shift_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            COF11.shift((0.5, 1))
 
     def test_shift_past_exclusions_gives_full(self):
         assert COF11.shift((2, 1)) == BooleanWeight.full(2)
@@ -140,6 +150,10 @@ class TestSubstitutionPoly:
     def test_indicator_example(self):
         got = substitution_poly(COF11, (1, 1))
         assert got == parse_poly("t + u")
+
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            substitution_poly(COF11, (1.5, 1))
 
     def test_factorial_example(self):
         got = substitution_poly(COF11, (1, 1), SubstitutionKernel.FACTORIAL)
