@@ -342,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if kernel:
             q.add_argument(
                 "--kernel",
-                choices=("indicator", "factorial"),
+                choices=[k.value for k in SubstitutionKernel],
                 help="substitution kernel override",
             )
         q.set_defaults(func=func)

@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch, integers
+from .errors import DimensionMismatch, exponent, integers
 from .series import QPoly, RationalFunction, _summed
 
 Var = tuple[int, tuple[int, ...]]  # (unknown index from 1, derivative multi-index)
@@ -32,11 +32,13 @@ class DiffMonomial:
     def __init__(self, factors: Iterable[Factor] = ()):
         merged: dict[Var, int] = {}
         for (i, J), p in factors:
-            if p < 0:
-                raise ValueError("negative power in a differential monomial")
+            (p,) = exponent((p,), what="powers")
             if p == 0:
                 continue
-            var = (integers((i,), "variable indices")[0], integers(J))
+            (i,) = integers((i,), "variable indices")
+            if i < 1:
+                raise ValueError(f"variable indices start at 1, got {i}")
+            var = (i, exponent(J, what="multi-index"))
             merged[var] = merged.get(var, 0) + p
         self.factors = tuple(sorted(merged.items()))
 
@@ -117,8 +119,7 @@ class DiffPoly:
             for (i, J), _ in mono.factors:
                 if not 1 <= i <= n:
                     raise DimensionMismatch(f"unknown index {i} out of range for n={n}")
-                if len(J) != m:
-                    raise DimensionMismatch(f"multi-index {J} does not have {m} coordinates")
+                exponent(J, m, "multi-index")
         self.terms = _summed((mono, self._coerce_coeff(c)) for mono, c in terms.items())
 
     @classmethod

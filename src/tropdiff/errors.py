@@ -1,4 +1,10 @@
-"""Exception types shared across the library, and its integer check."""
+"""Exception types shared across the library, and its input checks.
+
+integers() turns a sequence into a tuple of ints without truncating.
+exponent() is the one exponent check: every point of N^m that enters the
+library (an exponent I of t^I, a multi-index J of x_{i,J}, a point of a
+weight) goes through it, so its sign and its width are checked in one place.
+"""
 
 import operator
 from typing import Iterable
@@ -6,11 +12,21 @@ from typing import Iterable
 
 def integers(values: Iterable, what: str = "exponents") -> tuple[int, ...]:
     """values as a tuple of ints; a non-integer entry raises, never truncates."""
-    values = tuple(values)
     try:
+        values = tuple(values)
         return tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"{what} must be integers, got {values}") from None
+
+
+def exponent(values: Iterable, m: int | None = None, what: str = "exponents") -> tuple[int, ...]:
+    """values as a point of N^m: nonnegative ints, exactly m of them when m is given."""
+    e = integers(values, what)
+    if e and min(e) < 0:
+        raise ValueError(f"{what} must be nonnegative, got {e}")
+    if m is not None and len(e) != m:
+        raise DimensionMismatch(f"{what}: {e} does not have {m} coordinates")
+    return e
 
 
 class TropdiffError(Exception):

@@ -14,16 +14,22 @@ value always serializes to the same bytes and re-parses to an equal value.
 
 Wherever a QPoly or RationalFunction is expected on input, expression text
 like "t^2 - 1/2*u" is accepted too.
+
+Decoders check shape only: that a list, an object or a key is where the
+schema puts one.  The values inside go to the constructors, which check
+them (errors.exponent for every exponent and multi-index); a public decoder
+reports a constructor's ValueError or DimensionMismatch as a SchemaError.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .diffpoly import DiffMonomial, DiffPoly
-from .errors import SchemaError
+from .errors import DimensionMismatch, SchemaError, exponent
 from .orders import MonomialOrder, order_standard, order_validate
 from .parsing import parse_poly, parse_rational
 from .series import QPoly, RationalFunction
@@ -85,18 +91,23 @@ def diffpoly_json(P: DiffPoly) -> list:
 # -- decoders ----------------------------------------------------------------
 
 
-def _int_list(obj: Any, what: str) -> tuple[int, ...]:
-    if not isinstance(obj, (list, tuple)) or not all(isinstance(v, int) for v in obj):
-        raise SchemaError(f"{what} must be a list of integers, got {obj!r}")
-    return tuple(obj)
+def _decoder(decode: Callable) -> Callable:
+    """decode, with a constructor's refusal of a value reported as a SchemaError."""
+
+    @functools.wraps(decode)
+    def wrapper(*args, **kwargs):
+        try:
+            return decode(*args, **kwargs)
+        except (ValueError, DimensionMismatch) as exc:
+            raise SchemaError(str(exc)) from exc
+
+    return wrapper
 
 
-def _index_list(obj: Any, what: str) -> tuple[int, ...]:
-    """An exponent or multi-index: integers, none negative."""
-    out = _int_list(obj, what)
-    if any(v < 0 for v in out):
-        raise SchemaError(f"{what} must be nonnegative, got {list(out)}")
-    return out
+def _listed(obj: Any, what: str) -> list:
+    if not isinstance(obj, list):
+        raise SchemaError(f"{what} must be a list, got {obj!r}")
+    return obj
 
 
 def _explicit_m(obj: Any) -> int | None:
@@ -119,6 +130,7 @@ def _explicit_m(obj: Any) -> int | None:
     return None
 
 
+@_decoder
 def qpoly_from(obj: Any, m: int | None = None) -> QPoly:
     if isinstance(obj, str):
         return parse_poly(obj, m)
@@ -127,20 +139,21 @@ def qpoly_from(obj: Any, m: int | None = None) -> QPoly:
             m = _explicit_m(obj)
             if m is None:
                 raise SchemaError("cannot infer the exponent width of {\"terms\": []}")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for entry in obj["terms"]:
-            exp = _index_list(entry.get("exp"), "exponent")
-            if len(exp) != m:
-                raise SchemaError(f"exponent {list(exp)} does not have {m} coordinates")
+        terms: dict[tuple, Fraction] = {}
+        for entry in _listed(obj["terms"], "terms"):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"term must be an object with exp and coeff, got {entry!r}")
+            exp = tuple(_listed(entry.get("exp"), "exponent"))
             try:
-                coeff = Fraction(entry.get("coeff"))
+                terms[exp] = terms.get(exp, 0) + Fraction(entry.get("coeff"))
             except (TypeError, ValueError) as exc:
-                raise SchemaError(f"bad coefficient {entry.get('coeff')!r}") from exc
-            terms[exp] = terms.get(exp, Fraction(0)) + coeff
+                # an unhashable entry in exp is a TypeError here, too
+                raise SchemaError(f"bad term {entry!r}") from exc
         return QPoly(m, terms)
     raise SchemaError(f"expected polynomial text or a terms object, got {obj!r}")
 
 
+@_decoder
 def rational_from(obj: Any, m: int | None = None) -> RationalFunction:
     if isinstance(obj, str):
         return parse_rational(obj, m)
@@ -163,6 +176,7 @@ def rational_from(obj: Any, m: int | None = None) -> RationalFunction:
     raise SchemaError(f"expected rational text or a num/den object, got {obj!r}")
 
 
+@_decoder
 def weight_from(obj: Any, m: int) -> BooleanWeight:
     if not isinstance(obj, dict) or "type" not in obj:
         raise SchemaError(f"weight must be an object with a type, got {obj!r}")
@@ -170,16 +184,13 @@ def weight_from(obj: Any, m: int) -> BooleanWeight:
     if kind == "full":
         return BooleanWeight.full(m)
     if kind == "finite":
-        return BooleanWeight.finite(
-            m, [_index_list(p, "weight point") for p in obj.get("points", [])]
-        )
+        return BooleanWeight.finite(m, _listed(obj.get("points", []), "weight points"))
     if kind == "cofinite":
-        return BooleanWeight.cofinite(
-            m, [_index_list(p, "excluded point") for p in obj.get("excluded", [])]
-        )
+        return BooleanWeight.cofinite(m, _listed(obj.get("excluded", []), "excluded points"))
     raise SchemaError(f"unknown weight type {kind!r}")
 
 
+@_decoder
 def order_from(obj: Any, m: int) -> MonomialOrder:
     if not isinstance(obj, dict) or "type" not in obj:
         raise SchemaError(f"order must be an object with a type, got {obj!r}")
@@ -190,53 +201,43 @@ def order_from(obj: Any, m: int) -> MonomialOrder:
         rows = obj.get("rows")
         if not isinstance(rows, list) or not rows:
             raise SchemaError("matrix order needs nonempty rows")
-        order = order_validate([_int_list(r, "matrix row") for r in rows])
+        order = order_validate(rows)
         if order.m != m:
             raise SchemaError(f"order matrix has {order.m} columns, expected {m}")
         return order
     raise SchemaError(f"unknown order type {kind!r}")
 
 
+@_decoder
 def diffpoly_from(obj: Any, m: int, n: int) -> DiffPoly:
-    if not isinstance(obj, list):
-        raise SchemaError(f"differential polynomial must be a list of terms, got {obj!r}")
     total = DiffPoly.zero(m, n)
-    for entry in obj:
+    for entry in _listed(obj, "differential polynomial"):
         if not isinstance(entry, dict) or "coeff" not in entry:
             raise SchemaError(f"term must be an object with coeff, got {entry!r}")
         coeff = rational_from(entry["coeff"], m)
         factors = []
-        for fac in entry.get("monomial", []):
+        for fac in _listed(entry.get("monomial", []), "monomial"):
             if not isinstance(fac, dict) or "var" not in fac:
                 raise SchemaError(f"monomial factor must name a var, got {fac!r}")
             var = fac["var"]
             if not isinstance(var, (list, tuple)) or len(var) != 2:
                 raise SchemaError(f"var must be [index, multi-index], got {var!r}")
-            i = var[0]
-            if not isinstance(i, int) or not 1 <= i <= n:
-                raise SchemaError(f"unknown index {i!r} out of range for n={n}")
-            J = _index_list(var[1], "derivative multi-index")
-            if len(J) != m:
-                raise SchemaError(f"multi-index {J} does not have {m} coordinates")
             power = fac.get("pow", 1)
             if not isinstance(power, int) or power < 1:
                 raise SchemaError(f"pow must be a positive integer, got {power!r}")
-            factors.append(((i, J), power))
+            factors.append((var, power))
         total = total + DiffPoly(m, n, {DiffMonomial(factors): coeff})
     return total
 
 
+@_decoder
 def pairs_from(obj: Any, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exponent pairs [[I, J], ...] for order recovery."""
-    if not isinstance(obj, list):
-        raise SchemaError(f"pairs must be a list of [I, J] pairs, got {obj!r}")
     pairs = []
-    for pair in obj:
+    for pair in _listed(obj, "pairs"):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"pair must be [I, J], got {pair!r}")
-        I, J = (_index_list(side, "pair exponent") for side in pair)
-        if len(I) != m or len(J) != m:
-            raise SchemaError(f"pair {pair!r} does not match m={m}")
+        I, J = (exponent(side, m, "pair exponents") for side in pair)
         pairs.append((I, J))
     return pairs
 
@@ -258,6 +259,7 @@ class ProblemFile:
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
+@_decoder
 def problem_from(obj: Any) -> ProblemFile:
     if not isinstance(obj, dict):
         raise SchemaError("problem file must be a JSON object")
@@ -269,7 +271,7 @@ def problem_from(obj: Any) -> ProblemFile:
         raise SchemaError(f"n must be a positive integer, got {n!r}")
 
     polynomials: list[tuple[str, DiffPoly]] = []
-    for entry in obj.get("polynomials", []):
+    for entry in _listed(obj.get("polynomials", []), "polynomials"):
         if not isinstance(entry, dict) or "name" not in entry or "poly" not in entry:
             raise SchemaError(f"polynomial entry needs name and poly, got {entry!r}")
         polynomials.append((str(entry["name"]), diffpoly_from(entry["poly"], m, n)))
@@ -283,10 +285,7 @@ def problem_from(obj: Any) -> ProblemFile:
 
     order = order_from(obj["order"], m) if "order" in obj else None
 
-    kernel_name = obj.get("kernel", "indicator")
-    if kernel_name not in ("indicator", "factorial"):
-        raise SchemaError(f"unknown kernel {kernel_name!r}")
-    kernel = SubstitutionKernel(kernel_name)
+    kernel = SubstitutionKernel(obj.get("kernel", "indicator"))
 
     bound = obj.get("prolong_bound", 0)
     if not isinstance(bound, int) or bound < 0:

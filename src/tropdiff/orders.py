@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, NotAMonomialOrder, integers
+from .errors import NotAMonomialOrder, exponent, integers
 
 Exponent = tuple[int, ...]
 
@@ -76,10 +76,9 @@ class MonomialOrder:
 
     def key(self, a: Exponent):
         """Sort key consistent with compare(); usable with min/sorted."""
-        if len(a) != self.m:
-            raise DimensionMismatch(f"exponent has {len(a)} coordinates, order expects {self.m}")
+        a = exponent(a, self.m)
         weights = tuple(sum(w * x for w, x in zip(row, a)) for row in self.rows)
-        return weights + tuple(a)
+        return weights + a
 
     def compare(self, a: Exponent, b: Exponent) -> int:
         ka, kb = self.key(a), self.key(b)

@@ -30,7 +30,7 @@ from .errors import (
     NotInUnitBall,
     ZeroDenominator,
     ZeroTropicalValue,
-    integers,
+    exponent,
 )
 from .orders import EQ, GT, LT, MonomialOrder
 from .vertexpoly import VertexFraction, VertexPoly
@@ -75,16 +75,8 @@ class QPoly:
         _check_width(m)
         self.m = m
         self.terms = _summed(
-            (self._exponent(exp), Fraction(c)) for exp, c in (terms or {}).items()
+            (exponent(e, m), Fraction(c)) for e, c in (terms or {}).items()
         )
-
-    def _exponent(self, exp: Sequence[int]) -> Exponent:
-        e = integers(exp)
-        if len(e) != self.m:
-            raise DimensionMismatch(f"exponent {e} does not have {self.m} coordinates")
-        if any(v < 0 for v in e):
-            raise ValueError(f"exponents must be nonnegative, got {e}")
-        return e
 
     @classmethod
     def _trusted(cls, m: int, terms: dict[Exponent, Fraction]) -> "QPoly":
@@ -208,9 +200,7 @@ class QPoly:
 
     def deriv(self, J: Sequence[int]) -> "QPoly":
         """Iterated derivative d^J, exact falling-factorial coefficients."""
-        J = integers(J)
-        if len(J) != self.m:
-            raise DimensionMismatch(f"multi-index {J} does not have {self.m} coordinates")
+        J = exponent(J, self.m, "multi-index")
         # e -> e - J is injective, so no two terms meet
         return QPoly._trusted(
             self.m,
@@ -478,9 +468,8 @@ def order_from_membership(
     I < J exactly when t^J/(t^I + t^J) lies in the ideal.  An oracle that
     answers the same on both quotients does not describe a total order.
     """
-    I, J = integers(I), integers(J)
-    if len(I) != len(J):
-        raise DimensionMismatch(f"comparing {I} with {J}")
+    I = exponent(I)
+    J = exponent(J, len(I))
     if I == J:
         return EQ
     tI, tJ = QPoly.monomial(I), QPoly.monomial(J)

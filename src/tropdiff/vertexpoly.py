@@ -22,22 +22,14 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, ZeroDenominator, integers
+from .errors import DimensionMismatch, ZeroDenominator, exponent
 from .feasibility import covered
 
 Point = tuple[int, ...]
 
 
 def _validated_points(m: int, points: Iterable[Sequence[int]]) -> set[Point]:
-    cleaned = set()
-    for p in points:
-        q = integers(p)
-        if len(q) != m:
-            raise DimensionMismatch(f"point {q} does not have {m} coordinates")
-        if any(v < 0 for v in q):
-            raise ValueError(f"exponents must be nonnegative, got {q}")
-        cleaned.add(q)
-    return cleaned
+    return {exponent(p, m) for p in points}
 
 
 def _pareto_minimal(points: set[Point]) -> list[Point]:
@@ -85,10 +77,8 @@ class VertexPoly:
         return cls._trusted(m, ((0,) * m,))
 
     @classmethod
-    def point(cls, exponent: Sequence[int]) -> "VertexPoly":
-        p = integers(exponent)
-        if any(v < 0 for v in p):
-            raise ValueError(f"exponents must be nonnegative, got {p}")
+    def point(cls, e: Sequence[int]) -> "VertexPoly":
+        p = exponent(e)
         return cls._trusted(len(p), (p,))
 
     @property
@@ -246,10 +236,7 @@ def staircase_vertices_2d(points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
 
     Independent of the simplex route on purpose; only valid for m = 2.
     """
-    points = {integers(p) for p in points}
-    if any(len(p) != 2 for p in points):
-        raise DimensionMismatch("staircase construction needs m = 2")
-    pts = sorted(points)
+    pts = sorted({exponent(p, 2) for p in points})
     stair: list[Point] = []
     best_y: int | None = None
     for x, y in pts:

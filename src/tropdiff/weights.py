@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, TropdiffError, integers
+from .errors import TropdiffError, exponent
 from .series import QPoly
 from .vertexpoly import VertexPoly, _validated_points
 
@@ -64,7 +64,7 @@ class BooleanWeight:
         return cls(m, "cofinite", frozenset(_validated_points(m, excluded)))
 
     def __contains__(self, point: Sequence[int]) -> bool:
-        p = integers(point)
+        p = exponent(point, self.m)
         if self.kind == "finite":
             return p in self.data
         return p not in self.data
@@ -75,9 +75,7 @@ class BooleanWeight:
 
     def shift(self, J: Sequence[int]) -> "BooleanWeight":
         """The set {I >= 0 : I + J in self}."""
-        J = integers(J)
-        if len(J) != self.m:
-            raise DimensionMismatch(f"multi-index {J} does not have {self.m} coordinates")
+        J = exponent(J, self.m, "multi-index")
         moved = frozenset(
             tuple(i - j for i, j in zip(p, J))
             for p in self.data
@@ -124,13 +122,6 @@ class SubstitutionKernel(enum.Enum):
     INDICATOR = "indicator"
     FACTORIAL = "factorial"
 
-    @classmethod
-    def from_string(cls, name: str) -> "SubstitutionKernel":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise TropdiffError(f"unknown kernel {name!r}") from None
-
 
 def substitution_poly(
     weight: BooleanWeight, J: Sequence[int], kernel: SubstitutionKernel = SubstitutionKernel.INDICATOR
@@ -140,7 +131,7 @@ def substitution_poly(
     Supported on the vertices of the shifted weight; zero when the shift
     empties the support.
     """
-    J = integers(J)
+    J = exponent(J, weight.m, "multi-index")
     vertices = weight.shift(J).vertices()
     terms: dict[Point, Fraction] = {}
     for p in vertices:

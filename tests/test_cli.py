@@ -398,6 +398,27 @@ class TestExitCodes:
         assert code == 2
         assert "SchemaError" in err and "nonnegative" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("polynomials", 5),
+            ("weight", [{"type": "finite", "points": 5}]),
+            ("weight", [{"type": "cofinite", "excluded": 5}]),
+            ("polynomials", [{"name": "P", "poly": [{"coeff": "1", "monomial": 5}]}]),
+            ("polynomials", [{"name": "P", "poly": [{"coeff": {"num": {"terms": 5}}}]}]),
+            ("polynomials", [{"name": "P", "poly": [{"coeff": {"num": {"terms": [5]}}}]}]),
+        ],
+        ids=["polynomials", "points", "excluded", "monomial", "terms", "term"],
+    )
+    def test_malformed_shapes_are_schema_errors(self, capsys, tmp_path, field, value):
+        problem = json.loads(Path(PROBLEM).read_text())
+        problem[field] = value
+        source = tmp_path / "malformed.json"
+        source.write_text(json.dumps(problem))
+        code, _, err = run(capsys, "tropw", "--input", str(source))
+        assert code == 2
+        assert "SchemaError" in err
+
     @pytest.mark.parametrize("command", ["prolong", "translate", "initial"])
     def test_negative_bound_is_a_usage_error(self, capsys, command):
         code, _, err = run(capsys, command, "--input", PROBLEM, "--bound", "-1")

@@ -43,6 +43,16 @@ class TestDiffMonomial:
         with pytest.raises(ValueError, match="variable indices must be integers"):
             DiffMonomial([((1.0, (1, 0)), 1)])
 
+    def test_non_integer_power_rejected(self):
+        with pytest.raises(ValueError, match="powers must be integers"):
+            DiffMonomial([((1, (1, 0)), 1.5)])
+
+    def test_index_below_one_and_negative_multi_index_rejected(self):
+        with pytest.raises(ValueError, match="variable indices start at 1"):
+            DiffMonomial.var(0, (1, 0))
+        with pytest.raises(ValueError, match="multi-index must be nonnegative"):
+            DiffMonomial.var(1, (-1, 0))
+
     def test_mul(self):
         assert X((1, 0)) * X((1, 0)) == DiffMonomial([((1, (1, 0)), 2)])
 

@@ -86,6 +86,10 @@ class TestQPolyRoundTrip:
         with pytest.raises(SchemaError):
             qpoly_from({"terms": [{"exp": [1, 0], "coeff": "one"}]}, 2)
 
+    def test_rejects_a_nested_exponent_entry(self):
+        with pytest.raises(SchemaError):
+            qpoly_from({"terms": [{"exp": [1, [0]], "coeff": "1"}]}, 2)
+
 
 class TestRationalRoundTrip:
     def test_round_trip(self):
@@ -147,6 +151,10 @@ class TestWeightRoundTrip:
             weight_from({"type": "half"}, 2)
         with pytest.raises(SchemaError):
             weight_from("full", 2)
+
+    def test_point_width_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="coordinates"):
+            weight_from({"type": "finite", "points": [[1, 0, 0]]}, 2)
 
 
 class TestOrderRoundTrip:

@@ -90,6 +90,10 @@ class TestQPolyArithmetic:
         with pytest.raises(ValueError, match="integers"):
             parse_poly("t^3*u", 2).deriv((1.5, 0))
 
+    def test_negative_derivative_rejected(self):
+        with pytest.raises(ValueError, match="multi-index must be nonnegative"):
+            parse_poly("t^3*u", 2).deriv((-1, 0))
+
     def test_arithmetic_results_are_canonical(self):
         # these results bypass the public constructor's checks, so they must
         # already be what QPoly(m, terms) would build from their terms

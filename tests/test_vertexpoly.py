@@ -183,6 +183,10 @@ class TestStaircaseOracle:
         with pytest.raises(ValueError, match="integers"):
             staircase_vertices_2d([(0, 3), (1.9, 0)])
 
+    def test_negative_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            staircase_vertices_2d([(-1, 3), (2, 0)])
+
     def test_wrong_width_rejected(self):
         points = [(1, 2, 3), (0, 5, 1)]
         with pytest.raises(DimensionMismatch):

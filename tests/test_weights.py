@@ -58,6 +58,11 @@ class TestShift:
         with pytest.raises(ValueError, match="integers"):
             COF11.shift((0.5, 1))
 
+    def test_negative_shift_rejected(self):
+        # N^2 minus {(1,0)} would contain (0,0), but (0,0) + (-1,0) is not in N^2
+        with pytest.raises(ValueError, match="nonnegative"):
+            BooleanWeight.cofinite(2, [(0, 0)]).shift((-1, 0))
+
     def test_shift_past_exclusions_gives_full(self):
         assert COF11.shift((2, 1)) == BooleanWeight.full(2)
 
@@ -155,6 +160,10 @@ class TestSubstitutionPoly:
         with pytest.raises(ValueError, match="integers"):
             substitution_poly(COF11, (1.5, 1))
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            substitution_poly(BooleanWeight.cofinite(2, [(0, 0)]), (-1, 0))
+
     def test_factorial_example(self):
         got = substitution_poly(COF11, (1, 1), SubstitutionKernel.FACTORIAL)
         assert got == parse_poly("2*t + 2*u")
@@ -197,9 +206,9 @@ class TestSubstitutionPoly:
             assert got.terms == expected
 
     def test_kernel_names(self):
-        assert SubstitutionKernel.from_string("Factorial") is SubstitutionKernel.FACTORIAL
-        with pytest.raises(TropdiffError):
-            SubstitutionKernel.from_string("binomial")
+        assert SubstitutionKernel("factorial") is SubstitutionKernel.FACTORIAL
+        with pytest.raises(ValueError):
+            SubstitutionKernel("binomial")
 
 
 class TestPresentation:
