@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Thin wrappers over the library, one subcommand per operation.  JSON output is
-deterministic: keys sorted, two-space indent, list order fixed by contract
+written by jsonio.dumps, the one writer, whose bytes are those of
+json.dumps(value, sort_keys=True, indent=2); list order is fixed by contract
 (generators in input order, derivative indices graded, terms in display
 order), so identical input produces byte-identical output.
 
@@ -55,7 +56,7 @@ _REL_SIGN = {LT: "<", EQ: "=", GT: ">"}
 def _emit(args, to_json, to_pretty) -> int:
     """Print the requested rendering; only that one of the two is built."""
     if args.format == "json":
-        print(json.dumps(to_json(), sort_keys=True, indent=2))
+        print(jsonio.dumps(to_json()))
     else:
         for line in to_pretty():
             print(line)

@@ -43,6 +43,13 @@ class DiffMonomial:
         self.factors = tuple(sorted(merged.items()))
 
     @classmethod
+    def _trusted(cls, factors: tuple[Factor, ...]) -> "DiffMonomial":
+        """Wrap sorted, merged factors built from a checked monomial's own."""
+        out = object.__new__(cls)
+        out.factors = factors
+        return out
+
+    @classmethod
     def one(cls) -> "DiffMonomial":
         return cls()
 
@@ -63,12 +70,16 @@ class DiffMonomial:
 
     def bump(self, position: int, k: int) -> "DiffMonomial":
         """Replace one copy of the factor at `position` by its k-th derivative."""
-        (i, J), p = self.factors[position]
-        lifted = tuple(v + (1 if j == k else 0) for j, v in enumerate(J))
-        rest = list(self.factors)
-        rest[position] = ((i, J), p - 1)
-        rest.append(((i, lifted), 1))
-        return DiffMonomial(rest)
+        var, p = self.factors[position]
+        i, J = var
+        lifted = (i, tuple(v + 1 if j == k else v for j, v in enumerate(J)))
+        merged = dict(self.factors)
+        if p == 1:
+            del merged[var]
+        else:
+            merged[var] = p - 1
+        merged[lifted] = merged.get(lifted, 0) + 1
+        return DiffMonomial._trusted(tuple(sorted(merged.items())))
 
     def __eq__(self, other):
         return isinstance(other, DiffMonomial) and self.factors == other.factors
@@ -183,9 +194,11 @@ class DiffPoly:
         return self + (-self._coerce_coeff(other))
 
     def __mul__(self, other):
-        if isinstance(other, (RationalFunction, QPoly, Fraction, int)):
-            c = self._coerce_coeff(other)
-            return DiffPoly(self.m, self.n, {mono: v * c for mono, v in self.terms.items()})
+        if isinstance(other, (RationalFunction, QPoly)):
+            other = self._coerce_coeff(other)
+        if isinstance(other, (RationalFunction, Fraction, int)):
+            scaled = ((mono, v * other) for mono, v in self.terms.items())
+            return DiffPoly._trusted(self.m, self.n, _summed(scaled))
         if not isinstance(other, DiffPoly):
             return NotImplemented
         self._check(other)

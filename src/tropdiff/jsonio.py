@@ -2,6 +2,9 @@
 
 Encodings are canonical: points and terms are emitted in sorted order, so a
 value always serializes to the same bytes and re-parses to an equal value.
+dumps is the one writer of those bytes: it writes exactly what
+json.dumps(value, sort_keys=True, indent=2) writes, without the pure-Python
+encoder that json.dumps falls back to when it indents.
 
     VertexPoly        sorted list of exponent lists, zero is []
     VertexFraction    {"num": ..., "den": ...}
@@ -26,6 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .diffpoly import DiffMonomial, DiffPoly
@@ -35,6 +39,47 @@ from .parsing import parse_poly, parse_rational
 from .series import QPoly, RationalFunction
 from .vertexpoly import VertexFraction, VertexPoly
 from .weights import BooleanWeight, SubstitutionKernel
+
+
+# -- writer ------------------------------------------------------------------
+
+
+def dumps(value: Any) -> str:
+    """value as the bytes of json.dumps(value, sort_keys=True, indent=2).
+
+    Only str, int, list and dict (with str keys) are written; any other type,
+    bool, None, float and tuple included, is a TypeError.
+    """
+    return _write(value, "\n")
+
+
+def _write(value: Any, newline: str) -> str:
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        for item in value:
+            if type(item) is not int:
+                body = [_write(item, inner) for item in value]
+                break
+        else:  # a list of plain ints, the common leaf, skips the recursion
+            body = map(int.__repr__, value)
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        # a key that is not a str is a TypeError in encode_basestring_ascii
+        body = [
+            encode_basestring_ascii(key) + ": " + _write(value[key], inner)
+            for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    raise TypeError(f"cannot write {kind.__name__} as JSON: {value!r}")
 
 
 # -- encoders ----------------------------------------------------------------
@@ -146,8 +191,9 @@ def qpoly_from(obj: Any, m: int | None = None) -> QPoly:
             exp = tuple(_listed(entry.get("exp"), "exponent"))
             try:
                 terms[exp] = terms.get(exp, 0) + Fraction(entry.get("coeff"))
-            except (TypeError, ValueError) as exc:
-                # an unhashable entry in exp is a TypeError here, too
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                # an unhashable entry in exp is a TypeError here, too, and a
+                # coefficient such as "1/0" is a ZeroDivisionError
                 raise SchemaError(f"bad term {entry!r}") from exc
         return QPoly(m, terms)
     raise SchemaError(f"expected polynomial text or a terms object, got {obj!r}")

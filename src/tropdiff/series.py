@@ -165,6 +165,9 @@ class QPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            scaled = {e: c * other for e, c in self.terms.items()} if other else {}
+            return QPoly._trusted(self.m, scaled)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -317,6 +320,8 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RationalFunction._trusted(self.num * other, self.den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -227,20 +227,21 @@ class TestProblemCommands:
         assert "error" in err
 
 
+# one run of every subcommand that prints JSON
+JSON_RUNS = [
+    ["tropw", "--input", PROBLEM],
+    ["translate", "--input", PROBLEM],
+    ["initial", "--input", PROBLEM],
+    ["prolong", "--input", PROBLEM],
+    ["order-recover", "--input", PROBLEM],
+    ["trop", "t/(t+u)"],
+    ["omega-chain", "--count", "3"],
+    ["bezout", "--", "t", "-t+u"],
+]
+
+
 class TestRendering:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["tropw", "--input", PROBLEM],
-            ["translate", "--input", PROBLEM],
-            ["initial", "--input", PROBLEM],
-            ["prolong", "--input", PROBLEM],
-            ["order-recover", "--input", PROBLEM],
-            ["trop", "t/(t+u)"],
-            ["omega-chain", "--count", "3"],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", JSON_RUNS, ids=lambda argv: argv[0])
     def test_json_runs_build_no_pretty_text(self, capsys, monkeypatch, argv):
         def refuse(self):
             raise AssertionError("pretty text built for a JSON run")
@@ -250,6 +251,12 @@ class TestRendering:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         json.loads(out)
+
+    @pytest.mark.parametrize("argv", JSON_RUNS, ids=lambda argv: argv[0])
+    def test_stdout_is_the_bytes_of_json_dumps(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 class TestOrderRecover:
@@ -352,6 +359,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "trop", "t1/0")
         assert code == 3
         assert "ZeroDenominator" in err
+
+    def test_zero_denominator_in_a_json_coefficient(self, capsys):
+        term = {"exp": [1, 0], "coeff": "1/0"}
+        code, _, err = run(capsys, "trop", json.dumps({"num": {"terms": [term]}}))
+        assert code == 2
+        assert "SchemaError" in err and "1/0" in err
+
+    def test_zero_denominator_in_a_problem_file_coefficient(self, capsys, tmp_path):
+        problem = json.loads(Path(PROBLEM).read_text())
+        coeff = {"num": {"terms": [{"exp": [0, 1], "coeff": "-3/0"}]}}
+        problem["polynomials"][0]["poly"][1]["coeff"] = coeff
+        source = tmp_path / "zero.json"
+        source.write_text(json.dumps(problem))
+        code, _, err = run(capsys, "prolong", "--input", str(source))
+        assert code == 2
+        assert "SchemaError" in err and "-3/0" in err
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2

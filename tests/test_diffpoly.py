@@ -1,9 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import diffpoly, qpoly, same_as_public
+from helpers import diff_monomial, diffpoly, exponent, qpoly, same_as_public
 from tropdiff import (
     DiffMonomial,
     DiffPoly,
@@ -60,6 +61,32 @@ class TestDiffMonomial:
         sq = DiffMonomial([((1, (0, 0)), 2)])
         got = sq.bump(0, 1)
         assert got == DiffMonomial([((1, (0, 0)), 1), ((1, (0, 1)), 1)])
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_bump_matches_the_public_constructor(self, m):
+        # bump skips the constructor's checks, so its factors must already be
+        # what the constructor builds from the factors the old bump listed
+        rng = random.Random(89 + m)
+        raised = present = 0
+        for _ in range(200):
+            var = (rng.randint(1, 2), exponent(rng, m, 2))
+            mono = diff_monomial(rng, m, 2) * DiffMonomial.var(*var, rng.randint(1, 3))
+            if rng.random() < 0.5:  # a factor that a bump of var lifts onto
+                lift = rng.randrange(m)
+                J = tuple(v + (j == lift) for j, v in enumerate(var[1]))
+                mono = mono * DiffMonomial.var(var[0], J)
+            for position, ((i, J), p) in enumerate(mono.factors):
+                for k in range(m):
+                    up = tuple(v + (j == k) for j, v in enumerate(J))
+                    listed = list(mono.factors)
+                    listed[position] = ((i, J), p - 1)
+                    listed.append(((i, up), 1))
+                    got = mono.bump(position, k)
+                    assert got.factors == DiffMonomial(listed).factors
+                    assert got.factors == DiffMonomial(got.factors).factors
+                    raised += p > 1
+                    present += (i, up) in dict(mono.factors)
+        assert raised and present
 
     def test_render(self):
         mono = DiffMonomial([((1, (1, 0)), 2), ((2, (0, 1)), 1)])
@@ -133,6 +160,21 @@ class TestArithmetic:
                         for c in R.terms.values()
                     )
                     assert same_as_public(R)
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_scalar_product_matches_the_constant_coefficient(self, m):
+        # the old route multiplied each coefficient by a constant RationalFunction
+        dicts = lambda P: {mono: (v.num.terms, v.den.terms) for mono, v in P.terms.items()}
+        rng = random.Random(97 + m)
+        for _ in range(30):
+            P = diffpoly(rng, m, 2)
+            for c in (rng.choice((-3, 2)), Fraction(-2, 3), 0):
+                const = RationalFunction.constant(m, c)
+                old = DiffPoly(m, 2, {mono: v * const for mono, v in P.terms.items()})
+                for R in (P * c, c * P):
+                    assert same_as_public(R)
+                    assert R == old and dicts(R) == dicts(old)
+            assert (P * 0).is_zero
 
 
 class TestDerive:

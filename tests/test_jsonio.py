@@ -19,6 +19,7 @@ from tropdiff import (
 )
 from tropdiff.jsonio import (
     diffpoly_from,
+    dumps,
     diffpoly_json,
     order_from,
     order_json,
@@ -85,6 +86,10 @@ class TestQPolyRoundTrip:
             qpoly_from({"terms": [{"exp": [1, "x"], "coeff": "1"}]}, 2)
         with pytest.raises(SchemaError):
             qpoly_from({"terms": [{"exp": [1, 0], "coeff": "one"}]}, 2)
+
+    def test_zero_denominator_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="1/0"):
+            qpoly_from({"terms": [{"exp": [1, 0], "coeff": "1/0"}]}, 2)
 
     def test_rejects_a_nested_exponent_entry(self):
         with pytest.raises(SchemaError):
@@ -269,3 +274,48 @@ class TestProblemFile:
             problem_from({"m": 2, "pairs": [[[1, 0], [0, 1, 0]]]})
         with pytest.raises(SchemaError):
             problem_from({"m": 2, "polynomials": [{"name": "P"}]})
+
+
+# -- the canonical writer ----------------------------------------------------
+
+STRINGS = ("", "x", "é", "日本", "😀", 'say "hi"', "back\\slash", "tab\t", "\x00\x1f", "\u2028", "/")
+
+
+def _json_value(rng, depth):
+    """A random value of the four written types, nested up to depth."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        if rng.random() < 0.5:
+            return rng.choice(STRINGS) + rng.choice(STRINGS)
+        return rng.choice((0, -1, rng.randint(-10**6, 10**6), 2**64 + 1, -(3**50)))
+    width = rng.randint(0, 4)
+    if roll < 0.5:
+        return [rng.randint(-99, 2**70) for _ in range(width)]
+    if roll < 0.75:
+        return [_json_value(rng, depth - 1) for _ in range(width)]
+    keys = rng.sample(STRINGS + ("b", "a", "B", "aa", "10", "9"), width)
+    return {key: _json_value(rng, depth - 1) for key in keys}
+
+
+class TestDumps:
+    def test_matches_json_dumps(self):
+        rng = random.Random(20231)
+        values = [[], {}, [[]], [{}], {"b": 1, "a": [], "c": {}}, -(2**64) - 5]
+        values += [_json_value(rng, 4) for _ in range(400)]
+        for value in values:
+            assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_library_encodings_match_json_dumps(self):
+        rng = random.Random(20232)
+        for m in (2, 3):
+            value = [diffpoly_json(diffpoly(rng, m, 2)) for _ in range(10)]
+            assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, True, None, (1, 2), [1, False], {"a": None}, [[0.0]], {1: 2}],
+        ids=["float", "bool", "none", "tuple", "bool-in-list", "none-in-dict", "nested-float", "int-key"],
+    )
+    def test_other_types_are_type_errors(self, value):
+        with pytest.raises(TypeError):
+            dumps(value)

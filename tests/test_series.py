@@ -107,6 +107,18 @@ class TestQPolyArithmetic:
                     assert same_as_public(h)
                 assert same_as_public(QPoly.constant(m, c))
 
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_scalar_product_scales_each_coefficient(self, m):
+        # the old route multiplied by the constant polynomial; the dicts must match
+        rng = random.Random(61 + m)
+        for _ in range(60):
+            f = qpoly(rng, m)
+            for c in (rng.choice(NONZERO), Fraction(rng.choice(NONZERO), 7), 0, Fraction(0)):
+                for h in (f * c, c * f):
+                    assert same_as_public(h)
+                    assert h.terms == (f * QPoly.constant(m, c)).terms
+            assert (f * 0).is_zero
+
     def test_constant_checks_its_input(self):
         assert QPoly.constant(3, Fraction(1, 2)).terms == QPoly(3, {(0, 0, 0): Fraction(1, 2)}).terms
         assert QPoly.constant(2, 0).terms == QPoly(2, {(0, 0): 0}).terms == {}
@@ -153,6 +165,19 @@ class TestRationalFunction:
                       p.partial(m - 1), p + c, c * p, p * f, f - p, p / c):
                 assert same_as_public(h)
             assert same_as_public(RationalFunction.constant(m, c))
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_scalar_product_keeps_the_denominator(self, m):
+        rng = random.Random(67 + m)
+        for _ in range(40):
+            p = rational(rng, m)
+            for c in (rng.choice(NONZERO), Fraction(rng.choice(NONZERO), 5), 0):
+                old = p * RationalFunction.constant(m, c)
+                for h in (p * c, c * p):
+                    assert same_as_public(h)
+                    assert h == old
+                    assert (h.num.terms, h.den.terms) == (old.num.terms, old.den.terms)
+                    assert h.den is p.den
 
     def test_as_qpoly(self):
         assert rf("(t^2+t)/2").as_qpoly() == parse_poly("(t^2+t)/2")
