@@ -66,7 +66,10 @@ class DiffMonomial:
         return sum(p for _, p in self.factors)
 
     def __mul__(self, other: "DiffMonomial") -> "DiffMonomial":
-        return DiffMonomial(self.factors + other.factors)
+        merged = dict(self.factors)
+        for var, p in other.factors:
+            merged[var] = merged.get(var, 0) + p
+        return DiffMonomial._trusted(tuple(sorted(merged.items())))
 
     def bump(self, position: int, k: int) -> "DiffMonomial":
         """Replace one copy of the factor at `position` by its k-th derivative."""

@@ -1,6 +1,7 @@
 """Exception types shared across the library, and its input checks.
 
-integers() turns a sequence into a tuple of ints without truncating.
+integers() turns a sequence into a tuple of ints without truncating; a bool,
+which operator.index would read as 0 or 1, is refused like any non-integer.
 exponent() is the one exponent check: every point of N^m that enters the
 library (an exponent I of t^I, a multi-index J of x_{i,J}, a point of a
 weight) goes through it, so its sign and its width are checked in one place.
@@ -11,12 +12,14 @@ from typing import Iterable
 
 
 def integers(values: Iterable, what: str = "exponents") -> tuple[int, ...]:
-    """values as a tuple of ints; a non-integer entry raises, never truncates."""
+    """values as a tuple of ints; a non-integer or bool entry raises, never truncates."""
     try:
         values = tuple(values)
-        return tuple(map(operator.index, values))
+        if bool not in map(type, values):
+            return tuple(map(operator.index, values))
     except TypeError:
-        raise ValueError(f"{what} must be integers, got {values}") from None
+        pass
+    raise ValueError(f"{what} must be integers, got {values}")
 
 
 def exponent(values: Iterable, m: int | None = None, what: str = "exponents") -> tuple[int, ...]:

@@ -22,6 +22,12 @@ Decoders check shape only: that a list, an object or a key is where the
 schema puts one.  The values inside go to the constructors, which check
 them (errors.exponent for every exponent and multi-index); a public decoder
 reports a constructor's ValueError or DimensionMismatch as a SchemaError.
+Three value checks stay here, because they concern what json.loads returns.
+A coefficient must be text or an int: json.loads reads 0.1 as a binary
+float, which is not 1/10.  m, n, pow and prolong_bound must be ints, and
+json.loads reads true and false as bools, which Python counts as ints.  And
+qpoly_from checks each exponent before it merges repeated exponents in a
+dict, where [true, 0] would otherwise merge into the key [1, 0].
 """
 
 from __future__ import annotations
@@ -149,6 +155,11 @@ def _decoder(decode: Callable) -> Callable:
     return wrapper
 
 
+def _is_int(obj: Any) -> bool:
+    """An int as json.loads gives one; true and false are bools, not ints."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _listed(obj: Any, what: str) -> list:
     if not isinstance(obj, list):
         raise SchemaError(f"{what} must be a list, got {obj!r}")
@@ -188,12 +199,14 @@ def qpoly_from(obj: Any, m: int | None = None) -> QPoly:
         for entry in _listed(obj["terms"], "terms"):
             if not isinstance(entry, dict):
                 raise SchemaError(f"term must be an object with exp and coeff, got {entry!r}")
-            exp = tuple(_listed(entry.get("exp"), "exponent"))
+            exp = exponent(_listed(entry.get("exp"), "exponent"), m)
+            coeff = entry.get("coeff")
+            if not _is_int(coeff) and not isinstance(coeff, str):
+                raise SchemaError(f"coefficient must be text or an integer, got {coeff!r}")
             try:
-                terms[exp] = terms.get(exp, 0) + Fraction(entry.get("coeff"))
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                # an unhashable entry in exp is a TypeError here, too, and a
-                # coefficient such as "1/0" is a ZeroDivisionError
+                terms[exp] = terms.get(exp, 0) + Fraction(coeff)
+            except (ValueError, ZeroDivisionError) as exc:
+                # a coefficient such as "1/0" is a ZeroDivisionError
                 raise SchemaError(f"bad term {entry!r}") from exc
         return QPoly(m, terms)
     raise SchemaError(f"expected polynomial text or a terms object, got {obj!r}")
@@ -269,7 +282,7 @@ def diffpoly_from(obj: Any, m: int, n: int) -> DiffPoly:
             if not isinstance(var, (list, tuple)) or len(var) != 2:
                 raise SchemaError(f"var must be [index, multi-index], got {var!r}")
             power = fac.get("pow", 1)
-            if not isinstance(power, int) or power < 1:
+            if not _is_int(power) or power < 1:
                 raise SchemaError(f"pow must be a positive integer, got {power!r}")
             factors.append((var, power))
         total = total + DiffPoly(m, n, {DiffMonomial(factors): coeff})
@@ -311,9 +324,9 @@ def problem_from(obj: Any) -> ProblemFile:
         raise SchemaError("problem file must be a JSON object")
     m = obj.get("m")
     n = obj.get("n", 1)
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise SchemaError(f"m must be a positive integer, got {m!r}")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SchemaError(f"n must be a positive integer, got {n!r}")
 
     polynomials: list[tuple[str, DiffPoly]] = []
@@ -334,7 +347,7 @@ def problem_from(obj: Any) -> ProblemFile:
     kernel = SubstitutionKernel(obj.get("kernel", "indicator"))
 
     bound = obj.get("prolong_bound", 0)
-    if not isinstance(bound, int) or bound < 0:
+    if not _is_int(bound) or bound < 0:
         raise SchemaError(f"prolong_bound must be a nonnegative integer, got {bound!r}")
 
     pairs = pairs_from(obj.get("pairs", []), m)

@@ -53,6 +53,13 @@ def _summed(pairs: Iterable[tuple]) -> dict:
     return out
 
 
+def _coefficient(c) -> Fraction:
+    """c as an exact Fraction; a float is refused rather than read as its binary value."""
+    if isinstance(c, float):
+        raise ValueError(f"coefficients must be exact, got the float {c!r}")
+    return Fraction(c)
+
+
 def _check_width(m: int) -> None:
     if m < 1:
         raise ValueError("need at least one variable")
@@ -75,7 +82,7 @@ class QPoly:
         _check_width(m)
         self.m = m
         self.terms = _summed(
-            (exponent(e, m), Fraction(c)) for e, c in (terms or {}).items()
+            (exponent(e, m), _coefficient(c)) for e, c in (terms or {}).items()
         )
 
     @classmethod
@@ -96,13 +103,13 @@ class QPoly:
     @classmethod
     def constant(cls, m: int, c) -> "QPoly":
         _check_width(m)
-        c = Fraction(c)
+        c = _coefficient(c)
         return cls._trusted(m, {(0,) * m: c} if c else {})
 
     @classmethod
     def monomial(cls, exponent: Sequence[int], coeff=1) -> "QPoly":
         exponent = tuple(exponent)
-        return cls(len(exponent), {exponent: Fraction(coeff)})
+        return cls(len(exponent), {exponent: coeff})
 
     @classmethod
     def variable(cls, m: int, i: int) -> "QPoly":
@@ -183,8 +190,10 @@ class QPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = QPoly.one(self.m)
-        for _ in range(k):
+        if k == 0:
+            return QPoly.one(self.m)
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
@@ -320,7 +329,8 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # QPoly.__mul__ checks a polynomial's m; neither factor changes the denominator
+        if isinstance(other, (int, Fraction, QPoly)):
             return RationalFunction._trusted(self.num * other, self.den)
         other = self._coerce(other)
         if other is None:
@@ -405,7 +415,17 @@ def trop_frac(q) -> VertexFraction:
 
 
 def in_unit_ball(q) -> bool:
-    return trop_frac(q).in_unit_ball()
+    """Is trop(num) <= trop(den)?  That is, do the numerator's exponents add no vertex?
+
+    trop(num) <= trop(den) means trop(num) + trop(den) == trop(den), and the
+    vertex set of a union does not change when a part is replaced by its own
+    vertex set.  So the numerator's support joins the denominator's vertices
+    directly: two extractions instead of the three that trop_frac and the
+    semiring sum take.
+    """
+    q = _as_rf(q)
+    den = trop_poly(q.den)
+    return VertexPoly(q.m, den.points + tuple(q.num.terms)) == den
 
 
 def is_unit(q) -> bool:

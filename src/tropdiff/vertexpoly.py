@@ -13,6 +13,11 @@ below p.  A point dominated coordinatewise can never be a vertex, so a cheap
 Pareto filter runs first and the simplex only sees the antichain that
 survives.
 
+The public constructor checks every point it is given with errors.exponent.
+The semiring operations build their results from vertex sets that were
+checked when they were made, so they extract with _vertices and check
+nothing again.
+
 staircase_vertices_2d answers the same question for m = 2 by a completely
 different route (staircase walk plus convex chain); the test suite holds the
 two routes against each other.
@@ -20,6 +25,7 @@ two routes against each other.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ZeroDenominator, exponent
@@ -42,8 +48,9 @@ def _pareto_minimal(points: set[Point]) -> list[Point]:
     return mins
 
 
-def _extract(m: int, points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
-    mins = _pareto_minimal(_validated_points(m, points))
+def _vertices(points: set[Point]) -> tuple[Point, ...]:
+    """Sorted vertex set of conv(points + R^m_{>=0}); the points are not checked."""
+    mins = _pareto_minimal(points)
     if len(mins) <= 2:
         return tuple(sorted(mins))
     kept = [p for p in mins if not covered([q for q in mins if q != p], p)]
@@ -59,7 +66,7 @@ class VertexPoly:
         if m < 1:
             raise ValueError("need at least one coordinate")
         self.m = m
-        self.points = _extract(m, points)
+        self.points = _vertices(_validated_points(m, points))
 
     @classmethod
     def _trusted(cls, m: int, points: tuple[Point, ...]) -> "VertexPoly":
@@ -101,14 +108,14 @@ class VertexPoly:
             return other
         if other.is_zero:
             return self
-        return VertexPoly(self.m, self.points + other.points)
+        return VertexPoly._trusted(self.m, _vertices({*self.points, *other.points}))
 
     def __mul__(self, other: "VertexPoly") -> "VertexPoly":
         if not isinstance(other, VertexPoly):
             return NotImplemented
         self._check(other)
-        pairs = [tuple(a + b for a, b in zip(p, q)) for p in self.points for q in other.points]
-        return VertexPoly(self.m, pairs)
+        sums = {tuple(map(operator.add, p, q)) for p in self.points for q in other.points}
+        return VertexPoly._trusted(self.m, _vertices(sums))
 
     def __pow__(self, k: int) -> "VertexPoly":
         """k-fold product: the vertices of conv(S) + ... + conv(S) = k conv(S) are k S."""

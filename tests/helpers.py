@@ -14,8 +14,11 @@ from tropdiff import (
     NotAMonomialOrder,
     QPoly,
     RationalFunction,
+    normalizer,
     order_validate,
+    substitution_poly,
     trop_poly,
+    tropw,
 )
 
 NONZERO = (-3, -2, -1, 1, 2, 3)
@@ -127,6 +130,30 @@ def _solve(matrix, rhs):
     for r in reversed(range(size)):
         x[r] = (aug[r][size] - sum(aug[r][c] * x[c] for c in range(r + 1, size))) / aug[r][r]
     return x
+
+
+def translate_by_plug(P, weights, kernel):
+    """Coefficients of translate(P, weights, kernel), by the first route taken.
+
+    Each monomial's substitution polynomials are multiplied into one plug,
+    starting from the constant 1 and one factor at a time, and the
+    coefficient is pref * c * plug with the plug as a rational function over 1.
+    Returns {monomial: coefficient}, without the monomials whose plug is zero.
+    """
+    value = tropw(P, weights)
+    if value.is_zero:
+        return {}
+    pref = normalizer(value)
+    out = {}
+    for mono, c in P.terms.items():
+        plug = QPoly.one(P.m)
+        for (i, J), p in mono.factors:
+            piece = substitution_poly(weights[i - 1], J, kernel)
+            for _ in range(p):
+                plug = plug * piece
+        if not plug.is_zero:
+            out[mono] = pref * c * RationalFunction(plug)
+    return out
 
 
 def matrix_order(rng, m):

@@ -29,6 +29,24 @@ PROBLEM_UFIRST = "tests/data/exp_problem_ufirst.json"
 TROP_GOLDEN = {"den": [[1, 0], [0, 1]], "num": [[1, 0]]}
 NEGATIVE_EXP = {"num": {"terms": [{"exp": [0, -1], "coeff": "1"}]}}
 NEGATIVE_J = [{"var": [1, [0, -1]], "pow": 1}]
+# where the running example's first factor and second coefficient sit in PROBLEM
+FACTOR = ["polynomials", 0, "poly", 0, "monomial", 0]
+COEFF = ["polynomials", 0, "poly", 1, "coeff"]
+
+
+def terms(*pairs):
+    """A coefficient object with the given (exponent, coeff) terms."""
+    return {"num": {"terms": [{"exp": e, "coeff": c} for e, c in pairs]}}
+
+
+# the running example at m = 1, so that a width read as true = 1 would fit it
+PROBLEM_M1 = {
+    "m": 1,
+    "polynomials": [
+        {"name": "P", "poly": [{"coeff": "t", "monomial": [{"var": [1, [1]], "pow": 1}]}]}
+    ],
+    "weight": [{"type": "full"}],
+}
 
 
 TRANSLATE_PRETTY = """\
@@ -420,6 +438,50 @@ class TestExitCodes:
         code, _, err = run(capsys, command, "--input", str(source))
         assert code == 2
         assert "SchemaError" in err and "nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "command, path, value",
+        [
+            ("tropw", ["m"], True),
+            ("tropw", ["n"], True),
+            ("prolong", ["prolong_bound"], True),
+            ("tropw", FACTOR + ["pow"], True),
+            ("tropw", FACTOR + ["var", 0], True),
+            ("tropw", FACTOR + ["var", 1, 0], True),
+            ("tropw", COEFF, terms(([True, 0], "-1"))),
+            ("tropw", COEFF, terms(([1, 0], "-1"), ([True, 0], "1"))),
+            ("tropw", COEFF, terms(([1, 0], True))),
+            ("tropw", COEFF, terms(([1, 0], -0.5))),
+            ("tropw", ["weight"], [{"type": "finite", "points": [[True, 0]]}]),
+            ("tropw", ["weight"], [{"type": "cofinite", "excluded": [[True, True]]}]),
+            ("initial", ["order"], {"type": "matrix", "rows": [[True, 0], [0, True]]}),
+            ("order-recover", ["pairs"], [[[True, 0], [0, 1]]]),
+        ],
+        ids=[
+            "m", "n", "prolong-bound", "pow", "variable-index", "multi-index", "exponent",
+            "exponent-on-a-used-key", "coeff-bool", "coeff-float", "weight-point",
+            "excluded-point", "matrix-row", "pair-exponent",
+        ],
+    )
+    def test_booleans_and_floats_are_schema_errors(self, capsys, tmp_path, command, path, value):
+        # json.loads reads true as a bool (an int subclass) and 0.5 as a float;
+        # neither is an exact integer or an exact coefficient
+        problem = dict(PROBLEM_M1) if path == ["m"] else json.loads(Path(PROBLEM).read_text())
+        target = problem
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        source = tmp_path / "inexact.json"
+        source.write_text(json.dumps(problem))
+        code, _, err = run(capsys, command, "--input", str(source))
+        assert code == 2
+        assert "SchemaError" in err
+
+    def test_float_coefficient_argument_is_a_schema_error(self, capsys):
+        term = {"exp": [1, 0], "coeff": 0.1}
+        code, _, err = run(capsys, "trop", json.dumps({"num": {"terms": [term]}}))
+        assert code == 2
+        assert "SchemaError" in err and "0.1" in err
 
     @pytest.mark.parametrize(
         "field, value",

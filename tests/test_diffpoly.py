@@ -57,6 +57,28 @@ class TestDiffMonomial:
     def test_mul(self):
         assert X((1, 0)) * X((1, 0)) == DiffMonomial([((1, (1, 0)), 2)])
 
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_mul_matches_the_public_constructor(self, m):
+        # * skips the constructor's checks, so its factors must already be
+        # what the constructor builds from the two factor lists together
+        rng = random.Random(97 + m)
+
+        def monomial():
+            return DiffMonomial(
+                [((rng.randint(1, 2), exponent(rng, m, 1)), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 3))]
+            )
+
+        shared = 0
+        for _ in range(200):
+            a, b = monomial(), monomial()
+            got = a * b
+            want = DiffMonomial(a.factors + b.factors)
+            assert got.factors == want.factors
+            assert got == want and hash(got) == hash(want)
+            shared += bool(dict(a.factors).keys() & dict(b.factors).keys())
+        assert shared
+
     def test_bump(self):
         sq = DiffMonomial([((1, (0, 0)), 2)])
         got = sq.bump(0, 1)

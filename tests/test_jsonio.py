@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import diffpoly, qpoly, rational, weight
+from helpers import diffpoly, matrix_order, qpoly, rational, weight
 from tropdiff import (
     BooleanWeight,
     DiffMonomial,
@@ -295,6 +295,45 @@ def _json_value(rng, depth):
         return [_json_value(rng, depth - 1) for _ in range(width)]
     keys = rng.sample(STRINGS + ("b", "a", "B", "aa", "10", "9"), width)
     return {key: _json_value(rng, depth - 1) for key in keys}
+
+
+def through_text(value):
+    """value as the CLI writes it and a JSON reader reads it back."""
+    return json.loads(dumps(value))
+
+
+@pytest.mark.parametrize("m", [3, 4], ids=["m3", "m4"])
+class TestRoundTripThroughText:
+    def test_polynomials_and_fractions(self, m):
+        rng = random.Random(141 + m)
+        for _ in range(40):
+            f = qpoly(rng, m)
+            assert qpoly_from(through_text(qpoly_json(f)), m).terms == f.terms
+            q = rational(rng, m)
+            back = rational_from(through_text(rational_json(q)), m)
+            assert (back.num.terms, back.den.terms) == (q.num.terms, q.den.terms)
+            back = rational_from(through_text(rational_json(q)))  # width read off the exponents
+            assert (back.num.terms, back.den.terms) == (q.num.terms, q.den.terms)
+
+    def test_differential_polynomials(self, m):
+        rng = random.Random(143 + m)
+        for _ in range(20):
+            n = rng.choice((1, 2))
+            P = diffpoly(rng, m, n)
+            back = diffpoly_from(through_text(diffpoly_json(P)), m, n)
+            assert back == P
+            assert diffpoly_json(back) == diffpoly_json(P)
+
+    def test_weights_and_orders(self, m):
+        rng = random.Random(145 + m)
+        for _ in range(40):
+            w = weight(rng, m)
+            assert weight_from(through_text(weight_json(w)), m) == w
+            order = matrix_order(rng, m)
+            assert order_from(through_text(order_json(order)), m) == order
+        for kind in ("lex", "grlex", "grevlex"):
+            order = order_standard(kind, m)
+            assert order_from(through_text(order_json(order)), m) == order
 
 
 class TestDumps:

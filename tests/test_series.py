@@ -119,6 +119,16 @@ class TestQPolyArithmetic:
                     assert h.terms == (f * QPoly.constant(m, c)).terms
             assert (f * 0).is_zero
 
+    def test_float_coefficients_rejected(self):
+        # Fraction(0.1) would keep the binary value 3602879701896397/2**55
+        with pytest.raises(ValueError, match="float"):
+            QPoly(2, {(1, 0): 0.1})
+        with pytest.raises(ValueError, match="float"):
+            QPoly.monomial((1, 0), 0.5)
+        with pytest.raises(ValueError, match="float"):
+            QPoly.constant(2, 0.5)
+        assert QPoly(2, {(1, 0): Fraction(1, 10)}).coeff((1, 0)) == Fraction(1, 10)
+
     def test_constant_checks_its_input(self):
         assert QPoly.constant(3, Fraction(1, 2)).terms == QPoly(3, {(0, 0, 0): Fraction(1, 2)}).terms
         assert QPoly.constant(2, 0).terms == QPoly(2, {(0, 0): 0}).terms == {}
@@ -255,6 +265,20 @@ class TestUnitBall:
         assert in_unit_ball(parse_rational("(t^2+t^5)/t", 1))
         assert not in_unit_ball(parse_rational("t/(t^2+t^5)", 1))
 
+    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+    def test_matches_the_vertex_fraction_route(self, m):
+        rng = random.Random(251 + m)
+        cases = [RationalFunction(QPoly.zero(m), qpoly(rng, m)), qpoly(rng, m)]
+        for _ in range(60):
+            cases.append(unit_ball_fraction(rng, m))
+            cases.append(rational(rng, m))
+        outcomes = set()
+        for q in cases:
+            want = trop_frac(q).in_unit_ball()
+            assert in_unit_ball(q) is want
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
     def test_units(self):
         assert is_unit(rf("(t+u)/(2*t+3*u)"))
         assert is_unit(rf("1/2"))
@@ -343,6 +367,17 @@ class TestResidue:
             for _ in range(100):
                 p = unit_ball_fraction(rng, 2)
                 q = unit_ball_fraction(rng, 2)
+                assert residue(p + q, order) == residue(p, order) + residue(q, order)
+                assert residue(p * q, order) == residue(p, order) * residue(q, order)
+
+    @pytest.mark.parametrize("m", [3, 4], ids=["m3", "m4"])
+    def test_ring_homomorphism_under_matrix_orders(self, m):
+        rng = random.Random(63 + m)
+        for _ in range(4):
+            order = matrix_order(rng, m)
+            for _ in range(12):
+                p = unit_ball_fraction(rng, m, max_terms=3, hi=3)
+                q = unit_ball_fraction(rng, m, max_terms=3, hi=3)
                 assert residue(p + q, order) == residue(p, order) + residue(q, order)
                 assert residue(p * q, order) == residue(p, order) * residue(q, order)
 

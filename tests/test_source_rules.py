@@ -1,0 +1,70 @@
+"""The package needs nothing outside the standard library and uses no floating point.
+
+Checked on the syntax tree of every module in src/tropdiff: an import must
+name a standard-library module or the package itself, and no float (or
+complex) literal and no float(...) call may appear.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import tropdiff
+
+PACKAGE = Path(tropdiff.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+ALLOWED = frozenset(sys.stdlib_module_names) | {"tropdiff"}
+
+
+def offences(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        found += [
+            f"line {node.lineno}: imports {name}"
+            for name in names
+            if name.split(".")[0] not in ALLOWED
+        ]
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"line {node.lineno}: literal {node.value!r}")
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append(f"line {node.lineno}: calls float()")
+    return found
+
+
+def test_every_module_is_checked():
+    assert PACKAGE.joinpath("__init__.py") in MODULES and len(MODULES) > 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_stdlib_only_and_exact(path):
+    assert offences(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_each_offence():
+    source = (
+        "import numpy\n"
+        "import os.path, sympy.core\n"
+        "from scipy import optimize\n"
+        "from . import series\n"
+        "from tropdiff.series import QPoly\n"
+        "half = 0.5\n"
+        "turn = 1j\n"
+        "x = float('1')\n"
+        "ok = isinstance(x, float)\n"
+    )
+    assert offences(source) == [
+        "line 1: imports numpy",
+        "line 2: imports sympy.core",
+        "line 3: imports scipy",
+        "line 6: literal 0.5",
+        "line 7: literal 1j",
+        "line 8: calls float()",
+    ]

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from helpers import diff_monomial, diffpoly, finite_weight, qpoly, same_as_public, weight
+from helpers import (
+    diff_monomial,
+    diffpoly,
+    finite_weight,
+    qpoly,
+    same_as_public,
+    translate_by_plug,
+    weight,
+)
 from tropdiff import (
     BooleanWeight,
     DiffMonomial,
@@ -310,6 +318,52 @@ class TestTrustedBuilds:
                 assert same_as_public(normalizer(value))
             assert same_as_public(translate(P, weights, kernel))
             assert same_as_public(initial_form(P, weights, order, kernel))
+
+
+def random_translation_case(rng, m):
+    n = rng.randint(1, 2)
+    weights = [weight(rng, m) for _ in range(n)]
+    return diffpoly(rng, m, n, max_terms=3), weights
+
+
+class TestTranslateOracles:
+    @pytest.mark.parametrize("kernel", [IND, FACT], ids=["indicator", "factorial"])
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_same_coefficients_as_the_plugged_product(self, m, kernel):
+        rng = random.Random(211 + m)
+        dropped = raised = 0
+        for _ in range(40):
+            P, weights = random_translation_case(rng, m)
+            got = translate(P, weights, kernel)
+            want = translate_by_plug(P, weights, kernel)
+            assert got.terms.keys() == want.keys()
+            for mono, c in want.items():
+                assert got.terms[mono].num.terms == c.num.terms
+                assert got.terms[mono].den.terms == c.den.terms
+            if want:
+                dropped += len(P.terms) - len(want)
+            raised += any(p > 1 for mono in want for _, p in mono.factors)
+        assert dropped and raised
+
+    @pytest.mark.parametrize("kernel", [IND, FACT], ids=["indicator", "factorial"])
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_value_is_the_contribution_over_tropw(self, m, kernel):
+        # trop is multiplicative, so the value of a translated coefficient is
+        # trop(c) times the factors' shifted-weight vertex sets, over tropw(P)
+        rng = random.Random(223 + m)
+        checked = 0
+        for _ in range(40):
+            P, weights = random_translation_case(rng, m)
+            value = tropw(P, weights)
+            for mono, moved in translate(P, weights, kernel).terms.items():
+                contribution = trop_frac(P.terms[mono])
+                num = contribution.num
+                for (i, J), p in mono.factors:
+                    num = num * weights[i - 1].shift(J).vertices() ** p
+                want = VertexFraction(num, contribution.den) * VertexFraction(value.den, value.num)
+                assert trop_frac(moved) == want
+                checked += 1
+        assert checked
 
 
 class TestGenerators:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import exponent
 from tropdiff import (
     DimensionMismatch,
     VertexFraction,
@@ -102,6 +103,33 @@ class TestSemiringOps:
     def test_mismatched_m(self):
         with pytest.raises(DimensionMismatch):
             vp((1, 0)) + VertexPoly(3, [(1, 0, 0)])
+
+
+class TestOpsAgainstTheConstructor:
+    # + and * extract without checking their points again; they must give what
+    # the checking constructor gives on the raw union and Minkowski sum
+    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+    def test_sum_and_product(self, m):
+        rng = random.Random(271 + m)
+        for _ in range(60):
+            A = [exponent(rng, m, 5) for _ in range(rng.randint(0, 5))]
+            B = [exponent(rng, m, 5) for _ in range(rng.randint(0, 5))]
+            a, b = VertexPoly(m, A), VertexPoly(m, B)
+            assert (a + b).points == VertexPoly(m, A + B).points
+            sums = [tuple(x + y for x, y in zip(p, q)) for p in A for q in B]
+            assert (a * b).points == VertexPoly(m, sums).points
+
+    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+    def test_constructor_still_checks_every_point(self, m):
+        good = (1,) * m
+        with pytest.raises(ValueError, match="nonnegative"):
+            VertexPoly(m, [good, (-1,) + (0,) * (m - 1)])
+        with pytest.raises(DimensionMismatch):
+            VertexPoly(m, [good, (0,) * (m + 1)])
+        with pytest.raises(ValueError, match="integers"):
+            VertexPoly(m, [good, (0.5,) + (0,) * (m - 1)])
+        with pytest.raises(ValueError, match="integers"):
+            VertexPoly(m, [good, (True,) + (0,) * (m - 1)])
 
 
 class TestSemiringLaws:
