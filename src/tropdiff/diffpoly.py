@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch, exponent, integers
+from .errors import DimensionMismatch, exponent, integers, width
 from .series import QPoly, RationalFunction, _summed
 
 Var = tuple[int, tuple[int, ...]]  # (unknown index from 1, derivative multi-index)
@@ -124,10 +124,8 @@ class DiffPoly:
         n: int,
         terms: Mapping[DiffMonomial, RationalFunction | QPoly | Fraction | int] | None = None,
     ):
-        if m < 1 or n < 1:
-            raise ValueError("need at least one variable and one unknown")
-        self.m = m
-        self.n = n
+        self.m = width(m)
+        self.n = width(n, "n")
         terms = terms or {}
         for mono in terms:
             for (i, J), _ in mono.factors:

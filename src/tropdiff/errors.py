@@ -5,6 +5,8 @@ which operator.index would read as 0 or 1, is refused like any non-integer.
 exponent() is the one exponent check: every point of N^m that enters the
 library (an exponent I of t^I, a multi-index J of x_{i,J}, a point of a
 weight) goes through it, so its sign and its width are checked in one place.
+width() is the one check of a width: the number m of t-variables and the
+number n of unknowns must each be an int of at least 1 wherever they enter.
 """
 
 import operator
@@ -30,6 +32,13 @@ def exponent(values: Iterable, m: int | None = None, what: str = "exponents") ->
     if m is not None and len(e) != m:
         raise DimensionMismatch(f"{what}: {e} does not have {m} coordinates")
     return e
+
+
+def width(m, what: str = "m") -> int:
+    """m when it is an int of at least 1; a bool, a float or a str is refused."""
+    if type(m) is int and m >= 1:
+        return m
+    raise ValueError(f"{what} must be a positive integer, got {m!r}")
 
 
 class TropdiffError(Exception):

@@ -20,12 +20,13 @@ like "t^2 - 1/2*u" is accepted too.
 
 Decoders check shape only: that a list, an object or a key is where the
 schema puts one.  The values inside go to the constructors, which check
-them (errors.exponent for every exponent and multi-index); a public decoder
-reports a constructor's ValueError or DimensionMismatch as a SchemaError.
-Three value checks stay here, because they concern what json.loads returns.
-A coefficient must be text or an int: json.loads reads 0.1 as a binary
-float, which is not 1/10.  m, n, pow and prolong_bound must be ints, and
-json.loads reads true and false as bools, which Python counts as ints.  And
+them (errors.exponent for every exponent and multi-index, errors.width for
+m and n); a public decoder reports a constructor's ValueError or
+DimensionMismatch as a SchemaError.  Three value checks stay here, because
+they concern what json.loads returns.  A coefficient must be text or an int:
+json.loads reads 0.1 as a binary float, which is not 1/10.  pow and
+prolong_bound must be ints, and json.loads reads true and false as bools,
+which Python counts as ints.  And
 qpoly_from checks each exponent before it merges repeated exponents in a
 dict, where [true, 0] would otherwise merge into the key [1, 0].
 """
@@ -39,8 +40,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .diffpoly import DiffMonomial, DiffPoly
-from .errors import DimensionMismatch, SchemaError, exponent
-from .orders import MonomialOrder, order_standard, order_validate
+from .errors import DimensionMismatch, SchemaError, exponent, width
+from .orders import _STANDARD_KINDS, MonomialOrder, order_standard, order_validate
 from .parsing import parse_poly, parse_rational
 from .series import QPoly, RationalFunction
 from .vertexpoly import VertexFraction, VertexPoly
@@ -122,7 +123,7 @@ def weight_json(w: BooleanWeight) -> dict:
 
 
 def order_json(order: MonomialOrder) -> dict:
-    if order.kind in ("lex", "grlex", "grevlex"):
+    if order.kind in _STANDARD_KINDS:
         return {"type": order.kind}
     return {"type": "matrix", "rows": [list(r) for r in order.rows]}
 
@@ -254,7 +255,7 @@ def order_from(obj: Any, m: int) -> MonomialOrder:
     if not isinstance(obj, dict) or "type" not in obj:
         raise SchemaError(f"order must be an object with a type, got {obj!r}")
     kind = obj["type"]
-    if kind in ("lex", "grlex", "grevlex"):
+    if kind in _STANDARD_KINDS:
         return order_standard(kind, m)
     if kind == "matrix":
         rows = obj.get("rows")
@@ -322,12 +323,8 @@ class ProblemFile:
 def problem_from(obj: Any) -> ProblemFile:
     if not isinstance(obj, dict):
         raise SchemaError("problem file must be a JSON object")
-    m = obj.get("m")
-    n = obj.get("n", 1)
-    if not _is_int(m) or m < 1:
-        raise SchemaError(f"m must be a positive integer, got {m!r}")
-    if not _is_int(n) or n < 1:
-        raise SchemaError(f"n must be a positive integer, got {n!r}")
+    m = width(obj.get("m"))
+    n = width(obj.get("n", 1), "n")
 
     polynomials: list[tuple[str, DiffPoly]] = []
     for entry in _listed(obj.get("polynomials", []), "polynomials"):

@@ -58,7 +58,7 @@ class MonomialOrder:
 
     def __init__(self, rows: Sequence[Sequence[int]], kind: str = "matrix"):
         rows = tuple(integers(row, "weight matrix entries") for row in rows)
-        if not rows or any(len(row) != len(rows[0]) for row in rows):
+        if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
             raise NotAMonomialOrder("weight matrix must be rectangular and nonempty")
         m = len(rows[0])
         for k in range(m):
@@ -113,8 +113,6 @@ def order_standard(kind: str, m: int) -> MonomialOrder:
     grlex    total degree, ties by lex
     grevlex  total degree, ties by larger earlier exponent first
     """
-    if m < 1:
-        raise NotAMonomialOrder("need at least one variable")
     unit = lambda k: tuple(1 if j == k else 0 for j in range(m))
     if kind == "lex":
         rows = [unit(k) for k in reversed(range(m))]

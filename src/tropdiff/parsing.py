@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeExponent, PolyParseError, UnknownVariable, ZeroDenominator
+from .errors import NegativeExponent, PolyParseError, UnknownVariable, ZeroDenominator, width
 from .series import QPoly, RationalFunction
 
 
@@ -162,7 +162,7 @@ def _parse(text: str, m: int | None, poly_mode: bool) -> RationalFunction:
     if m is None:
         seen = max((tok.value for tok in tokens if tok.kind == "var"), default=0)
         m = max(2, seen)
-    parser = _Parser(tokens, m, poly_mode)
+    parser = _Parser(tokens, width(m), poly_mode)
     value = parser.expr()
     tail = parser.peek()
     if tail.kind != "end":

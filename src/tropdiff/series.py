@@ -31,6 +31,7 @@ from .errors import (
     ZeroDenominator,
     ZeroTropicalValue,
     exponent,
+    width,
 )
 from .orders import EQ, GT, LT, MonomialOrder
 from .vertexpoly import VertexFraction, VertexPoly
@@ -60,11 +61,6 @@ def _coefficient(c) -> Fraction:
     return Fraction(c)
 
 
-def _check_width(m: int) -> None:
-    if m < 1:
-        raise ValueError("need at least one variable")
-
-
 def _var_names(m: int) -> tuple[str, ...]:
     if m == 1:
         return ("t",)
@@ -79,8 +75,7 @@ class QPoly:
     __slots__ = ("m", "terms")
 
     def __init__(self, m: int, terms: Mapping[Sequence[int], Fraction | int] | None = None):
-        _check_width(m)
-        self.m = m
+        self.m = width(m)
         self.terms = _summed(
             (exponent(e, m), _coefficient(c)) for e, c in (terms or {}).items()
         )
@@ -102,9 +97,8 @@ class QPoly:
 
     @classmethod
     def constant(cls, m: int, c) -> "QPoly":
-        _check_width(m)
         c = _coefficient(c)
-        return cls._trusted(m, {(0,) * m: c} if c else {})
+        return cls._trusted(width(m), {(0,) * m: c} if c else {})
 
     @classmethod
     def monomial(cls, exponent: Sequence[int], coeff=1) -> "QPoly":
@@ -135,9 +129,6 @@ class QPoly:
 
     def coeff(self, exponent: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exponent), _ZERO)
-
-    def support(self) -> set[Exponent]:
-        return set(self.terms)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, ZeroDenominator, exponent
+from .errors import DimensionMismatch, ZeroDenominator, exponent, width
 from .feasibility import covered
 
 Point = tuple[int, ...]
@@ -63,9 +63,7 @@ class VertexPoly:
     __slots__ = ("m", "points")
 
     def __init__(self, m: int, points: Iterable[Sequence[int]] = ()):
-        if m < 1:
-            raise ValueError("need at least one coordinate")
-        self.m = m
+        self.m = width(m)
         self.points = _vertices(_validated_points(m, points))
 
     @classmethod
@@ -77,16 +75,16 @@ class VertexPoly:
 
     @classmethod
     def zero(cls, m: int) -> "VertexPoly":
-        return cls._trusted(m, ())
+        return cls._trusted(width(m), ())
 
     @classmethod
     def one(cls, m: int) -> "VertexPoly":
-        return cls._trusted(m, ((0,) * m,))
+        return cls._trusted(width(m), ((0,) * m,))
 
     @classmethod
     def point(cls, e: Sequence[int]) -> "VertexPoly":
         p = exponent(e)
-        return cls._trusted(len(p), (p,))
+        return cls._trusted(width(len(p)), (p,))
 
     @property
     def is_zero(self) -> bool:
@@ -270,8 +268,7 @@ def omega_witness(n: int) -> VertexFraction:
     (n,n); the quotient grows strictly with n, so the ball has no maximal
     condition on chains.
     """
-    if n < 1:
-        raise ValueError("chain starts at n = 1")
+    width(n, "n")
     top = VertexPoly(2, [(2 * n + 1, 0), (0, 2 * n + 1)])
     bottom = VertexPoly(2, [(2 * n + 1, 0), (n, n), (0, 2 * n + 1)])
     return VertexFraction(top, bottom)

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import TropdiffError, exponent
+from .errors import TropdiffError, exponent, width
 from .series import QPoly
 from .vertexpoly import VertexPoly, _validated_points
 
@@ -39,15 +39,13 @@ class BooleanWeight:
     __slots__ = ("m", "kind", "data")
 
     def __init__(self, m: int, kind: str, data: frozenset[Point]):
-        if m < 1:
-            raise ValueError("need at least one coordinate")
         if kind == "cofinite" and not data:
             kind = "full"
         if kind == "full":
             data = frozenset()
         elif kind not in ("finite", "cofinite"):
             raise ValueError(f"unknown weight kind {kind!r}")
-        self.m = m
+        self.m = width(m)
         self.kind = kind
         self.data = data
 

@@ -477,6 +477,21 @@ class TestExitCodes:
         assert code == 2
         assert "SchemaError" in err
 
+    @pytest.mark.parametrize(
+        "key, value", [("m", 2.0), ("m", True), ("n", 0)], ids=["m-float", "m-bool", "n-0"]
+    )
+    def test_widths_that_are_not_positive_ints_are_schema_errors(
+        self, capsys, tmp_path, key, value
+    ):
+        problem = json.loads(Path(PROBLEM).read_text())
+        problem[key] = value
+        source = tmp_path / "width.json"
+        source.write_text(json.dumps(problem))
+        code, _, err = run(capsys, "tropw", "--input", str(source))
+        assert code == 2
+        assert "SchemaError" in err
+        assert f"{key} must be a positive integer, got {value!r}" in err
+
     def test_float_coefficient_argument_is_a_schema_error(self, capsys):
         term = {"exp": [1, 0], "coeff": 0.1}
         code, _, err = run(capsys, "trop", json.dumps({"num": {"terms": [term]}}))

@@ -137,6 +137,11 @@ class TestValidate:
         with pytest.raises(NotAMonomialOrder):
             order_validate([])
 
+    def test_no_columns(self):
+        # a row with no entries would make an order on N^0
+        with pytest.raises(NotAMonomialOrder, match="rectangular and nonempty"):
+            order_validate([[]])
+
 
 class TestOrderLaws:
     def all_orders(self, rng, m):

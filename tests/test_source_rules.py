@@ -1,8 +1,10 @@
-"""The package needs nothing outside the standard library and uses no floating point.
+"""The package needs nothing outside the standard library, uses no floating
+point, and has no check that python -O would strip.
 
 Checked on the syntax tree of every module in src/tropdiff: an import must
-name a standard-library module or the package itself, and no float (or
-complex) literal and no float(...) call may appear.
+name a standard-library module or the package itself, no float (or complex)
+literal and no float(...) call may appear, and there is no assert statement,
+wherever it sits (a line-based search misses `if c: assert x`).
 """
 
 import ast
@@ -36,6 +38,8 @@ def offences(source: str) -> list[str]:
             found.append(f"line {node.lineno}: literal {node.value!r}")
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
             found.append(f"line {node.lineno}: calls float()")
+        if isinstance(node, ast.Assert):
+            found.append(f"line {node.lineno}: assert")
     return found
 
 
@@ -59,6 +63,7 @@ def test_the_check_sees_each_offence():
         "turn = 1j\n"
         "x = float('1')\n"
         "ok = isinstance(x, float)\n"
+        "if x: assert x > 0\n"
     )
     assert offences(source) == [
         "line 1: imports numpy",
@@ -67,4 +72,5 @@ def test_the_check_sees_each_offence():
         "line 6: literal 0.5",
         "line 7: literal 1j",
         "line 8: calls float()",
+        "line 10: assert",
     ]

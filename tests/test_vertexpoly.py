@@ -64,6 +64,11 @@ class TestExtraction:
         with pytest.raises(ValueError, match="integers"):
             VertexPoly.point((2, 0.5))
 
+    def test_empty_point_rejected(self):
+        # a point with no coordinates would make a value of width 0
+        with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
+            VertexPoly.point([])
+
 
 class TestSemiringOps:
     def test_add_keeps_incomparable(self):

@@ -1,0 +1,54 @@
+"""Every constructor that takes a width refuses one that is not a positive int.
+
+errors.width is the one check: m (the number of t-variables) and n (the
+number of unknowns) must be ints of at least 1.  A bool is an int to Python
+but not a width, and 2.0 or "2" must not pass for 2.
+"""
+
+import re
+
+import pytest
+
+from tropdiff import (
+    BooleanWeight,
+    DiffPoly,
+    QPoly,
+    VertexFraction,
+    VertexPoly,
+    omega_witness,
+    parse_poly,
+    parse_rational,
+)
+
+# the BooleanWeight constructors are given no points: a point is checked
+# against m before the weight is built
+CONSTRUCTORS = {
+    "QPoly": lambda m: QPoly(m),
+    "QPoly.constant": lambda m: QPoly.constant(m, 3),
+    "VertexPoly": lambda m: VertexPoly(m),
+    "VertexPoly.zero": lambda m: VertexPoly.zero(m),
+    "VertexPoly.one": lambda m: VertexPoly.one(m),
+    "VertexFraction.zero": lambda m: VertexFraction.zero(m),
+    "VertexFraction.one": lambda m: VertexFraction.one(m),
+    "BooleanWeight.full": lambda m: BooleanWeight.full(m),
+    "BooleanWeight.finite": lambda m: BooleanWeight.finite(m, []),
+    "BooleanWeight.cofinite": lambda m: BooleanWeight.cofinite(m, []),
+    "DiffPoly-m": lambda m: DiffPoly(m, 1),
+    "DiffPoly-n": lambda n: DiffPoly(1, n),
+    "parse_poly": lambda m: parse_poly("1", m),
+    "parse_rational": lambda m: parse_rational("1", m),
+    "omega_witness": lambda n: omega_witness(n),
+}
+NOT_WIDTHS = [0, -1, True, 2.0, "2"]
+
+
+@pytest.mark.parametrize("value", NOT_WIDTHS, ids=repr)
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+def test_refuses_a_width_that_is_not_a_positive_int(build, value):
+    with pytest.raises(ValueError, match=re.escape(f"must be a positive integer, got {value!r}")):
+        build(value)
+
+
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+def test_accepts_width_one(build):
+    assert build(1) is not None
