@@ -6,6 +6,9 @@ json.dumps(value, sort_keys=True, indent=2); list order is fixed by contract
 (generators in input order, derivative indices graded, terms in display
 order), so identical input produces byte-identical output.
 
+Each invocation builds the parser of its own subcommand only; --help, no
+arguments and an unknown command build every subcommand's parser.
+
 Exit codes: 0 success, 2 parse or usage error, 3 domain error, 4 internal
 inconsistency.
 """
@@ -312,83 +315,77 @@ def cmd_selftest(args) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
+# An argument is (flags, add_argument keywords); a command is (name, help,
+# handler, arguments).  The parser is built from this table alone.
+_FORMAT = (("--format",), dict(
+    choices=("json", "pretty"), default="json",
+    help="output as canonical JSON (default) or human-readable text",
+))
+_NAMES = (("names",), dict(nargs="*", help="polynomial names to use (default: all)"))
+_PROBLEM = (("--input",), dict(required=True, help="problem file, - for stdin"))
+_BOUND = (("--bound",), dict(type=int, help="derivative bound override"))
+_KERNEL = (("--kernel",), dict(
+    choices=[k.value for k in SubstitutionKernel], help="substitution kernel override"
+))
 
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--format",
-        choices=("json", "pretty"),
-        default="json",
-        help="output as canonical JSON (default) or human-readable text",
-    )
+_COMMANDS = (
+    ("trop", "tropical value of a rational function", cmd_trop, (
+        _FORMAT,
+        (("expr",), dict(nargs="?", help="expression text such as 't1/(t1+t2)'")),
+        (("--input",), dict(help="read the expression or its JSON from a file, - for stdin")),
+        (("--m",), dict(type=int, help="number of variables (default: inferred, at least 2)")),
+    )),
+    ("tropw", "weighted tropical value of each polynomial", cmd_tropw,
+     (_FORMAT, _NAMES, _PROBLEM)),
+    ("translate", "translated derivatives up to the bound", cmd_translate,
+     (_FORMAT, _NAMES, _PROBLEM, _BOUND, _KERNEL)),
+    ("initial", "initial form generator set", cmd_initial,
+     (_FORMAT, _NAMES, _PROBLEM, _BOUND, _KERNEL)),
+    ("prolong", "derivatives up to the bound", cmd_prolong,
+     (_FORMAT, _NAMES, _PROBLEM, _BOUND)),
+    ("order-recover", "recover exponent comparisons from ideal membership", cmd_order_recover, (
+        _FORMAT,
+        (("--input",), dict(required=True, help="problem file with an order, - for stdin")),
+        (("--pairs",), dict(help="extra pairs as JSON, e.g. '[[[1,0],[0,1]]]'")),
+    )),
+    ("bezout", "smallest witness M for a pair", cmd_bezout, (
+        _FORMAT,
+        (("phi",), dict(help="first rational function")),
+        (("psi",), dict(help="second rational function (put -- before a leading minus)")),
+        (("--m",), dict(type=int, help="number of variables")),
+    )),
+    ("omega-chain", "strictly growing unit-ball values omega_1 .. omega_count", cmd_omega_chain,
+     (_FORMAT, (("--count",), dict(type=int, default=5, help="chain length (default 5)")))),
+    ("selftest", "run the built-in golden checks", cmd_selftest, ()),
+)
+_COMMAND_NAMES = [name for name, *_ in _COMMANDS]
 
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of only the command named."""
     parser = argparse.ArgumentParser(
         prog="tropdiff",
         description="Exact tropical computations for differential polynomials.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("trop", parents=[shared], help="tropical value of a rational function")
-    p.add_argument("expr", nargs="?", help="expression text such as 't1/(t1+t2)'")
-    p.add_argument("--input", help="read the expression or its JSON from a file, - for stdin")
-    p.add_argument("--m", type=int, help="number of variables (default: inferred, at least 2)")
-    p.set_defaults(func=cmd_trop)
-
-    def problem_command(name, help_text, func, bound=False, kernel=False):
-        q = sub.add_parser(name, parents=[shared], help=help_text)
-        q.add_argument("names", nargs="*", help="polynomial names to use (default: all)")
-        q.add_argument("--input", required=True, help="problem file, - for stdin")
-        if bound:
-            q.add_argument("--bound", type=int, help="derivative bound override")
-        if kernel:
-            q.add_argument(
-                "--kernel",
-                choices=[k.value for k in SubstitutionKernel],
-                help="substitution kernel override",
-            )
-        q.set_defaults(func=func)
-
-    problem_command("tropw", "weighted tropical value of each polynomial", cmd_tropw)
-    problem_command(
-        "translate", "translated derivatives up to the bound", cmd_translate,
-        bound=True, kernel=True,
-    )
-    problem_command(
-        "initial", "initial form generator set", cmd_initial, bound=True, kernel=True
-    )
-    problem_command("prolong", "derivatives up to the bound", cmd_prolong, bound=True)
-
-    p = sub.add_parser(
-        "order-recover",
-        parents=[shared],
-        help="recover exponent comparisons from ideal membership",
-    )
-    p.add_argument("--input", required=True, help="problem file with an order, - for stdin")
-    p.add_argument("--pairs", help="extra pairs as JSON, e.g. '[[[1,0],[0,1]]]'")
-    p.set_defaults(func=cmd_order_recover)
-
-    p = sub.add_parser("bezout", parents=[shared], help="smallest witness M for a pair")
-    p.add_argument("phi", help="first rational function")
-    p.add_argument("psi", help="second rational function (put -- before a leading minus)")
-    p.add_argument("--m", type=int, help="number of variables")
-    p.set_defaults(func=cmd_bezout)
-
-    p = sub.add_parser(
-        "omega-chain",
-        parents=[shared],
-        help="strictly growing unit-ball values omega_1 .. omega_count",
-    )
-    p.add_argument("--count", type=int, default=5, help="chain length (default 5)")
-    p.set_defaults(func=cmd_omega_chain)
-
-    p = sub.add_parser("selftest", help="run the built-in golden checks")
-    p.set_defaults(func=cmd_selftest)
-
+    # An "unrecognized arguments" error prints this parser's usage line, which
+    # must list every command either way.  Only the single-command parser sets
+    # the metavar, because it would also rename the command in the errors of
+    # the full parser (missing or unknown command), which this one never meets.
+    every = None if only is None else "{%s}" % ",".join(_COMMAND_NAMES)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name, help_text, func, arguments in _COMMANDS:
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # --help, no arguments and unknown commands need every command's parser
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMAND_NAMES else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

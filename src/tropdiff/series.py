@@ -183,6 +183,9 @@ class QPoly:
             raise ValueError("negative power of a polynomial")
         if k == 0:
             return QPoly.one(self.m)
+        if len(self.terms) == 1:  # (c t^e)^k = c^k t^(k e), with no products
+            [(e, c)] = self.terms.items()
+            return QPoly._trusted(self.m, {tuple(k * v for v in e): c**k})
         out = self
         for _ in range(k - 1):
             out = out * self

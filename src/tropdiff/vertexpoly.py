@@ -181,6 +181,15 @@ class VertexFraction:
         self.den = den
 
     @classmethod
+    def _trusted(cls, num: VertexPoly, den: VertexPoly) -> "VertexFraction":
+        """Results of +, * and **: VertexPoly's own products check m, and
+        products and powers of nonzero denominators are nonzero."""
+        out = object.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
+
+    @classmethod
     def zero(cls, m: int) -> "VertexFraction":
         return cls(VertexPoly.zero(m))
 
@@ -199,15 +208,17 @@ class VertexFraction:
     def __add__(self, other: "VertexFraction") -> "VertexFraction":
         if not isinstance(other, VertexFraction):
             return NotImplemented
-        return VertexFraction(self.num * other.den + other.num * self.den, self.den * other.den)
+        return VertexFraction._trusted(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
 
     def __mul__(self, other: "VertexFraction") -> "VertexFraction":
         if not isinstance(other, VertexFraction):
             return NotImplemented
-        return VertexFraction(self.num * other.num, self.den * other.den)
+        return VertexFraction._trusted(self.num * other.num, self.den * other.den)
 
     def __pow__(self, k: int) -> "VertexFraction":
-        return VertexFraction(self.num**k, self.den**k)
+        return VertexFraction._trusted(self.num**k, self.den**k)
 
     def __eq__(self, other):
         if not isinstance(other, VertexFraction):

@@ -600,3 +600,135 @@ class TestExitCodes:
         )
         assert done.returncode == 4, done.stderr
         assert "inconsistency" in done.stderr
+
+
+COMMANDS = [
+    "trop", "tropw", "translate", "initial", "prolong",
+    "order-recover", "bezout", "omega-chain", "selftest",
+]
+# each case runs against every command; where the option does not exist it is
+# an unknown option, which argparse reports through the top-level parser
+USAGE_CASES = {
+    "help": ["--help"],
+    "missing-required": [],
+    "bad-format": ["--format", "xml"],
+    "bad-kernel": ["--kernel", "nope"],
+    "non-int-bound": ["--bound", "x"],
+    "non-int-m": ["--m", "x"],
+    "non-int-count": ["--count", "x"],
+    "unknown-option": ["--input", PROBLEM, "--no-such-option"],
+    "extra-positionals": ["a", "b", "c"],
+}
+# captured from the full parser at COLUMNS=80 before the single-command parser
+# existed; they keep the full parser itself from drifting
+TOP_USAGE = """\
+usage: tropdiff [-h]
+                {trop,tropw,translate,initial,prolong,order-recover,bezout,omega-chain,selftest}
+                ...
+"""
+TOP_HELP = TOP_USAGE + """
+Exact tropical computations for differential polynomials.
+
+positional arguments:
+  {trop,tropw,translate,initial,prolong,order-recover,bezout,omega-chain,selftest}
+    trop                tropical value of a rational function
+    tropw               weighted tropical value of each polynomial
+    translate           translated derivatives up to the bound
+    initial             initial form generator set
+    prolong             derivatives up to the bound
+    order-recover       recover exponent comparisons from ideal membership
+    bezout              smallest witness M for a pair
+    omega-chain         strictly growing unit-ball values omega_1 ..
+                        omega_count
+    selftest            run the built-in golden checks
+
+options:
+  -h, --help            show this help message and exit
+"""
+UNKNOWN_COMMAND = TOP_USAGE + (
+    "tropdiff: error: argument command: invalid choice: 'nosuch' (choose from 'trop', "
+    "'tropw', 'translate', 'initial', 'prolong', 'order-recover', 'bezout', "
+    "'omega-chain', 'selftest')\n"
+)
+
+
+def parse(capsys, parser, argv):
+    """(exit code or parsed values, stdout, stderr) of one parse_args call."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+class TestParser:
+    def test_the_table_names_every_command(self):
+        from tropdiff import cli
+
+        assert cli._COMMAND_NAMES == COMMANDS
+
+    @pytest.mark.parametrize("case", USAGE_CASES)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_single_command_parser_matches_the_full_one(self, capsys, monkeypatch, command, case):
+        from tropdiff import cli
+
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, *USAGE_CASES[case]]
+        single = parse(capsys, cli._build_parser(command), argv)
+        assert single == parse(capsys, cli._build_parser(), argv)
+
+    @pytest.mark.parametrize(
+        "argv, only",
+        [(["tropw", "--help"], "tropw"), (["omega-chain"], "omega-chain"), (["--help"], None),
+         ([], None), (["nosuch"], None), (["--format", "json"], None), (["Tropw"], None)],
+    )
+    def test_main_builds_only_the_named_command(self, capsys, monkeypatch, argv, only):
+        from tropdiff import cli
+
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda name: built.append(name) or build(name))
+        main(argv)
+        assert built == [only]
+
+    def test_top_level_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, "--help") == (0, TOP_HELP, "")
+
+    def test_unknown_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, "nosuch") == (2, "", UNKNOWN_COMMAND)
+
+
+class TestEntryPoint:
+    """python -m tropdiff reads its arguments from sys.argv."""
+
+    @staticmethod
+    def module(*argv):
+        import tropdiff
+
+        src = str(Path(tropdiff.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+        return subprocess.run(
+            [sys.executable, "-m", "tropdiff", *argv], env=env, capture_output=True
+        )
+
+    @pytest.mark.parametrize("command", ["tropw", "initial"])
+    def test_same_bytes_as_main(self, capsys, command):
+        done = self.module(command, "--input", PROBLEM)
+        code, out, err = run(capsys, command, "--input", PROBLEM)
+        assert (done.returncode, done.stdout, done.stderr) == (0, out.encode(), b"")
+        assert code == 0 and err == ""
+
+    def test_no_arguments_is_a_usage_error(self):
+        done = self.module()
+        assert done.returncode == 2
+        assert done.stderr.decode() == (
+            TOP_USAGE + "tropdiff: error: the following arguments are required: command\n"
+        )
+
+    def test_help_is_success(self):
+        done = self.module("--help")
+        assert (done.returncode, done.stdout.decode()) == (0, TOP_HELP)

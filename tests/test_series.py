@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import NONZERO, matrix_order, qpoly, rational, same_as_public, unit_ball_fraction
+from helpers import (
+    NONZERO,
+    exponent,
+    matrix_order,
+    qpoly,
+    rational,
+    same_as_public,
+    unit_ball_fraction,
+)
 from tropdiff import (
     EQ,
     GT,
@@ -106,6 +114,30 @@ class TestQPolyArithmetic:
                 for h in (f + g, f - f, -f, f * g, f.deriv(J), f**2, f / 3, f + c, f * c):
                     assert same_as_public(h)
                 assert same_as_public(QPoly.constant(m, c))
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_one_term_powers_equal_repeated_products(self, m):
+        rng = random.Random(83 + m)
+        for _ in range(60):
+            c = rng.choice(NONZERO + (Fraction(rng.choice(NONZERO), rng.randint(2, 9)),))
+            f = QPoly(m, {exponent(rng, m): c})
+            expected = QPoly.one(m)
+            for k in range(6):
+                assert (f**k).terms == expected.terms
+                assert same_as_public(f**k)
+                expected = expected * f
+
+    def test_one_term_power_multiplies_nothing(self, monkeypatch):
+        # the old loop ran k - 1 products: 15 s for trop --m 2 't^1000000'
+        def refuse(self, other):
+            raise AssertionError("a one-term power must not multiply")
+
+        monkeypatch.setattr(QPoly, "__mul__", refuse)
+        k = 10**6
+        h = QPoly(2, {(1, 2): Fraction(-2, 3)}) ** k
+        [(e, c)] = h.terms.items()
+        assert e == (k, 2 * k) and (c.numerator, c.denominator) == (2**k, 3**k)
+        assert parse_rational("t^1000000", 2).num.terms == {(k, 0): 1}
 
     @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
     def test_scalar_product_scales_each_coefficient(self, m):

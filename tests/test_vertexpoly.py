@@ -137,6 +137,40 @@ class TestOpsAgainstTheConstructor:
             VertexPoly(m, [good, (True,) + (0,) * (m - 1)])
 
 
+    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+    def test_fraction_ops_build_what_the_constructor_accepts(self, m):
+        # VertexFraction's +, * and ** skip the constructor's checks
+        rng = random.Random(311 + m)
+
+        def vertex_set(least):
+            return VertexPoly(m, [exponent(rng, m, 4) for _ in range(rng.randint(least, 3))])
+
+        for _ in range(40):
+            x = VertexFraction(vertex_set(0), vertex_set(1))
+            y = VertexFraction(vertex_set(0), vertex_set(1))
+            k = rng.randrange(4)
+            for h, num, den in (
+                (x + y, x.num * y.den + y.num * x.den, x.den * y.den),
+                (x * y, x.num * y.num, x.den * y.den),
+                (x**k, x.num**k, x.den**k),
+            ):
+                public = VertexFraction(num, den)
+                assert (h.num.points, h.den.points) == (public.num.points, public.den.points)
+                assert h.num.m == h.den.m == m and not h.den.is_zero
+
+    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+    def test_fraction_constructor_still_checks(self, m):
+        one = VertexPoly.one(m)
+        with pytest.raises(DimensionMismatch):
+            VertexFraction(one, VertexPoly.one(m + 1))
+        with pytest.raises(ZeroDenominator):
+            VertexFraction(one, VertexPoly.zero(m))
+        with pytest.raises(DimensionMismatch):
+            VertexFraction.one(m) + VertexFraction.one(m + 1)
+        with pytest.raises(DimensionMismatch):
+            VertexFraction.one(m) * VertexFraction.one(m + 1)
+
+
 class TestSemiringLaws:
     def random_vp(self, rng, m=2):
         if rng.random() < 0.1:
