@@ -284,6 +284,7 @@ class DiffPoly:
 
 def multi_indices(m: int, bound: int) -> list[tuple[int, ...]]:
     """All J with |J| <= bound, graded, larger leading entries first."""
+    width(m)
     out: list[tuple[int, ...]] = []
     for d in range(bound + 1):
         level = [J for J in itertools.product(range(d + 1), repeat=m) if sum(J) == d]

@@ -104,7 +104,7 @@ def vertexfraction_json(vf: VertexFraction) -> dict:
 def qpoly_json(f: QPoly) -> dict:
     return {
         "terms": [
-            {"exp": list(e), "coeff": str(f.terms[e])} for e in sorted(f.terms)
+            {"exp": list(e), "coeff": text} for e, text in f.text_terms()
         ]
     }
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotAMonomialOrder, exponent, integers
+from .errors import NotAMonomialOrder, exponent, integers, width
 
 Exponent = tuple[int, ...]
 
@@ -113,6 +113,10 @@ def order_standard(kind: str, m: int) -> MonomialOrder:
     grlex    total degree, ties by lex
     grevlex  total degree, ties by larger earlier exponent first
     """
+    try:
+        width(m)
+    except ValueError as exc:
+        raise NotAMonomialOrder(str(exc)) from exc
     unit = lambda k: tuple(1 if j == k else 0 for j in range(m))
     if kind == "lex":
         rows = [unit(k) for k in reversed(range(m))]

@@ -1,12 +1,13 @@
 """Rational functions over Q in t1..tm and their tropical values.
 
-QPoly is a sparse exponent-to-coefficient map with exact Fraction
-coefficients; RationalFunction is a formal quotient of two QPoly, never
-reduced, with equality decided by cross-multiplication.  The tropical value
-of a polynomial is the vertex set of its support, and the value of a quotient
-is the corresponding vertex fraction.  Elements of tropical value <= 1 form
-the unit ball; the residue map, divisibility test, lifting witness and
-separating constants below all live there.
+QPoly is a sparse exponent-to-int map over one positive int denominator, in
+lowest terms, so its arithmetic runs on ints; a Fraction is made only where a
+coefficient leaves the class.  RationalFunction is a formal quotient of two
+QPoly, never reduced, with equality decided by cross-multiplication.  The
+tropical value of a polynomial is the vertex set of its support, and the value
+of a quotient is the corresponding vertex fraction.  Elements of tropical
+value <= 1 form the unit ball; the residue map, divisibility test, lifting
+witness and separating constants below all live there.
 Public constructors validate; _trusted only wraps results built from validated values.
 
 Every sparse sum, here and in DiffPoly, goes through _summed: values at equal
@@ -38,8 +39,6 @@ from .vertexpoly import VertexFraction, VertexPoly
 
 Exponent = tuple[int, ...]
 
-_ZERO = Fraction(0)
-
 
 def _summed(pairs: Iterable[tuple]) -> dict:
     """Sum the values per key in order, dropping a key once its sum is zero."""
@@ -61,6 +60,12 @@ def _coefficient(c) -> Fraction:
     return Fraction(c)
 
 
+def fraction_text(c: int, d: int) -> str:
+    """str(Fraction(c, d)) for d > 0, written without building the Fraction."""
+    g = math.gcd(c, d)
+    return str(c // g) if g == d else f"{c // g}/{d // g}"
+
+
 def _var_names(m: int) -> tuple[str, ...]:
     if m == 1:
         return ("t",)
@@ -70,22 +75,46 @@ def _var_names(m: int) -> tuple[str, ...]:
 
 
 class QPoly:
-    """Polynomial in m variables with rational coefficients, stored sparsely."""
+    """Polynomial in m variables with rational coefficients, stored sparsely.
 
-    __slots__ = ("m", "terms")
+    The coefficients are ints over one positive int denominator, in lowest
+    terms: no int is zero, the denominator shares no factor with all of them
+    at once, and the zero polynomial has denominator 1.  So each polynomial has
+    one representation, and arithmetic runs on ints with one gcd per result.
+    Fractions are made only where a value leaves the polynomial: coeff,
+    constant_value, terms, and the text of str and text_terms.
+    """
+
+    __slots__ = ("m", "_ints", "_den")
 
     def __init__(self, m: int, terms: Mapping[Sequence[int], Fraction | int] | None = None):
         self.m = width(m)
-        self.terms = _summed(
+        fractions = _summed(
             (exponent(e, m), _coefficient(c)) for e, c in (terms or {}).items()
         )
+        # over the lcm of the reduced denominators the numerators share no factor with it
+        den = math.lcm(*(c.denominator for c in fractions.values()))
+        self._ints = {e: c.numerator * (den // c.denominator) for e, c in fractions.items()}
+        self._den = den
 
     @classmethod
-    def _trusted(cls, m: int, terms: dict[Exponent, Fraction]) -> "QPoly":
+    def _trusted(cls, m: int, ints: dict[Exponent, int], den: int = 1) -> "QPoly":
+        """Wrap ints over den that are already in lowest terms."""
         out = object.__new__(cls)
         out.m = m
-        out.terms = terms
+        out._ints = ints
+        out._den = den
         return out
+
+    @classmethod
+    def _lowest(cls, m: int, ints: dict[Exponent, int], den: int) -> "QPoly":
+        """ints over den > 0, no int zero, divided by their common factor."""
+        if den != 1:
+            g = math.gcd(den, *ints.values())
+            if g != 1:
+                ints = {e: c // g for e, c in ints.items()}
+                den //= g
+        return cls._trusted(m, ints, den)
 
     @classmethod
     def zero(cls, m: int) -> "QPoly":
@@ -93,12 +122,12 @@ class QPoly:
 
     @classmethod
     def one(cls, m: int) -> "QPoly":
-        return cls.constant(m, 1)
+        return cls._trusted(width(m), {(0,) * m: 1})
 
     @classmethod
     def constant(cls, m: int, c) -> "QPoly":
         c = _coefficient(c)
-        return cls._trusted(width(m), {(0,) * m: c} if c else {})
+        return cls._trusted(width(m), {(0,) * m: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def monomial(cls, exponent: Sequence[int], coeff=1) -> "QPoly":
@@ -115,20 +144,31 @@ class QPoly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """Exponent -> Fraction coefficient, built anew on each read."""
+        den = self._den
+        return {e: Fraction(c, den) for e, c in self._ints.items()}
+
+    def text_terms(self) -> list[tuple[Exponent, str]]:
+        """(exponent, coefficient as str(Fraction) writes it), by increasing exponent."""
+        den = self._den
+        return [(e, fraction_text(self._ints[e], den)) for e in sorted(self._ints)]
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     @property
     def is_constant(self) -> bool:
-        return all(all(v == 0 for v in e) for e in self.terms)
+        return all(all(v == 0 for v in e) for e in self._ints)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return self.terms.get((0,) * self.m, _ZERO)
+        return Fraction(self._ints.get((0,) * self.m, 0), self._den)
 
     def coeff(self, exponent: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponent), _ZERO)
+        return Fraction(self._ints.get(tuple(exponent), 0), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -145,13 +185,23 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        pairs = itertools.chain(self.terms.items(), other.terms.items())
-        return QPoly._trusted(self.m, _summed(pairs))
+        da, db = self._den, other._den
+        if da == db:
+            pairs = itertools.chain(self._ints.items(), other._ints.items())
+            return QPoly._lowest(self.m, _summed(pairs), da)
+        # over the common denominator da * sa == db * sb
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        pairs = itertools.chain(
+            ((e, c * sa) for e, c in self._ints.items()),
+            ((e, c * sb) for e, c in other._ints.items()),
+        )
+        return QPoly._lowest(self.m, _summed(pairs), da * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly._trusted(self.m, {e: -c for e, c in self.terms.items()})
+        return QPoly._trusted(self.m, {e: -c for e, c in self._ints.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -162,19 +212,26 @@ class QPoly:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, p: int, q: int) -> "QPoly":
+        """self * p/q, for q > 0."""
+        if not p:
+            return QPoly._trusted(self.m, {})
+        return QPoly._lowest(self.m, {e: c * p for e, c in self._ints.items()}, self._den * q)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            scaled = {e: c * other for e, c in self.terms.items()} if other else {}
-            return QPoly._trusted(self.m, scaled)
+            return self._scaled(other.numerator, other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not (self._ints and other._ints):
+            return QPoly._trusted(self.m, {})
         products = (
             (tuple(map(operator.add, e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items()
-            for e2, c2 in other.terms.items()
+            for e1, c1 in self._ints.items()
+            for e2, c2 in other._ints.items()
         )
-        return QPoly._trusted(self.m, _summed(products))
+        return QPoly._lowest(self.m, _summed(products), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -183,9 +240,9 @@ class QPoly:
             raise ValueError("negative power of a polynomial")
         if k == 0:
             return QPoly.one(self.m)
-        if len(self.terms) == 1:  # (c t^e)^k = c^k t^(k e), with no products
-            [(e, c)] = self.terms.items()
-            return QPoly._trusted(self.m, {tuple(k * v for v in e): c**k})
+        if len(self._ints) == 1:  # (c/d t^e)^k = c^k/d^k t^(k e), already in lowest terms
+            [(e, c)] = self._ints.items()
+            return QPoly._trusted(self.m, {tuple(k * v for v in e): c**k}, self._den**k)
         out = self
         for _ in range(k - 1):
             out = out * self
@@ -195,7 +252,8 @@ class QPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDenominator("division by zero")
-            return QPoly._trusted(self.m, {e: c / other for e, c in self.terms.items()})
+            p, q = other.numerator, other.denominator
+            return self._scaled(q, p) if p > 0 else self._scaled(-q, -p)
         return NotImplemented
 
     # -- calculus ----------------------------------------------------------
@@ -208,13 +266,14 @@ class QPoly:
         """Iterated derivative d^J, exact falling-factorial coefficients."""
         J = exponent(J, self.m, "multi-index")
         # e -> e - J is injective, so no two terms meet
-        return QPoly._trusted(
+        return QPoly._lowest(
             self.m,
             {
                 tuple(map(operator.sub, e, J)): c * math.prod(map(math.perm, e, J))
-                for e, c in self.terms.items()
+                for e, c in self._ints.items()
                 if all(map(operator.ge, e, J))
             },
+            self._den,
         )
 
     # -- misc ---------------------------------------------------------------
@@ -224,26 +283,27 @@ class QPoly:
             other = QPoly.constant(self.m, other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self.m == other.m and self.terms == other.terms
+        return self.m == other.m and self._den == other._den and self._ints == other._ints
 
     __hash__ = None  # sparse dict payload; use support/coeff instead
 
     def __str__(self):
-        if not self.terms:
+        if not self._ints:
             return "0"
         names = _var_names(self.m)
+        den = self._den
         bits: list[str] = []
-        for exp in sorted(self.terms, reverse=True):
-            c = self.terms[exp]
+        for exp in sorted(self._ints, reverse=True):
+            c = self._ints[exp]
             mono = "*".join(
                 name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e
             )
             if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = fraction_text(abs(c), den)
+            elif abs(c) == den:
                 body = mono
             else:
-                body = f"{abs(c)}*{mono}"
+                body = f"{fraction_text(abs(c), den)}*{mono}"
             if not bits:
                 bits.append(body if c > 0 else f"-{body}")
             else:
@@ -375,7 +435,7 @@ class RationalFunction:
         num = str(self.num)
         if self.den == QPoly.one(self.m):
             return num
-        if len(self.num.terms) > 1:
+        if len(self.num._ints) > 1:
             num = f"({num})"
         den = str(self.den)
         # parens unless the denominator is a single bare factor, otherwise the
@@ -398,9 +458,15 @@ def _as_rf(q) -> RationalFunction:
 # -- tropicalization --------------------------------------------------------
 
 
+def _quotient_at(q: RationalFunction, e: Exponent) -> Fraction:
+    """q.num's coefficient at e over q.den's, for e in the support of q.den."""
+    num, den = q.num, q.den
+    return Fraction(num._ints.get(e, 0) * den._den, num._den * den._ints[e])
+
+
 def trop_poly(f: QPoly) -> VertexPoly:
     """Vertex set of the support; trop of the zero polynomial is 0."""
-    return VertexPoly(f.m, f.terms.keys())
+    return VertexPoly(f.m, f._ints.keys())
 
 
 def trop_frac(q) -> VertexFraction:
@@ -419,7 +485,7 @@ def in_unit_ball(q) -> bool:
     """
     q = _as_rf(q)
     den = trop_poly(q.den)
-    return VertexPoly(q.m, den.points + tuple(q.num.terms)) == den
+    return VertexPoly(q.m, den.points + tuple(q.num._ints)) == den
 
 
 def is_unit(q) -> bool:
@@ -468,8 +534,7 @@ def residue(q, order: MonomialOrder) -> Fraction:
         raise DimensionMismatch(f"order on m={order.m}, element has m={q.m}")
     if not in_unit_ball(q):
         raise NotInUnitBall(f"residue of {q} is undefined: tropical value exceeds 1")
-    base = order.min(q.den.terms.keys())
-    return q.num.coeff(base) / q.den.coeff(base)
+    return _quotient_at(q, order.min(q.den._ints.keys()))
 
 
 def max_ideal_member(q, order: MonomialOrder) -> bool:
@@ -517,6 +582,6 @@ def separating_constants(q) -> tuple[Fraction, ...]:
     if not value.in_unit_ball():
         raise NotInUnitBall(f"separating constants of {q} need tropical value <= 1")
     if value.absorbed_by(VertexFraction.one(q.m)):
-        return (_ZERO,)
+        return (Fraction(0),)
     vertices = sorted(trop_poly(q.den).points, reverse=True)
-    return tuple(q.num.coeff(v) / q.den.coeff(v) for v in vertices)
+    return tuple(_quotient_at(q, v) for v in vertices)

@@ -23,7 +23,6 @@ which ranges over all derivative multi-indices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .diffpoly import DiffPoly, prolong
@@ -43,7 +42,7 @@ def _check_weights(P: DiffPoly, weights: Sequence[BooleanWeight]):
 
 
 def _ones_poly(vp: VertexPoly) -> QPoly:
-    return QPoly._trusted(vp.m, dict.fromkeys(vp.points, Fraction(1)))
+    return QPoly._trusted(vp.m, dict.fromkeys(vp.points, 1))
 
 
 def tropw(P: DiffPoly, weights: Sequence[BooleanWeight]) -> VertexFraction:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import TropdiffError, exponent, width
@@ -95,7 +94,7 @@ class BooleanWeight:
         """The honest polynomial, available for finite supports only."""
         if self.kind != "finite":
             raise TropdiffError("only a finite weight is a polynomial")
-        return QPoly(self.m, {p: Fraction(1) for p in self.data})
+        return QPoly(self.m, dict.fromkeys(self.data, 1))
 
     def __eq__(self, other):
         if not isinstance(other, BooleanWeight):
@@ -131,10 +130,10 @@ def substitution_poly(
     """
     J = exponent(J, weight.m, "multi-index")
     vertices = weight.shift(J).vertices()
-    terms: dict[Point, Fraction] = {}
+    terms: dict[Point, int] = {}
     for p in vertices:
         c = 1
         if kernel is not SubstitutionKernel.INDICATOR:
             c = math.prod(math.perm(i + j, j) for i, j in zip(p, J))
-        terms[p] = Fraction(c)
+        terms[p] = c
     return QPoly._trusted(weight.m, terms)

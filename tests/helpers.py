@@ -5,6 +5,8 @@ acceptance suite fixes its own seeds.
 """
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 from tropdiff import (
@@ -20,6 +22,8 @@ from tropdiff import (
     trop_poly,
     tropw,
 )
+from tropdiff.errors import exponent as checked_exponent
+from tropdiff.series import _summed
 
 NONZERO = (-3, -2, -1, 1, 2, 3)
 
@@ -67,7 +71,7 @@ def same_as_public(x) -> bool:
     """Does x hold what the public constructors build from its own data?
 
     Library results skip those constructors' checks, so they must already be
-    canonical: Fraction coefficients, no zero terms, nonzero denominators.
+    canonical: polynomials in lowest terms, nonzero denominators.
     """
     if isinstance(x, DiffPoly):
         public = DiffPoly(x.m, x.n, x.terms)
@@ -81,9 +85,109 @@ def same_as_public(x) -> bool:
             and same_as_public(x.num)
             and same_as_public(x.den)
         )
-    return x.terms == QPoly(x.m, x.terms).terms and all(
-        isinstance(c, Fraction) for c in x.terms.values()
+    return canonical(x) and x.terms == QPoly(x.m, x.terms).terms
+
+
+def canonical(q: QPoly) -> bool:
+    """Is q in lowest terms?  Nonzero int coefficients over a positive int
+    denominator that shares no factor with all of them; 1 for the zero
+    polynomial, where the gcd is the denominator itself."""
+    ints, den = q._ints, q._den
+    return (
+        type(den) is int
+        and den > 0
+        and all(type(c) is int and c != 0 for c in ints.values())
+        and math.gcd(den, *ints.values()) == 1
     )
+
+
+class FractionQPoly:
+    """QPoly as it was with Fraction coefficients: exponent -> Fraction in terms.
+
+    The oracle for QPoly's int arithmetic: the same operation on the same
+    values must give the same terms.  RationalFunction._trusted accepts two of
+    these, so RationalFunction arithmetic runs on them unchanged.
+    """
+
+    __slots__ = ("m", "terms")
+
+    def __init__(self, m, terms):
+        self.m = m
+        self.terms = _summed((checked_exponent(e, m), Fraction(c)) for e, c in terms.items())
+
+    @classmethod
+    def of(cls, q: QPoly) -> "FractionQPoly":
+        return cls(q.m, q.terms)
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def _coerce(self, other):
+        if isinstance(other, FractionQPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionQPoly(self.m, {(0,) * self.m: other})
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        pairs = itertools.chain(self.terms.items(), other.terms.items())
+        return FractionQPoly(self.m, _summed(pairs))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQPoly(self.m, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            scaled = {e: c * other for e, c in self.terms.items()} if other else {}
+            return FractionQPoly(self.m, scaled)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        products = (
+            (tuple(map(operator.add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return FractionQPoly(self.m, _summed(products))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        out = FractionQPoly(self.m, {(0,) * self.m: 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __truediv__(self, other):
+        return FractionQPoly(self.m, {e: c / other for e, c in self.terms.items()})
+
+    def partial(self, k):
+        return self.deriv(tuple(1 if j == k else 0 for j in range(self.m)))
+
+    def deriv(self, J):
+        return FractionQPoly(
+            self.m,
+            {
+                tuple(map(operator.sub, e, J)): c * math.prod(map(math.perm, e, J))
+                for e, c in self.terms.items()
+                if all(map(operator.ge, e, J))
+            },
+        )
 
 
 def covered_by_bases(points, target) -> bool:

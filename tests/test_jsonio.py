@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from tropdiff import (
     BooleanWeight,
     DiffMonomial,
     DiffPoly,
+    QPoly,
     SchemaError,
     SubstitutionKernel,
     VertexFraction,
@@ -90,6 +92,22 @@ class TestQPolyRoundTrip:
     def test_zero_denominator_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="1/0"):
             qpoly_from({"terms": [{"exp": [1, 0], "coeff": "1/0"}]}, 2)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_coefficient_text_is_str_of_fraction(self, m):
+        # the text comes from series.fraction_text, never from a Fraction
+        rng = random.Random(167 + m)
+        for _ in range(60):
+            terms = {
+                tuple(rng.randrange(4) for _ in range(m)): Fraction(
+                    rng.choice((-1, 1)) * rng.randint(0, 2**70), rng.choice((1, 2, 6, 2**65 + 3))
+                )
+                for _ in range(rng.randint(1, 4))
+            }
+            f = QPoly(m, terms)
+            assert qpoly_json(f) == {
+                "terms": [{"exp": list(e), "coeff": str(c)} for e, c in sorted(f.terms.items())]
+            }
 
     def test_rejects_a_nested_exponent_entry(self):
         with pytest.raises(SchemaError):

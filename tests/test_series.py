@@ -5,6 +5,8 @@ import pytest
 
 from helpers import (
     NONZERO,
+    FractionQPoly,
+    canonical,
     exponent,
     matrix_order,
     qpoly,
@@ -40,6 +42,7 @@ from tropdiff import (
     trop_frac,
     trop_poly,
 )
+from tropdiff.series import fraction_text
 
 T_LEX = order_standard("lex", 2)
 U_LEX = order_validate([[1, 0], [0, 1]])  # u smallest
@@ -509,3 +512,145 @@ class TestSeparatingConstants:
             for alpha in separating_constants(q):
                 product = product * (q - alpha)
             assert trop_frac(product).absorbed_by(one)
+
+
+def fraction_qpoly(rng, m, max_terms=4, hi=4):
+    """Random nonzero polynomial whose coefficients have assorted denominators."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            c = Fraction(rng.choice(NONZERO) * rng.randint(1, 9), rng.randint(1, 12))
+            terms[exponent(rng, m, hi)] = c
+        f = QPoly(m, terms)
+        if not f.is_zero:
+            return f
+
+
+def scalars(rng):
+    return (
+        rng.choice(NONZERO),
+        Fraction(rng.choice(NONZERO), rng.randint(2, 12)),
+        -Fraction(rng.randint(1, 9), rng.randint(2, 12)),
+        0,
+        Fraction(0),
+    )
+
+
+class TestAgainstFractionOracle:
+    """QPoly's int arithmetic gives the terms of the Fraction arithmetic it replaced,
+    and every result is in lowest terms."""
+
+    def check(self, got, want):
+        assert canonical(got)
+        assert got.terms == want.terms
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_ring_operations(self, m):
+        rng = random.Random(137 + m)
+        for _ in range(60):
+            f, g = fraction_qpoly(rng, m), fraction_qpoly(rng, m)
+            F, G = FractionQPoly.of(f), FractionQPoly.of(g)
+            for op in (
+                lambda a, b: a + b,
+                lambda a, b: a - b,
+                lambda a, b: b - a,
+                lambda a, b: a - a,
+                lambda a, b: -a,
+                lambda a, b: a * b,
+                lambda a, b: a * (a - a),
+                lambda a, b: (a + b) * (a - b),
+            ):
+                self.check(op(f, g), op(F, G))
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_scalars_on_both_sides(self, m):
+        rng = random.Random(139 + m)
+        for _ in range(60):
+            f = fraction_qpoly(rng, m)
+            F = FractionQPoly.of(f)
+            for c in scalars(rng):
+                for op in (
+                    lambda a: a * c,
+                    lambda a: c * a,
+                    lambda a: a + c,
+                    lambda a: c + a,
+                    lambda a: a - c,
+                    lambda a: c - a,
+                ):
+                    self.check(op(f), op(F))
+                if c:
+                    self.check(f / c, F / c)
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_powers(self, m):
+        rng = random.Random(149 + m)
+        for _ in range(30):
+            multi = fraction_qpoly(rng, m, hi=2)
+            single = QPoly(m, {exponent(rng, m): scalars(rng)[rng.randrange(3)]})
+            for f in (single, multi):
+                for k in range(5):
+                    self.check(f**k, FractionQPoly.of(f) ** k)
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_derivatives(self, m):
+        rng = random.Random(151 + m)
+        for _ in range(60):
+            f = fraction_qpoly(rng, m)
+            F = FractionQPoly.of(f)
+            J = exponent(rng, m, 3)
+            self.check(f.deriv(J), F.deriv(J))
+            for k in range(m):
+                self.check(f.partial(k), F.partial(k))
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_rational_function_arithmetic(self, m):
+        # RationalFunction never reduces, so both give the same num and den
+        def oracle(p):
+            return RationalFunction._trusted(FractionQPoly.of(p.num), FractionQPoly.of(p.den))
+
+        rng = random.Random(157 + m)
+        for _ in range(40):
+            p = RationalFunction(fraction_qpoly(rng, m, 3), fraction_qpoly(rng, m, 3))
+            q = RationalFunction(fraction_qpoly(rng, m, 3), fraction_qpoly(rng, m, 3))
+            P, Q = oracle(p), oracle(q)
+            for op in (
+                lambda a, b: a + b,
+                lambda a, b: a - b,
+                lambda a, b: a * b,
+                lambda a, b: a / b,
+                lambda a, b: a.partial(0),
+                lambda a, b: b.partial(m - 1),
+                lambda a, b: (a * b).partial(0),
+            ):
+                got, want = op(p, q), op(P, Q)
+                self.check(got.num, want.num)
+                self.check(got.den, want.den)
+
+    def test_public_constructors_build_lowest_terms(self):
+        assert canonical(QPoly(2, {(1, 0): Fraction(2, 6), (0, 1): Fraction(-4, 9)}))
+        assert canonical(QPoly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 2)}) * 0)
+        assert canonical(QPoly(2, {(1, 0): Fraction(3, 2), (0, 0): 0, (0, 1): 3}))
+        assert canonical(QPoly.constant(3, Fraction(-10, 4)))
+        assert canonical(QPoly.constant(3, 0))
+
+
+class TestFractionText:
+    """The coefficient text that jsonio writes is str(Fraction), byte for byte."""
+
+    def test_seeded_values(self):
+        rng = random.Random(163)
+        pairs = [(0, 1), (0, 7), (5, 1), (-5, 1), (6, 4), (-6, 4)]
+        pairs += [(2**64 + 1, 1), (-(2**70), 2**66)]
+        for _ in range(300):
+            c = rng.randint(-(2**80), 2**80)
+            d = rng.choice((1, rng.randint(1, 50), rng.randint(2**64, 2**72)))
+            g = rng.randint(1, 30)
+            pairs += [(c, d), (c * g, d * g)]
+        for c, d in pairs:
+            assert fraction_text(c, d) == str(Fraction(c, d))
+
+    def test_one_coefficient_sharing_a_factor_with_the_denominator(self):
+        # stored as 1*t + 2*u over 6: the u coefficient is 2/6, written 1/3
+        f = QPoly(2, {(1, 0): Fraction(1, 6), (0, 1): Fraction(1, 3)})
+        assert f.text_terms() == [((0, 1), "1/3"), ((1, 0), "1/6")]
+        assert [text for _, text in f.text_terms()] == [str(c) for _, c in sorted(f.terms.items())]

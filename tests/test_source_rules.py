@@ -5,6 +5,10 @@ Checked on the syntax tree of every module in src/tropdiff: an import must
 name a standard-library module or the package itself, no float (or complex)
 literal and no float(...) call may appear, and there is no assert statement,
 wherever it sits (a line-based search misses `if c: assert x`).
+
+QPoly's integer representation is private to series: no other module names
+one of its fields, as an attribute or as a string (getattr).  The field
+names are read from QPoly itself, so renaming them keeps the rule in force.
 """
 
 import ast
@@ -14,10 +18,12 @@ from pathlib import Path
 import pytest
 
 import tropdiff
+from tropdiff import QPoly
 
 PACKAGE = Path(tropdiff.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 ALLOWED = frozenset(sys.stdlib_module_names) | {"tropdiff"}
+QPOLY_FIELDS = frozenset(QPoly.__slots__) - {"m"}
 
 
 def offences(source: str) -> list[str]:
@@ -73,4 +79,42 @@ def test_the_check_sees_each_offence():
         "line 7: literal 1j",
         "line 8: calls float()",
         "line 10: assert",
+    ]
+
+
+def field_reads(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in QPOLY_FIELDS:
+            found.append((node.lineno, name))
+    return [f"line {line}: names QPoly field {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "series.py"], ids=lambda p: p.name
+)
+def test_only_series_reads_the_qpoly_fields(path):
+    assert field_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_field_rule_sees_each_read():
+    assert QPOLY_FIELDS and field_reads(PACKAGE.joinpath("series.py").read_text(encoding="utf-8"))
+    first, second = sorted(QPOLY_FIELDS)[:2]
+    source = (
+        f"def f(q):\n"
+        f"    a = q.{first}\n"
+        f"    b = getattr(q, {second!r})\n"
+        f"    q.{second} = 1\n"
+        f"    return q.terms, q.m, q.coeff((0, 0))\n"
+    )
+    assert field_reads(source) == [
+        f"line 2: names QPoly field {first}",
+        f"line 3: names QPoly field {second}",
+        f"line 4: names QPoly field {second}",
     ]

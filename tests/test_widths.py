@@ -12,10 +12,13 @@ import pytest
 from tropdiff import (
     BooleanWeight,
     DiffPoly,
+    NotAMonomialOrder,
     QPoly,
     VertexFraction,
     VertexPoly,
+    multi_indices,
     omega_witness,
+    order_standard,
     parse_poly,
     parse_rational,
 )
@@ -52,3 +55,23 @@ def test_refuses_a_width_that_is_not_a_positive_int(build, value):
 @pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
 def test_accepts_width_one(build):
     assert build(1) is not None
+
+
+# order_standard reports a bad width as the order it cannot build
+@pytest.mark.parametrize("value", NOT_WIDTHS, ids=repr)
+@pytest.mark.parametrize("kind", ["lex", "grlex", "grevlex"])
+def test_order_standard_refuses_a_width_that_is_not_a_positive_int(kind, value):
+    message = re.escape(f"must be a positive integer, got {value!r}")
+    with pytest.raises(NotAMonomialOrder, match=message):
+        order_standard(kind, value)
+
+
+@pytest.mark.parametrize("value", NOT_WIDTHS, ids=repr)
+def test_multi_indices_refuses_a_width_that_is_not_a_positive_int(value):
+    with pytest.raises(ValueError, match=re.escape(f"must be a positive integer, got {value!r}")):
+        multi_indices(value, 1)
+
+
+def test_order_standard_and_multi_indices_accept_width_one():
+    assert order_standard("grlex", 1).m == 1
+    assert multi_indices(1, 2) == [(0,), (1,), (2,)]
