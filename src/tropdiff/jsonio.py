@@ -4,16 +4,24 @@ Encodings are canonical: points and terms are emitted in sorted order, so a
 value always serializes to the same bytes and re-parses to an equal value.
 dumps is the one writer of those bytes: it writes exactly what
 json.dumps(value, sort_keys=True, indent=2) writes, without the pure-Python
-encoder that json.dumps falls back to when it indents.
+encoder that json.dumps falls back to when it indents.  Besides str, int,
+list and dict it writes three library values in place, straight from their
+data, so no dict is built per term of a coefficient:
 
     VertexPoly        sorted list of exponent lists, zero is []
     VertexFraction    {"num": ..., "den": ...}
     QPoly             {"terms": [{"exp": [...], "coeff": "p/q"}, ...]}
     RationalFunction  {"num": <qpoly>, "den": <qpoly>}
+    DiffMonomial      [{"var": [i, [J]], "pow": p}, ...]
     BooleanWeight     {"type": "full"} | {"type": "finite", "points": ...}
                       | {"type": "cofinite", "excluded": ...}
     MonomialOrder     {"type": "lex"|"grlex"|"grevlex"} | {"type": "matrix", "rows": ...}
-    DiffPoly          [{"coeff": ..., "monomial": [{"var": [i, [J]], "pow": p}, ...]}, ...]
+    DiffPoly          [{"coeff": <rational>, "monomial": <monomial>}, ...]
+
+The encoders return values that dumps writes: diffpoly_json's entries hold
+the RationalFunction and the DiffMonomial themselves, the other encoders
+plain lists and dicts.  json.loads(dumps(v)) gives plain objects in every
+case, and those are what the decoders read.
 
 Wherever a QPoly or RationalFunction is expected on input, expression text
 like "t^2 - 1/2*u" is accepted too.
@@ -37,7 +45,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .diffpoly import DiffMonomial, DiffPoly
 from .errors import DimensionMismatch, SchemaError, exponent, width
@@ -54,8 +62,9 @@ from .weights import BooleanWeight, SubstitutionKernel
 def dumps(value: Any) -> str:
     """value as the bytes of json.dumps(value, sort_keys=True, indent=2).
 
-    Only str, int, list and dict (with str keys) are written; any other type,
-    bool, None, float and tuple included, is a TypeError.
+    Written are str, int, list and dict (with str keys), and QPoly,
+    RationalFunction and DiffMonomial as the module docstring encodes them;
+    any other type, bool, None, float and tuple included, is a TypeError.
     """
     return _write(value, "\n")
 
@@ -68,15 +77,12 @@ def _write(value: Any, newline: str) -> str:
         return int.__repr__(value)
     inner = newline + "  "
     if kind is list:
-        if not value:
-            return "[]"
         for item in value:
             if type(item) is not int:
                 body = [_write(item, inner) for item in value]
-                break
-        else:  # a list of plain ints, the common leaf, skips the recursion
-            body = map(int.__repr__, value)
-        return "[" + inner + ("," + inner).join(body) + newline + "]"
+                return "[" + inner + ("," + inner).join(body) + newline + "]"
+        # a list of plain ints, the common leaf, skips the recursion
+        return _int_list(value, newline)
     if kind is dict:
         if not value:
             return "{}"
@@ -86,7 +92,52 @@ def _write(value: Any, newline: str) -> str:
             for key in sorted(value)
         ]
         return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if kind is QPoly:
+        return _qpoly_text(value, newline)
+    if kind is RationalFunction:
+        den = _qpoly_text(value.den, inner)
+        num = _qpoly_text(value.num, inner)
+        return "{" + inner + '"den": ' + den + "," + inner + '"num": ' + num + newline + "}"
+    if kind is DiffMonomial:
+        return _monomial_text(value, newline)
     raise TypeError(f"cannot write {kind.__name__} as JSON: {value!r}")
+
+
+def _qpoly_text(f: QPoly, newline: str) -> str:
+    """{"terms": [{"coeff": ..., "exp": [...]}, ...]} at this indent."""
+    inner = newline + "  "
+    if f.is_zero:
+        return "{" + inner + '"terms": []' + newline + "}"
+    item = inner + "  "
+    key = item + "  "
+    # a coefficient's text has only digits, "-" and "/", which JSON writes as they are
+    body = ("," + item).join(
+        f'{{{key}"coeff": "{text}",{key}"exp": {_int_list(e, key)}{item}}}'
+        for e, text in f.text_terms()
+    )
+    return "{" + inner + '"terms": [' + item + body + inner + "]" + newline + "}"
+
+
+def _monomial_text(mono: DiffMonomial, newline: str) -> str:
+    """[{"pow": p, "var": [i, [J]]}, ...] at this indent; the constant monomial is []."""
+    if not mono.factors:
+        return "[]"
+    item = newline + "  "
+    key = item + "  "
+    entry = key + "  "
+    body = ("," + item).join(
+        f'{{{key}"pow": {p!r},{key}"var": [{entry}{i!r},{entry}{_int_list(J, entry)}{key}]{item}}}'
+        for (i, J), p in mono.factors
+    )
+    return "[" + item + body + newline + "]"
+
+
+def _int_list(values: Sequence[int], newline: str) -> str:
+    """Plain ints, checked by the caller or built by the library, at this indent."""
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, values)) + newline + "]"
 
 
 # -- encoders ----------------------------------------------------------------
@@ -99,18 +150,6 @@ def vertexpoly_json(vp: VertexPoly) -> list:
 
 def vertexfraction_json(vf: VertexFraction) -> dict:
     return {"num": vertexpoly_json(vf.num), "den": vertexpoly_json(vf.den)}
-
-
-def qpoly_json(f: QPoly) -> dict:
-    return {
-        "terms": [
-            {"exp": list(e), "coeff": text} for e, text in f.text_terms()
-        ]
-    }
-
-
-def rational_json(q: RationalFunction) -> dict:
-    return {"num": qpoly_json(q.num), "den": qpoly_json(q.den)}
 
 
 def weight_json(w: BooleanWeight) -> dict:
@@ -128,16 +167,9 @@ def order_json(order: MonomialOrder) -> dict:
     return {"type": "matrix", "rows": [list(r) for r in order.rows]}
 
 
-def diffmonomial_json(mono: DiffMonomial) -> list:
-    return [{"var": [i, list(J)], "pow": p} for (i, J), p in mono.factors]
-
-
 def diffpoly_json(P: DiffPoly) -> list:
     ordered = sorted(P.terms, key=lambda E: (E.total_degree, E.factors), reverse=True)
-    return [
-        {"coeff": rational_json(P.terms[mono]), "monomial": diffmonomial_json(mono)}
-        for mono in ordered
-    ]
+    return [{"coeff": P.terms[mono], "monomial": mono} for mono in ordered]
 
 
 # -- decoders ----------------------------------------------------------------

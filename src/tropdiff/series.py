@@ -66,6 +66,12 @@ def fraction_text(c: int, d: int) -> str:
     return str(c // g) if g == d else f"{c // g}/{d // g}"
 
 
+def _check_power(k) -> None:
+    """Refuse a power that is not an int: a float, a bool or a str."""
+    if type(k) is not int:
+        raise ValueError(f"power must be an integer, got {k!r}")
+
+
 def _var_names(m: int) -> tuple[str, ...]:
     if m == 1:
         return ("t",)
@@ -236,6 +242,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        _check_power(k)
         if k < 0:
             raise ValueError("negative power of a polynomial")
         if k == 0:
@@ -260,6 +267,8 @@ class QPoly:
 
     def partial(self, k: int) -> "QPoly":
         """Derivative with respect to the k-th variable, 0-indexed."""
+        if type(k) is not int or not 0 <= k < self.m:
+            raise ValueError(f"direction must be an int in 0..{self.m - 1}, got {k!r}")
         return self.deriv(tuple(1 if j == k else 0 for j in range(self.m)))
 
     def deriv(self, J: Sequence[int]) -> "QPoly":
@@ -402,6 +411,7 @@ class RationalFunction:
         return RationalFunction._trusted(self.num * other.den, self.den * other.num)
 
     def __pow__(self, k: int):
+        _check_power(k)
         if k < 0:
             return RationalFunction(self.den, self.num) ** (-k)
         return RationalFunction._trusted(self.num**k, self.den**k)

@@ -260,6 +260,40 @@ def translate_by_plug(P, weights, kernel):
     return out
 
 
+# -- the trees jsonio.dumps writes library values as --------------------------
+
+
+def qpoly_json(f):
+    return {"terms": [{"exp": list(e), "coeff": text} for e, text in f.text_terms()]}
+
+
+def rational_json(q):
+    return {"num": qpoly_json(q.num), "den": qpoly_json(q.den)}
+
+
+def diffmonomial_json(mono):
+    return [{"var": [i, list(J)], "pow": p} for (i, J), p in mono.factors]
+
+
+def json_tree(value):
+    """value with every QPoly, RationalFunction and DiffMonomial in it as plain dicts and lists.
+
+    json.dumps(json_tree(v), sort_keys=True, indent=2) is what jsonio.dumps(v)
+    must write, and json_tree(v) is what json.loads(jsonio.dumps(v)) must read.
+    """
+    if isinstance(value, QPoly):
+        return qpoly_json(value)
+    if isinstance(value, RationalFunction):
+        return rational_json(value)
+    if isinstance(value, DiffMonomial):
+        return diffmonomial_json(value)
+    if isinstance(value, list):
+        return [json_tree(item) for item in value]
+    if isinstance(value, dict):
+        return {key: json_tree(item) for key, item in value.items()}
+    return value
+
+
 def matrix_order(rng, m):
     """Random validated full-rank matrix order (first row positive)."""
     while True:

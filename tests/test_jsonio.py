@@ -4,12 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import diffpoly, matrix_order, qpoly, rational, weight
+from helpers import (
+    diff_monomial,
+    diffpoly,
+    json_tree,
+    matrix_order,
+    qpoly,
+    qpoly_json,
+    rational,
+    rational_json,
+    weight,
+)
 from tropdiff import (
     BooleanWeight,
     DiffMonomial,
     DiffPoly,
     QPoly,
+    RationalFunction,
     SchemaError,
     SubstitutionKernel,
     VertexFraction,
@@ -19,6 +30,7 @@ from tropdiff import (
     parse_poly,
     parse_rational,
 )
+from tropdiff import jsonio
 from tropdiff.jsonio import (
     diffpoly_from,
     dumps,
@@ -27,9 +39,7 @@ from tropdiff.jsonio import (
     order_json,
     problem_from,
     qpoly_from,
-    qpoly_json,
     rational_from,
-    rational_json,
     vertexfraction_json,
     vertexpoly_json,
     weight_from,
@@ -205,7 +215,7 @@ class TestOrderRoundTrip:
 class TestDiffPolyRoundTrip:
     def test_shape(self):
         P = DiffPoly(2, 1, {DiffMonomial.var(1, (1, 1)): 1})
-        assert diffpoly_json(P) == [
+        assert json_tree(diffpoly_json(P)) == [
             {
                 "coeff": {
                     "num": {"terms": [{"exp": [0, 0], "coeff": "1"}]},
@@ -220,7 +230,7 @@ class TestDiffPolyRoundTrip:
         for _ in range(100):
             n = rng.choice((1, 2))
             P = diffpoly(rng, 2, n)
-            assert diffpoly_from(diffpoly_json(P), 2, n) == P
+            assert diffpoly_from(through_text(diffpoly_json(P)), 2, n) == P
 
     def test_pow_defaults_to_one(self):
         got = diffpoly_from(
@@ -326,11 +336,11 @@ class TestRoundTripThroughText:
         rng = random.Random(141 + m)
         for _ in range(40):
             f = qpoly(rng, m)
-            assert qpoly_from(through_text(qpoly_json(f)), m).terms == f.terms
+            assert qpoly_from(through_text(f), m).terms == f.terms
             q = rational(rng, m)
-            back = rational_from(through_text(rational_json(q)), m)
+            back = rational_from(through_text(q), m)
             assert (back.num.terms, back.den.terms) == (q.num.terms, q.den.terms)
-            back = rational_from(through_text(rational_json(q)))  # width read off the exponents
+            back = rational_from(through_text(q))  # width read off the exponents
             assert (back.num.terms, back.den.terms) == (q.num.terms, q.den.terms)
 
     def test_differential_polynomials(self, m):
@@ -340,7 +350,7 @@ class TestRoundTripThroughText:
             P = diffpoly(rng, m, n)
             back = diffpoly_from(through_text(diffpoly_json(P)), m, n)
             assert back == P
-            assert diffpoly_json(back) == diffpoly_json(P)
+            assert json_tree(diffpoly_json(back)) == json_tree(diffpoly_json(P))
 
     def test_weights_and_orders(self, m):
         rng = random.Random(145 + m)
@@ -366,7 +376,7 @@ class TestDumps:
         rng = random.Random(20232)
         for m in (2, 3):
             value = [diffpoly_json(diffpoly(rng, m, 2)) for _ in range(10)]
-            assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+            assert dumps(value) == json.dumps(json_tree(value), sort_keys=True, indent=2)
 
     @pytest.mark.parametrize(
         "value",
@@ -374,5 +384,130 @@ class TestDumps:
         ids=["float", "bool", "none", "tuple", "bool-in-list", "none-in-dict", "nested-float", "int-key"],
     )
     def test_other_types_are_type_errors(self, value):
+        with pytest.raises(TypeError):
+            dumps(value)
+
+
+def as_json_dumps(value):
+    """The bytes dumps(value) must write: the oracle tree through json.dumps."""
+    return json.dumps(json_tree(value), sort_keys=True, indent=2)
+
+
+def _library_value(rng, m):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return qpoly(rng, m)
+    if kind == 1:
+        return rational(rng, m)
+    if kind == 2:
+        return diff_monomial(rng, m, 2)
+    return diffpoly_json(diffpoly(rng, m, 2))
+
+
+def _nested(rng, value, depth):
+    """value inside depth lists and dicts, with plain siblings at each level."""
+    for _ in range(depth):
+        if rng.random() < 0.5:
+            value = [rng.randint(-5, 5), value, "x"][rng.randrange(2):]
+        else:
+            value = {"coeff": value, "a": [], "terms": 7}
+    return value
+
+
+@pytest.mark.parametrize("m", [1, 2, 3], ids=["m1", "m2", "m3"])
+class TestLibraryValuesWritten:
+    """dumps writes QPoly, RationalFunction and DiffMonomial without a tree."""
+
+    def test_match_json_dumps_of_the_tree(self, m):
+        rng = random.Random(301 + m)
+        for depth in range(4):
+            for _ in range(60):
+                value = _nested(rng, _library_value(rng, m), depth)
+                assert dumps(value) == as_json_dumps(value)
+        mixed = [[_library_value(rng, m) for _ in range(3)], {"b": _library_value(rng, m)}]
+        assert dumps(mixed) == as_json_dumps(mixed)
+
+    def test_zero_polynomial(self, m):
+        zero = QPoly.zero(m)
+        assert dumps(zero) == '{\n  "terms": []\n}'
+        for value in (zero, [zero], {"a": [zero]}, RationalFunction(zero)):
+            assert dumps(value) == as_json_dumps(value)
+        assert json.loads(dumps(RationalFunction(zero)))["num"] == {"terms": []}
+
+    def test_signs_denominators_and_large_integers(self, m):
+        rng = random.Random(311 + m)
+        big = 2**64
+        for _ in range(40):
+            terms = {
+                tuple(rng.choice((0, 1, 3, big + 7)) for _ in range(m)): Fraction(
+                    rng.choice((-1, 1)) * rng.choice((1, 5, big + 1, 3**50)),
+                    rng.choice((1, 1, 2, big + 3)),
+                )
+                for _ in range(rng.randint(1, 4))
+            }
+            f = QPoly(m, terms)
+            integral = QPoly(m, {e: c.numerator for e, c in terms.items()})  # denominator 1
+            for value in (f, -f, integral, RationalFunction(integral, f), [f, {"x": -integral}]):
+                assert dumps(value) == as_json_dumps(value)
+            assert json.loads(dumps(f)) == qpoly_json(f)
+
+    def test_constant_monomial_and_powers(self, m):
+        J = tuple(range(1, m + 1))
+        one = DiffMonomial()
+        assert dumps(one) == "[]"
+        monomials = (
+            one,
+            DiffMonomial.var(1, J, 3),
+            DiffMonomial.var(2, J, 2**65) * DiffMonomial.var(1, (0,) * m),
+            DiffMonomial.var(2**64 + 1, (2**70,) * m),
+            DiffMonomial.var(1, ()),  # no DiffPoly holds it, but the monomial is legal
+        )
+        for mono in monomials:
+            for value in (mono, [mono], {"monomial": mono}, [{"m": [mono]}]):
+                assert dumps(value) == as_json_dumps(value)
+        P = DiffPoly(m, 2, {one: parse_rational("-1/2", m), monomials[1]: 1})
+        value = diffpoly_json(P)
+        assert dumps(value) == as_json_dumps(value)
+        assert json.loads(dumps(value))[-1]["monomial"] == []
+
+    def test_encoding_holds_the_values(self, m):
+        rng = random.Random(321 + m)
+        P = diffpoly(rng, m, 2)
+        value = diffpoly_json(P)
+        assert [entry["monomial"] for entry in value] == sorted(
+            P.terms, key=lambda E: (E.total_degree, E.factors), reverse=True
+        )
+        assert all(entry["coeff"] is P.terms[entry["monomial"]] for entry in value)
+        assert through_text(value) == json_tree(value)
+
+
+class TestWriterWork:
+    def test_write_calls_do_not_grow_with_coefficient_terms(self, monkeypatch):
+        calls = []
+        write = jsonio._write
+
+        def counted(value, newline):
+            calls.append(type(value))
+            return write(value, newline)
+
+        monkeypatch.setattr(jsonio, "_write", counted)
+        monomials = [DiffMonomial(), DiffMonomial.var(1, (1, 0), 2), DiffMonomial.var(2, (0, 3))]
+        wide = QPoly(2, {(i, j): i - j or 1 for i in range(10) for j in range(5)})
+        counts = []
+        for coefficient in (RationalFunction(QPoly.monomial((1, 0), 3)), RationalFunction(wide, wide + 1)):
+            P = DiffPoly(2, 2, {mono: coefficient for mono in monomials})
+            calls.clear()
+            text = dumps(diffpoly_json(P))
+            assert text.count('"exp"') == len(monomials) * (len(coefficient.num.terms) + len(coefficient.den.terms))
+            counts.append(len(calls))
+        # the list, and per term its dict, its coefficient and its monomial
+        assert counts == [1 + 3 * len(monomials)] * 2
+
+    @pytest.mark.parametrize(
+        "value",
+        [DiffPoly.zero(2, 1), VertexPoly.zero(2), Fraction(1, 2), [QPoly.one(2), 0.5]],
+        ids=["diffpoly", "vertexpoly", "fraction", "float-beside-a-qpoly"],
+    )
+    def test_other_library_values_are_type_errors(self, value):
         with pytest.raises(TypeError):
             dumps(value)

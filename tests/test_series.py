@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,29 @@ class TestQPolyArithmetic:
     def test_negative_derivative_rejected(self):
         with pytest.raises(ValueError, match="multi-index must be nonnegative"):
             parse_poly("t^3*u", 2).deriv((-1, 0))
+
+    @pytest.mark.parametrize("k", [2, -1, 7, True], ids=["2", "-1", "7", "True"])
+    def test_direction_outside_the_variables_rejected(self, k):
+        # at m = 2 the directions are 0 and 1; 2 and -1 returned f unchanged
+        message = re.escape(f"direction must be an int in 0..1, got {k!r}")
+        with pytest.raises(ValueError, match=message):
+            parse_poly("t^2*u + 3", 2).partial(k)
+        with pytest.raises(ValueError, match=message):
+            parse_rational("1/t", 2).partial(k)  # returned 0/t^2 for k = 7
+        assert parse_poly("t^2*u + 3", 2).partial(1) == parse_poly("t^2", 2)
+
+    @pytest.mark.parametrize("k", [2.0, -2.0, True, "2"], ids=["float", "negative-float", "bool", "str"])
+    def test_non_integer_power_rejected(self, k, monkeypatch):
+        # 2.0 gave a one-term base float exponents, and a multi-term base a range() TypeError
+        def refuse(self, other):
+            raise AssertionError("a refused power must not multiply")
+
+        one_term, multi_term = QPoly.monomial((1, 0), 3), parse_poly("t + u/2", 2)
+        rational_bases = (parse_rational("3*t", 2), parse_rational("t/(t+u)", 2))
+        monkeypatch.setattr(QPoly, "__mul__", refuse)
+        for base in (one_term, multi_term, *rational_bases):
+            with pytest.raises(ValueError, match=re.escape(f"power must be an integer, got {k!r}")):
+                base**k
 
     def test_arithmetic_results_are_canonical(self):
         # these results bypass the public constructor's checks, so they must
