@@ -7,6 +7,7 @@ library (an exponent I of t^I, a multi-index J of x_{i,J}, a point of a
 weight) goes through it, so its sign and its width are checked in one place.
 width() is the one check of a width: the number m of t-variables and the
 number n of unknowns must each be an int of at least 1 wherever they enter.
+power() is the one check of a power k in x ** k, for every type that has one.
 """
 
 import operator
@@ -39,6 +40,12 @@ def width(m, what: str = "m") -> int:
     if type(m) is int and m >= 1:
         return m
     raise ValueError(f"{what} must be a positive integer, got {m!r}")
+
+
+def power(k) -> None:
+    """Refuse a power that is not an int: a bool, a float or a str."""
+    if type(k) is not int:
+        raise ValueError(f"power must be an integer, got {k!r}")
 
 
 class TropdiffError(Exception):

@@ -32,6 +32,7 @@ from .errors import (
     ZeroDenominator,
     ZeroTropicalValue,
     exponent,
+    power,
     width,
 )
 from .orders import EQ, GT, LT, MonomialOrder
@@ -64,12 +65,6 @@ def fraction_text(c: int, d: int) -> str:
     """str(Fraction(c, d)) for d > 0, written without building the Fraction."""
     g = math.gcd(c, d)
     return str(c // g) if g == d else f"{c // g}/{d // g}"
-
-
-def _check_power(k) -> None:
-    """Refuse a power that is not an int: a float, a bool or a str."""
-    if type(k) is not int:
-        raise ValueError(f"power must be an integer, got {k!r}")
 
 
 def _var_names(m: int) -> tuple[str, ...]:
@@ -242,7 +237,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        _check_power(k)
+        power(k)
         if k < 0:
             raise ValueError("negative power of a polynomial")
         if k == 0:
@@ -411,7 +406,7 @@ class RationalFunction:
         return RationalFunction._trusted(self.num * other.den, self.den * other.num)
 
     def __pow__(self, k: int):
-        _check_power(k)
+        power(k)
         if k < 0:
             return RationalFunction(self.den, self.num) ** (-k)
         return RationalFunction._trusted(self.num**k, self.den**k)

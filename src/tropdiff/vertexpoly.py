@@ -11,7 +11,13 @@ Vertex extraction is the exact test from feasibility.covered: a candidate p
 is a vertex iff no convex combination of the other points sits componentwise
 below p.  A point dominated coordinatewise can never be a vertex, so a cheap
 Pareto filter runs first and the simplex only sees the antichain that
-survives.
+survives.  Some points of that antichain are vertices by construction and
+skip the simplex (_quick_accepts): the lex-least point under each of the m
+rotations of the coordinate order, and the point of least total degree when
+no other point ties it.  Each is the single point of a face of the
+polyhedron, so it is a vertex; the first step of Clarkson's output-sensitive
+scheme (K. L. Clarkson, FOCS 1994).  feasibility.covered has no other caller
+in the package.
 
 The public constructor checks every point it is given with errors.exponent.
 The semiring operations build their results from vertex sets that were
@@ -28,7 +34,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, ZeroDenominator, exponent, width
+from .errors import DimensionMismatch, ZeroDenominator, exponent, power, width
 from .feasibility import covered
 
 Point = tuple[int, ...]
@@ -48,12 +54,33 @@ def _pareto_minimal(points: set[Point]) -> list[Point]:
     return mins
 
 
+def _quick_accepts(mins: list[Point]) -> set[Point]:
+    """Points of the antichain mins that are vertices with no LP.
+
+    The lex-least point of S under any order of the coordinates is the
+    lex-least point of the polyhedron P = conv(S) + R^m_{>=0} (P's lex-least
+    point is a vertex, so it lies in S).  It is the single point of a face of
+    P, so it is a vertex; the m rotated orders, read from coordinate k onward,
+    give up to m of them.  A unique minimiser in S of the total degree, the
+    positive functional (1, ..., 1), is the single point of the face of P
+    that the functional minimises, so it is a vertex too.  Neither argument
+    holds for a tie, so a tie in total degree adds nothing.
+    """
+    sure = {min(mins, key=lambda p: p[k:] + p[:k]) for k in range(len(mins[0]))}
+    degrees = [sum(p) for p in mins]
+    least = min(degrees)
+    if degrees.count(least) == 1:
+        sure.add(mins[degrees.index(least)])
+    return sure
+
+
 def _vertices(points: set[Point]) -> tuple[Point, ...]:
     """Sorted vertex set of conv(points + R^m_{>=0}); the points are not checked."""
     mins = _pareto_minimal(points)
     if len(mins) <= 2:
         return tuple(sorted(mins))
-    kept = [p for p in mins if not covered([q for q in mins if q != p], p)]
+    sure = _quick_accepts(mins)
+    kept = [p for p in mins if p in sure or not covered([q for q in mins if q != p], p)]
     return tuple(sorted(kept))
 
 
@@ -117,6 +144,7 @@ class VertexPoly:
 
     def __pow__(self, k: int) -> "VertexPoly":
         """k-fold product: the vertices of conv(S) + ... + conv(S) = k conv(S) are k S."""
+        power(k)
         if k < 0:
             raise ValueError("negative power of a vertex set")
         if k == 0:
@@ -218,6 +246,7 @@ class VertexFraction:
         return VertexFraction._trusted(self.num * other.num, self.den * other.den)
 
     def __pow__(self, k: int) -> "VertexFraction":
+        power(k)
         return VertexFraction._trusted(self.num**k, self.den**k)
 
     def __eq__(self, other):

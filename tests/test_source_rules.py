@@ -9,6 +9,10 @@ wherever it sits (a line-based search misses `if c: assert x`).
 QPoly's integer representation is private to series: no other module names
 one of its fields, as an attribute or as a string (getattr).  The field
 names are read from QPoly itself, so renaming them keeps the rule in force.
+
+The exact simplex has one caller: only vertexpoly imports feasibility.covered
+or calls it, so every vertex extraction, with its quick accepts, goes through
+vertexpoly._vertices.
 """
 
 import ast
@@ -117,4 +121,58 @@ def test_the_field_rule_sees_each_read():
         f"line 2: names QPoly field {first}",
         f"line 3: names QPoly field {second}",
         f"line 4: names QPoly field {second}",
+    ]
+
+
+def lp_uses(source: str) -> list[str]:
+    """Imports of feasibility or of covered, and calls of anything named covered."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            from_feasibility = (node.module or "").split(".")[-1] == "feasibility"
+            found += [
+                f"line {node.lineno}: imports {alias.name}"
+                for alias in node.names
+                if alias.name == "feasibility" or (from_feasibility and alias.name in ("covered", "*"))
+            ]
+        elif isinstance(node, ast.Import):
+            found += [
+                f"line {node.lineno}: imports {alias.name}"
+                for alias in node.names
+                if alias.name.split(".")[-1] == "feasibility"
+            ]
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "covered":
+                found.append(f"line {node.lineno}: calls covered")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "vertexpoly.py"], ids=lambda p: p.name
+)
+def test_only_vertexpoly_runs_the_simplex(path):
+    assert lp_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_lp_rule_sees_each_use():
+    assert lp_uses(PACKAGE.joinpath("vertexpoly.py").read_text(encoding="utf-8"))
+    source = (
+        "from .feasibility import covered as c\n"
+        "from . import feasibility\n"
+        "import tropdiff.feasibility\n"
+        "from tropdiff.feasibility import *\n"
+        "from .feasibility import Point\n"
+        "from .vertexpoly import VertexPoly\n"
+        "x = feasibility.covered([(1, 0)], (1, 1))\n"
+        "y = covered([], (0, 0))\n"
+        "z = recovered([], (0, 0))\n"
+    )
+    assert lp_uses(source) == [
+        "line 1: imports covered",
+        "line 2: imports feasibility",
+        "line 3: imports tropdiff.feasibility",
+        "line 4: imports *",
+        "line 7: calls covered",
+        "line 8: calls covered",
     ]

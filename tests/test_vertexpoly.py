@@ -1,8 +1,11 @@
+import itertools
 import random
+import re
+from collections import Counter
 
 import pytest
 
-from helpers import exponent
+from helpers import covered_by_bases, exponent
 from tropdiff import (
     DimensionMismatch,
     VertexFraction,
@@ -11,7 +14,9 @@ from tropdiff import (
     omega_chain,
     omega_witness,
     staircase_vertices_2d,
+    vertexpoly,
 )
+from tropdiff.vertexpoly import _pareto_minimal, _quick_accepts
 
 
 def vp(*points):
@@ -169,6 +174,151 @@ class TestOpsAgainstTheConstructor:
             VertexFraction.one(m) + VertexFraction.one(m + 1)
         with pytest.raises(DimensionMismatch):
             VertexFraction.one(m) * VertexFraction.one(m + 1)
+
+
+class TestPowers:
+    @pytest.mark.parametrize("k", [2.0, -2.0, True, "2"], ids=["float", "negative-float", "bool", "str"])
+    def test_non_integer_power_rejected(self, k, monkeypatch):
+        # 2.0 gave float points, True returned the base and "2" failed inside <
+        def refuse(cls, *args):
+            raise AssertionError("a refused power must not build a result")
+
+        base = vp((1, 0), (0, 1))
+        fraction = VertexFraction(base, vp((0, 0), (3, 3)))
+        monkeypatch.setattr(VertexPoly, "_trusted", classmethod(refuse))
+        monkeypatch.setattr(VertexFraction, "_trusted", classmethod(refuse))
+        for value in (base, fraction):
+            with pytest.raises(ValueError, match=re.escape(f"power must be an integer, got {k!r}")):
+                value**k
+
+    def test_negative_int_power(self):
+        with pytest.raises(ValueError, match="negative power of a vertex set"):
+            vp((1, 0)) ** -2
+
+
+def own_vertices(points):
+    """Vertices of conv(points) + R^m_{>=0} by the basis-enumeration oracle.
+
+    A point that another one dominates is dropped first, which leaves the
+    polyhedron as it is; each survivor is a vertex iff covered_by_bases finds
+    no convex combination of the others below it.
+    """
+    distinct = set(map(tuple, points))
+    antichain = [
+        p for p in distinct
+        if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in distinct)
+    ]
+    return tuple(sorted(
+        p for p in antichain if not covered_by_bases([q for q in antichain if q != p], p)
+    ))
+
+
+def own_quick_accepts(mins):
+    """The quick accepts, spelled apart from vertexpoly, in two parts: for each
+    k the least point when coordinates are read k, k+1, ..., m-1, 0, ..., k-1;
+    and every point of least total degree (accepted only when it is alone)."""
+    m = len(mins[0])
+    rotated = {min(mins, key=lambda p: tuple(p[(k + i) % m] for i in range(m))) for k in range(m)}
+    least = min(map(sum, mins))
+    return rotated, {p for p in mins if sum(p) == least}
+
+
+def point_sets(m, seed):
+    """Seeded point sets at width m, each tagged with its family."""
+    rng = random.Random(seed)
+    for _ in range(25):
+        yield "random", [exponent(rng, m, 6) for _ in range(rng.randint(3, 8))]
+    for d in (3, 4, 5, 6):  # antichains on the plane sum(p) = d
+        plane = [p for p in itertools.product(range(d + 1), repeat=m) if sum(p) == d]
+        for _ in range(4):
+            yield "plane", rng.sample(plane, min(len(plane), rng.randint(3, 8)))
+    for _ in range(20):  # each point copies one coordinate of an earlier point
+        points = [exponent(rng, m, 6)]
+        for _ in range(rng.randint(2, 7)):
+            k = rng.randrange(m)
+            p = exponent(rng, m, 6)
+            points.append(p[:k] + (rng.choice(points)[k],) + p[k + 1:])
+        yield "shared", points
+    for _ in range(15):  # every point has the same first coordinate
+        c = rng.randrange(4)
+        yield "shared", [(c,) + exponent(rng, m - 1, 6) for _ in range(rng.randint(3, 8))]
+    for _ in range(15):  # two points tie for the least total degree
+        d = rng.randint(2, 5)
+        low = [p for p in itertools.product(range(d + 1), repeat=m) if sum(p) == d]
+        tied = rng.sample(low, 2)
+        higher = [exponent(rng, m, 6) for _ in range(rng.randint(1, 6))]
+        yield "tie", tied + [p for p in higher if sum(p) > d]
+
+
+@pytest.fixture
+def lp_targets(monkeypatch):
+    """The target of every feasibility.covered call that _vertices makes."""
+    real = vertexpoly.covered
+    targets = []
+
+    def counted(points, target):
+        targets.append(target)
+        return real(points, target)
+
+    monkeypatch.setattr(vertexpoly, "covered", counted)
+    return targets
+
+
+class TestQuickAccepts:
+    # every point that _vertices accepts without an LP must be a vertex by the
+    # oracle on its own: the final vertex set alone could hide a wrong accept
+    # that a later LP call happened to repair
+
+    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+    def test_against_the_basis_oracle(self, m, lp_targets):
+        seen = Counter()
+        for family, points in point_sets(m, 500 + m):
+            lp_targets.clear()
+            got = VertexPoly(m, points).points
+            vertices = own_vertices(points)
+            assert got == vertices, (family, points)
+            if m == 2:
+                assert staircase_vertices_2d(points) == vertices, points
+            mins = _pareto_minimal(set(points))
+            if len(mins) <= 2:
+                assert lp_targets == [] and len(vertices) == len(mins)
+                continue
+            rotated, lowest = own_quick_accepts(mins)
+            sure = rotated | lowest if len(lowest) == 1 else rotated
+            assert _quick_accepts(mins) == sure, points
+            assert sure <= set(vertices), (family, points, sure)
+            # one LP per Pareto-minimal point that is not accepted, and no other
+            assert sorted(lp_targets) == sorted(set(mins) - sure), points
+            seen[family] += 1
+            seen["degree tie"] += len(lowest) > 1
+            seen["rotation is the degree minimiser"] += len(lowest) == 1 and lowest <= rotated
+            seen["lp accepts"] += len(set(vertices) - sure) > 0
+            seen["lp rejects"] += len(mins) > len(vertices)
+        wanted = ["random", "plane", "tie", "degree tie", "rotation is the degree minimiser",
+                  "lp accepts", "lp rejects"]
+        if m > 2:  # at m = 2 a shared coordinate makes two points comparable
+            wanted.append("shared")
+        assert all(seen[name] > 0 for name in wanted), seen
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_standard_simplex_needs_no_lp(self, m, d, lp_targets):
+        # corner k is the lex-least point when coordinates are read from k + 1
+        corners = [tuple(d * (i == k) for i in range(m)) for k in range(m)]
+        assert VertexPoly(m, corners).points == tuple(sorted(corners))
+        assert lp_targets == []
+
+    @pytest.mark.parametrize(
+        "staircase, vertices",
+        [([(2, 0), (1, 1), (0, 2)], ((0, 2), (2, 0))), ([(6, 0), (2, 1), (0, 2)], ((0, 2), (2, 1), (6, 0)))],
+        ids=["middle-rejected", "middle-kept"],
+    )
+    def test_a_staircase_of_three_needs_one_lp(self, staircase, vertices, lp_targets):
+        # the two ends are the lex-least points of the two rotations; the
+        # least total degree is tied in the first set and an end in the
+        # second, so only the middle point needs its LP
+        assert VertexPoly(2, staircase).points == vertices
+        assert lp_targets == [staircase[1]]
 
 
 class TestSemiringLaws:
