@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, exponent, integers, width
-from .series import QPoly, RationalFunction, _summed
+from .series import QPoly, RationalFunction, _iterated, _summed
 
 Var = tuple[int, tuple[int, ...]]  # (unknown index from 1, derivative multi-index)
 Factor = tuple[Var, int]
@@ -212,6 +212,8 @@ class DiffPoly:
 
     def derive(self, k: int) -> "DiffPoly":
         """Total derivative in the k-th direction, 0-indexed."""
+        if type(k) is not int:
+            raise ValueError(f"direction must be an int, got {k!r}")
         if not 0 <= k < self.m:
             raise DimensionMismatch(f"direction {k} out of range for m={self.m}")
         pieces: list[tuple[DiffMonomial, RationalFunction]] = []
@@ -223,11 +225,7 @@ class DiffPoly:
         return DiffPoly._trusted(self.m, self.n, _summed(pieces))
 
     def deriv(self, J: Sequence[int]) -> "DiffPoly":
-        out = self
-        for k, j in enumerate(J):
-            for _ in range(j):
-                out = out.derive(k)
-        return out
+        return _iterated(self, J, DiffPoly.derive)
 
     def evaluate(self, args: Sequence[QPoly]) -> RationalFunction:
         """Substitute polynomials for the unknowns: x_{i,J} becomes d^J args[i-1]."""
@@ -285,6 +283,8 @@ class DiffPoly:
 def multi_indices(m: int, bound: int) -> list[tuple[int, ...]]:
     """All J with |J| <= bound, graded, larger leading entries first."""
     width(m)
+    if type(bound) is not int or bound < 0:
+        raise ValueError(f"bound must be a nonnegative int, got {bound!r}")
     out: list[tuple[int, ...]] = []
     for d in range(bound + 1):
         level = [J for J in itertools.product(range(d + 1), repeat=m) if sum(J) == d]
@@ -294,8 +294,6 @@ def multi_indices(m: int, bound: int) -> list[tuple[int, ...]]:
 
 def prolong(P: DiffPoly, bound: int) -> list[DiffPoly]:
     """All derivatives d^J P with |J| <= bound, in multi_indices order."""
-    if bound < 0:
-        raise ValueError("prolongation bound must be nonnegative")
     memo: dict[tuple[int, ...], DiffPoly] = {(0,) * P.m: P}
     out: list[DiffPoly] = []
     for J in multi_indices(P.m, bound):

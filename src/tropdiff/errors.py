@@ -3,8 +3,9 @@
 integers() turns a sequence into a tuple of ints without truncating; a bool,
 which operator.index would read as 0 or 1, is refused like any non-integer.
 exponent() is the one exponent check: every point of N^m that enters the
-library (an exponent I of t^I, a multi-index J of x_{i,J}, a point of a
-weight) goes through it, so its sign and its width are checked in one place.
+library (an exponent I of t^I, a multi-index J of x_{i,J} or of a derivative
+d^J, a point of a weight) goes through it, so its sign and its width are
+checked in one place.
 width() is the one check of a width: the number m of t-variables and the
 number n of unknowns must each be an int of at least 1 wherever they enter.
 power() is the one check of a power k in x ** k, for every type that has one.

@@ -9,6 +9,8 @@ of a quotient is the corresponding vertex fraction.  Elements of tropical
 value <= 1 form the unit ball; the residue map, divisibility test, lifting
 witness and separating constants below all live there.
 Public constructors validate; _trusted only wraps results built from validated values.
+deriv(J) is d^J in QPoly, RationalFunction and DiffPoly alike: _iterated checks
+J once, then applies the one-direction derivative J_k times in each direction k.
 
 Every sparse sum, here and in DiffPoly, goes through _summed: values at equal
 keys are added in order, and a key is dropped as soon as its running sum is
@@ -52,6 +54,14 @@ def _summed(pairs: Iterable[tuple]) -> dict:
         else:
             out.pop(key, None)
     return out
+
+
+def _iterated(value, J: Sequence[int], partial: Callable):
+    """d^J value: partial(value, k) taken J_k times for each k, after one check of J."""
+    for k, j in enumerate(exponent(J, value.m, "multi-index")):
+        for _ in range(j):
+            value = partial(value, k)
+    return value
 
 
 def _coefficient(c) -> Fraction:
@@ -138,7 +148,9 @@ class QPoly:
     @classmethod
     def variable(cls, m: int, i: int) -> "QPoly":
         """The variable t_i, indexed from 1."""
-        if not 1 <= i <= m:
+        if type(i) is not int:
+            raise ValueError(f"variable index must be an int, got {i!r}")
+        if not 1 <= i <= width(m):
             raise DimensionMismatch(f"variable index {i} out of range for m={m}")
         return cls.monomial(tuple(1 if k == i - 1 else 0 for k in range(m)))
 
@@ -264,21 +276,13 @@ class QPoly:
         """Derivative with respect to the k-th variable, 0-indexed."""
         if type(k) is not int or not 0 <= k < self.m:
             raise ValueError(f"direction must be an int in 0..{self.m - 1}, got {k!r}")
-        return self.deriv(tuple(1 if j == k else 0 for j in range(self.m)))
+        # e -> e - e_k is injective, so no two terms meet
+        ints = {e[:k] + (e[k] - 1,) + e[k + 1 :]: c * e[k] for e, c in self._ints.items() if e[k]}
+        return QPoly._lowest(self.m, ints, self._den)
 
     def deriv(self, J: Sequence[int]) -> "QPoly":
-        """Iterated derivative d^J, exact falling-factorial coefficients."""
-        J = exponent(J, self.m, "multi-index")
-        # e -> e - J is injective, so no two terms meet
-        return QPoly._lowest(
-            self.m,
-            {
-                tuple(map(operator.sub, e, J)): c * math.prod(map(math.perm, e, J))
-                for e, c in self._ints.items()
-                if all(map(operator.ge, e, J))
-            },
-            self._den,
-        )
+        """Iterated derivative d^J."""
+        return _iterated(self, J, QPoly.partial)
 
     # -- misc ---------------------------------------------------------------
 
@@ -416,11 +420,7 @@ class RationalFunction:
         return RationalFunction._trusted(num, self.den * self.den)
 
     def deriv(self, J: Sequence[int]) -> "RationalFunction":
-        out = self
-        for k, j in enumerate(J):
-            for _ in range(j):
-                out = out.partial(k)
-        return out
+        return _iterated(self, J, RationalFunction.partial)
 
     def as_qpoly(self) -> QPoly:
         """Convert when the denominator is a nonzero constant."""

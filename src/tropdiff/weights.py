@@ -128,7 +128,7 @@ def substitution_poly(
     Supported on the vertices of the shifted weight; zero when the shift
     empties the support.
     """
-    J = exponent(J, weight.m, "multi-index")
+    J = tuple(J)  # read twice: by shift, which checks it, and by the factorial kernel
     vertices = weight.shift(J).vertices()
     terms: dict[Point, int] = {}
     for p in vertices:

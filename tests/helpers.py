@@ -180,6 +180,7 @@ class FractionQPoly:
         return self.deriv(tuple(1 if j == k else 0 for j in range(self.m)))
 
     def deriv(self, J):
+        """d^J in closed form, falling factorials; QPoly.deriv iterates partial instead."""
         return FractionQPoly(
             self.m,
             {

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,43 @@ class TestDerive:
         with pytest.raises(DimensionMismatch):
             running_example().derive(2)
 
+    @pytest.mark.parametrize("k", [True, 1.0], ids=["bool", "float"])
+    def test_non_int_direction(self, k):
+        # the zero polynomial never reached a coefficient's check and returned 0
+        for P in (DiffPoly.zero(2, 1), running_example()):
+            with pytest.raises(ValueError, match=f"direction must be an int, got {k!r}"):
+                P.derive(k)
+
+
+# J, and the class and text that every deriv(J) at m = 2 raises for it
+BAD_MULTI_INDICES = [
+    ((-1, 0), ValueError, "multi-index must be nonnegative"),
+    ((1,), DimensionMismatch, "does not have 2 coordinates"),
+    ((0, 0, 1), DimensionMismatch, "does not have 2 coordinates"),
+    ((True, 0), ValueError, "multi-index must be integers"),
+    ((1.5, 0), ValueError, "multi-index must be integers"),
+]
+
+
+class TestDerivRefusals:
+    """QPoly, RationalFunction and DiffPoly check J in one place, the same way."""
+
+    @pytest.mark.parametrize(
+        "J, error, text", BAD_MULTI_INDICES, ids=["negative", "short", "long", "bool", "float"]
+    )
+    def test_every_class_refuses_alike(self, J, error, text):
+        # RationalFunction and DiffPoly returned t^2 and P for (-1, 0) and took (1,)
+        with pytest.raises(error, match=re.escape(text)) as from_qpoly:
+            parse_poly("t^2", 2).deriv(J)
+        for value in (parse_rational("t^2", 2), running_example()):
+            with pytest.raises(error) as caught:
+                value.deriv(J)
+            assert str(caught.value) == str(from_qpoly.value)
+
+    def test_valid_multi_index_still_derives(self):
+        assert parse_rational("t^2", 2).deriv([1, 0]) == parse_rational("2*t", 2)
+        assert running_example().deriv((0, 0)) == running_example()
+
 
 class TestEvaluate:
     def test_golden(self):
@@ -263,6 +301,12 @@ class TestMultiIndices:
             assert len(multi_indices(2, b)) == (b + 1) * (b + 2) // 2
             assert len(multi_indices(3, b)) == math.comb(b + 3, 3)
 
+    @pytest.mark.parametrize("bound", [-1, True, 1.5, "2"], ids=["-1", "bool", "float", "str"])
+    def test_bound_must_be_a_nonnegative_int(self, bound):
+        # -1 gave []
+        with pytest.raises(ValueError, match=re.escape(f"nonnegative int, got {bound!r}")):
+            multi_indices(2, bound)
+
     def test_unique_and_graded(self):
         out = multi_indices(3, 4)
         assert len(set(out)) == len(out)
@@ -285,6 +329,12 @@ class TestProlong:
     def test_negative_bound(self):
         with pytest.raises(ValueError):
             prolong(running_example(), -1)
+
+    @pytest.mark.parametrize("bound", [True, 1.5, "2"], ids=["bool", "float", "str"])
+    def test_non_int_bound(self, bound):
+        # True gave 3 derivatives and 1.5 a TypeError from range
+        with pytest.raises(ValueError, match=re.escape(f"got {bound!r}")):
+            prolong(running_example(), bound)
 
 
 class TestPresentation:

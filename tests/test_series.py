@@ -33,6 +33,7 @@ from tropdiff import (
     in_unit_ball,
     is_unit,
     max_ideal_member,
+    multi_indices,
     order_from_membership,
     order_standard,
     order_validate,
@@ -115,6 +116,22 @@ class TestQPolyArithmetic:
         with pytest.raises(ValueError, match=message):
             parse_rational("1/t", 2).partial(k)  # returned 0/t^2 for k = 7
         assert parse_poly("t^2*u + 3", 2).partial(1) == parse_poly("t^2", 2)
+
+    @pytest.mark.parametrize(
+        "i, error, text",
+        [
+            (1.0, ValueError, "variable index must be an int, got 1.0"),  # gave t
+            (True, ValueError, "variable index must be an int, got True"),  # gave t
+            ("1", ValueError, "variable index must be an int, got '1'"),
+            (0, DimensionMismatch, "variable index 0 out of range for m=2"),
+            (3, DimensionMismatch, "variable index 3 out of range for m=2"),
+        ],
+        ids=["float", "bool", "str", "0", "3"],
+    )
+    def test_bad_variable_index_rejected(self, i, error, text):
+        with pytest.raises(error, match=re.escape(text)):
+            QPoly.variable(2, i)
+        assert QPoly.variable(2, 1) == parse_poly("t", 2)
 
     @pytest.mark.parametrize("k", [2.0, -2.0, True, "2"], ids=["float", "negative-float", "bool", "str"])
     def test_non_integer_power_rejected(self, k, monkeypatch):
@@ -615,13 +632,13 @@ class TestAgainstFractionOracle:
                 for k in range(5):
                     self.check(f**k, FractionQPoly.of(f) ** k)
 
-    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
     def test_derivatives(self, m):
         rng = random.Random(151 + m)
         for _ in range(60):
             f = fraction_qpoly(rng, m)
             F = FractionQPoly.of(f)
-            J = exponent(rng, m, 3)
+            J = exponent(rng, m, 3) if m < 4 else rng.choice(multi_indices(m, 4))
             self.check(f.deriv(J), F.deriv(J))
             for k in range(m):
                 self.check(f.partial(k), F.partial(k))

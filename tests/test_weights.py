@@ -167,6 +167,9 @@ class TestSubstitutionPoly:
     def test_factorial_example(self):
         got = substitution_poly(COF11, (1, 1), SubstitutionKernel.FACTORIAL)
         assert got == parse_poly("2*t + 2*u")
+        # a one-shot J must reach the kernel too, not only the shift
+        got = substitution_poly(COF11, iter((1, 1)), SubstitutionKernel.FACTORIAL)
+        assert got == parse_poly("2*t + 2*u")
 
     def test_factorial_at_origin_vertex(self):
         # the only vertex is 0, so each coordinate contributes J_k!

@@ -28,6 +28,7 @@ from tropdiff import (
 CONSTRUCTORS = {
     "QPoly": lambda m: QPoly(m),
     "QPoly.constant": lambda m: QPoly.constant(m, 3),
+    "QPoly.variable": lambda m: QPoly.variable(m, 1),
     "VertexPoly": lambda m: VertexPoly(m),
     "VertexPoly.zero": lambda m: VertexPoly.zero(m),
     "VertexPoly.one": lambda m: VertexPoly.one(m),
