@@ -11,10 +11,10 @@ from tropdiff import (
     EQ,
     GT,
     LT,
+    MonomialOrder,
     max_ideal_member,
     order_from_membership,
     order_standard,
-    order_validate,
     parse_rational,
     residue,
 )
@@ -23,7 +23,7 @@ NAME = {LT: "<", EQ: "=", GT: ">"}
 
 lex = order_standard("lex", 2)      # t before u
 grevlex = order_standard("grevlex", 2)
-ufirst = order_validate([[1, 0], [0, 1]])  # u before t
+ufirst = MonomialOrder([[1, 0], [0, 1]])  # u before t
 
 pairs = [((1, 0), (0, 1)), ((2, 0), (1, 1)), ((0, 3), (2, 0))]
 for order, label in ((lex, "lex"), (grevlex, "grevlex"), (ufirst, "u-first")):

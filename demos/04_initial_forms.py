@@ -13,13 +13,13 @@ from tropdiff import (
     BooleanWeight,
     DiffMonomial,
     DiffPoly,
+    MonomialOrder,
     SubstitutionKernel,
     initial_form,
     initial_generators,
     multi_indices,
     normalizer,
     order_standard,
-    order_validate,
     parse_poly,
     translate,
     tropw,
@@ -49,7 +49,7 @@ for J in multi_indices(2, 3):
     print(f"J={J}: {moved}{marker}")
 
 lex = order_standard("lex", 2)
-ufirst = order_validate([[1, 0], [0, 1]])
+ufirst = MonomialOrder([[1, 0], [0, 1]])
 print("\ninitial form, t smallest:", initial_form(P, [w], lex))
 print("initial form, u smallest:", initial_form(P, [w], ufirst))
 print("initial form, factorial kernel:",

@@ -26,7 +26,6 @@ from .orders import (
     LT,
     MonomialOrder,
     order_standard,
-    order_validate,
 )
 from .parsing import parse_poly, parse_rational
 from .series import (
@@ -100,7 +99,6 @@ __all__ = [
     "omega_witness",
     "order_from_membership",
     "order_standard",
-    "order_validate",
     "parse_poly",
     "parse_rational",
     "prolong",

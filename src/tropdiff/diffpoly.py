@@ -20,6 +20,9 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DimensionMismatch, exponent, integers, width
 from .series import QPoly, RationalFunction, _iterated, _summed
 
+# what a DiffPoly adds and subtracts as a constant term
+_SCALARS = (RationalFunction, QPoly, Fraction, int)
+
 Var = tuple[int, tuple[int, ...]]  # (unknown index from 1, derivative multi-index)
 Factor = tuple[Var, int]
 
@@ -55,7 +58,7 @@ class DiffMonomial:
 
     @classmethod
     def var(cls, i: int, J: Sequence[int], power: int = 1) -> "DiffMonomial":
-        return cls((((i, tuple(J)), power),))
+        return cls((((i, J), power),))
 
     @property
     def is_one(self) -> bool:
@@ -176,7 +179,7 @@ class DiffPoly:
             )
 
     def __add__(self, other):
-        if isinstance(other, (RationalFunction, QPoly, Fraction, int)):
+        if isinstance(other, _SCALARS):
             other = DiffPoly(self.m, self.n, {DiffMonomial.one(): other})
         if not isinstance(other, DiffPoly):
             return NotImplemented
@@ -190,9 +193,12 @@ class DiffPoly:
         return DiffPoly._trusted(self.m, self.n, {mono: -c for mono, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, DiffPoly):
-            return self + (-other)
-        return self + (-self._coerce_coeff(other))
+        if not isinstance(other, (DiffPoly, *_SCALARS)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (RationalFunction, QPoly)):

@@ -48,8 +48,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
 
 from .diffpoly import DiffMonomial, DiffPoly
-from .errors import DimensionMismatch, SchemaError, exponent, width
-from .orders import _STANDARD_KINDS, MonomialOrder, order_standard, order_validate
+from .errors import DimensionMismatch, NotAMonomialOrder, SchemaError, exponent, width
+from .orders import MonomialOrder, order_standard
 from .parsing import parse_poly, parse_rational
 from .series import QPoly, RationalFunction
 from .vertexpoly import VertexFraction, VertexPoly
@@ -162,9 +162,10 @@ def weight_json(w: BooleanWeight) -> dict:
 
 
 def order_json(order: MonomialOrder) -> dict:
-    if order.kind in _STANDARD_KINDS:
-        return {"type": order.kind}
-    return {"type": "matrix", "rows": [list(r) for r in order.rows]}
+    kind = order.kind
+    if kind == "matrix":
+        return {"type": "matrix", "rows": [list(r) for r in order.rows]}
+    return {"type": kind}
 
 
 def diffpoly_json(P: DiffPoly) -> list:
@@ -287,17 +288,18 @@ def order_from(obj: Any, m: int) -> MonomialOrder:
     if not isinstance(obj, dict) or "type" not in obj:
         raise SchemaError(f"order must be an object with a type, got {obj!r}")
     kind = obj["type"]
-    if kind in _STANDARD_KINDS:
-        return order_standard(kind, m)
     if kind == "matrix":
         rows = obj.get("rows")
         if not isinstance(rows, list) or not rows:
             raise SchemaError("matrix order needs nonempty rows")
-        order = order_validate(rows)
+        order = MonomialOrder(rows)
         if order.m != m:
             raise SchemaError(f"order matrix has {order.m} columns, expected {m}")
         return order
-    raise SchemaError(f"unknown order type {kind!r}")
+    try:
+        return order_standard(kind, m)
+    except NotAMonomialOrder as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 @_decoder

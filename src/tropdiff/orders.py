@@ -8,15 +8,19 @@ total even when the matrix is rank deficient.  An order is admissible when
 exactly: in every column that is not identically zero, the first nonzero
 entry is positive.
 
+An order is its matrix and nothing else: MonomialOrder(rows) is the one
+constructor, and an order's name (kind) is read from its rows.  It is the
+standard name whose matrix equals rows, otherwise "matrix".
+
 Naming fixes a convention once and for all: the standard orders put
 t1 < t2 < ... < tm, so under "lex" every pure power of t1 sorts below
-anything involving t2.  The mirrored orders (t1 largest) are still available
-through order_validate with the mirrored matrix.
+anything involving t2.  At m = 1 the three standard orders are the same
+matrix ((1,),), whose name reads "lex".  The mirrored orders (t1 largest)
+are MonomialOrder with the mirrored matrix.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import NotAMonomialOrder, exponent, integers, width
@@ -25,38 +29,25 @@ Exponent = tuple[int, ...]
 
 LT, EQ, GT = -1, 0, 1
 
-_STANDARD_KINDS = ("lex", "grlex", "grevlex")
 
-
-def _rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    mat = [[Fraction(v) for v in row] for row in rows]
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+def _standard_rows(kind: str, m: int) -> tuple[Exponent, ...]:
+    """The weight matrix of the named order with t1 < t2 < ... < tm."""
+    unit = lambda k: tuple(1 if j == k else 0 for j in range(m))
+    if kind == "lex":
+        return tuple(unit(k) for k in reversed(range(m)))
+    if kind == "grlex":
+        return ((1,) * m,) + tuple(unit(k) for k in reversed(range(1, m)))
+    if kind == "grevlex":
+        return ((1,) * m,) + tuple(tuple(-v for v in unit(k)) for k in range(m - 1))
+    raise NotAMonomialOrder(f"unknown order kind {kind!r}")
 
 
 class MonomialOrder:
-    """Total order on exponent vectors, smaller weight first.
+    """Total order on exponent vectors, smaller weight first."""
 
-    rank_deficient is informational: the order is still total (ties resolve
-    by tuple comparison) but the matrix alone does not separate all points.
-    """
+    __slots__ = ("m", "rows")
 
-    __slots__ = ("m", "rows", "kind", "rank_deficient")
-
-    def __init__(self, rows: Sequence[Sequence[int]], kind: str = "matrix"):
+    def __init__(self, rows: Sequence[Sequence[int]]):
         rows = tuple(integers(row, "weight matrix entries") for row in rows)
         if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
             raise NotAMonomialOrder("weight matrix must be rectangular and nonempty")
@@ -71,8 +62,12 @@ class MonomialOrder:
                 )
         self.m = m
         self.rows = rows
-        self.kind = kind
-        self.rank_deficient = _rational_rank(rows) < m
+
+    @property
+    def kind(self) -> str:
+        """The standard name ("lex", "grlex", "grevlex") whose matrix is rows, else "matrix"."""
+        names = ("lex", "grlex", "grevlex")
+        return next((k for k in names if _standard_rows(k, self.m) == self.rows), "matrix")
 
     def key(self, a: Exponent):
         """Sort key consistent with compare(); usable with min/sorted."""
@@ -101,8 +96,9 @@ class MonomialOrder:
         return hash(self.rows)
 
     def __repr__(self):
-        if self.kind in _STANDARD_KINDS:
-            return f"MonomialOrder({self.kind}, m={self.m})"
+        kind = self.kind
+        if kind != "matrix":
+            return f"MonomialOrder({kind}, m={self.m})"
         return f"MonomialOrder({list(map(list, self.rows))})"
 
 
@@ -117,18 +113,4 @@ def order_standard(kind: str, m: int) -> MonomialOrder:
         width(m)
     except ValueError as exc:
         raise NotAMonomialOrder(str(exc)) from exc
-    unit = lambda k: tuple(1 if j == k else 0 for j in range(m))
-    if kind == "lex":
-        rows = [unit(k) for k in reversed(range(m))]
-    elif kind == "grlex":
-        rows = [(1,) * m] + [unit(k) for k in reversed(range(1, m))]
-    elif kind == "grevlex":
-        rows = [(1,) * m] + [tuple(-v for v in unit(k)) for k in range(m - 1)]
-    else:
-        raise NotAMonomialOrder(f"unknown order kind {kind!r}")
-    return MonomialOrder(rows, kind=kind)
-
-
-def order_validate(rows: Sequence[Sequence[int]]) -> MonomialOrder:
-    """Wrap a raw weight matrix, rejecting inadmissible ones."""
-    return MonomialOrder(rows, kind="matrix")
+    return MonomialOrder(_standard_rows(kind, m))

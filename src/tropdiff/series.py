@@ -141,9 +141,9 @@ class QPoly:
         return cls._trusted(width(m), {(0,) * m: c.numerator} if c else {}, c.denominator)
 
     @classmethod
-    def monomial(cls, exponent: Sequence[int], coeff=1) -> "QPoly":
-        exponent = tuple(exponent)
-        return cls(len(exponent), {exponent: coeff})
+    def monomial(cls, e: Sequence[int], coeff=1) -> "QPoly":
+        e = exponent(e)
+        return cls(len(e), {e: coeff})
 
     @classmethod
     def variable(cls, m: int, i: int) -> "QPoly":

@@ -13,11 +13,11 @@ from tropdiff import (
     BooleanWeight,
     DiffMonomial,
     DiffPoly,
+    MonomialOrder,
     NotAMonomialOrder,
     QPoly,
     RationalFunction,
     normalizer,
-    order_validate,
     substitution_poly,
     trop_poly,
     tropw,
@@ -302,10 +302,10 @@ def matrix_order(rng, m):
         for _ in range(m - 1):
             rows.append([rng.randint(-3, 3) for _ in range(m)])
         try:
-            order = order_validate(rows)
+            order = MonomialOrder(rows)
         except NotAMonomialOrder:
             continue
-        if not order.rank_deficient:
+        if _solve(rows, [0] * m) is not None:  # nonsingular, so of full rank
             return order
 
 

@@ -22,6 +22,7 @@ from tropdiff import (
     DiffMonomial,
     DiffPoly,
     InconsistentOracle,
+    MonomialOrder,
     QPoly,
     RationalFunction,
     SubstitutionKernel,
@@ -35,7 +36,6 @@ from tropdiff import (
     omega_chain,
     order_from_membership,
     order_standard,
-    order_validate,
     parse_poly,
     parse_rational,
     residue,
@@ -51,7 +51,7 @@ X = lambda J: DiffMonomial.var(1, J)
 W = BooleanWeight.cofinite(2, [(1, 1)])
 T = parse_poly("t", 2)
 T_LEX = order_standard("lex", 2)
-U_LEX = order_validate([[1, 0], [0, 1]])
+U_LEX = MonomialOrder([[1, 0], [0, 1]])
 IND = SubstitutionKernel.INDICATOR
 FACT = SubstitutionKernel.FACTORIAL
 

@@ -215,6 +215,26 @@ class TestProblemCommands:
         )
         assert json.loads(out) == [json_tree(diffpoly_json(f)) for f in forms]
 
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [("lex", [[0, 1], [1, 0]]), ("grlex", [[1, 1], [0, 1]]), ("grevlex", [[1, 1], [-1, 0]])],
+        ids=["lex", "grlex", "grevlex"],
+    )
+    @pytest.mark.parametrize("command", ["initial", "order-recover"])
+    def test_named_order_and_its_matrix_print_the_same_bytes(
+        self, capsys, tmp_path, command, kind, rows
+    ):
+        problem = json.loads(Path(PROBLEM).read_text())
+        outputs = []
+        for order in ({"type": kind}, {"type": "matrix", "rows": rows}):
+            problem["order"] = order
+            source = tmp_path / f"{order['type']}.json"
+            source.write_text(json.dumps(problem))
+            code, out, _ = run(capsys, command, "--input", str(source))
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_prolong(self, capsys):
         code, out, _ = run(capsys, "prolong", "--input", PROBLEM, "--bound", "1")
         assert code == 0
@@ -508,8 +528,9 @@ class TestExitCodes:
             ("polynomials", [{"name": "P", "poly": [{"coeff": "1", "monomial": 5}]}]),
             ("polynomials", [{"name": "P", "poly": [{"coeff": {"num": {"terms": 5}}}]}]),
             ("polynomials", [{"name": "P", "poly": [{"coeff": {"num": {"terms": [5]}}}]}]),
+            ("order", {"type": "alphabetical"}),
         ],
-        ids=["polynomials", "points", "excluded", "monomial", "terms", "term"],
+        ids=["polynomials", "points", "excluded", "monomial", "terms", "term", "order-type"],
     )
     def test_malformed_shapes_are_schema_errors(self, capsys, tmp_path, field, value):
         problem = json.loads(Path(PROBLEM).read_text())

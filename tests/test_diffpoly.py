@@ -44,6 +44,8 @@ class TestDiffMonomial:
             DiffMonomial([((1, (1.5, 0)), 1)])
         with pytest.raises(ValueError, match="variable indices must be integers"):
             DiffMonomial([((1.0, (1, 0)), 1)])
+        with pytest.raises(ValueError, match="multi-index must be integers, got 5"):
+            DiffMonomial.var(1, 5)
 
     def test_non_integer_power_rejected(self):
         with pytest.raises(ValueError, match="powers must be integers"):
@@ -158,6 +160,25 @@ class TestArithmetic:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             running_example() + DiffPoly.zero(3, 1)
+
+    @pytest.mark.parametrize(
+        "c",
+        [2, Fraction(1, 2), T, parse_rational("t", 2), parse_rational("t/(t+u)", 2)],
+        ids=["int", "fraction", "qpoly", "rational", "fraction-of-polys"],
+    )
+    def test_constant_minus_polynomial(self, c):
+        P = running_example()
+        R = c - P
+        assert R == -(P - c) == -P + c
+        assert R.coeff(DiffMonomial.one()) == c
+        assert same_as_public(R)
+
+    @pytest.mark.parametrize("c", ["1/2", 0.5], ids=["str", "float"])
+    def test_subtraction_refuses_what_addition_refuses(self, c):
+        P = running_example()
+        for operation in (lambda: P + c, lambda: P - c, lambda: c + P, lambda: c - P):
+            with pytest.raises(TypeError):
+                operation()
 
     def test_cancelled_coefficient_leaves_no_zero_behind(self):
         # x00*x10 collects 1/(tu) - 1/(tu) + 1; the pair cancels first, so the

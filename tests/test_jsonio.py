@@ -19,6 +19,7 @@ from tropdiff import (
     BooleanWeight,
     DiffMonomial,
     DiffPoly,
+    MonomialOrder,
     QPoly,
     RationalFunction,
     SchemaError,
@@ -26,7 +27,6 @@ from tropdiff import (
     VertexFraction,
     VertexPoly,
     order_standard,
-    order_validate,
     parse_poly,
     parse_rational,
 )
@@ -198,10 +198,23 @@ class TestOrderRoundTrip:
             assert order_from(order_json(order), 2) == order
 
     def test_matrix(self):
-        order = order_validate([[1, 0], [0, 1]])
+        order = MonomialOrder([[1, 0], [0, 1]])
         blob = order_json(order)
         assert blob == {"type": "matrix", "rows": [[1, 0], [0, 1]]}
         assert order_from(blob, 2) == order
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_written_by_the_name_its_rows_give(self, m):
+        # at m = 1 the three names are one matrix, written as lex
+        rng = random.Random(146 + m)
+        orders = [order_standard(kind, m) for kind in ("lex", "grlex", "grevlex")]
+        orders += [MonomialOrder(order.rows) for order in orders]
+        orders += [matrix_order(rng, m) for _ in range(20)]
+        for order in orders:
+            blob = order_json(order)
+            assert blob["type"] == order.kind
+            assert order_from(blob, m) == order
+        assert order_json(order_standard("grlex", 1)) == {"type": "lex"}
 
     def test_rejects(self):
         with pytest.raises(SchemaError):

@@ -9,10 +9,10 @@ from tropdiff import (
     GT,
     LT,
     DimensionMismatch,
+    MonomialOrder,
     NotAMonomialOrder,
     VertexPoly,
     order_standard,
-    order_validate,
 )
 
 EXPECTED = {"lex": lex_expected, "grlex": grlex_expected, "grevlex": grevlex_expected}
@@ -50,6 +50,34 @@ class TestStandardMatrices:
     def test_m_zero(self):
         with pytest.raises(NotAMonomialOrder):
             order_standard("lex", 0)
+
+
+class TestKind:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_name_read_from_rows(self, m):
+        rng = random.Random(105 + m)
+        orders = [order_standard(kind, m) for kind in EXPECTED]
+        orders += [MonomialOrder(order.rows) for order in orders]
+        orders += [matrix_order(rng, m) for _ in range(20)]
+        for order in orders:
+            for kind in EXPECTED:
+                named = order.rows == order_standard(kind, m).rows
+                assert (order.kind == kind) == named
+            assert order.kind in EXPECTED or order.kind == "matrix"
+        assert MonomialOrder([[1, 0], [0, 1]]).kind == "matrix"
+
+    def test_one_matrix_at_width_one(self):
+        for kind in EXPECTED:
+            order = order_standard(kind, 1)
+            assert order.rows == ((1,),)
+            assert order.kind == "lex"
+
+    def test_no_kind_knob(self):
+        # a label that contradicts the rows cannot be given or set
+        with pytest.raises(TypeError):
+            MonomialOrder([[1, 0], [0, 1]], kind="lex")
+        with pytest.raises(AttributeError):
+            order_standard("lex", 2).kind = "grlex"
 
 
 class TestCompare:
@@ -102,45 +130,42 @@ class TestMin:
 class TestValidate:
     def test_identity_is_valid(self):
         # the mirrored lex (t1 largest); still a perfectly good order
-        order = order_validate([[1, 0], [0, 1]])
-        assert not order.rank_deficient
+        order = MonomialOrder([[1, 0], [0, 1]])
         assert order.compare((0, 1), (1, 0)) == LT
 
     def test_negative_leading_column(self):
         with pytest.raises(NotAMonomialOrder):
-            order_validate([[-1, 0], [0, 1]])
+            MonomialOrder([[-1, 0], [0, 1]])
 
     def test_negative_in_second_column(self):
         with pytest.raises(NotAMonomialOrder):
-            order_validate([[1, -2], [0, 1]])
+            MonomialOrder([[1, -2], [0, 1]])
 
     def test_non_integer_entry_rejected(self):
         # int() would have made this the identity
         with pytest.raises(ValueError, match=r"weight matrix entries must be integers"):
-            order_validate([[1.9, 0], [0, 1]])
+            MonomialOrder([[1.9, 0], [0, 1]])
 
     def test_grevlex_shape_is_valid(self):
-        order = order_validate([[1, 1], [0, -1]])
-        assert not order.rank_deficient
+        MonomialOrder([[1, 1], [0, -1]])
 
-    def test_rank_deficient_flagged(self):
-        order = order_validate([[1, 1]])
-        assert order.rank_deficient
+    def test_rank_deficient_accepted(self):
+        order = MonomialOrder([[1, 1]])
         # ties fall back to tuple comparison, so the order is still total
         assert order.compare((0, 1), (1, 0)) == LT
 
     def test_ragged(self):
         with pytest.raises(NotAMonomialOrder):
-            order_validate([[1, 0], [0]])
+            MonomialOrder([[1, 0], [0]])
 
     def test_empty(self):
         with pytest.raises(NotAMonomialOrder):
-            order_validate([])
+            MonomialOrder([])
 
     def test_no_columns(self):
         # a row with no entries would make an order on N^0
         with pytest.raises(NotAMonomialOrder, match="rectangular and nonempty"):
-            order_validate([[]])
+            MonomialOrder([[]])
 
 
 class TestOrderLaws:

@@ -21,6 +21,7 @@ from tropdiff import (
     LT,
     DimensionMismatch,
     InconsistentOracle,
+    MonomialOrder,
     NotInUnitBall,
     QPoly,
     RationalFunction,
@@ -36,7 +37,6 @@ from tropdiff import (
     multi_indices,
     order_from_membership,
     order_standard,
-    order_validate,
     parse_poly,
     parse_rational,
     residue,
@@ -47,7 +47,7 @@ from tropdiff import (
 from tropdiff.series import fraction_text
 
 T_LEX = order_standard("lex", 2)
-U_LEX = order_validate([[1, 0], [0, 1]])  # u smallest
+U_LEX = MonomialOrder([[1, 0], [0, 1]])  # u smallest
 
 
 def rf(text, m=2):
@@ -98,6 +98,8 @@ class TestQPolyArithmetic:
         # int() would have printed t
         with pytest.raises(ValueError, match=r"integers, got \(1\.5, 0\)"):
             QPoly(2, {(1.5, 0): 1})
+        with pytest.raises(ValueError, match="exponents must be integers, got 5"):
+            QPoly.monomial(5)
 
     def test_non_integer_derivative_rejected(self):
         with pytest.raises(ValueError, match="integers"):

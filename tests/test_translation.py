@@ -16,6 +16,7 @@ from tropdiff import (
     DiffMonomial,
     DiffPoly,
     DimensionMismatch,
+    MonomialOrder,
     RationalFunction,
     SubstitutionKernel,
     VertexFraction,
@@ -27,7 +28,6 @@ from tropdiff import (
     multi_indices,
     normalizer,
     order_standard,
-    order_validate,
     parse_poly,
     parse_rational,
     substitution_poly,
@@ -41,7 +41,7 @@ X = lambda J: DiffMonomial.var(1, J)
 W = BooleanWeight.cofinite(2, [(1, 1)])
 T = parse_poly("t", 2)
 T_LEX = order_standard("lex", 2)
-U_LEX = order_validate([[1, 0], [0, 1]])
+U_LEX = MonomialOrder([[1, 0], [0, 1]])
 IND = SubstitutionKernel.INDICATOR
 FACT = SubstitutionKernel.FACTORIAL
 

@@ -159,6 +159,8 @@ class TestSubstitutionPoly:
     def test_non_integer_index_rejected(self):
         with pytest.raises(ValueError, match="integers"):
             substitution_poly(COF11, (1.5, 1))
+        with pytest.raises(ValueError, match="multi-index must be integers, got 5"):
+            substitution_poly(COF11, 5)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
