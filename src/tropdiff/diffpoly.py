@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch, exponent, integers, width
+from .errors import DimensionMismatch, direction, exponent, integers, width
 from .series import QPoly, RationalFunction, _iterated, _summed
 
 # what a DiffPoly adds and subtracts as a constant term
@@ -218,10 +218,7 @@ class DiffPoly:
 
     def derive(self, k: int) -> "DiffPoly":
         """Total derivative in the k-th direction, 0-indexed."""
-        if type(k) is not int:
-            raise ValueError(f"direction must be an int, got {k!r}")
-        if not 0 <= k < self.m:
-            raise DimensionMismatch(f"direction {k} out of range for m={self.m}")
+        direction(k, self.m)
         pieces: list[tuple[DiffMonomial, RationalFunction]] = []
         for mono, c in self.terms.items():
             dc = c.partial(k)

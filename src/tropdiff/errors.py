@@ -8,7 +8,8 @@ d^J, a point of a weight) goes through it, so its sign and its width are
 checked in one place.
 width() is the one check of a width: the number m of t-variables and the
 number n of unknowns must each be an int of at least 1 wherever they enter.
-power() is the one check of a power k in x ** k, for every type that has one.
+power() and direction() are the one checks of a power k in x ** k, for every
+type that has one, and of the direction k of a derivative d/dt_k.
 """
 
 import operator
@@ -47,6 +48,12 @@ def power(k) -> None:
     """Refuse a power that is not an int: a bool, a float or a str."""
     if type(k) is not int:
         raise ValueError(f"power must be an integer, got {k!r}")
+
+
+def direction(k, m: int) -> None:
+    """Refuse a direction that is not an int in 0..m-1: a bool, a float, or one out of range."""
+    if type(k) is not int or not 0 <= k < m:
+        raise ValueError(f"direction must be an int in 0..{m - 1}, got {k!r}")
 
 
 class TropdiffError(Exception):

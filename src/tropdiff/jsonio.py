@@ -29,14 +29,14 @@ like "t^2 - 1/2*u" is accepted too.
 Decoders check shape only: that a list, an object or a key is where the
 schema puts one.  The values inside go to the constructors, which check
 them (errors.exponent for every exponent and multi-index, errors.width for
-m and n); a public decoder reports a constructor's ValueError or
-DimensionMismatch as a SchemaError.  Three value checks stay here, because
-they concern what json.loads returns.  A coefficient must be text or an int:
-json.loads reads 0.1 as a binary float, which is not 1/10.  pow and
-prolong_bound must be ints, and json.loads reads true and false as bools,
-which Python counts as ints.  And
-qpoly_from checks each exponent before it merges repeated exponents in a
-dict, where [true, 0] would otherwise merge into the key [1, 0].
+m and n); a public decoder reports a constructor's ValueError,
+DimensionMismatch or NotAMonomialOrder as a SchemaError.  Three value
+checks stay here, because they concern what json.loads returns.  A
+coefficient must be text or an int: json.loads reads 0.1 as a binary float,
+which is not 1/10.  pow and prolong_bound must be ints, and json.loads reads
+true and false as bools, which Python counts as ints.  And qpoly_from checks
+each exponent before it merges repeated exponents in a dict, where [true, 0]
+would otherwise merge into the key [1, 0].
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def _decoder(decode: Callable) -> Callable:
     def wrapper(*args, **kwargs):
         try:
             return decode(*args, **kwargs)
-        except (ValueError, DimensionMismatch) as exc:
+        except (ValueError, DimensionMismatch, NotAMonomialOrder) as exc:
             raise SchemaError(str(exc)) from exc
 
     return wrapper
@@ -296,10 +296,7 @@ def order_from(obj: Any, m: int) -> MonomialOrder:
         if order.m != m:
             raise SchemaError(f"order matrix has {order.m} columns, expected {m}")
         return order
-    try:
-        return order_standard(kind, m)
-    except NotAMonomialOrder as exc:
-        raise SchemaError(str(exc)) from exc
+    return order_standard(kind, m)
 
 
 @_decoder

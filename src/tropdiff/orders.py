@@ -10,7 +10,9 @@ entry is positive.
 
 An order is its matrix and nothing else: MonomialOrder(rows) is the one
 constructor, and an order's name (kind) is read from its rows.  It is the
-standard name whose matrix equals rows, otherwise "matrix".
+standard name whose matrix equals rows, otherwise "matrix".  ==, hash and
+kind read the matrix as written, so two matrices that order N^m alike (say
+[[2, 0], [0, 1]] and [[1, 0], [0, 1]]) are still different values.
 
 Naming fixes a convention once and for all: the standard orders put
 t1 < t2 < ... < tm, so under "lex" every pure power of t1 sorts below

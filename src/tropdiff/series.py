@@ -33,6 +33,7 @@ from .errors import (
     NotInUnitBall,
     ZeroDenominator,
     ZeroTropicalValue,
+    direction,
     exponent,
     power,
     width,
@@ -274,8 +275,7 @@ class QPoly:
 
     def partial(self, k: int) -> "QPoly":
         """Derivative with respect to the k-th variable, 0-indexed."""
-        if type(k) is not int or not 0 <= k < self.m:
-            raise ValueError(f"direction must be an int in 0..{self.m - 1}, got {k!r}")
+        direction(k, self.m)
         # e -> e - e_k is injective, so no two terms meet
         ints = {e[:k] + (e[k] - 1,) + e[k + 1 :]: c * e[k] for e, c in self._ints.items() if e[k]}
         return QPoly._lowest(self.m, ints, self._den)
@@ -588,5 +588,4 @@ def separating_constants(q) -> tuple[Fraction, ...]:
         raise NotInUnitBall(f"separating constants of {q} need tropical value <= 1")
     if value.absorbed_by(VertexFraction.one(q.m)):
         return (Fraction(0),)
-    vertices = sorted(trop_poly(q.den).points, reverse=True)
-    return tuple(_quotient_at(q, v) for v in vertices)
+    return tuple(_quotient_at(q, v) for v in reversed(value.den.points))

@@ -40,10 +40,6 @@ from .feasibility import covered
 Point = tuple[int, ...]
 
 
-def _validated_points(m: int, points: Iterable[Sequence[int]]) -> set[Point]:
-    return {exponent(p, m) for p in points}
-
-
 def _pareto_minimal(points: set[Point]) -> list[Point]:
     mins: list[Point] = []
     # Coordinatewise domination implies lexicographic order, so after sorting
@@ -91,7 +87,7 @@ class VertexPoly:
 
     def __init__(self, m: int, points: Iterable[Sequence[int]] = ()):
         self.m = width(m)
-        self.points = _vertices(_validated_points(m, points))
+        self.points = _vertices({exponent(p, m) for p in points})
 
     @classmethod
     def _trusted(cls, m: int, points: tuple[Point, ...]) -> "VertexPoly":

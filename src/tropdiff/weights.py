@@ -11,7 +11,11 @@ support.  For a cofinite set N^m minus E the support is infinite, but each
 of its minimal points is 0 or q + e_k for some q in E: a minimal p != 0 has
 some p_k > 0, and p - e_k must then lie in E.  Those candidates, minus E, lie
 in the set and reach every minimal point, so they span the same polyhedron.
-The full set N^m is the cofinite set with nothing excluded.
+
+A weight is its set: finite, or cofinite with data the points it leaves out,
+and N^m is the cofinite weight that leaves out nothing.  full, finite and
+cofinite are the only constructors and check each point once; shift builds
+from checked points.  kind is read from the set.
 
 substitution_poly is the polynomial that the translation machinery plugs in
 for a single derivative x_{i,J}.  The indicator kernel puts coefficient 1 on
@@ -27,82 +31,79 @@ from typing import Iterable, Sequence
 
 from .errors import TropdiffError, exponent, width
 from .series import QPoly
-from .vertexpoly import VertexPoly, _validated_points
+from .vertexpoly import VertexPoly
 
 Point = tuple[int, ...]
 
 
 class BooleanWeight:
-    """Finite or cofinite subset of N^m."""
+    """Finite or cofinite subset of N^m: data holds its points, or the points it leaves out."""
 
-    __slots__ = ("m", "kind", "data")
+    __slots__ = ("m", "is_cofinite", "data")
 
-    def __init__(self, m: int, kind: str, data: frozenset[Point]):
-        if kind == "cofinite" and not data:
-            kind = "full"
-        if kind == "full":
-            data = frozenset()
-        elif kind not in ("finite", "cofinite"):
-            raise ValueError(f"unknown weight kind {kind!r}")
-        self.m = width(m)
-        self.kind = kind
-        self.data = data
+    def __init__(self, *args):
+        raise TypeError("a BooleanWeight is built by full, finite or cofinite")
+
+    @classmethod
+    def _made(cls, m: int, is_cofinite: bool, data: frozenset[Point]) -> "BooleanWeight":
+        out = object.__new__(cls)
+        out.m, out.is_cofinite, out.data = m, is_cofinite, data
+        return out
 
     @classmethod
     def full(cls, m: int) -> "BooleanWeight":
-        return cls(m, "full", frozenset())
+        return cls.cofinite(m, ())
 
     @classmethod
     def finite(cls, m: int, points: Iterable[Sequence[int]]) -> "BooleanWeight":
-        return cls(m, "finite", frozenset(_validated_points(m, points)))
+        return cls._made(width(m), False, frozenset(exponent(p, m) for p in points))
 
     @classmethod
     def cofinite(cls, m: int, excluded: Iterable[Sequence[int]]) -> "BooleanWeight":
-        return cls(m, "cofinite", frozenset(_validated_points(m, excluded)))
+        return cls._made(width(m), True, frozenset(exponent(p, m) for p in excluded))
+
+    @property
+    def kind(self) -> str:
+        """Read from the set: "finite", "cofinite", or "full" when nothing is left out."""
+        return ("cofinite" if self.data else "full") if self.is_cofinite else "finite"
 
     def __contains__(self, point: Sequence[int]) -> bool:
-        p = exponent(point, self.m)
-        if self.kind == "finite":
-            return p in self.data
-        return p not in self.data
+        return (exponent(point, self.m) in self.data) != self.is_cofinite
 
     @property
     def is_empty(self) -> bool:
-        return self.kind == "finite" and not self.data
+        return not (self.is_cofinite or self.data)
 
     def shift(self, J: Sequence[int]) -> "BooleanWeight":
-        """The set {I >= 0 : I + J in self}."""
+        """The set {I >= 0 : I + J in self}; its points come from checked points."""
         J = exponent(J, self.m, "multi-index")
         moved = frozenset(
             tuple(i - j for i, j in zip(p, J))
             for p in self.data
             if all(i >= j for i, j in zip(p, J))
         )
-        return BooleanWeight(self.m, self.kind, moved)
+        return BooleanWeight._made(self.m, self.is_cofinite, moved)
 
     def vertices(self) -> VertexPoly:
         """Tropical value of the series with this support."""
-        if self.kind == "finite":
+        if not self.is_cofinite:
             return VertexPoly(self.m, self.data)
-        candidates = {(0,) * self.m}
-        for q in self.data:
-            for k in range(self.m):
-                candidates.add(q[:k] + (q[k] + 1,) + q[k + 1 :])
-        return VertexPoly(self.m, candidates - self.data)
+        steps = {q[:k] + (q[k] + 1,) + q[k + 1 :] for q in self.data for k in range(self.m)}
+        return VertexPoly(self.m, ({(0,) * self.m} | steps) - self.data)
 
     def series(self) -> QPoly:
         """The honest polynomial, available for finite supports only."""
-        if self.kind != "finite":
+        if self.is_cofinite:
             raise TropdiffError("only a finite weight is a polynomial")
         return QPoly(self.m, dict.fromkeys(self.data, 1))
 
     def __eq__(self, other):
         if not isinstance(other, BooleanWeight):
             return NotImplemented
-        return (self.m, self.kind, self.data) == (other.m, other.kind, other.data)
+        return (self.m, self.is_cofinite, self.data) == (other.m, other.is_cofinite, other.data)
 
     def __hash__(self):
-        return hash((self.m, self.kind, self.data))
+        return hash((self.m, self.is_cofinite, self.data))
 
     def __str__(self):
         if self.kind == "full":

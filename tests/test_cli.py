@@ -513,6 +513,21 @@ class TestExitCodes:
         assert "SchemaError" in err
         assert f"{key} must be a positive integer, got {value!r}" in err
 
+    @pytest.mark.parametrize(
+        "rows", [[[1, 0], [0]], [[-1, 0], [0, 1]]], ids=["ragged", "inadmissible"]
+    )
+    def test_an_order_matrix_that_is_no_monomial_order_is_a_schema_error(
+        self, capsys, tmp_path, rows
+    ):
+        # both exited 3 (NotAMonomialOrder), while a matrix of the wrong width exits 2
+        problem = json.loads(Path(PROBLEM).read_text())
+        problem["order"] = {"type": "matrix", "rows": rows}
+        source = tmp_path / "order.json"
+        source.write_text(json.dumps(problem))
+        code, _, err = run(capsys, "order-recover", "--input", str(source))
+        assert code == 2
+        assert "SchemaError" in err and "NotAMonomialOrder" not in err
+
     def test_float_coefficient_argument_is_a_schema_error(self, capsys):
         term = {"exp": [1, 0], "coeff": 0.1}
         code, _, err = run(capsys, "trop", json.dumps({"num": {"terms": [term]}}))

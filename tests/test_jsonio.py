@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     diff_monomial,
     diffpoly,
+    exponent,
     json_tree,
     matrix_order,
     qpoly,
@@ -178,6 +179,15 @@ class TestWeightRoundTrip:
         for _ in range(100):
             w = weight(rng, 2)
             assert weight_from(weight_json(w), 2) == w
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_round_trip_through_the_bytes(self, m):
+        rng = random.Random(134 + m)
+        for _ in range(60):
+            w = weight(rng, m)
+            for v in (w, w.shift(exponent(rng, m, 3))):
+                back = weight_from(through_text(weight_json(v)), m)
+                assert back == v and hash(back) == hash(v) and back.kind == v.kind
 
     def test_rejects(self):
         with pytest.raises(SchemaError):

@@ -557,6 +557,28 @@ class TestSeparatingConstants:
             assert trop_frac(product).absorbed_by(one)
 
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_the_denominator_is_extracted_once(self, m, monkeypatch):
+        # trop_frac extracts the numerator and the denominator, and the
+        # constants read the denominator's vertices from it: 2 extractions, was 3
+        calls = []
+        monkeypatch.setattr("tropdiff.series.trop_poly", lambda f: calls.append(f) or trop_poly(f))
+        rng = random.Random(73 + m)
+        on_the_boundary = 0
+        for _ in range(100):
+            q = unit_ball_fraction(rng, m)
+            calls.clear()
+            got = separating_constants(q)
+            assert len(calls) == 2
+            den = trop_poly(q.den)
+            if VertexFraction(trop_poly(q.num), den).absorbed_by(VertexFraction.one(m)):
+                assert got == (Fraction(0),)
+                continue
+            on_the_boundary += 1
+            vertices = sorted(den.points, reverse=True)
+            assert got == tuple(q.num.coeff(v) / q.den.coeff(v) for v in vertices)
+        assert on_the_boundary > 5
+
 def fraction_qpoly(rng, m, max_terms=4, hi=4):
     """Random nonzero polynomial whose coefficients have assorted denominators."""
     while True:

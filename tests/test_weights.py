@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import weight
+from helpers import exponent, weight
 from tropdiff import (
     BooleanWeight,
     DimensionMismatch,
@@ -40,8 +40,12 @@ class TestConstruction:
             BooleanWeight.finite(2, [(1, 2, 3)])
         with pytest.raises(ValueError):
             BooleanWeight.finite(2, [(-1, 0)])
-        with pytest.raises(ValueError):
-            BooleanWeight(2, "half-open", frozenset())
+        # the raw constructor stored a kind and its data unchecked
+        for kind, data in [
+            ("half-open", ()), ("finite", frozenset()), ("finite", [(1, 0)]), ("cofinite", {(-1, 0)})
+        ]:
+            with pytest.raises(TypeError):
+                BooleanWeight(2, kind, data)
 
     def test_non_integer_points_rejected(self):
         with pytest.raises(ValueError, match="integers"):
@@ -87,6 +91,50 @@ class TestShift:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):
             COF11.shift((1, 1, 1))
+
+    @pytest.mark.parametrize("m, draws, side", [(3, 100, 5), (4, 40, 4)], ids=["m3", "m4"])
+    def test_pointwise_agreement_at_higher_m(self, m, draws, side):
+        rng = random.Random(90 + m)
+        for _ in range(draws):
+            w = weight(rng, m)
+            J = exponent(rng, m, 2)
+            shifted = w.shift(J)
+            for I in itertools.product(range(side), repeat=m):
+                moved = tuple(i + j for i, j in zip(I, J))
+                assert (I in shifted) == (moved in w)
+
+
+class TestKind:
+    """kind is read from the set, with the values it had as a stored field."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_weight_and_shift(self, m):
+        rng = random.Random(95 + m)
+        assert BooleanWeight.full(m).kind == "full"
+        for _ in range(100):
+            points = [exponent(rng, m, 3) for _ in range(rng.randint(0, 4))]
+            J = exponent(rng, m, 3)
+            finite, cofinite = BooleanWeight.finite(m, points), BooleanWeight.cofinite(m, points)
+            assert finite.kind == finite.shift(J).kind == "finite"
+            assert cofinite.kind == ("cofinite" if points else "full")
+            left = [p for p in points if all(i >= j for i, j in zip(p, J))]
+            assert cofinite.shift(J).kind == ("cofinite" if left else "full")
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_shift_past_every_exclusion_is_full(self, m):
+        rng = random.Random(96 + m)
+        full = BooleanWeight.full(m)
+        for _ in range(50):
+            points = [exponent(rng, m, 3) for _ in range(rng.randint(1, 4))]
+            J = tuple(rng.randint(0, 4) for _ in range(m - 1)) + (4,)
+            shifted = BooleanWeight.cofinite(m, points).shift(J)
+            assert shifted.kind == "full" and str(shifted) == f"N^{m}"
+            assert shifted == full and hash(shifted) == hash(full)
+
+    def test_kind_is_read_only(self):
+        with pytest.raises(AttributeError):
+            COF11.kind = "finite"
+        assert COF11.kind == "cofinite" and (1, 1) not in COF11
 
 
 class TestVertices:
