@@ -27,7 +27,10 @@ Wherever a QPoly or RationalFunction is expected on input, expression text
 like "t^2 - 1/2*u" is accepted too.
 
 Decoders check shape only: that a list, an object or a key is where the
-schema puts one.  The values inside go to the constructors, which check
+schema puts one.  A weight or order object takes its type and its own key
+only (points, excluded or rows; none for full or a named order): any other
+key is a SchemaError that names it, so a misspelt key is not read as an
+absent one.  The values inside go to the constructors, which check
 them (errors.exponent for every exponent and multi-index, errors.width for
 m and n); a public decoder reports a constructor's ValueError,
 DimensionMismatch or NotAMonomialOrder as a SchemaError.  Three value
@@ -200,6 +203,13 @@ def _listed(obj: Any, what: str) -> list:
     return obj
 
 
+def _own_keys(obj: dict, what: str, *keys: str) -> None:
+    """Refuse any key of obj but "type" and keys, naming it."""
+    extra = [key for key in obj if key != "type" and key not in keys]
+    if extra:
+        raise SchemaError(f"{what} takes no key {', '.join(map(repr, extra))}")
+
+
 def _explicit_m(obj: Any) -> int | None:
     """Exponent width written out somewhere in a serialized value, if any."""
     if isinstance(obj, dict):
@@ -275,10 +285,13 @@ def weight_from(obj: Any, m: int) -> BooleanWeight:
         raise SchemaError(f"weight must be an object with a type, got {obj!r}")
     kind = obj["type"]
     if kind == "full":
+        _own_keys(obj, "full weight")
         return BooleanWeight.full(m)
     if kind == "finite":
+        _own_keys(obj, "finite weight", "points")
         return BooleanWeight.finite(m, _listed(obj.get("points", []), "weight points"))
     if kind == "cofinite":
+        _own_keys(obj, "cofinite weight", "excluded")
         return BooleanWeight.cofinite(m, _listed(obj.get("excluded", []), "excluded points"))
     raise SchemaError(f"unknown weight type {kind!r}")
 
@@ -289,6 +302,7 @@ def order_from(obj: Any, m: int) -> MonomialOrder:
         raise SchemaError(f"order must be an object with a type, got {obj!r}")
     kind = obj["type"]
     if kind == "matrix":
+        _own_keys(obj, "matrix order", "rows")
         rows = obj.get("rows")
         if not isinstance(rows, list) or not rows:
             raise SchemaError("matrix order needs nonempty rows")
@@ -296,7 +310,9 @@ def order_from(obj: Any, m: int) -> MonomialOrder:
         if order.m != m:
             raise SchemaError(f"order matrix has {order.m} columns, expected {m}")
         return order
-    return order_standard(kind, m)
+    order = order_standard(kind, m)
+    _own_keys(obj, f"{kind} order")
+    return order
 
 
 @_decoder

@@ -17,7 +17,13 @@ rotations of the coordinate order, and the point of least total degree when
 no other point ties it.  Each is the single point of a face of the
 polyhedron, so it is a vertex; the first step of Clarkson's output-sensitive
 scheme (K. L. Clarkson, FOCS 1994).  feasibility.covered has no other caller
-in the package.
+in the package, and inside this module only _vertices runs it and the filter.
+
+Two cases need neither the filter nor the LP.  A set of at most one point is
+its own vertex set.  A product with a one-point factor {p} is the other
+factor translated by p: the Minkowski sum with a single point maps the
+vertices of conv(S) + R^m_{>=0} one to one onto those of conv(S + p) +
+R^m_{>=0} and keeps their lex order, so __mul__ shifts the vertices it holds.
 
 The public constructor checks every point it is given with errors.exponent.
 The semiring operations build their results from vertex sets that were
@@ -45,7 +51,7 @@ def _pareto_minimal(points: set[Point]) -> list[Point]:
     # Coordinatewise domination implies lexicographic order, so after sorting
     # only earlier survivors can dominate the current point.
     for p in sorted(points):
-        if not any(all(qk <= pk for qk, pk in zip(q, p)) for q in mins):
+        if not any(all(map(operator.le, q, p)) for q in mins):
             mins.append(p)
     return mins
 
@@ -72,6 +78,8 @@ def _quick_accepts(mins: list[Point]) -> set[Point]:
 
 def _vertices(points: set[Point]) -> tuple[Point, ...]:
     """Sorted vertex set of conv(points + R^m_{>=0}); the points are not checked."""
+    if len(points) <= 1:
+        return tuple(points)
     mins = _pareto_minimal(points)
     if len(mins) <= 2:
         return tuple(sorted(mins))
@@ -135,7 +143,14 @@ class VertexPoly:
         if not isinstance(other, VertexPoly):
             return NotImplemented
         self._check(other)
-        sums = {tuple(map(operator.add, p, q)) for p in self.points for q in other.points}
+        a, b = self.points, other.points
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a translation maps vertices onto vertices and keeps lex order
+            (p,) = a
+            return VertexPoly._trusted(self.m, tuple(tuple(map(operator.add, p, q)) for q in b))
+        sums = {tuple(map(operator.add, p, q)) for p in a for q in b}
         return VertexPoly._trusted(self.m, _vertices(sums))
 
     def __pow__(self, k: int) -> "VertexPoly":

@@ -544,8 +544,15 @@ class TestExitCodes:
             ("polynomials", [{"name": "P", "poly": [{"coeff": {"num": {"terms": 5}}}]}]),
             ("polynomials", [{"name": "P", "poly": [{"coeff": {"num": {"terms": [5]}}}]}]),
             ("order", {"type": "alphabetical"}),
+            # a key of another type was read as absent: N^2, the empty weight, lex
+            ("weight", [{"type": "cofinite", "points": [[0, 0]]}]),
+            ("weight", [{"type": "finite", "excluded": [[1, 1]]}]),
+            ("order", {"type": "lex", "rows": [[0, 1], [1, 0]]}),
         ],
-        ids=["polynomials", "points", "excluded", "monomial", "terms", "term", "order-type"],
+        ids=[
+            "polynomials", "points", "excluded", "monomial", "terms", "term", "order-type",
+            "cofinite-points", "finite-excluded", "named-order-rows",
+        ],
     )
     def test_malformed_shapes_are_schema_errors(self, capsys, tmp_path, field, value):
         problem = json.loads(Path(PROBLEM).read_text())

@@ -195,6 +195,19 @@ class TestWeightRoundTrip:
         with pytest.raises(SchemaError):
             weight_from("full", 2)
 
+    @pytest.mark.parametrize(
+        "obj, named",
+        [
+            ({"type": "full", "excluded": []}, "'excluded'"),
+            ({"type": "finite", "excluded": [[1, 1]]}, "'excluded'"),
+            ({"type": "cofinite", "points": [[0, 0]], "note": 1}, "'points', 'note'"),
+        ],
+        ids=["full", "finite", "cofinite"],
+    )
+    def test_a_key_of_another_type_is_named(self, obj, named):
+        with pytest.raises(SchemaError, match=f"^{obj['type']} weight takes no key {named}$"):
+            weight_from(obj, 2)
+
     def test_point_width_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="coordinates"):
             weight_from({"type": "finite", "points": [[1, 0, 0]]}, 2)
@@ -225,6 +238,18 @@ class TestOrderRoundTrip:
             assert blob["type"] == order.kind
             assert order_from(blob, m) == order
         assert order_json(order_standard("grlex", 1)) == {"type": "lex"}
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"type": "grlex", "rows": [[1, 1], [1, 0]]}, "grlex order takes no key 'rows'"),
+            ({"type": "matrix", "rows": [[1, 0], [0, 1]], "kind": "lex"}, "matrix order takes no key 'kind'"),
+        ],
+        ids=["named", "matrix"],
+    )
+    def test_a_key_of_another_type_is_named(self, obj, message):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            order_from(obj, 2)
 
     def test_rejects(self):
         with pytest.raises(SchemaError):

@@ -11,8 +11,9 @@ one of its fields, as an attribute or as a string (getattr).  The field
 names are read from QPoly itself, so renaming them keeps the rule in force.
 
 The exact simplex has one caller: only vertexpoly imports feasibility.covered
-or calls it, so every vertex extraction, with its quick accepts, goes through
-vertexpoly._vertices.
+or calls it, and inside vertexpoly only the function _vertices names covered
+or the Pareto filter _pareto_minimal, so every vertex extraction, with its
+small-input exit and its quick accepts, goes through vertexpoly._vertices.
 """
 
 import ast
@@ -175,4 +176,54 @@ def test_the_lp_rule_sees_each_use():
         "line 4: imports *",
         "line 7: calls covered",
         "line 8: calls covered",
+    ]
+
+
+EXTRACTION_STEPS = ("covered", "_pareto_minimal")
+
+
+def extraction_steps(source: str, allowed: str | None = "_vertices") -> list[str]:
+    """Names of covered or _pareto_minimal outside the module function allowed."""
+    found = []
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.FunctionDef) and statement.name == allowed:
+            continue
+        for node in ast.walk(statement):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in EXTRACTION_STEPS:
+                found.append((node.lineno, name))
+    return [f"line {line}: uses {name}" for line, name in sorted(found)]
+
+
+def test_only_vertices_runs_the_filter_and_the_lp():
+    assert extraction_steps(PACKAGE.joinpath("vertexpoly.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_extraction_rule_sees_each_use():
+    vertexpoly_source = PACKAGE.joinpath("vertexpoly.py").read_text(encoding="utf-8")
+    assert {use.split()[-1] for use in extraction_steps(vertexpoly_source, None)} == set(EXTRACTION_STEPS)
+    source = (
+        "from .feasibility import covered\n"
+        "def _pareto_minimal(points):\n"
+        "    return sorted(points)\n"
+        "def _vertices(points):\n"
+        "    mins = _pareto_minimal(points)\n"
+        "    return [p for p in mins if not covered(mins, p)]\n"
+        "class VertexPoly:\n"
+        "    def __mul__(self, other):\n"
+        "        return _pareto_minimal(self.points)\n"
+        "    def _vertices(self, points):\n"
+        "        return feasibility.covered([], points[0])\n"
+        "step = covered\n"
+        "def helper(points):\n"
+        "    def _vertices(points):\n"
+        "        return _pareto_minimal(points)\n"
+        "    return list(map(covered, points))\n"
+    )
+    assert extraction_steps(source) == [
+        "line 9: uses _pareto_minimal",
+        "line 11: uses covered",
+        "line 12: uses covered",
+        "line 15: uses _pareto_minimal",
+        "line 16: uses covered",
     ]

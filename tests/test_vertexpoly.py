@@ -16,11 +16,38 @@ from tropdiff import (
     staircase_vertices_2d,
     vertexpoly,
 )
+from tropdiff.feasibility import covered
 from tropdiff.vertexpoly import _pareto_minimal, _quick_accepts
 
 
 def vp(*points):
     return VertexPoly(2, points)
+
+
+def general_route(points):
+    """_vertices with no exit and no quick accept: the Pareto filter, then
+    one LP per survivor over the other survivors."""
+    mins = _pareto_minimal(set(points))
+    return tuple(sorted(p for p in mins if not covered([q for q in mins if q != p], p)))
+
+
+@pytest.fixture
+def extraction_calls(monkeypatch):
+    """Counts, by name, the calls of the Pareto filter and of the LP."""
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(vertexpoly, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in ("covered", "_pareto_minimal"):
+        monkeypatch.setattr(vertexpoly, name, counting(name))
+    return calls
 
 
 class TestExtraction:
@@ -128,6 +155,41 @@ class TestOpsAgainstTheConstructor:
             assert (a + b).points == VertexPoly(m, A + B).points
             sums = [tuple(x + y for x, y in zip(p, q)) for p in A for q in B]
             assert (a * b).points == VertexPoly(m, sums).points
+
+    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+    def test_a_one_point_factor_translates(self, m, extraction_calls):
+        # a product with a one-point factor, on either side, and an extraction
+        # of at most one point run neither the filter nor the LP; each must
+        # give the general route's sorted vertex set all the same
+        rng = random.Random(347 + m)
+        seen = Counter()
+        for _ in range(40):
+            p = exponent(rng, m, 5)
+            A = [exponent(rng, m, 5) for _ in range(rng.randint(2, 7))]
+            q = exponent(rng, m, 5)
+            factors = [
+                (VertexPoly(m, A), A),
+                (VertexPoly.one(m), [(0,) * m]),
+                (VertexPoly.zero(m), []),
+                (VertexPoly.point(q), [q]),
+            ]
+            for b, B in factors:
+                sums = [tuple(x + y for x, y in zip(p, r)) for r in B]
+                extraction_calls.clear()
+                a = VertexPoly(m, [p, p])
+                products = [a * b, b * a]
+                assert not extraction_calls, (p, B)
+                want = vertexpoly._vertices(set(sums))
+                assert want == general_route(sums) == own_vertices(sums), (p, B)
+                for got in products:
+                    assert got.m == m and got.points == want
+                    assert list(got.points) == sorted(got.points)
+                seen["several vertices"] += len(want) > 1
+            extraction_calls.clear()
+            small = [VertexPoly(m, []), VertexPoly(m, [q]), VertexPoly(m, [q, q])]
+            assert not extraction_calls
+            assert [v.points for v in small] == [general_route([]), general_route([q]), (q,)]
+        assert seen["several vertices"] > 0
 
     @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
     def test_constructor_still_checks_every_point(self, m):
@@ -439,6 +501,35 @@ class TestFractions:
     def test_unit_ball(self):
         assert VertexFraction.one(2).in_unit_ball()
         assert not VertexFraction(vp((0, 0)), vp((1, 0))).in_unit_ball()
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_comparing_over_one_extracts_only_the_union(self, m, monkeypatch):
+        # over the denominator {0} each cross product is a translation by 0:
+        # == extracts nothing, and <= extracts only the union num + num
+        rng = random.Random(353 + m)
+        values = [
+            VertexPoly(m, [exponent(rng, m, 5) for _ in range(rng.randint(1, 5))])
+            for _ in range(60)
+        ]
+        real = vertexpoly._vertices
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(vertexpoly, "_vertices", counted)
+        outcomes = set()
+        for a, b in zip(values, values[1:] + values[:1]):
+            x, y = VertexFraction(a), VertexFraction(b, VertexPoly.one(m))
+            calls.clear()
+            equal = x == y
+            assert calls == [] and equal == (a == b)
+            below = x <= y
+            assert len(calls) == 1
+            assert below == (real({*a.points, *b.points}) == b.points)
+            outcomes.add(below)
+        assert outcomes == {True, False}
 
     def test_add_formula(self):
         x = VertexFraction(vp((1, 0)), vp((0, 1)))
