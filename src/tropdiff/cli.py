@@ -19,8 +19,8 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import jsonio
 from .diffpoly import DiffMonomial, DiffPoly, multi_indices, prolong

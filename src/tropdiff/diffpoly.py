@@ -14,8 +14,8 @@ for everything the translation layer does combinatorially.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, direction, exponent, integers, width
 from .series import QPoly, RationalFunction, _iterated, _summed

@@ -13,7 +13,7 @@ type that has one, and of the direction k of a derivative d/dt_k.
 """
 
 import operator
-from typing import Iterable
+from collections.abc import Iterable
 
 
 def integers(values: Iterable, what: str = "exponents") -> tuple[int, ...]:

@@ -24,7 +24,7 @@ rational tableau.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 Point = Sequence[int]
 

@@ -27,28 +27,28 @@ Wherever a QPoly or RationalFunction is expected on input, expression text
 like "t^2 - 1/2*u" is accepted too.
 
 Decoders check shape only: that a list, an object or a key is where the
-schema puts one.  A weight or order object takes its type and its own key
-only (points, excluded or rows; none for full or a named order): any other
-key is a SchemaError that names it, so a misspelt key is not read as an
-absent one.  The values inside go to the constructors, which check
-them (errors.exponent for every exponent and multi-index, errors.width for
-m and n); a public decoder reports a constructor's ValueError,
-DimensionMismatch or NotAMonomialOrder as a SchemaError.  Three value
-checks stay here, because they concern what json.loads returns.  A
-coefficient must be text or an int: json.loads reads 0.1 as a binary float,
-which is not 1/10.  pow and prolong_bound must be ints, and json.loads reads
-true and false as bools, which Python counts as ints.  And qpoly_from checks
-each exponent before it merges repeated exponents in a dict, where [true, 0]
-would otherwise merge into the key [1, 0].
+schema puts one.  Every object takes its documented keys only, and a weight
+or order object only its type and its own key (points, excluded or rows;
+none for full or a named order): any other key is a SchemaError that names
+it, so a misspelt key is not read as an absent one.  The values inside go
+to the constructors, which check them (errors.exponent for every exponent
+and multi-index, errors.width for m and n); a public decoder reports a
+constructor's ValueError, DimensionMismatch or NotAMonomialOrder as a
+SchemaError.  Three value checks stay here, because they concern what
+json.loads returns.  A coefficient must be text or an int: json.loads reads
+0.1 as a binary float, which is not 1/10.  pow and prolong_bound must be
+ints, and json.loads reads true and false as bools, which Python counts as
+ints.  And qpoly_from checks each exponent before it merges repeated
+exponents in a dict, where [true, 0] would otherwise merge into the key
+[1, 0].
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Sequence
 
 from .diffpoly import DiffMonomial, DiffPoly
 from .errors import DimensionMismatch, NotAMonomialOrder, SchemaError, exponent, width
@@ -62,7 +62,7 @@ from .weights import BooleanWeight, SubstitutionKernel
 # -- writer ------------------------------------------------------------------
 
 
-def dumps(value: Any) -> str:
+def dumps(value: object) -> str:
     """value as the bytes of json.dumps(value, sort_keys=True, indent=2).
 
     Written are str, int, list and dict (with str keys), and QPoly,
@@ -72,7 +72,7 @@ def dumps(value: Any) -> str:
     return _write(value, "\n")
 
 
-def _write(value: Any, newline: str) -> str:
+def _write(value: object, newline: str) -> str:
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -192,25 +192,25 @@ def _decoder(decode: Callable) -> Callable:
     return wrapper
 
 
-def _is_int(obj: Any) -> bool:
+def _is_int(obj: object) -> bool:
     """An int as json.loads gives one; true and false are bools, not ints."""
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
-def _listed(obj: Any, what: str) -> list:
+def _listed(obj: object, what: str) -> list:
     if not isinstance(obj, list):
         raise SchemaError(f"{what} must be a list, got {obj!r}")
     return obj
 
 
 def _own_keys(obj: dict, what: str, *keys: str) -> None:
-    """Refuse any key of obj but "type" and keys, naming it."""
-    extra = [key for key in obj if key != "type" and key not in keys]
+    """Refuse any key of obj but keys, naming it."""
+    extra = [key for key in obj if key not in keys]
     if extra:
         raise SchemaError(f"{what} takes no key {', '.join(map(repr, extra))}")
 
 
-def _explicit_m(obj: Any) -> int | None:
+def _explicit_m(obj: object) -> int | None:
     """Exponent width written out somewhere in a serialized value, if any."""
     if isinstance(obj, dict):
         exp = obj.get("exp")
@@ -231,10 +231,11 @@ def _explicit_m(obj: Any) -> int | None:
 
 
 @_decoder
-def qpoly_from(obj: Any, m: int | None = None) -> QPoly:
+def qpoly_from(obj: object, m: int | None = None) -> QPoly:
     if isinstance(obj, str):
         return parse_poly(obj, m)
     if isinstance(obj, dict) and "terms" in obj:
+        _own_keys(obj, "polynomial object", "terms")
         if m is None:
             m = _explicit_m(obj)
             if m is None:
@@ -243,6 +244,7 @@ def qpoly_from(obj: Any, m: int | None = None) -> QPoly:
         for entry in _listed(obj["terms"], "terms"):
             if not isinstance(entry, dict):
                 raise SchemaError(f"term must be an object with exp and coeff, got {entry!r}")
+            _own_keys(entry, "polynomial term", "exp", "coeff")
             exp = exponent(_listed(entry.get("exp"), "exponent"), m)
             coeff = entry.get("coeff")
             if not _is_int(coeff) and not isinstance(coeff, str):
@@ -257,10 +259,11 @@ def qpoly_from(obj: Any, m: int | None = None) -> QPoly:
 
 
 @_decoder
-def rational_from(obj: Any, m: int | None = None) -> RationalFunction:
+def rational_from(obj: object, m: int | None = None) -> RationalFunction:
     if isinstance(obj, str):
         return parse_rational(obj, m)
     if isinstance(obj, dict) and "num" in obj:
+        _own_keys(obj, "rational function object", "num", "den")
         if m is None:
             m = _explicit_m(obj)
         if m is None:
@@ -280,29 +283,29 @@ def rational_from(obj: Any, m: int | None = None) -> RationalFunction:
 
 
 @_decoder
-def weight_from(obj: Any, m: int) -> BooleanWeight:
+def weight_from(obj: object, m: int) -> BooleanWeight:
     if not isinstance(obj, dict) or "type" not in obj:
         raise SchemaError(f"weight must be an object with a type, got {obj!r}")
     kind = obj["type"]
     if kind == "full":
-        _own_keys(obj, "full weight")
+        _own_keys(obj, "full weight", "type")
         return BooleanWeight.full(m)
     if kind == "finite":
-        _own_keys(obj, "finite weight", "points")
+        _own_keys(obj, "finite weight", "type", "points")
         return BooleanWeight.finite(m, _listed(obj.get("points", []), "weight points"))
     if kind == "cofinite":
-        _own_keys(obj, "cofinite weight", "excluded")
+        _own_keys(obj, "cofinite weight", "type", "excluded")
         return BooleanWeight.cofinite(m, _listed(obj.get("excluded", []), "excluded points"))
     raise SchemaError(f"unknown weight type {kind!r}")
 
 
 @_decoder
-def order_from(obj: Any, m: int) -> MonomialOrder:
+def order_from(obj: object, m: int) -> MonomialOrder:
     if not isinstance(obj, dict) or "type" not in obj:
         raise SchemaError(f"order must be an object with a type, got {obj!r}")
     kind = obj["type"]
     if kind == "matrix":
-        _own_keys(obj, "matrix order", "rows")
+        _own_keys(obj, "matrix order", "type", "rows")
         rows = obj.get("rows")
         if not isinstance(rows, list) or not rows:
             raise SchemaError("matrix order needs nonempty rows")
@@ -311,21 +314,23 @@ def order_from(obj: Any, m: int) -> MonomialOrder:
             raise SchemaError(f"order matrix has {order.m} columns, expected {m}")
         return order
     order = order_standard(kind, m)
-    _own_keys(obj, f"{kind} order")
+    _own_keys(obj, f"{kind} order", "type")
     return order
 
 
 @_decoder
-def diffpoly_from(obj: Any, m: int, n: int) -> DiffPoly:
+def diffpoly_from(obj: object, m: int, n: int) -> DiffPoly:
     total = DiffPoly.zero(m, n)
     for entry in _listed(obj, "differential polynomial"):
         if not isinstance(entry, dict) or "coeff" not in entry:
             raise SchemaError(f"term must be an object with coeff, got {entry!r}")
+        _own_keys(entry, "differential polynomial term", "coeff", "monomial")
         coeff = rational_from(entry["coeff"], m)
         factors = []
         for fac in _listed(entry.get("monomial", []), "monomial"):
             if not isinstance(fac, dict) or "var" not in fac:
                 raise SchemaError(f"monomial factor must name a var, got {fac!r}")
+            _own_keys(fac, "monomial factor", "var", "pow")
             var = fac["var"]
             if not isinstance(var, (list, tuple)) or len(var) != 2:
                 raise SchemaError(f"var must be [index, multi-index], got {var!r}")
@@ -338,7 +343,7 @@ def diffpoly_from(obj: Any, m: int, n: int) -> DiffPoly:
 
 
 @_decoder
-def pairs_from(obj: Any, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def pairs_from(obj: object, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exponent pairs [[I, J], ...] for order recovery."""
     pairs = []
     for pair in _listed(obj, "pairs"):
@@ -352,24 +357,39 @@ def pairs_from(obj: Any, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]
 # -- problem files -----------------------------------------------------------
 
 
-@dataclass
 class ProblemFile:
     """Decoded problem description shared by the CLI subcommands."""
 
-    m: int
-    n: int
-    polynomials: list[tuple[str, DiffPoly]]
-    weights: list[BooleanWeight] | None
-    order: MonomialOrder | None
-    kernel: SubstitutionKernel
-    prolong_bound: int
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    __slots__ = ("m", "n", "polynomials", "weights", "order", "kernel", "prolong_bound", "pairs")
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        polynomials: list[tuple[str, DiffPoly]],
+        weights: list[BooleanWeight] | None,
+        order: MonomialOrder | None,
+        kernel: SubstitutionKernel,
+        prolong_bound: int,
+        pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    ):
+        self.m = m
+        self.n = n
+        self.polynomials = polynomials
+        self.weights = weights
+        self.order = order
+        self.kernel = kernel
+        self.prolong_bound = prolong_bound
+        self.pairs = pairs
 
 
 @_decoder
-def problem_from(obj: Any) -> ProblemFile:
+def problem_from(obj: object) -> ProblemFile:
     if not isinstance(obj, dict):
         raise SchemaError("problem file must be a JSON object")
+    _own_keys(
+        obj, "problem file", "m", "n", "polynomials", "weight", "order", "kernel", "prolong_bound", "pairs"
+    )
     m = width(obj.get("m"))
     n = width(obj.get("n", 1), "n")
 
@@ -377,6 +397,7 @@ def problem_from(obj: Any) -> ProblemFile:
     for entry in _listed(obj.get("polynomials", []), "polynomials"):
         if not isinstance(entry, dict) or "name" not in entry or "poly" not in entry:
             raise SchemaError(f"polynomial entry needs name and poly, got {entry!r}")
+        _own_keys(entry, "polynomial entry", "name", "poly")
         polynomials.append((str(entry["name"]), diffpoly_from(entry["poly"], m, n)))
 
     weights = None

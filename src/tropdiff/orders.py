@@ -23,7 +23,7 @@ are MonomialOrder with the mirrored matrix.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import NotAMonomialOrder, exponent, integers, width
 

@@ -17,18 +17,19 @@ given it is inferred as the largest variable index seen, with a floor of 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NegativeExponent, PolyParseError, UnknownVariable, ZeroDenominator, width
 from .series import QPoly, RationalFunction
 
 
-@dataclass
 class _Token:
-    kind: str  # int, var, op, end
-    value: object
-    pos: int
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind: str, value: object, pos: int):
+        self.kind = kind  # int, var, op, end
+        self.value = value
+        self.pos = pos
 
 
 def _lex(text: str) -> list[_Token]:

@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,

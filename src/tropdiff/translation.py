@@ -23,7 +23,7 @@ which ranges over all derivative multi-indices.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .diffpoly import DiffPoly, prolong
 from .errors import DimensionMismatch, InternalInconsistency, ZeroTropicalValue

@@ -38,7 +38,7 @@ two routes against each other.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DimensionMismatch, ZeroDenominator, exponent, power, width
 from .feasibility import covered

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import TropdiffError, exponent, width
 from .series import QPoly

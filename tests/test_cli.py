@@ -548,10 +548,27 @@ class TestExitCodes:
             ("weight", [{"type": "cofinite", "points": [[0, 0]]}]),
             ("weight", [{"type": "finite", "excluded": [[1, 1]]}]),
             ("order", {"type": "lex", "rows": [[0, 1], [1, 0]]}),
+            # an unknown key was read as absent: bound 0, the indicator kernel, pow 1, den 1
+            ("prolong-bound", 2),
+            ("kernal", "factorial"),
+            ("polynomials", [{"name": "P", "poly": [], "note": "x"}]),
+            ("polynomials", [{"name": "P", "poly": [{"coeff": "1", "coef": "2"}]}]),
+            (
+                "polynomials",
+                [{"name": "P", "poly": [{"coeff": "1", "monomial": [{"var": [1, [1, 1]], "power": 3}]}]}],
+            ),
+            ("polynomials", [{"name": "P", "poly": [{"coeff": {"num": "t", "denom": "u"}}]}]),
+            ("polynomials", [{"name": "P", "poly": [{"coeff": {"num": {"terms": [], "m": 2}}}]}]),
+            (
+                "polynomials",
+                [{"name": "P", "poly": [{"coeff": {"num": {"terms": [{"exp": [1, 0], "coeff": "1", "pow": 2}]}}}]}],
+            ),
         ],
         ids=[
             "polynomials", "points", "excluded", "monomial", "terms", "term", "order-type",
-            "cofinite-points", "finite-excluded", "named-order-rows",
+            "cofinite-points", "finite-excluded", "named-order-rows", "problem-file-key",
+            "kernel-key", "entry-key", "diffpoly-term-key", "factor-key", "num-den-key",
+            "terms-key", "term-key",
         ],
     )
     def test_malformed_shapes_are_schema_errors(self, capsys, tmp_path, field, value):

@@ -352,6 +352,44 @@ class TestProblemFile:
             problem_from({"m": 2, "polynomials": [{"name": "P"}]})
 
 
+class TestUnknownKeys:
+    """Every decoder object takes its documented keys only, so a misspelt key
+    is a SchemaError that names it, not an absent key read as its default."""
+
+    @pytest.mark.parametrize(
+        "decode, args, message",
+        [
+            (problem_from, ({"m": 2, "prolong-bound": 2},), "problem file takes no key 'prolong-bound'"),
+            (
+                problem_from,
+                ({"m": 2, "polynomials": [{"name": "P", "poly": [], "note": "x"}]},),
+                "polynomial entry takes no key 'note'",
+            ),
+            (
+                diffpoly_from,
+                ([{"coeff": "1", "monomial": [], "kernal": "factorial"}], 2, 1),
+                "differential polynomial term takes no key 'kernal'",
+            ),
+            (
+                diffpoly_from,
+                ([{"coeff": "1", "monomial": [{"var": [1, [1, 1]], "power": 3}]}], 2, 1),
+                "monomial factor takes no key 'power'",
+            ),
+            (rational_from, ({"num": "t", "denom": "u"}, 2), "rational function object takes no key 'denom'"),
+            (qpoly_from, ({"terms": [], "m": 2}, 2), "polynomial object takes no key 'm'"),
+            (
+                qpoly_from,
+                ({"terms": [{"exp": [1, 0], "coeff": "1", "pow": 2}]}, 2),
+                "polynomial term takes no key 'pow'",
+            ),
+        ],
+        ids=["problem-file", "polynomial-entry", "diffpoly-term", "factor", "num-den", "terms", "term"],
+    )
+    def test_an_unknown_key_is_named(self, decode, args, message):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            decode(*args)
+
+
 # -- the canonical writer ----------------------------------------------------
 
 STRINGS = ("", "x", "é", "日本", "😀", 'say "hi"', "back\\slash", "tab\t", "\x00\x1f", "\u2028", "/")

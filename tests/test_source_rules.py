@@ -5,6 +5,10 @@ Checked on the syntax tree of every module in src/tropdiff: an import must
 name a standard-library module or the package itself, no float (or complex)
 literal and no float(...) call may appear, and there is no assert statement,
 wherever it sits (a line-based search misses `if c: assert x`).
+Nor may a module import dataclasses, typing or inspect: each is paid by every
+CLI call, and dataclasses alone pulls in inspect, ast, dis and tokenize.
+tests/test_startup.py also catches a heavy module that comes in through
+another import.
 
 QPoly's integer representation is private to series: no other module names
 one of its fields, as an attribute or as a string (getattr).  The field
@@ -27,7 +31,8 @@ from tropdiff import QPoly
 
 PACKAGE = Path(tropdiff.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
-ALLOWED = frozenset(sys.stdlib_module_names) | {"tropdiff"}
+HEAVY = frozenset({"dataclasses", "typing", "inspect"})
+ALLOWED = (frozenset(sys.stdlib_module_names) - HEAVY) | {"tropdiff"}
 QPOLY_FIELDS = frozenset(QPoly.__slots__) - {"m"}
 
 
@@ -68,6 +73,11 @@ def test_the_check_sees_each_offence():
         "import numpy\n"
         "import os.path, sympy.core\n"
         "from scipy import optimize\n"
+        "from dataclasses import dataclass\n"
+        "import json, typing\n"
+        "import inspect as i\n"
+        "from collections.abc import Sequence\n"
+        "from .typing import Any\n"
         "from . import series\n"
         "from tropdiff.series import QPoly\n"
         "half = 0.5\n"
@@ -80,10 +90,13 @@ def test_the_check_sees_each_offence():
         "line 1: imports numpy",
         "line 2: imports sympy.core",
         "line 3: imports scipy",
-        "line 6: literal 0.5",
-        "line 7: literal 1j",
-        "line 8: calls float()",
-        "line 10: assert",
+        "line 4: imports dataclasses",
+        "line 5: imports typing",
+        "line 6: imports inspect",
+        "line 11: literal 0.5",
+        "line 12: literal 1j",
+        "line 13: calls float()",
+        "line 15: assert",
     ]
 
 
