@@ -6,8 +6,14 @@ json.dumps(value, sort_keys=True, indent=2); list order is fixed by contract
 (generators in input order, derivative indices graded, terms in display
 order), so identical input produces byte-identical output.
 
-Each invocation builds the parser of its own subcommand only; --help, no
-arguments and an unknown command build every subcommand's parser.
+A subcommand call parses its arguments with one parser, built from that
+command's row of _COMMANDS alone.  The two-level parser of every command is
+built only for --help, no arguments, an unknown command, and arguments that the
+command's parser leaves over, whose error it prints with the top-level usage.
+
+JSON input is decoded by _json, which reports input that json.loads refuses as
+exit 2 in every case: a syntax error as json.JSONDecodeError, nesting deeper
+than MAX_JSON_NESTING or an integer with too many digits as a SchemaError.
 
 Exit codes: 0 success, 2 parse or usage error, 3 domain error, 4 internal
 inconsistency.
@@ -18,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -51,6 +58,10 @@ MAX_OMEGA_COUNT = 1000
 # and each costs more as the bound grows; the cap (about 5 s at m = 2) refuses
 # a prolongation that would run for minutes before printing anything.
 MAX_DERIVATIVES = 2000
+# Decoding JSON, and reading the decoded value, take a stack frame per level;
+# the cap keeps both far below the interpreter's recursion limit on every
+# version, where the decoder's own limit differs between versions.
+MAX_JSON_NESTING = 100
 
 _REL_NAME = {LT: "LT", EQ: "EQ", GT: "GT"}
 _REL_SIGN = {LT: "<", EQ: "=", GT: ">"}
@@ -73,8 +84,30 @@ def _read_source(path: str) -> str:
         return handle.read()
 
 
+def _json(text: str):
+    """json.loads(text), refusing nesting above MAX_JSON_NESTING and integers
+    that int() refuses as a SchemaError; a syntax error stays a JSONDecodeError."""
+    # a value nests at most as deep as it has brackets, so only text with more
+    # than the cap needs the scan, which skips strings as the decoder does
+    if text.count("[") + text.count("{") > MAX_JSON_NESTING:
+        depth = 0
+        for match in re.finditer(r'"(?:[^"\\]|\\.)*"|([\[{])|([\]}])', text):
+            if match.group(1):
+                depth += 1
+                if depth > MAX_JSON_NESTING:
+                    raise SchemaError(f"JSON input nests deeper than {MAX_JSON_NESTING}")
+            elif match.group(2):
+                depth -= 1
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the interpreter's limit on the digits of an int
+        raise SchemaError("JSON input holds an integer with too many digits") from None
+
+
 def _load_problem(args) -> jsonio.ProblemFile:
-    return jsonio.problem_from(json.loads(_read_source(args.input)))
+    return jsonio.problem_from(_json(_read_source(args.input)))
 
 
 def _selected(problem: jsonio.ProblemFile, names: Sequence[str]):
@@ -129,7 +162,7 @@ def cmd_trop(args) -> int:
         raise SchemaError("no expression given: pass one or use --input")
 
     text = source.strip()
-    decoded = json.loads(text) if text.startswith(("{", '"')) else text
+    decoded = _json(text) if text.startswith(("{", '"')) else text
     vf = trop_frac(jsonio.rational_from(decoded, _m_of(args)))
     return _emit(args, lambda: jsonio.vertexfraction_json(vf), lambda: [str(vf)])
 
@@ -189,7 +222,7 @@ def cmd_order_recover(args) -> int:
     order = _declared(problem.order, "order")
     pairs = list(problem.pairs)
     if args.pairs is not None:
-        pairs += jsonio.pairs_from(json.loads(args.pairs), problem.m)
+        pairs += jsonio.pairs_from(_json(args.pairs), problem.m)
     relations = []
     for I, J in pairs:
         recovered = order_from_membership(lambda q: max_ideal_member(q, order), I, J)
@@ -358,36 +391,46 @@ _COMMANDS = (
      (_FORMAT, (("--count",), dict(type=int, default=5, help="chain length (default 5)")))),
     ("selftest", "run the built-in golden checks", cmd_selftest, ()),
 )
-_COMMAND_NAMES = [name for name, *_ in _COMMANDS]
 
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of only the command named."""
+def _add_arguments(parser: argparse.ArgumentParser, func, arguments) -> None:
+    """Give parser one command's arguments and handler."""
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(func=func)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The two-level parser: the top level picks the command, whose parser reads the rest."""
     parser = argparse.ArgumentParser(
         prog="tropdiff",
         description="Exact tropical computations for differential polynomials.",
     )
-    # An "unrecognized arguments" error prints this parser's usage line, which
-    # must list every command either way.  Only the single-command parser sets
-    # the metavar, because it would also rename the command in the errors of
-    # the full parser (missing or unknown command), which this one never meets.
-    every = None if only is None else "{%s}" % ",".join(_COMMAND_NAMES)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, func, arguments in _COMMANDS:
-        if only in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for flags, options in arguments:
-                p.add_argument(*flags, **options)
-            p.set_defaults(func=func)
+        _add_arguments(sub.add_parser(name, help=help_text), func, arguments)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed arguments of a call; argparse exits on help and on every usage error."""
+    for name, _, func, arguments in _COMMANDS:
+        if argv[:1] == [name]:
+            # the parser that add_parser would build for this command
+            parser = argparse.ArgumentParser(prog="tropdiff " + name)
+            _add_arguments(parser, func, arguments)
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                return args
+    # --help, no arguments, an unknown command, or leftover arguments: the
+    # two-level parser prints the help or the error, with the top-level usage
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # --help, no arguments and unknown commands need every command's parser
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMAND_NAMES else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse already printed its message; fold --help's 0 through
         return 0 if exc.code in (0, None) else 2

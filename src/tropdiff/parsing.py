@@ -13,6 +13,11 @@ matching the pretty-printer for m <= 2.  Exponents are nonnegative integers.
 parse_rational accepts arbitrary division; parse_poly only allows dividing by
 nonzero constants (so rational literals like 3/4 still work).  When m is not
 given it is inferred as the largest variable index seen, with a floor of 2.
+
+Parentheses nest at most MAX_NESTING deep, checked over the tokens before
+parsing starts, so the recursive descent never runs out of stack.  A run of
+digits that int() refuses (longer than the interpreter's limit on the digits of
+an int) is a PolyParseError at its position.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ from fractions import Fraction
 
 from .errors import NegativeExponent, PolyParseError, UnknownVariable, ZeroDenominator, width
 from .series import QPoly, RationalFunction
+
+# Each level of parentheses costs the parser five stack frames; at this depth
+# an expression stays far below the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class _Token:
@@ -32,6 +41,13 @@ class _Token:
         self.pos = pos
 
 
+def _int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # the interpreter's limit on the digits of an int
+        raise PolyParseError(f"integer of {len(digits)} digits is too long", pos) from None
+
+
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i, n = 0, len(text)
@@ -40,11 +56,11 @@ def _lex(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("int", int(text[i:j]), i))
+            tokens.append(_Token("int", _int(text[i:j], i), i))
             i = j
             continue
         if ch.isalpha():
@@ -56,9 +72,11 @@ def _lex(text: str) -> list[_Token]:
                 idx = 1
             elif name == "u":
                 idx = 2
-            elif name.startswith("t") and name[1:].isdigit() and int(name[1:]) >= 1:
-                idx = int(name[1:])
+            elif name.startswith("t") and name[1:].isdecimal():
+                idx = _int(name[1:], i + 1)
             else:
+                idx = 0
+            if idx < 1:
                 raise UnknownVariable(f"unknown variable {name!r}", i)
             tokens.append(_Token("var", idx, i))
             i = j
@@ -160,6 +178,15 @@ def _parse(text: str, m: int | None, poly_mode: bool) -> RationalFunction:
     tokens = _lex(text)
     if tokens[0].kind == "end":
         raise PolyParseError("empty input", 0)
+    depth = 0
+    for tok in tokens:
+        if tok.kind == "op":
+            if tok.value == "(":
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise PolyParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
+            elif tok.value == ")":
+                depth -= 1
     if m is None:
         seen = max((tok.value for tok in tokens if tok.kind == "var"), default=0)
         m = max(2, seen)

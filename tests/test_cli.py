@@ -663,6 +663,134 @@ class TestExitCodes:
         assert "inconsistency" in done.stderr
 
 
+def problem_with(tmp_path, text):
+    source = tmp_path / "problem.json"
+    source.write_text(text)
+    return str(source)
+
+
+def problem_with_coeff(tmp_path, coeff):
+    """PROBLEM with the running example's second coefficient replaced by coeff."""
+    problem = json.loads(Path(PROBLEM).read_text())
+    problem["polynomials"][0]["poly"][1]["coeff"] = coeff
+    return problem_with(tmp_path, json.dumps(problem))
+
+
+def nested(depth):
+    return "[" * depth + "]" * depth
+
+
+# one more digit than the interpreter's default limit on int() of a string
+LONG_INT = "1" * (sys.int_info.default_max_str_digits + 1)
+
+
+class TestInputLimits:
+    """Input that the decoders refuse exits 2 with a named error, never a traceback."""
+
+    @pytest.mark.parametrize("above", [1, 10_000], ids=["one-above", "far-above"])
+    @pytest.mark.parametrize(
+        "argv, outer",
+        [
+            (["tropw", "--input", "{file}"], 0),
+            (["trop", '{"x": {deep}}'], 1),
+            (["trop", '{"num": {"terms": {deep}}}'], 2),
+            (["order-recover", "--input", PROBLEM, "--pairs", "{deep}"], 0),
+        ],
+        ids=["problem-file", "trop", "trop-terms", "order-recover-pairs"],
+    )
+    def test_json_nested_above_the_cap_is_a_schema_error(self, capsys, tmp_path, argv, outer, above):
+        """The cap is tropdiff's own, so the outcome is the same on every interpreter,
+        whatever depth its decoder and its recursion limit would reach."""
+        from tropdiff.cli import MAX_JSON_NESTING
+
+        deep = nested(MAX_JSON_NESTING + above - outer)
+        source = problem_with(tmp_path, deep)
+        argv = [arg.replace("{file}", source).replace("{deep}", deep) for arg in argv]
+        assert run(capsys, *argv) == (
+            2, "", "error: SchemaError: JSON input nests deeper than 100\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, outer, message",
+        [
+            (["tropw", "--input", "{file}"], 0, "problem file must be a JSON object"),
+            # rational_from's search for an exponent width walks every level
+            (["trop", '{"num": {"terms": {deep}}}'], 2,
+             "cannot infer the exponent width; pass m"),
+        ],
+        ids=["problem-file", "trop-terms"],
+    )
+    def test_json_nested_at_the_cap_reaches_the_schema(self, capsys, tmp_path, argv, outer, message):
+        from tropdiff.cli import MAX_JSON_NESTING
+
+        deep = nested(MAX_JSON_NESTING - outer)
+        source = problem_with(tmp_path, deep)
+        argv = [arg.replace("{file}", source).replace("{deep}", deep) for arg in argv]
+        assert run(capsys, *argv) == (2, "", f"error: SchemaError: {message}\n")
+
+    def test_brackets_inside_json_strings_do_not_nest(self, capsys):
+        text = '"[{' + "[" * 300 + '\\"{"'
+        assert run(capsys, "trop", '{"num": %s, "den": "1"}' % text)[2].startswith(
+            "error: PolyParseError: "
+        )
+
+    def test_a_json_integer_with_too_many_digits_is_a_schema_error(self, capsys, tmp_path):
+        source = problem_with(tmp_path, '{"m": %s}' % LONG_INT)
+        code, out, err = run(capsys, "tropw", "--input", source)
+        assert (code, out) == (2, "")
+        assert err == "error: SchemaError: JSON input holds an integer with too many digits\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tropw", "--input", "{file}"],
+            ["trop", "{"],
+            ["order-recover", "--input", PROBLEM, "--pairs", "{"],
+        ],
+        ids=["problem-file", "trop", "order-recover-pairs"],
+    )
+    def test_a_json_syntax_error_prints_the_decoder_message(self, capsys, tmp_path, argv):
+        argv = [arg.replace("{file}", problem_with(tmp_path, "{")) for arg in argv]
+        assert run(capsys, *argv) == (2, "", (
+            "error: JSONDecodeError: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n"
+        ))
+
+    def test_nesting_at_the_cap_parses(self, capsys):
+        from tropdiff.parsing import MAX_NESTING
+
+        text = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+        assert run(capsys, "trop", text) == run(capsys, "trop", "t")
+
+    @pytest.mark.parametrize("depth", [101, 200])
+    def test_expression_nested_above_the_cap_is_a_parse_error(self, capsys, tmp_path, depth):
+        text = "(" * depth + "t" + ")" * depth
+        for argv in (
+            ["trop", text],
+            ["bezout", "--", text, "t"],
+            ["tropw", "--input", problem_with_coeff(tmp_path, text)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv[0]
+            assert err == (
+                "error: PolyParseError: parentheses nest deeper than 100 (at position 100)\n"
+            )
+
+    def test_an_integer_literal_with_too_many_digits_is_a_parse_error(self, capsys, tmp_path):
+        for argv, position in (
+            (["trop", "t + " + LONG_INT], 4),
+            (["bezout", "--", LONG_INT, "t"], 0),
+            (["trop", "t" + LONG_INT], 1),
+            (["prolong", "--input", problem_with_coeff(tmp_path, LONG_INT + "*t")], 0),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv[0]
+            assert err == (
+                f"error: PolyParseError: integer of {len(LONG_INT)} digits is too long "
+                f"(at position {position})\n"
+            )
+
+
 COMMANDS = [
     "trop", "tropw", "translate", "initial", "prolong",
     "order-recover", "bezout", "omega-chain", "selftest",
@@ -679,7 +807,24 @@ USAGE_CASES = {
     "non-int-count": ["--count", "x"],
     "unknown-option": ["--input", PROBLEM, "--no-such-option"],
     "extra-positionals": ["a", "b", "c"],
+    "abbreviation": ["--inp", PROBLEM],
+    "format-equals": ["--format=pretty"],
+    "float-m": ["--m", "2.5"],
+    "double-dash": ["--", "-t", "u"],
+    "unknown-option-first": ["--no-such-option", "--input", PROBLEM],
 }
+# every command with its required arguments and nothing else left over
+CALLS = [
+    ["trop", "t"],
+    ["tropw", "--input", PROBLEM],
+    ["translate", "--input", PROBLEM],
+    ["initial", "--input", PROBLEM],
+    ["prolong", "--input", PROBLEM],
+    ["order-recover", "--input", PROBLEM],
+    ["bezout", "t", "u"],
+    ["omega-chain"],
+    ["selftest"],
+]
 # captured from the full parser at COLUMNS=80 before the single-command parser
 # existed; they keep the full parser itself from drifting
 TOP_USAGE = """\
@@ -723,35 +868,82 @@ def parse(capsys, parser, argv):
     return outcome, captured.out, captured.err
 
 
+@pytest.fixture
+def received(monkeypatch):
+    """The parsed values each command is called with; no command runs."""
+    from tropdiff import cli
+
+    calls = []
+    record = lambda args: calls.append(vars(args)) or 0
+    table = tuple((name, text, record, arguments) for name, text, _, arguments in cli._COMMANDS)
+    monkeypatch.setattr(cli, "_COMMANDS", table)
+    return calls
+
+
+def count_full_parsers(monkeypatch):
+    """A list that gets one entry each time main builds the two-level parser."""
+    from tropdiff import cli
+
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    return built
+
+
 class TestParser:
     def test_the_table_names_every_command(self):
         from tropdiff import cli
 
-        assert cli._COMMAND_NAMES == COMMANDS
+        assert [name for name, *_ in cli._COMMANDS] == COMMANDS
 
     @pytest.mark.parametrize("case", USAGE_CASES)
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_single_command_parser_matches_the_full_one(self, capsys, monkeypatch, command, case):
+    def test_single_command_parser_matches_the_full_one(
+        self, capsys, monkeypatch, received, command, case
+    ):
+        """main's exit code, output and parsed values are those of the full parser."""
         from tropdiff import cli
 
         monkeypatch.setenv("COLUMNS", "80")
         argv = [command, *USAGE_CASES[case]]
-        single = parse(capsys, cli._build_parser(command), argv)
-        assert single == parse(capsys, cli._build_parser(), argv)
+        values, out, err = parse(capsys, cli._build_parser(), argv)
+        if isinstance(values, dict):  # parsed: the command gets the same values
+            del values["command"]
+            expected = (0, out, err, [values])
+        else:  # argparse exited: help is 0, every usage error 2
+            expected = (0 if values == 0 else 2, out, err, [])
+        assert (*run(capsys, *argv), received) == expected
 
     @pytest.mark.parametrize(
         "argv, only",
         [(["tropw", "--help"], "tropw"), (["omega-chain"], "omega-chain"), (["--help"], None),
-         ([], None), (["nosuch"], None), (["--format", "json"], None), (["Tropw"], None)],
+         ([], None), (["nosuch"], None), (["--format", "json"], None), (["Tropw"], None)]
+        + [(argv, argv[0]) for argv in CALLS],
     )
     def test_main_builds_only_the_named_command(self, capsys, monkeypatch, argv, only):
+        """A call of a command parses with that command's parser alone; top-level
+        help, no arguments and anything but a command name build the full parser."""
         from tropdiff import cli
 
-        built = []
-        build = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda name: built.append(name) or build(name))
-        main(argv)
-        assert built == [only]
+        if only is None:
+            built = count_full_parsers(monkeypatch)
+            main(argv)
+            assert built == [1]
+        else:
+            def refuse():
+                raise AssertionError("the two-level parser was built")
+
+            monkeypatch.setattr(cli, "_build_parser", refuse)
+            assert main(argv) == 0
+
+    @pytest.mark.parametrize("argv", CALLS, ids=lambda argv: argv[0])
+    def test_leftover_arguments_print_the_top_level_usage(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        built = count_full_parsers(monkeypatch)
+        assert run(capsys, *argv, "--no-such-option") == (
+            2, "", TOP_USAGE + "tropdiff: error: unrecognized arguments: --no-such-option\n"
+        )
+        assert built == [1]
 
     def test_top_level_help(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")

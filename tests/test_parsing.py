@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from tropdiff import (
     parse_poly,
     parse_rational,
 )
+from tropdiff.parsing import MAX_NESTING
 
 
 class TestGrammar:
@@ -115,6 +117,38 @@ class TestErrors:
     def test_unclosed_parenthesis(self):
         with pytest.raises(PolyParseError):
             parse_poly("(t+u")
+
+
+class TestLimits:
+    def test_nesting_at_the_cap_parses(self):
+        text = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+        assert parse_poly(text) == parse_poly("t")
+
+    def test_nesting_above_the_cap_is_refused_where_it_passes_the_cap(self):
+        text = "(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(PolyParseError) as info:
+            parse_rational(text)
+        assert info.value.position == MAX_NESTING
+
+    def test_the_cap_bounds_depth_not_the_number_of_parentheses(self):
+        text = "+".join(["(t)"] * (3 * MAX_NESTING))
+        assert parse_poly(text) == 3 * MAX_NESTING * parse_poly("t")
+
+    @pytest.mark.parametrize("template, position", [("{}", 0), ("t + {}", 4), ("t{}", 1)])
+    def test_digits_that_int_refuses_are_a_parse_error(self, template, position):
+        digits = "1" * (sys.int_info.default_max_str_digits + 1)
+        with pytest.raises(PolyParseError) as info:
+            parse_rational(template.format(digits))
+        assert info.value.position == position
+        assert f"integer of {len(digits)} digits is too long" in str(info.value)
+
+    def test_digit_characters_that_are_no_decimal_digits(self):
+        # '²' counts as a digit to str.isdigit, but int() refuses it
+        with pytest.raises(PolyParseError) as info:
+            parse_poly("2²")
+        assert "unexpected character" in str(info.value) and info.value.position == 1
+        with pytest.raises(UnknownVariable):
+            parse_poly("t²")
 
 
 class TestRoundTrip:
