@@ -37,6 +37,7 @@ from .errors import (
     PolyParseError,
     SchemaError,
     TropdiffError,
+    width,
 )
 from .orders import EQ, GT, LT, MonomialOrder, order_standard
 from .parsing import parse_rational
@@ -145,9 +146,12 @@ def _bound_of(args, problem: jsonio.ProblemFile, generators: int) -> int:
 
 
 def _m_of(args) -> int | None:
-    if args.m is not None and args.m < 1:
-        raise SchemaError(f"--m must be a positive integer, got {args.m!r}")
-    return args.m
+    if args.m is None:
+        return None
+    try:
+        return width(args.m, "--m")
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 # -- subcommands -------------------------------------------------------------
@@ -244,8 +248,8 @@ def cmd_bezout(args) -> int:
     texts = (args.phi, args.psi)
     first, second = (parse_rational(text, _m_of(args)) for text in texts)
     if first.m != second.m:  # both widths were inferred; parse again at the larger
-        width = max(first.m, second.m)
-        first, second = (parse_rational(text, width) for text in texts)
+        m = max(first.m, second.m)
+        first, second = (parse_rational(text, m) for text in texts)
     witness = bezout_witness(first, second)
     return _emit(args, lambda: {"M": witness}, lambda: [f"M = {witness}"])
 

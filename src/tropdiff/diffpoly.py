@@ -284,14 +284,22 @@ class DiffPoly:
 
 
 def multi_indices(m: int, bound: int) -> list[tuple[int, ...]]:
-    """All J with |J| <= bound, graded, larger leading entries first."""
+    """All J with |J| <= bound, graded, larger leading entries first.
+
+    A J of degree d is the multiset of its d directions; the sorted multisets
+    come in lex order, which is the decreasing lex order of the J, so each
+    level is built in order, in time linear in its size.
+    """
     width(m)
     if type(bound) is not int or bound < 0:
         raise ValueError(f"bound must be a nonnegative int, got {bound!r}")
     out: list[tuple[int, ...]] = []
     for d in range(bound + 1):
-        level = [J for J in itertools.product(range(d + 1), repeat=m) if sum(J) == d]
-        out.extend(sorted(level, reverse=True))
+        for directions in itertools.combinations_with_replacement(range(m), d):
+            J = [0] * m
+            for k in directions:
+                J[k] += 1
+            out.append(tuple(J))
     return out
 
 

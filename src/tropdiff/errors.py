@@ -7,13 +7,32 @@ library (an exponent I of t^I, a multi-index J of x_{i,J} or of a derivative
 d^J, a point of a weight) goes through it, so its sign and its width are
 checked in one place.
 width() is the one check of a width: the number m of t-variables and the
-number n of unknowns must each be an int of at least 1 wherever they enter.
+number n of unknowns must each be an int from 1 to MAX_WIDTH wherever they
+enter.
 power() and direction() are the one checks of a power k in x ** k, for every
 type that has one, and of the direction k of a derivative d/dt_k.
+shown() renders an offending value for a message, so a refusal of a huge
+input stays short.
 """
 
 import operator
 from collections.abc import Iterable
+
+# Work grows with the width, and a named order's matrix with its square; at
+# this cap a named order is built in a fraction of a second.
+MAX_WIDTH = 1000
+# A value whose repr is longer is shown by its start, its type and its length.
+_SHOWN_LENGTH = 200
+
+
+def shown(value: object) -> str:
+    """repr(value) when short; else its start, its type and its length (len(value),
+    or the length of the repr for a value without one, such as an int)."""
+    text = repr(value)
+    if len(text) <= _SHOWN_LENGTH:
+        return text
+    size = len(value) if hasattr(value, "__len__") else len(text)
+    return f"{text[:_SHOWN_LENGTH]}... ({type(value).__name__} of length {size})"
 
 
 def integers(values: Iterable, what: str = "exponents") -> tuple[int, ...]:
@@ -24,36 +43,38 @@ def integers(values: Iterable, what: str = "exponents") -> tuple[int, ...]:
             return tuple(map(operator.index, values))
     except TypeError:
         pass
-    raise ValueError(f"{what} must be integers, got {values}")
+    raise ValueError(f"{what} must be integers, got {shown(values)}")
 
 
 def exponent(values: Iterable, m: int | None = None, what: str = "exponents") -> tuple[int, ...]:
     """values as a point of N^m: nonnegative ints, exactly m of them when m is given."""
     e = integers(values, what)
     if e and min(e) < 0:
-        raise ValueError(f"{what} must be nonnegative, got {e}")
+        raise ValueError(f"{what} must be nonnegative, got {shown(e)}")
     if m is not None and len(e) != m:
-        raise DimensionMismatch(f"{what}: {e} does not have {m} coordinates")
+        raise DimensionMismatch(f"{what}: {shown(e)} does not have {m} coordinates")
     return e
 
 
 def width(m, what: str = "m") -> int:
-    """m when it is an int of at least 1; a bool, a float or a str is refused."""
-    if type(m) is int and m >= 1:
-        return m
-    raise ValueError(f"{what} must be a positive integer, got {m!r}")
+    """m when it is an int from 1 to MAX_WIDTH; a bool, a float or a str is refused."""
+    if type(m) is not int or m < 1:
+        raise ValueError(f"{what} must be a positive integer, got {shown(m)}")
+    if m > MAX_WIDTH:
+        raise ValueError(f"{what} must be at most {MAX_WIDTH}, got {shown(m)}")
+    return m
 
 
 def power(k) -> None:
     """Refuse a power that is not an int: a bool, a float or a str."""
     if type(k) is not int:
-        raise ValueError(f"power must be an integer, got {k!r}")
+        raise ValueError(f"power must be an integer, got {shown(k)}")
 
 
 def direction(k, m: int) -> None:
     """Refuse a direction that is not an int in 0..m-1: a bool, a float, or one out of range."""
     if type(k) is not int or not 0 <= k < m:
-        raise ValueError(f"direction must be an int in 0..{m - 1}, got {k!r}")
+        raise ValueError(f"direction must be an int in 0..{m - 1}, got {shown(k)}")
 
 
 class TropdiffError(Exception):

@@ -51,7 +51,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .diffpoly import DiffMonomial, DiffPoly
-from .errors import DimensionMismatch, NotAMonomialOrder, SchemaError, exponent, width
+from .errors import DimensionMismatch, NotAMonomialOrder, SchemaError, exponent, shown, width
 from .orders import MonomialOrder, order_standard
 from .parsing import parse_poly, parse_rational
 from .series import QPoly, RationalFunction
@@ -199,7 +199,7 @@ def _is_int(obj: object) -> bool:
 
 def _listed(obj: object, what: str) -> list:
     if not isinstance(obj, list):
-        raise SchemaError(f"{what} must be a list, got {obj!r}")
+        raise SchemaError(f"{what} must be a list, got {shown(obj)}")
     return obj
 
 
@@ -243,19 +243,19 @@ def qpoly_from(obj: object, m: int | None = None) -> QPoly:
         terms: dict[tuple, Fraction] = {}
         for entry in _listed(obj["terms"], "terms"):
             if not isinstance(entry, dict):
-                raise SchemaError(f"term must be an object with exp and coeff, got {entry!r}")
+                raise SchemaError(f"term must be an object with exp and coeff, got {shown(entry)}")
             _own_keys(entry, "polynomial term", "exp", "coeff")
             exp = exponent(_listed(entry.get("exp"), "exponent"), m)
             coeff = entry.get("coeff")
             if not _is_int(coeff) and not isinstance(coeff, str):
-                raise SchemaError(f"coefficient must be text or an integer, got {coeff!r}")
+                raise SchemaError(f"coefficient must be text or an integer, got {shown(coeff)}")
             try:
                 terms[exp] = terms.get(exp, 0) + Fraction(coeff)
             except (ValueError, ZeroDivisionError) as exc:
                 # a coefficient such as "1/0" is a ZeroDivisionError
-                raise SchemaError(f"bad term {entry!r}") from exc
+                raise SchemaError(f"bad term {shown(entry)}") from exc
         return QPoly(m, terms)
-    raise SchemaError(f"expected polynomial text or a terms object, got {obj!r}")
+    raise SchemaError(f"expected polynomial text or a terms object, got {shown(obj)}")
 
 
 @_decoder
@@ -279,13 +279,13 @@ def rational_from(obj: object, m: int | None = None) -> RationalFunction:
         num = qpoly_from(obj["num"], m)
         den = qpoly_from(obj["den"], m) if "den" in obj else QPoly.one(m)
         return RationalFunction(num, den)
-    raise SchemaError(f"expected rational text or a num/den object, got {obj!r}")
+    raise SchemaError(f"expected rational text or a num/den object, got {shown(obj)}")
 
 
 @_decoder
 def weight_from(obj: object, m: int) -> BooleanWeight:
     if not isinstance(obj, dict) or "type" not in obj:
-        raise SchemaError(f"weight must be an object with a type, got {obj!r}")
+        raise SchemaError(f"weight must be an object with a type, got {shown(obj)}")
     kind = obj["type"]
     if kind == "full":
         _own_keys(obj, "full weight", "type")
@@ -296,13 +296,13 @@ def weight_from(obj: object, m: int) -> BooleanWeight:
     if kind == "cofinite":
         _own_keys(obj, "cofinite weight", "type", "excluded")
         return BooleanWeight.cofinite(m, _listed(obj.get("excluded", []), "excluded points"))
-    raise SchemaError(f"unknown weight type {kind!r}")
+    raise SchemaError(f"unknown weight type {shown(kind)}")
 
 
 @_decoder
 def order_from(obj: object, m: int) -> MonomialOrder:
     if not isinstance(obj, dict) or "type" not in obj:
-        raise SchemaError(f"order must be an object with a type, got {obj!r}")
+        raise SchemaError(f"order must be an object with a type, got {shown(obj)}")
     kind = obj["type"]
     if kind == "matrix":
         _own_keys(obj, "matrix order", "type", "rows")
@@ -323,20 +323,20 @@ def diffpoly_from(obj: object, m: int, n: int) -> DiffPoly:
     total = DiffPoly.zero(m, n)
     for entry in _listed(obj, "differential polynomial"):
         if not isinstance(entry, dict) or "coeff" not in entry:
-            raise SchemaError(f"term must be an object with coeff, got {entry!r}")
+            raise SchemaError(f"term must be an object with coeff, got {shown(entry)}")
         _own_keys(entry, "differential polynomial term", "coeff", "monomial")
         coeff = rational_from(entry["coeff"], m)
         factors = []
         for fac in _listed(entry.get("monomial", []), "monomial"):
             if not isinstance(fac, dict) or "var" not in fac:
-                raise SchemaError(f"monomial factor must name a var, got {fac!r}")
+                raise SchemaError(f"monomial factor must name a var, got {shown(fac)}")
             _own_keys(fac, "monomial factor", "var", "pow")
             var = fac["var"]
             if not isinstance(var, (list, tuple)) or len(var) != 2:
-                raise SchemaError(f"var must be [index, multi-index], got {var!r}")
+                raise SchemaError(f"var must be [index, multi-index], got {shown(var)}")
             power = fac.get("pow", 1)
             if not _is_int(power) or power < 1:
-                raise SchemaError(f"pow must be a positive integer, got {power!r}")
+                raise SchemaError(f"pow must be a positive integer, got {shown(power)}")
             factors.append((var, power))
         total = total + DiffPoly(m, n, {DiffMonomial(factors): coeff})
     return total
@@ -348,7 +348,7 @@ def pairs_from(obj: object, m: int) -> list[tuple[tuple[int, ...], tuple[int, ..
     pairs = []
     for pair in _listed(obj, "pairs"):
         if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"pair must be [I, J], got {pair!r}")
+            raise SchemaError(f"pair must be [I, J], got {shown(pair)}")
         I, J = (exponent(side, m, "pair exponents") for side in pair)
         pairs.append((I, J))
     return pairs
@@ -396,7 +396,7 @@ def problem_from(obj: object) -> ProblemFile:
     polynomials: list[tuple[str, DiffPoly]] = []
     for entry in _listed(obj.get("polynomials", []), "polynomials"):
         if not isinstance(entry, dict) or "name" not in entry or "poly" not in entry:
-            raise SchemaError(f"polynomial entry needs name and poly, got {entry!r}")
+            raise SchemaError(f"polynomial entry needs name and poly, got {shown(entry)}")
         _own_keys(entry, "polynomial entry", "name", "poly")
         polynomials.append((str(entry["name"]), diffpoly_from(entry["poly"], m, n)))
 
@@ -413,7 +413,7 @@ def problem_from(obj: object) -> ProblemFile:
 
     bound = obj.get("prolong_bound", 0)
     if not _is_int(bound) or bound < 0:
-        raise SchemaError(f"prolong_bound must be a nonnegative integer, got {bound!r}")
+        raise SchemaError(f"prolong_bound must be a nonnegative integer, got {shown(bound)}")
 
     pairs = pairs_from(obj.get("pairs", []), m)
     return ProblemFile(m, n, polynomials, weights, order, kernel, bound, pairs)

@@ -12,7 +12,9 @@ Variables are written t1, t2, ...; for convenience t is t1 and u is t2,
 matching the pretty-printer for m <= 2.  Exponents are nonnegative integers.
 parse_rational accepts arbitrary division; parse_poly only allows dividing by
 nonzero constants (so rational literals like 3/4 still work).  When m is not
-given it is inferred as the largest variable index seen, with a floor of 2.
+given it is inferred as the largest variable index seen, with a floor of 2;
+a variable whose index is above errors.MAX_WIDTH is then a PolyParseError at
+its position, before any polynomial is built.
 
 Parentheses nest at most MAX_NESTING deep, checked over the tokens before
 parsing starts, so the recursive descent never runs out of stack.  A run of
@@ -24,7 +26,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NegativeExponent, PolyParseError, UnknownVariable, ZeroDenominator, width
+from .errors import (
+    MAX_WIDTH,
+    NegativeExponent,
+    PolyParseError,
+    UnknownVariable,
+    ZeroDenominator,
+    shown,
+    width,
+)
 from .series import QPoly, RationalFunction
 
 # Each level of parentheses costs the parser five stack frames; at this depth
@@ -77,7 +87,7 @@ def _lex(text: str) -> list[_Token]:
             else:
                 idx = 0
             if idx < 1:
-                raise UnknownVariable(f"unknown variable {name!r}", i)
+                raise UnknownVariable(f"unknown variable {shown(name)}", i)
             tokens.append(_Token("var", idx, i))
             i = j
             continue
@@ -188,8 +198,12 @@ def _parse(text: str, m: int | None, poly_mode: bool) -> RationalFunction:
             elif tok.value == ")":
                 depth -= 1
     if m is None:
-        seen = max((tok.value for tok in tokens if tok.kind == "var"), default=0)
-        m = max(2, seen)
+        m = 2
+        for tok in tokens:
+            if tok.kind == "var" and tok.value > m:
+                if tok.value > MAX_WIDTH:
+                    raise PolyParseError(f"variable index above MAX_WIDTH = {MAX_WIDTH}", tok.pos)
+                m = tok.value
     parser = _Parser(tokens, width(m), poly_mode)
     value = parser.expr()
     tail = parser.peek()

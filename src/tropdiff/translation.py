@@ -11,11 +11,6 @@ by the reciprocal of tropw(P) read as an honest rational function (coefficient
 1 on every vertex).  The point of the scaling is that every coefficient of
 the result lands in the unit ball, so initial_form can take residues.
 
-A factor x_{i,J} usually occurs in several monomials of P.  tropw keeps the
-shifted weight's vertex set of each (i, J) in a table, and translate keeps
-its substitution polynomial; each table lives for one call only, so nothing
-is cached between calls.
-
 The generator variants prolong first and translate each derivative.  A
 degree bound makes the set finite; it is a truncation of the full object,
 which ranges over all derivative multi-indices.
@@ -48,16 +43,12 @@ def _ones_poly(vp: VertexPoly) -> QPoly:
 def tropw(P: DiffPoly, weights: Sequence[BooleanWeight]) -> VertexFraction:
     """Tropical value of P along the weights."""
     _check_weights(P, weights)
-    shifted: dict = {}  # (i, J) -> vertex set of the shifted weight, for this call
     total = VertexFraction.zero(P.m)
     for mono, c in P.terms.items():
         value = trop_frac(c)
         num = value.num
-        for var, p in mono.factors:
-            if var not in shifted:
-                i, J = var
-                shifted[var] = weights[i - 1].shift(J).vertices()
-            num = num * shifted[var] ** p
+        for (i, J), p in mono.factors:
+            num = num * weights[i - 1].shift(J).vertices() ** p
         # a vanished term is skipped: adding 0/den would widen the denominator
         if num:
             total = total + VertexFraction(num, value.den)
@@ -88,15 +79,11 @@ def translate(
     if value.is_zero:
         return DiffPoly.zero(P.m, P.n)
     pref = normalizer(value)
-    pieces: dict = {}  # (i, J) -> substitution polynomial, for this call
     out: dict = {}
     for mono, c in P.terms.items():
         moved = pref * c
-        for var, p in mono.factors:
-            if var not in pieces:
-                i, J = var
-                pieces[var] = substitution_poly(weights[i - 1], J, kernel)
-            moved = moved * pieces[var] ** p
+        for (i, J), p in mono.factors:
+            moved = moved * substitution_poly(weights[i - 1], J, kernel) ** p
         # a shift that empties a weight gives a zero piece, and the term drops
         if moved.is_zero:
             continue

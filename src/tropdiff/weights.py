@@ -17,6 +17,12 @@ and N^m is the cofinite weight that leaves out nothing.  full, finite and
 cofinite are the only constructors and check each point once; shift builds
 from checked points.  kind is read from the set.
 
+A weight keeps what it has made: shift(J) builds the shifted weight once per
+multi-index J (checked on every call, before the lookup), and vertices()
+extracts the vertex set once.  The memo lives as long as the weight (the CLI
+decodes its weights once per call, so there for one command) and holds one
+entry per distinct J asked of that weight.  == and hash read only the set.
+
 substitution_poly is the polynomial that the translation machinery plugs in
 for a single derivative x_{i,J}.  The indicator kernel puts coefficient 1 on
 each vertex; the factorial kernel weights a vertex I by prod_k (I_k+J_k)!/I_k!
@@ -39,7 +45,7 @@ Point = tuple[int, ...]
 class BooleanWeight:
     """Finite or cofinite subset of N^m: data holds its points, or the points it leaves out."""
 
-    __slots__ = ("m", "is_cofinite", "data")
+    __slots__ = ("m", "is_cofinite", "data", "_shifts", "_vertex_set")
 
     def __init__(self, *args):
         raise TypeError("a BooleanWeight is built by full, finite or cofinite")
@@ -48,6 +54,7 @@ class BooleanWeight:
     def _made(cls, m: int, is_cofinite: bool, data: frozenset[Point]) -> "BooleanWeight":
         out = object.__new__(cls)
         out.m, out.is_cofinite, out.data = m, is_cofinite, data
+        out._shifts, out._vertex_set = {}, None
         return out
 
     @classmethod
@@ -75,21 +82,27 @@ class BooleanWeight:
         return not (self.is_cofinite or self.data)
 
     def shift(self, J: Sequence[int]) -> "BooleanWeight":
-        """The set {I >= 0 : I + J in self}; its points come from checked points."""
+        """The set {I >= 0 : I + J in self}, built once per J from checked points."""
         J = exponent(J, self.m, "multi-index")
-        moved = frozenset(
-            tuple(i - j for i, j in zip(p, J))
-            for p in self.data
-            if all(i >= j for i, j in zip(p, J))
-        )
-        return BooleanWeight._made(self.m, self.is_cofinite, moved)
+        if J not in self._shifts:
+            moved = frozenset(
+                tuple(i - j for i, j in zip(p, J))
+                for p in self.data
+                if all(i >= j for i, j in zip(p, J))
+            )
+            self._shifts[J] = BooleanWeight._made(self.m, self.is_cofinite, moved)
+        return self._shifts[J]
 
     def vertices(self) -> VertexPoly:
-        """Tropical value of the series with this support."""
-        if not self.is_cofinite:
-            return VertexPoly(self.m, self.data)
-        steps = {q[:k] + (q[k] + 1,) + q[k + 1 :] for q in self.data for k in range(self.m)}
-        return VertexPoly(self.m, ({(0,) * self.m} | steps) - self.data)
+        """Tropical value of the series with this support, extracted once."""
+        if self._vertex_set is not None:
+            return self._vertex_set
+        points = self.data
+        if self.is_cofinite:
+            steps = {q[:k] + (q[k] + 1,) + q[k + 1 :] for q in self.data for k in range(self.m)}
+            points = ({(0,) * self.m} | steps) - self.data
+        self._vertex_set = VertexPoly(self.m, points)
+        return self._vertex_set
 
     def series(self) -> QPoly:
         """The honest polynomial, available for finite supports only."""

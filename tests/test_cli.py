@@ -791,6 +791,59 @@ class TestInputLimits:
             )
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["trop", "t100000000"],
+             "PolyParseError: variable index above MAX_WIDTH = 1000 (at position 0)"),
+            (["trop", "--m", "1001", "t"], "SchemaError: --m must be at most 1000, got 1001"),
+            (["bezout", "--m", "1001", "t", "u"], "SchemaError: --m must be at most 1000, got 1001"),
+            (["tropw", "--input", "{file}"], "SchemaError: m must be at most 1000, got 20000"),
+        ],
+        ids=["trop-inferred", "trop-m", "bezout-m", "problem-file"],
+    )
+    def test_a_width_above_the_cap_is_refused_before_any_work(
+        self, capsys, monkeypatch, tmp_path, argv, message
+    ):
+        from tropdiff import orders, series
+
+        monkeypatch.setattr(orders, "_standard_rows", lambda *a: pytest.fail("an order was built"))
+        monkeypatch.setattr(
+            series.QPoly, "variable", classmethod(lambda *a: pytest.fail("a variable was built"))
+        )
+        wide = problem_with(tmp_path, '{"m": 20000, "polynomials": [], "order": {"type": "lex"}}')
+        argv = [arg.replace("{file}", wide) for arg in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_a_width_at_the_cap_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "trop", "t1000")
+        assert code == 0
+        assert json.loads(out) == {"num": [[0] * 999 + [1]], "den": [[0] * 1000]}
+        assert run(capsys, "trop", "--m", "1000", "t") == run(capsys, "trop", "--m", "1000", "t1")
+
+    def test_a_wide_prolongation_lists_only_its_derivatives(self, capsys, tmp_path):
+        # the m^(bound + 1) box of candidate multi-indices took minutes at m = 40
+        x = [{"coeff": "1", "monomial": [{"var": [1, [0] * 40]}]}]
+        problem = {"m": 40, "polynomials": [{"name": "P", "poly": x}], "prolong_bound": 1}
+        code, out, _ = run(capsys, "prolong", "--input", problem_with(tmp_path, json.dumps(problem)))
+        assert code == 0
+        rows = json.loads(out)
+        assert [row["J"] for row in rows] == [[0] * 40] + [
+            [0] * k + [1] + [0] * (39 - k) for k in range(40)
+        ]
+
+    def test_a_refusal_of_a_huge_value_stays_short(self, capsys, tmp_path):
+        entry = list(range(100_000))
+        source = problem_with(tmp_path, json.dumps({"m": 2, "polynomials": [entry]}))
+        assert Path(source).stat().st_size > 500_000
+        code, out, err = run(capsys, "tropw", "--input", source)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "error: SchemaError: polynomial entry needs name and poly, got [0, 1, 2, 3,"
+        )
+        assert err.endswith("... (list of length 100000)\n")
+        assert len(err.encode()) < 1024
+
 COMMANDS = [
     "trop", "tropw", "translate", "initial", "prolong",
     "order-recover", "bezout", "omega-chain", "selftest",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -334,6 +335,20 @@ class TestMultiIndices:
         out = multi_indices(3, 4)
         assert len(set(out)) == len(out)
         assert [sum(J) for J in out] == sorted(sum(J) for J in out)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_each_level_is_the_box_filtered_and_sorted(self, m):
+        # the box enumeration this replaced: (d + 1)^m points per level
+        for bound in range(5):
+            want = []
+            for d in range(bound + 1):
+                level = [J for J in itertools.product(range(d + 1), repeat=m) if sum(J) == d]
+                want += sorted(level, reverse=True)
+            assert multi_indices(m, bound) == want
+
+    def test_a_wide_level_is_built_without_the_box(self):
+        out = multi_indices(1000, 1)
+        assert len(out) == 1001 and out[1] == (1,) + (0,) * 999 and out[-1] == (0,) * 999 + (1,)
 
 
 class TestProlong:

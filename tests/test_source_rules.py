@@ -13,6 +13,8 @@ another import.
 QPoly's integer representation is private to series: no other module names
 one of its fields, as an attribute or as a string (getattr).  The field
 names are read from QPoly itself, so renaming them keeps the rule in force.
+Likewise how a weight builds and keeps its shifts and its vertex set is
+private to weights: no other module names a private slot of BooleanWeight.
 
 The exact simplex has one caller: only vertexpoly imports feasibility.covered
 or calls it, and inside vertexpoly only the function _vertices names covered
@@ -27,13 +29,14 @@ from pathlib import Path
 import pytest
 
 import tropdiff
-from tropdiff import QPoly
+from tropdiff import BooleanWeight, QPoly
 
 PACKAGE = Path(tropdiff.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 HEAVY = frozenset({"dataclasses", "typing", "inspect"})
 ALLOWED = (frozenset(sys.stdlib_module_names) - HEAVY) | {"tropdiff"}
 QPOLY_FIELDS = frozenset(QPoly.__slots__) - {"m"}
+MEMO_SLOTS = frozenset(name for name in BooleanWeight.__slots__ if name.startswith("_"))
 
 
 def offences(source: str) -> list[str]:
@@ -100,7 +103,7 @@ def test_the_check_sees_each_offence():
     ]
 
 
-def field_reads(source: str) -> list[str]:
+def field_reads(source: str, fields=QPOLY_FIELDS, what: str = "QPoly field") -> list[str]:
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute):
@@ -109,9 +112,9 @@ def field_reads(source: str) -> list[str]:
             name = node.value
         else:
             continue
-        if name in QPOLY_FIELDS:
+        if name in fields:
             found.append((node.lineno, name))
-    return [f"line {line}: names QPoly field {name}" for line, name in sorted(found)]
+    return [f"line {line}: names {what} {name}" for line, name in sorted(found)]
 
 
 @pytest.mark.parametrize(
@@ -135,6 +138,31 @@ def test_the_field_rule_sees_each_read():
         f"line 2: names QPoly field {first}",
         f"line 3: names QPoly field {second}",
         f"line 4: names QPoly field {second}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "weights.py"], ids=lambda p: p.name
+)
+def test_only_weights_names_the_memo_slots(path):
+    assert field_reads(path.read_text(encoding="utf-8"), MEMO_SLOTS, "memo slot") == []
+
+
+def test_the_memo_rule_sees_each_offence():
+    weights_source = PACKAGE.joinpath("weights.py").read_text(encoding="utf-8")
+    assert len(MEMO_SLOTS) == 2 and field_reads(weights_source, MEMO_SLOTS, "memo slot")
+    first, second = sorted(MEMO_SLOTS)
+    source = (
+        f"def f(w, J):\n"
+        f"    a = w.{first}.get(J)\n"
+        f"    b = getattr(w, {second!r})\n"
+        f"    w.{second} = None\n"
+        f"    return w.shift(J).vertices(), w.data\n"
+    )
+    assert field_reads(source, MEMO_SLOTS, "memo slot") == [
+        f"line 2: names memo slot {first}",
+        f"line 3: names memo slot {second}",
+        f"line 4: names memo slot {second}",
     ]
 
 

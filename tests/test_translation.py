@@ -6,17 +6,20 @@ from helpers import (
     diff_monomial,
     diffpoly,
     finite_weight,
+    matrix_order as random_matrix_order,
     qpoly,
     same_as_public,
     translate_by_plug,
     weight,
 )
+from tropdiff import weights as weights_module
 from tropdiff import (
     BooleanWeight,
     DiffMonomial,
     DiffPoly,
     DimensionMismatch,
     MonomialOrder,
+    QPoly,
     RationalFunction,
     SubstitutionKernel,
     VertexFraction,
@@ -30,6 +33,8 @@ from tropdiff import (
     order_standard,
     parse_poly,
     parse_rational,
+    prolong,
+    residue,
     substitution_poly,
     translate,
     translate_generators,
@@ -395,3 +400,93 @@ class TestGenerators:
     def test_empty_input(self):
         assert translate_generators([], [W], 3) == []
         assert initial_generators([], [W], T_LEX, 3) == []
+
+
+class TestOneShiftPerFactor:
+    """A weight keeps its shifts, so a generator set builds each (i, J) once."""
+
+    @pytest.mark.parametrize("kernel", [IND, FACT], ids=["indicator", "factorial"])
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_each_shift_is_built_and_extracted_once(self, monkeypatch, m, kernel):
+        made = BooleanWeight._made.__func__
+        built, extracted = [], []
+
+        def counted_made(cls, *args):
+            built.append(args)
+            return made(cls, *args)
+
+        def counted_extraction(m, points):
+            extracted.append(points)
+            return VertexPoly(m, points)
+
+        rng = random.Random(401 + m)
+        order = order_standard("grlex", m)
+        for _ in range(2):
+            n = rng.randint(1, 2)
+            weights = [weight(rng, m) for _ in range(n)]
+            generators = [diffpoly(rng, m, n) for _ in range(2)]
+            factors = {
+                var
+                for g in generators
+                for q in prolong(g, 2)
+                for mono in q.terms
+                for var, _ in mono.factors
+            }
+            built.clear()
+            extracted.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(BooleanWeight, "_made", classmethod(counted_made))
+                patch.setattr(weights_module, "VertexPoly", counted_extraction)
+                initial_generators(generators, weights, order, 2, kernel)
+            assert len(built) == len(extracted) == len(factors)
+
+
+def residue_field_value(phi, w, J, kernel, order):
+    """The residue of d^J phi over the substitution polynomial of w at J; 0
+    when the shift empties w, where d^J phi is 0 too."""
+    piece = substitution_poly(w, J, kernel)
+    if piece.is_zero:
+        return 0
+    return residue(RationalFunction(phi.deriv(J), piece), order)
+
+
+class TestBaseChange:
+    """The initial form is the base change of P to the residue field.
+
+    For finite weights w_i and series phi_i supported on w_i, each term of
+    normalizer(tropw(P, w)) * P(phi) is a translated coefficient times the
+    product of (d^J phi_i / substitution_poly(w_i, J))^p; both factors lie in
+    the unit ball, where the residue is a ring homomorphism onto Q.  So the
+    residue of the left side is initial_form(P, w) evaluated at the residues
+    of those quotients.  With nonzero coefficients on every point, it is
+    nonzero in every case drawn.
+    """
+
+    def test_residue_of_the_normalized_evaluation_is_the_initial_form(self):
+        rng = random.Random(2023)
+        checked = 0
+        for _ in range(300):
+            m, n = rng.choice([2, 3]), rng.randint(1, 2)
+            kernel = rng.choice([IND, FACT])
+            kind = rng.choice(["lex", "grlex", "grevlex", "matrix"])
+            order = random_matrix_order(rng, m) if kind == "matrix" else order_standard(kind, m)
+            weights = [finite_weight(rng, m) for _ in range(n)]
+            phis = [
+                QPoly(m, {I: rng.choice([-1, 1]) * rng.randint(1, 9) for I in w.data})
+                for w in weights
+            ]
+            P = diffpoly(rng, m, n)
+            value = tropw(P, weights)
+            if value.is_zero:
+                continue
+            left = residue(normalizer(value) * P.evaluate(phis), order)
+            right = 0
+            for mono, c in initial_form(P, weights, order, kernel).terms.items():
+                term = residue(c, order)
+                for (i, J), p in mono.factors:
+                    w, phi = weights[i - 1], phis[i - 1]
+                    term *= residue_field_value(phi, w, J, kernel, order) ** p
+                right += term
+            assert left == right != 0
+            checked += 1
+        assert checked >= 200

@@ -104,6 +104,37 @@ class TestShift:
                 assert (I in shifted) == (moved in w)
 
 
+class TestMemo:
+    """A weight keeps the shifts and the vertex set it has made."""
+
+    def test_a_shift_and_a_vertex_set_are_made_once(self):
+        w = BooleanWeight.cofinite(2, [(1, 1), (0, 2)])
+        assert w.shift((1, 0)) is w.shift([1, 0])
+        assert w.vertices() is w.vertices()
+
+    def test_a_warm_memo_keeps_equality_and_hash(self):
+        warm = BooleanWeight.cofinite(2, [(1, 1), (0, 2)])
+        warm.shift((1, 0)).vertices()
+        warm.shift((0, 1))
+        warm.vertices()
+        fresh = BooleanWeight.cofinite(2, [(0, 2), (1, 1)])
+        assert warm == fresh and hash(warm) == hash(fresh)
+        assert warm.shift((1, 0)) == fresh.shift((1, 0))
+        assert hash(warm.shift((1, 0))) == hash(fresh.shift((1, 0)))
+
+    def test_a_bad_J_is_refused_after_a_good_J(self):
+        # (True, 0) and (1.0, 0) are == and hash like the memoised (1, 0)
+        w = BooleanWeight.cofinite(2, [(1, 1)])
+        w.shift((1, 0))
+        for bad in [(True, 0), (1.0, 0)]:
+            with pytest.raises(ValueError, match="integers"):
+                w.shift(bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            w.shift((-1, 0))
+        with pytest.raises(DimensionMismatch):
+            w.shift((1, 0, 0))
+
+
 class TestKind:
     """kind is read from the set, with the values it had as a stored field."""
 
