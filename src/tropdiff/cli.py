@@ -6,10 +6,10 @@ json.dumps(value, sort_keys=True, indent=2); list order is fixed by contract
 (generators in input order, derivative indices graded, terms in display
 order), so identical input produces byte-identical output.
 
-A subcommand call parses its arguments with one parser, built from that
-command's row of _COMMANDS alone.  The two-level parser of every command is
-built only for --help, no arguments, an unknown command, and arguments that the
-command's parser leaves over, whose error it prints with the top-level usage.
+A subcommand call parses its arguments once, with a parser built from that
+command's row of _COMMANDS alone.  The top-level parser names the commands and
+declares none of their arguments: it prints --help, and the error for no
+arguments, an unknown command, or arguments the command's parser leaves over.
 
 JSON input is decoded by _json, which reports input that json.loads refuses as
 exit 2 in every case: a syntax error as json.JSONDecodeError, nesting deeper
@@ -40,7 +40,7 @@ from .errors import (
     width,
 )
 from .orders import EQ, GT, LT, MonomialOrder, order_standard
-from .parsing import parse_rational
+from .parsing import inferred_width, parse_rational
 from .series import (
     bezout_witness,
     max_ideal_member,
@@ -245,12 +245,8 @@ def cmd_order_recover(args) -> int:
 
 
 def cmd_bezout(args) -> int:
-    texts = (args.phi, args.psi)
-    first, second = (parse_rational(text, _m_of(args)) for text in texts)
-    if first.m != second.m:  # both widths were inferred; parse again at the larger
-        m = max(first.m, second.m)
-        first, second = (parse_rational(text, m) for text in texts)
-    witness = bezout_witness(first, second)
+    m = _m_of(args) or inferred_width(args.phi, args.psi)
+    witness = bezout_witness(parse_rational(args.phi, m), parse_rational(args.psi, m))
     return _emit(args, lambda: {"M": witness}, lambda: [f"M = {witness}"])
 
 
@@ -397,22 +393,15 @@ _COMMANDS = (
 )
 
 
-def _add_arguments(parser: argparse.ArgumentParser, func, arguments) -> None:
-    """Give parser one command's arguments and handler."""
-    for flags, options in arguments:
-        parser.add_argument(*flags, **options)
-    parser.set_defaults(func=func)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    """The two-level parser: the top level picks the command, whose parser reads the rest."""
+    """The top level alone: each command's name and help, none of its arguments."""
     parser = argparse.ArgumentParser(
         prog="tropdiff",
         description="Exact tropical computations for differential polynomials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, func, arguments in _COMMANDS:
-        _add_arguments(sub.add_parser(name, help=help_text), func, arguments)
+    for name, help_text, _, _ in _COMMANDS:
+        sub.add_parser(name, help=help_text)
     return parser
 
 
@@ -420,14 +409,17 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """The parsed arguments of a call; argparse exits on help and on every usage error."""
     for name, _, func, arguments in _COMMANDS:
         if argv[:1] == [name]:
-            # the parser that add_parser would build for this command
+            # the prog that a subparser of the top level would have
             parser = argparse.ArgumentParser(prog="tropdiff " + name)
-            _add_arguments(parser, func, arguments)
+            for flags, options in arguments:
+                parser.add_argument(*flags, **options)
+            parser.set_defaults(func=func)
             args, rest = parser.parse_known_args(argv[1:])
-            if not rest:
-                return args
-    # --help, no arguments, an unknown command, or leftover arguments: the
-    # two-level parser prints the help or the error, with the top-level usage
+            if rest:
+                _build_parser().error("unrecognized arguments: " + " ".join(rest))
+            return args
+    # --help, no arguments or an unknown command: the top level prints the
+    # help or the error
     return _build_parser().parse_args(argv)
 
 

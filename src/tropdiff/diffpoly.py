@@ -253,12 +253,15 @@ class DiffPoly:
 
     __hash__ = None  # coefficients compare by cross-multiplication
 
+    def display_order(self) -> list[DiffMonomial]:
+        """The monomials as str and JSON list them: by total degree, then factors, largest first."""
+        return sorted(self.terms, key=lambda E: (E.total_degree, E.factors), reverse=True)
+
     def __str__(self):
         if not self.terms:
             return "0"
-        ordered = sorted(self.terms, key=lambda E: (E.total_degree, E.factors), reverse=True)
         bits: list[str] = []
-        for mono in ordered:
+        for mono in self.display_order():
             c = self.terms[mono]
             const = _rf_constant(c)
             ms = mono.render(indexed=self.n > 1)

@@ -24,7 +24,8 @@ plain lists and dicts.  json.loads(dumps(v)) gives plain objects in every
 case, and those are what the decoders read.
 
 Wherever a QPoly or RationalFunction is expected on input, expression text
-like "t^2 - 1/2*u" is accepted too.
+like "t^2 - 1/2*u" is accepted too.  Without m, the width is the length of the
+first exponent list in a side's terms, else inferred_width of the text sides.
 
 Decoders check shape only: that a list, an object or a key is where the
 schema puts one.  Every object takes its documented keys only, and a weight
@@ -53,10 +54,12 @@ from json.encoder import encode_basestring_ascii
 from .diffpoly import DiffMonomial, DiffPoly
 from .errors import DimensionMismatch, NotAMonomialOrder, SchemaError, exponent, shown, width
 from .orders import MonomialOrder, order_standard
-from .parsing import parse_poly, parse_rational
+from .parsing import inferred_width, parse_poly, parse_rational
 from .series import QPoly, RationalFunction
 from .vertexpoly import VertexFraction, VertexPoly
 from .weights import BooleanWeight, SubstitutionKernel
+
+_NAMED_KEYS = 3  # an unknown-key refusal names this many keys and counts the rest
 
 
 # -- writer ------------------------------------------------------------------
@@ -172,8 +175,7 @@ def order_json(order: MonomialOrder) -> dict:
 
 
 def diffpoly_json(P: DiffPoly) -> list:
-    ordered = sorted(P.terms, key=lambda E: (E.total_degree, E.factors), reverse=True)
-    return [{"coeff": P.terms[mono], "monomial": mono} for mono in ordered]
+    return [{"coeff": P.terms[mono], "monomial": mono} for mono in P.display_order()]
 
 
 # -- decoders ----------------------------------------------------------------
@@ -204,29 +206,24 @@ def _listed(obj: object, what: str) -> list:
 
 
 def _own_keys(obj: dict, what: str, *keys: str) -> None:
-    """Refuse any key of obj but keys, naming it."""
+    """Refuse any key of obj but keys, naming the first _NAMED_KEYS of them."""
     extra = [key for key in obj if key not in keys]
     if extra:
-        raise SchemaError(f"{what} takes no key {', '.join(map(repr, extra))}")
+        named = ", ".join(map(shown, extra[:_NAMED_KEYS]))
+        if len(extra) > _NAMED_KEYS:
+            named += f" and {len(extra) - _NAMED_KEYS} more"
+        raise SchemaError(f"{what} takes no key {named}")
 
 
-def _explicit_m(obj: object) -> int | None:
-    """Exponent width written out somewhere in a serialized value, if any."""
-    if isinstance(obj, dict):
-        exp = obj.get("exp")
-        if isinstance(exp, (list, tuple)):
-            if not exp:
-                raise SchemaError("an exponent list needs at least one coordinate, got []")
-            return len(exp)
-        for value in obj.values():
-            got = _explicit_m(value)
-            if got is not None:
-                return got
-    if isinstance(obj, (list, tuple)):
-        for value in obj:
-            got = _explicit_m(value)
-            if got is not None:
-                return got
+def _terms_width(obj: object) -> int | None:
+    """The length of the first exponent list in a terms object, if it has one."""
+    if isinstance(obj, dict) and isinstance(obj.get("terms"), list):
+        for entry in obj["terms"]:
+            exp = entry.get("exp") if isinstance(entry, dict) else None
+            if isinstance(exp, list):
+                if not exp:
+                    raise SchemaError("an exponent list needs at least one coordinate, got []")
+                return len(exp)
     return None
 
 
@@ -237,7 +234,7 @@ def qpoly_from(obj: object, m: int | None = None) -> QPoly:
     if isinstance(obj, dict) and "terms" in obj:
         _own_keys(obj, "polynomial object", "terms")
         if m is None:
-            m = _explicit_m(obj)
+            m = _terms_width(obj)
             if m is None:
                 raise SchemaError("cannot infer the exponent width of {\"terms\": []}")
         terms: dict[tuple, Fraction] = {}
@@ -265,17 +262,14 @@ def rational_from(obj: object, m: int | None = None) -> RationalFunction:
     if isinstance(obj, dict) and "num" in obj:
         _own_keys(obj, "rational function object", "num", "den")
         if m is None:
-            m = _explicit_m(obj)
-        if m is None:
-            # no exponent lists anywhere; parse the text sides to learn the width
-            widths = [
-                parse_poly(obj[side], None).m
-                for side in ("num", "den")
-                if isinstance(obj.get(side), str)
-            ]
-            if not widths:
+            # exponent lists first, then the variables of the text sides
+            sides = [obj[side] for side in ("num", "den") if side in obj]
+            m = next(filter(None, map(_terms_width, sides)), None)
+            texts = [side for side in sides if isinstance(side, str)]
+            if m is None and texts:
+                m = inferred_width(*texts)
+            if m is None:
                 raise SchemaError("cannot infer the exponent width; pass m")
-            m = max(widths)
         num = qpoly_from(obj["num"], m)
         den = qpoly_from(obj["den"], m) if "den" in obj else QPoly.one(m)
         return RationalFunction(num, den)

@@ -12,9 +12,9 @@ Variables are written t1, t2, ...; for convenience t is t1 and u is t2,
 matching the pretty-printer for m <= 2.  Exponents are nonnegative integers.
 parse_rational accepts arbitrary division; parse_poly only allows dividing by
 nonzero constants (so rational literals like 3/4 still work).  When m is not
-given it is inferred as the largest variable index seen, with a floor of 2;
-a variable whose index is above errors.MAX_WIDTH is then a PolyParseError at
-its position, before any polynomial is built.
+given it is inferred_width(text), the one width rule for expression text: the
+largest variable index over the texts, at least 2.  A variable whose index is
+above errors.MAX_WIDTH is a PolyParseError at its position.
 
 Parentheses nest at most MAX_NESTING deep, checked over the tokens before
 parsing starts, so the recursive descent never runs out of stack.  A run of
@@ -184,6 +184,18 @@ class _Parser:
         )
 
 
+def inferred_width(*texts: str) -> int:
+    """The width that texts are read at: their largest variable index, at least 2."""
+    m = 2
+    for text in texts:
+        for tok in _lex(text):
+            if tok.kind == "var" and tok.value > m:
+                if tok.value > MAX_WIDTH:
+                    raise PolyParseError(f"variable index above MAX_WIDTH = {MAX_WIDTH}", tok.pos)
+                m = tok.value
+    return m
+
+
 def _parse(text: str, m: int | None, poly_mode: bool) -> RationalFunction:
     tokens = _lex(text)
     if tokens[0].kind == "end":
@@ -197,14 +209,7 @@ def _parse(text: str, m: int | None, poly_mode: bool) -> RationalFunction:
                     raise PolyParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
             elif tok.value == ")":
                 depth -= 1
-    if m is None:
-        m = 2
-        for tok in tokens:
-            if tok.kind == "var" and tok.value > m:
-                if tok.value > MAX_WIDTH:
-                    raise PolyParseError(f"variable index above MAX_WIDTH = {MAX_WIDTH}", tok.pos)
-                m = tok.value
-    parser = _Parser(tokens, width(m), poly_mode)
+    parser = _Parser(tokens, inferred_width(text) if m is None else width(m), poly_mode)
     value = parser.expr()
     tail = parser.peek()
     if tail.kind != "end":

@@ -4,6 +4,7 @@ Everything takes an explicit random.Random so failures reproduce; the
 acceptance suite fixes its own seeds.
 """
 
+import argparse
 import itertools
 import math
 import operator
@@ -22,6 +23,7 @@ from tropdiff import (
     trop_poly,
     tropw,
 )
+from tropdiff import cli
 from tropdiff.errors import exponent as checked_exponent
 from tropdiff.series import _summed
 
@@ -365,3 +367,26 @@ def grevlex_expected(a, b):
         if x != y:
             return -1 if x > y else 1
     return 0
+
+
+# -- the command line ---------------------------------------------------------
+
+
+def full_parser():
+    """The two-level parser that tropdiff's CLI once built for every call.
+
+    The top level picks the command, whose subparser declares all of that
+    command's arguments from cli._COMMANDS, read when this is called.  main
+    must exit, print and parse exactly as this parser does.
+    """
+    parser = argparse.ArgumentParser(
+        prog="tropdiff",
+        description="Exact tropical computations for differential polynomials.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, func, arguments in cli._COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
+        command.set_defaults(func=func)
+    return parser

@@ -162,6 +162,17 @@ def test_criterion_06_bezout_witness():
     print("PASS criterion 6: bezout witness found and verified on 500 pairs")
 
 
+def test_criterion_06_bezout_witness_at_m3():
+    rng = random.Random(503)
+    for _ in range(200):
+        phi, psi = rational(rng, 3), rational(rng, 3)
+        target = trop_frac(phi) + trop_frac(psi)
+        witness = bezout_witness(phi, psi)
+        assert witness <= len(target.num.points) + 1
+        assert trop_frac(phi + witness * psi) == target
+    print("PASS criterion 6 at m = 3: bezout witness found and verified on 200 pairs")
+
+
 def test_criterion_07_separating_constants():
     rng = random.Random(404)
     one = VertexFraction.one(2)
@@ -172,6 +183,18 @@ def test_criterion_07_separating_constants():
             product = product * (q - alpha)
         assert trop_frac(product).absorbed_by(one)
     print("PASS criterion 7: product of differences drops below 1 on 500 fractions")
+
+
+def test_criterion_07_separating_constants_at_m3():
+    rng = random.Random(504)
+    one = VertexFraction.one(3)
+    for _ in range(300):
+        q = unit_ball_fraction(rng, 3)
+        product = RationalFunction.constant(3, 1)
+        for alpha in separating_constants(q):
+            product = product * (q - alpha)
+        assert trop_frac(product).absorbed_by(one)
+    print("PASS criterion 7 at m = 3: product of differences drops below 1 on 300 fractions")
 
 
 def test_criterion_08_initial_form_multiplicativity():
@@ -191,6 +214,26 @@ def test_criterion_08_initial_form_multiplicativity():
             )
             assert lhs == rhs
     print("PASS criterion 8: initial form multiplies over 300 pairs, both kernels")
+
+
+def test_criterion_08_initial_form_multiplicativity_at_m3():
+    rng = random.Random(505)
+    named = [order_standard(kind, 3) for kind in ("lex", "grlex", "grevlex")]
+    from helpers import diffpoly
+
+    for i in range(96):
+        n = rng.choice((1, 2))
+        ws = [weight(rng, 3) for _ in range(n)]
+        P, Q = diffpoly(rng, 3, n), diffpoly(rng, 3, n)
+        order = named[i % 4] if i % 4 < 3 else matrix_order(rng, 3)
+        for kernel in (IND, FACT):
+            lhs = initial_form(P * Q, ws, order, kernel)
+            rhs = initial_form(P, ws, order, kernel) * initial_form(
+                Q, ws, order, kernel
+            )
+            assert lhs == rhs
+    print("PASS criterion 8 at m = 3: initial form multiplies over 96 pairs, "
+          "named and matrix orders, both kernels")
 
 
 def test_criterion_09_vertex_extraction_oracle():

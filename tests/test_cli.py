@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import json_tree
+from helpers import full_parser, json_tree
 from tropdiff import (
     BooleanWeight,
     DiffMonomial,
@@ -351,10 +351,41 @@ class TestBezout:
         assert code == 0
         assert json.loads(out) == {"M": 1}
 
+    @pytest.mark.parametrize("fmt, expected", [("json", '{\n  "M": 1\n}\n'), ("pretty", "M = 1\n")])
+    def test_texts_of_different_widths_are_read_at_the_larger(self, capsys, fmt, expected):
+        assert run(capsys, "bezout", "--format", fmt, "t", "t3") == (0, expected, "")
+
     def test_zero_input_is_domain_error(self, capsys):
         code, _, err = run(capsys, "bezout", "0", "t")
         assert code == 3
         assert "ZeroTropicalValue" in err
+
+
+class TestParseOnce:
+    """A call reads each expression text with one parser, at the width of all its texts."""
+
+    @pytest.mark.parametrize(
+        "argv, texts",
+        [
+            (["trop", '{"num": "t", "den": "t3"}'], ["t", "t3"]),
+            (["bezout", "t", "t3"], ["t", "t3"]),
+            (["trop", "t3/(t+u)"], ["t3/(t+u)"]),
+        ],
+        ids=["trop-num-den", "bezout", "trop-text"],
+    )
+    def test_each_text_is_parsed_once(self, capsys, monkeypatch, argv, texts):
+        from tropdiff import parsing
+
+        widths = []
+
+        class Counted(parsing._Parser):
+            def __init__(self, tokens, m, poly_mode):
+                widths.append(m)
+                super().__init__(tokens, m, poly_mode)
+
+        monkeypatch.setattr(parsing, "_Parser", Counted)
+        assert run(capsys, *argv)[0] == 0
+        assert widths == [3] * len(texts)
 
 
 class TestOmegaChain:
@@ -844,6 +875,16 @@ class TestInputLimits:
         assert err.endswith("... (list of length 100000)\n")
         assert len(err.encode()) < 1024
 
+    @pytest.mark.parametrize(
+        "keys", [["x" * 100_000], [f"k{i}" for i in range(10_000)]], ids=["huge-key", "many-keys"]
+    )
+    def test_a_refusal_of_unknown_keys_stays_short(self, capsys, tmp_path, keys):
+        source = problem_with(tmp_path, json.dumps({"m": 2, **dict.fromkeys(keys, 1)}))
+        code, out, err = run(capsys, "tropw", "--input", source)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: SchemaError: problem file takes no key '")
+        assert len(err.encode()) < 1024
+
 COMMANDS = [
     "trop", "tropw", "translate", "initial", "prolong",
     "order-recover", "bezout", "omega-chain", "selftest",
@@ -879,7 +920,8 @@ CALLS = [
     ["selftest"],
 ]
 # captured from the full parser at COLUMNS=80 before the single-command parser
-# existed; they keep the full parser itself from drifting
+# existed; they keep the full parser (now helpers.full_parser) and the
+# top-level parser from drifting
 TOP_USAGE = """\
 usage: tropdiff [-h]
                 {trop,tropw,translate,initial,prolong,order-recover,bezout,omega-chain,selftest}
@@ -933,8 +975,8 @@ def received(monkeypatch):
     return calls
 
 
-def count_full_parsers(monkeypatch):
-    """A list that gets one entry each time main builds the two-level parser."""
+def count_top_level_parsers(monkeypatch):
+    """A list that gets one entry each time main builds the top-level parser."""
     from tropdiff import cli
 
     built = []
@@ -955,11 +997,9 @@ class TestParser:
         self, capsys, monkeypatch, received, command, case
     ):
         """main's exit code, output and parsed values are those of the full parser."""
-        from tropdiff import cli
-
         monkeypatch.setenv("COLUMNS", "80")
         argv = [command, *USAGE_CASES[case]]
-        values, out, err = parse(capsys, cli._build_parser(), argv)
+        values, out, err = parse(capsys, full_parser(), argv)
         if isinstance(values, dict):  # parsed: the command gets the same values
             del values["command"]
             expected = (0, out, err, [values])
@@ -975,16 +1015,17 @@ class TestParser:
     )
     def test_main_builds_only_the_named_command(self, capsys, monkeypatch, argv, only):
         """A call of a command parses with that command's parser alone; top-level
-        help, no arguments and anything but a command name build the full parser."""
+        help, no arguments and anything but a command name build the top-level
+        parser once."""
         from tropdiff import cli
 
         if only is None:
-            built = count_full_parsers(monkeypatch)
+            built = count_top_level_parsers(monkeypatch)
             main(argv)
             assert built == [1]
         else:
             def refuse():
-                raise AssertionError("the two-level parser was built")
+                raise AssertionError("the top-level parser was built")
 
             monkeypatch.setattr(cli, "_build_parser", refuse)
             assert main(argv) == 0
@@ -992,7 +1033,7 @@ class TestParser:
     @pytest.mark.parametrize("argv", CALLS, ids=lambda argv: argv[0])
     def test_leftover_arguments_print_the_top_level_usage(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        built = count_full_parsers(monkeypatch)
+        built = count_top_level_parsers(monkeypatch)
         assert run(capsys, *argv, "--no-such-option") == (
             2, "", TOP_USAGE + "tropdiff: error: unrecognized arguments: --no-such-option\n"
         )
@@ -1001,6 +1042,20 @@ class TestParser:
     def test_top_level_help(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         assert run(capsys, "--help") == (0, TOP_HELP, "")
+
+    def test_the_top_level_declares_no_command_argument(self):
+        from tropdiff import cli
+
+        (commands,) = cli._build_parser()._subparsers._group_actions
+        assert list(commands.choices) == COMMANDS
+        for parser in commands.choices.values():
+            assert [action.dest for action in parser._actions] == ["help"]
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["nosuch"], ["--format", "json"]])
+    def test_the_top_level_speaks_as_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = parse(capsys, full_parser(), argv)
+        assert run(capsys, *argv) == (0 if code == 0 else 2, out, err)
 
     def test_unknown_command(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")

@@ -21,6 +21,7 @@ from tropdiff import (
     DiffMonomial,
     DiffPoly,
     MonomialOrder,
+    PolyParseError,
     QPoly,
     RationalFunction,
     SchemaError,
@@ -156,6 +157,24 @@ class TestRationalRoundTrip:
             qpoly_from({"terms": []})
         with pytest.raises(SchemaError):
             rational_from({"num": {"terms": []}})
+
+    def test_exponent_lists_take_precedence_over_text(self):
+        got = rational_from({"num": "t", "den": {"terms": [{"exp": [0, 0, 0, 1], "coeff": "1"}]}})
+        assert got == rational_from("t/t4") and got.m == 4
+        with pytest.raises(PolyParseError, match="^variable t3 exceeds m=2"):
+            rational_from({"num": "t3", "den": {"terms": [{"exp": [0, 1], "coeff": "1"}]}})
+
+    def test_width_is_read_from_the_first_exponent_list_of_a_side(self):
+        terms = [{"coeff": "1"}, {"exp": [1, 0, 0], "coeff": "1"}]
+        with pytest.raises(SchemaError, match="^exponent must be a list, got None$"):
+            rational_from({"num": {"terms": terms}})
+
+    def test_a_deep_terms_list_is_a_schema_error(self):
+        deep = []
+        for _ in range(5000):
+            deep = [deep]
+        with pytest.raises(SchemaError, match="^cannot infer the exponent width; pass m$"):
+            rational_from({"num": {"terms": deep}})
 
     def test_rejects(self):
         with pytest.raises(SchemaError):
@@ -388,6 +407,12 @@ class TestUnknownKeys:
     def test_an_unknown_key_is_named(self, decode, args, message):
         with pytest.raises(SchemaError, match=f"^{message}$"):
             decode(*args)
+
+    def test_many_unknown_keys_are_counted_past_the_first_three(self):
+        obj = {"m": 2, "a": 1, "b": 2, "c": 3, "d": 4, "e": 5}
+        message = "^problem file takes no key 'a', 'b', 'c' and 2 more$"
+        with pytest.raises(SchemaError, match=message):
+            problem_from(obj)
 
 
 # -- the canonical writer ----------------------------------------------------

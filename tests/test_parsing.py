@@ -14,7 +14,8 @@ from tropdiff import (
     parse_poly,
     parse_rational,
 )
-from tropdiff.parsing import MAX_NESTING
+from tropdiff.errors import MAX_WIDTH
+from tropdiff.parsing import MAX_NESTING, inferred_width
 
 
 class TestGrammar:
@@ -58,6 +59,17 @@ class TestVariables:
         assert parse_poly("t").m == 2
         assert parse_poly("5").m == 2
         assert parse_poly("t3 + t1").m == 3
+
+    def test_inferred_width_spans_all_texts(self):
+        assert inferred_width() == inferred_width("5") == inferred_width("t") == 2
+        assert inferred_width("t", "t3 - u") == inferred_width("t3", "t") == 3
+        assert inferred_width(f"t{MAX_WIDTH}") == MAX_WIDTH
+
+    def test_inferred_width_refuses_a_variable_above_the_cap_at_that_variable(self):
+        message = f"^variable index above MAX_WIDTH = {MAX_WIDTH} "
+        with pytest.raises(PolyParseError, match=message) as info:
+            inferred_width("t", f"u + t{MAX_WIDTH + 1}")
+        assert info.value.position == 4
 
     def test_out_of_range_with_explicit_m(self):
         with pytest.raises(UnknownVariable) as info:
