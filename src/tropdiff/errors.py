@@ -27,12 +27,18 @@ _SHOWN_LENGTH = 200
 
 def shown(value: object) -> str:
     """repr(value) when short; else its start, its type and its length (len(value),
-    or the length of the repr for a value without one, such as an int)."""
-    text = repr(value)
-    if len(text) <= _SHOWN_LENGTH:
-        return text
+    or the length of the repr for a value without one, such as an int).  A value
+    nested too deep for repr is shown by its type and its length alone."""
+    try:
+        text = repr(value)
+    except RecursionError:
+        text = ""
+    else:
+        if len(text) <= _SHOWN_LENGTH:
+            return text
     size = len(value) if hasattr(value, "__len__") else len(text)
-    return f"{text[:_SHOWN_LENGTH]}... ({type(value).__name__} of length {size})"
+    start = f"{text[:_SHOWN_LENGTH]}... " if text else ""
+    return f"{start}({type(value).__name__} of length {size})"
 
 
 def integers(values: Iterable, what: str = "exponents") -> tuple[int, ...]:

@@ -13,8 +13,19 @@ matching the pretty-printer for m <= 2.  Exponents are nonnegative integers.
 parse_rational accepts arbitrary division; parse_poly only allows dividing by
 nonzero constants (so rational literals like 3/4 still work).  When m is not
 given it is inferred_width(text), the one width rule for expression text: the
-largest variable index over the texts, at least 2.  A variable whose index is
+largest variable index over the texts, at least 2, read from the tokens the
+parse lexes anyway, so each text is lexed once.  A variable whose index is
 above errors.MAX_WIDTH is a PolyParseError at its position.
+
+The descent reads coefficient text in one pass, with no ring arithmetic per
+atom.  A run of c * t_i^k factors, divided or not by such a run, is one int
+numerator monomial over one denominator monomial; a sum of them is an int
+polynomial over one monomial, by RationalFunction's own formulas (n1*d2 +- n2*d1
+over d1*d2; '/' swaps the sides of the divisor, '^k' powers both sides).  A
+value becomes a RationalFunction, built with the public QPoly(m, terms), only
+when a sum must be multiplied, divided or raised to a power, and at the end.
+QPoly is canonical, so num and den are the polynomials that RationalFunction
+arithmetic on every atom gives.
 
 Parentheses nest at most MAX_NESTING deep, checked over the tokens before
 parsing starts, so the recursive descent never runs out of stack.  A run of
@@ -24,7 +35,7 @@ an int) is a PolyParseError at its position.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 
 from .errors import (
     MAX_WIDTH,
@@ -35,7 +46,7 @@ from .errors import (
     shown,
     width,
 )
-from .series import QPoly, RationalFunction
+from .series import QPoly, RationalFunction, _summed
 
 # Each level of parentheses costs the parser five stack frames; at this depth
 # an expression stays far below the interpreter's recursion limit.
@@ -100,82 +111,135 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
+def _times(ints: dict, c: int, e: tuple) -> list[tuple[tuple, int]]:
+    """The terms of ints times the monomial c*t^e, for c != 0; no two of them meet."""
+    return [(tuple(map(operator.add, f, e)), v * c) for f, v in ints.items()]
+
+
 class _Parser:
+    """The descent.  A value is a RationalFunction or a tuple (ints, d, e): the
+    int polynomial ints (exponent -> nonzero int) over the monomial d*t^e, d != 0,
+    exactly the num and den that RationalFunction arithmetic would give."""
+
     def __init__(self, tokens: list[_Token], m: int, poly_mode: bool):
         self.tokens = tokens
         self.i = 0
         self.m = m
         self.poly_mode = poly_mode
+        self.one = (0,) * m  # the exponent of 1
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
+    def at_op(self, ops: str) -> _Token | None:
+        """The next token, taken, when it is one of the operators ops; else None."""
         tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+        if tok.kind == "op" and tok.value in ops:
+            self.i += 1
+            return tok
+        return None
 
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.value in ops
+    def _rf(self, value) -> RationalFunction:
+        if type(value) is not tuple:
+            return value
+        ints, d, e = value
+        return RationalFunction(QPoly(self.m, ints), QPoly(self.m, {e: d}))
 
-    def expr(self) -> RationalFunction:
+    def expr(self):
         value = self.term()
-        while self.at_op("+", "-"):
-            op = self.take()
+        while op := self.at_op("+-"):
             rhs = self.term()
-            value = value + rhs if op.value == "+" else value - rhs
+            minus = op.value == "-"
+            if type(value) is tuple and type(rhs) is tuple:
+                # n1/d1 +- n2/d2 = (n1*d2 +- n2*d1)/(d1*d2)
+                (n1, d1, e1), (n2, d2, e2) = value, rhs
+                pairs = _times(n1, d2, e2) + _times(n2, -d1 if minus else d1, e1)
+                value = (_summed(pairs), d1 * d2, tuple(map(operator.add, e1, e2)))
+            else:
+                value, rhs = self._rf(value), self._rf(rhs)
+                value = value - rhs if minus else value + rhs
         return value
 
-    def term(self) -> RationalFunction:
+    def term(self):
         value = self.unary()
-        while self.at_op("*", "/"):
-            op = self.take()
+        while op := self.at_op("*/"):
             rhs = self.unary()
-            if op.value == "*":
-                value = value * rhs
-                continue
-            if self.poly_mode and not (rhs.num.is_constant and rhs.den.is_constant):
-                raise PolyParseError(
-                    "division by a non-constant is not allowed in a polynomial", op.pos
-                )
-            if rhs.is_zero:
-                raise ZeroDenominator(f"division by zero at position {op.pos}")
-            value = value / rhs
+            if op.value == "/":
+                if type(rhs) is tuple:
+                    constant = rhs[0].keys() <= {self.one} and rhs[2] == self.one
+                    zero = not rhs[0]
+                else:
+                    constant = rhs.num.is_constant and rhs.den.is_constant
+                    zero = rhs.is_zero
+                if self.poly_mode and not constant:
+                    raise PolyParseError(
+                        "division by a non-constant is not allowed in a polynomial", op.pos
+                    )
+                if zero:
+                    raise ZeroDenominator(f"division by zero at position {op.pos}")
+            value = self._product(value, rhs, op.value == "/")
         return value
 
-    def unary(self) -> RationalFunction:
-        sign = 1
-        while self.at_op("+", "-"):
-            if self.take().value == "-":
-                sign = -sign
-        value = self.power()
-        return value if sign > 0 else -value
+    def _product(self, a, b, divide: bool):
+        """a * b = (n1*n2)/(d1*d2), or a / b = (n1*d2)/(d1*n2) for b != 0."""
+        if type(a) is tuple and type(b) is tuple:
+            (n1, d1, e1), (n2, d2, e2) = a, b
+            if divide and len(n2) == 1:
+                [(f, c)] = n2.items()
+                return dict(_times(n1, d2, e2)), d1 * c, tuple(map(operator.add, e1, f))
+            if not divide and (len(n1) <= 1 or len(n2) <= 1):
+                many, few = (n2, n1) if len(n1) <= 1 else (n1, n2)
+                # few is zero, which makes the product zero, or one monomial
+                num = {k: v for f, c in few.items() for k, v in _times(many, c, f)}
+                return num, d1 * d2, tuple(map(operator.add, e1, e2))
+        a, b = self._rf(a), self._rf(b)
+        return a / b if divide else a * b
 
-    def power(self) -> RationalFunction:
+    def unary(self):
+        negative = False
+        while op := self.at_op("+-"):
+            negative ^= op.value == "-"
+        value = self.power()
+        if not negative:
+            return value
+        if type(value) is tuple:
+            ints, d, e = value
+            return {f: -c for f, c in ints.items()}, d, e
+        return -value
+
+    def power(self):
         value = self.atom()
         if self.at_op("^"):
-            self.take()
-            tok = self.peek()
+            tok = self.tokens[self.i]
             if tok.kind == "op" and tok.value == "-":
                 raise NegativeExponent("exponents must be nonnegative", tok.pos)
             if tok.kind != "int":
                 raise PolyParseError("exponent must be a nonnegative integer", tok.pos)
-            self.take()
-            value = value ** tok.value
+            self.i += 1
+            k = tok.value
+            if type(value) is not tuple or len(value[0]) > 1:
+                return self._rf(value) ** k
+            if k == 0:  # as QPoly ** 0, even for zero
+                return {self.one: 1}, 1, self.one
+            ints, d, e = value
+            return (
+                {tuple(k * v for v in f): c**k for f, c in ints.items()},
+                d**k,
+                tuple(k * v for v in e),
+            )
         return value
 
-    def atom(self) -> RationalFunction:
-        tok = self.take()
+    def atom(self):
+        tok = self.tokens[self.i]
+        self.i += 1
         if tok.kind == "int":
-            return RationalFunction.constant(self.m, Fraction(tok.value))
+            return ({self.one: tok.value} if tok.value else {}), 1, self.one
         if tok.kind == "var":
-            if tok.value > self.m:
-                raise UnknownVariable(f"variable t{tok.value} exceeds m={self.m}", tok.pos)
-            return RationalFunction(QPoly.variable(self.m, tok.value))
+            i = tok.value
+            if i > self.m:
+                raise UnknownVariable(f"variable t{i} exceeds m={self.m}", tok.pos)
+            return {self.one[: i - 1] + (1,) + self.one[i:]: 1}, 1, self.one
         if tok.kind == "op" and tok.value == "(":
             value = self.expr()
-            closing = self.take()
+            closing = self.tokens[self.i]
+            self.i += 1
             if not (closing.kind == "op" and closing.value == ")"):
                 raise PolyParseError("expected closing parenthesis", closing.pos)
             return value
@@ -184,15 +248,21 @@ class _Parser:
         )
 
 
+def _widest(tokens: list[_Token], m: int = 2) -> int:
+    """The largest of m and the variable indices among the tokens."""
+    for tok in tokens:
+        if tok.kind == "var" and tok.value > m:
+            if tok.value > MAX_WIDTH:
+                raise PolyParseError(f"variable index above MAX_WIDTH = {MAX_WIDTH}", tok.pos)
+            m = tok.value
+    return m
+
+
 def inferred_width(*texts: str) -> int:
     """The width that texts are read at: their largest variable index, at least 2."""
     m = 2
     for text in texts:
-        for tok in _lex(text):
-            if tok.kind == "var" and tok.value > m:
-                if tok.value > MAX_WIDTH:
-                    raise PolyParseError(f"variable index above MAX_WIDTH = {MAX_WIDTH}", tok.pos)
-                m = tok.value
+        m = _widest(_lex(text), m)
     return m
 
 
@@ -209,12 +279,12 @@ def _parse(text: str, m: int | None, poly_mode: bool) -> RationalFunction:
                     raise PolyParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
             elif tok.value == ")":
                 depth -= 1
-    parser = _Parser(tokens, inferred_width(text) if m is None else width(m), poly_mode)
+    parser = _Parser(tokens, _widest(tokens) if m is None else width(m), poly_mode)
     value = parser.expr()
-    tail = parser.peek()
+    tail = parser.tokens[parser.i]
     if tail.kind != "end":
         raise PolyParseError("unexpected trailing input", tail.pos)
-    return value
+    return parser._rf(value)
 
 
 def parse_rational(text: str, m: int | None = None) -> RationalFunction:

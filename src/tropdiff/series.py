@@ -101,8 +101,13 @@ class QPoly:
 
     def __init__(self, m: int, terms: Mapping[Sequence[int], Fraction | int] | None = None):
         self.m = width(m)
+        terms = terms or {}
+        if all(type(c) is int for c in terms.values()):  # over 1, with no Fraction made
+            self._ints = _summed((exponent(e, m), c) for e, c in terms.items())
+            self._den = 1
+            return
         fractions = _summed(
-            (exponent(e, m), _coefficient(c)) for e, c in (terms or {}).items()
+            (exponent(e, m), _coefficient(c)) for e, c in terms.items()
         )
         # over the lcm of the reduced denominators the numerators share no factor with it
         den = math.lcm(*(c.denominator for c in fractions.values()))
@@ -322,9 +327,13 @@ class QPoly:
 
 
 class RationalFunction:
-    """Quotient of two QPoly with nonzero denominator, never reduced."""
+    """Quotient of two QPoly with nonzero denominator, never reduced.
 
-    __slots__ = ("num", "den")
+    _ball, unset until in_unit_ball first decides on this object, holds
+    (num, den, verdict); the verdict holds while num and den are those objects.
+    """
+
+    __slots__ = ("num", "den", "_ball")
 
     def __init__(self, num: QPoly, den: QPoly | None = None):
         if den is None:
@@ -486,11 +495,17 @@ def in_unit_ball(q) -> bool:
     vertex set of a union does not change when a part is replaced by its own
     vertex set.  So the numerator's support joins the denominator's vertices
     directly: two extractions instead of the three that trop_frac and the
-    semiring sum take.
+    semiring sum take.  The verdict is kept on q, so residue after translate's
+    check of the same coefficient extracts nothing.
     """
     q = _as_rf(q)
+    known = getattr(q, "_ball", None)
+    if known is not None and known[0] is q.num and known[1] is q.den:
+        return known[2]
     den = trop_poly(q.den)
-    return VertexPoly(q.m, den.points + tuple(q.num._ints)) == den
+    verdict = VertexPoly(q.m, den.points + tuple(q.num._ints)) == den
+    q._ball = (q.num, q.den, verdict)
+    return verdict
 
 
 def is_unit(q) -> bool:

@@ -23,7 +23,14 @@ from tropdiff import (
     trop_poly,
     tropw,
 )
-from tropdiff import cli
+from tropdiff import cli, parsing
+from tropdiff.errors import (
+    NegativeExponent,
+    PolyParseError,
+    UnknownVariable,
+    ZeroDenominator,
+    width,
+)
 from tropdiff.errors import exponent as checked_exponent
 from tropdiff.series import _summed
 
@@ -390,3 +397,116 @@ def full_parser():
             command.add_argument(*flags, **options)
         command.set_defaults(func=func)
     return parser
+
+
+# -- expression text ------------------------------------------------------------
+
+
+class RationalDescent:
+    """The parser as it first was: every atom a RationalFunction, every operator ring arithmetic.
+
+    The oracle for parsing's folded descent: the same text at the same width
+    must give the same num and den, or the same error at the same position.
+    """
+
+    def __init__(self, tokens, m, poly_mode):
+        self.tokens = tokens
+        self.i = 0
+        self.m = m
+        self.poly_mode = poly_mode
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def at_op(self, *ops):
+        tok = self.peek()
+        return tok.kind == "op" and tok.value in ops
+
+    def expr(self):
+        value = self.term()
+        while self.at_op("+", "-"):
+            op = self.take()
+            rhs = self.term()
+            value = value + rhs if op.value == "+" else value - rhs
+        return value
+
+    def term(self):
+        value = self.unary()
+        while self.at_op("*", "/"):
+            op = self.take()
+            rhs = self.unary()
+            if op.value == "*":
+                value = value * rhs
+                continue
+            if self.poly_mode and not (rhs.num.is_constant and rhs.den.is_constant):
+                raise PolyParseError(
+                    "division by a non-constant is not allowed in a polynomial", op.pos
+                )
+            if rhs.is_zero:
+                raise ZeroDenominator(f"division by zero at position {op.pos}")
+            value = value / rhs
+        return value
+
+    def unary(self):
+        sign = 1
+        while self.at_op("+", "-"):
+            if self.take().value == "-":
+                sign = -sign
+        value = self.power()
+        return value if sign > 0 else -value
+
+    def power(self):
+        value = self.atom()
+        if self.at_op("^"):
+            self.take()
+            tok = self.peek()
+            if tok.kind == "op" and tok.value == "-":
+                raise NegativeExponent("exponents must be nonnegative", tok.pos)
+            if tok.kind != "int":
+                raise PolyParseError("exponent must be a nonnegative integer", tok.pos)
+            self.take()
+            value = value ** tok.value
+        return value
+
+    def atom(self):
+        tok = self.take()
+        if tok.kind == "int":
+            return RationalFunction.constant(self.m, Fraction(tok.value))
+        if tok.kind == "var":
+            if tok.value > self.m:
+                raise UnknownVariable(f"variable t{tok.value} exceeds m={self.m}", tok.pos)
+            return RationalFunction(QPoly.variable(self.m, tok.value))
+        if tok.kind == "op" and tok.value == "(":
+            value = self.expr()
+            closing = self.take()
+            if not (closing.kind == "op" and closing.value == ")"):
+                raise PolyParseError("expected closing parenthesis", closing.pos)
+            return value
+        raise PolyParseError(
+            "expected a number, variable or parenthesized expression", tok.pos
+        )
+
+
+def descent_parse(text, m=None, poly_mode=False):
+    """parse_rational (or parse_poly, with poly_mode) by RationalDescent, with the same checks."""
+    tokens = parsing._lex(text)
+    if tokens[0].kind == "end":
+        raise PolyParseError("empty input", 0)
+    depth = 0
+    for tok in tokens:
+        if tok.kind == "op" and tok.value in "()":
+            depth += 1 if tok.value == "(" else -1
+            if depth > parsing.MAX_NESTING:
+                raise PolyParseError(f"parentheses nest deeper than {parsing.MAX_NESTING}", tok.pos)
+    m = parsing.inferred_width(text) if m is None else width(m)
+    parser = RationalDescent(tokens, m, poly_mode)
+    value = parser.expr()
+    tail = parser.peek()
+    if tail.kind != "end":
+        raise PolyParseError("unexpected trailing input", tail.pos)
+    return value.as_qpoly() if poly_mode else value

@@ -176,6 +176,16 @@ class TestRationalRoundTrip:
         with pytest.raises(SchemaError, match="^cannot infer the exponent width; pass m$"):
             rational_from({"num": {"terms": deep}})
 
+    def test_a_deep_terms_list_at_a_given_width_is_a_schema_error(self):
+        deep = []
+        for _ in range(5000):
+            deep = [deep]
+        shown = r", got \(list of length 1\)$"
+        with pytest.raises(SchemaError, match="^term must be an object with exp and coeff" + shown):
+            rational_from({"num": {"terms": deep}}, 2)
+        with pytest.raises(SchemaError, match="^expected polynomial text or a terms object" + shown):
+            qpoly_from(deep, 2)
+
     def test_rejects(self):
         with pytest.raises(SchemaError):
             rational_from([], 2)

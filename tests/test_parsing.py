@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import qpoly, rational
+from helpers import descent_parse, qpoly, rational
 from tropdiff import (
     NegativeExponent,
     PolyParseError,
     QPoly,
+    RationalFunction,
     UnknownVariable,
     ZeroDenominator,
     parse_poly,
     parse_rational,
 )
+from tropdiff import parsing
 from tropdiff.errors import MAX_WIDTH
 from tropdiff.parsing import MAX_NESTING, inferred_width
 
@@ -175,3 +177,124 @@ class TestRoundTrip:
         for _ in range(200):
             q = rational(rng, rng.choice((1, 2, 3)))
             assert parse_rational(str(q), q.m) == q
+
+
+def grammar_text(rng, m, depth=0):
+    """A random text of the grammar over t1..tm, with some t_(m+1) and zeros."""
+
+    def atom():
+        roll = rng.random()
+        if roll < 0.3:
+            return str(rng.choice((0, 1, 2, 3, 12)))
+        if roll < 0.85 or depth >= 2:
+            index = rng.randint(1, m + 1) if rng.random() < 0.05 else rng.randint(1, m)
+            return rng.choice({1: ("t", "t1"), 2: ("u", "t2")}.get(index, (f"t{index}",)))
+        return f"({grammar_text(rng, m, depth + 1)})"
+
+    def unary():
+        text = rng.choice(("", "", "", "-", "+", "--")) + atom()
+        return text + f"^{rng.randint(0, 3)}" if rng.random() < 0.25 else text
+
+    def term():
+        text = unary()
+        for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+            text += rng.choice(("*", "*", "/", " * ", " / ")) + unary()
+        return text
+
+    text = term()
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        text += rng.choice((" + ", " - ", "+", "-")) + term()
+    return text
+
+
+def mutated(rng, text):
+    """text with one character deleted, inserted or replaced."""
+    i = rng.randrange(len(text) + 1)
+    bit = rng.choice("+-*/^()t0 u2$")
+    head, rest = text[:i], text[i + 1 :]
+    return rng.choice((head + rest, head + bit + text[i:], head + bit + rest))
+
+
+def outcome(parse, text, m):
+    try:
+        value = parse(text, m)
+    except Exception as exc:  # the oracle must fail the same way
+        return "error", type(exc), str(exc), getattr(exc, "position", None)
+    return "value", (value.num, value.den) if isinstance(value, RationalFunction) else value
+
+
+def read_as_the_oracle_reads(text, m, poly_mode):
+    """Assert that text gives the oracle's num and den, or its error; return which."""
+    got = outcome(parse_poly if poly_mode else parse_rational, text, m)
+    assert got == outcome(lambda t, w: descent_parse(t, w, poly_mode), text, m), text
+    return got[0]
+
+
+class TestAgainstTheDescentOracle:
+    """The folded descent gives what the all-RationalFunction descent gives."""
+
+    @pytest.mark.parametrize("poly_mode", [False, True], ids=["rational", "poly"])
+    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+    def test_seeded_grammar_texts(self, m, poly_mode):
+        rng = random.Random(97 * m + poly_mode)
+        kinds = set()
+        for _ in range(600):
+            text = grammar_text(rng, m)
+            if rng.random() < 0.2:
+                text = mutated(rng, text)
+            kinds.add(read_as_the_oracle_reads(text, rng.choice((None, m)), poly_mode))
+        assert kinds == {"value", "error"}
+
+    def test_every_arithmetic_case(self):
+        texts = [
+            "0", "0*t", "t*0", "0^0", "(t-t)^0", "(t-t)^2", "t^0", "(2*t/3)^3", "(t+u)^0",
+            "(t+u)^1", "(t+u)^2", "-(t+u)^2", "--t/-u", "t/u/2", "t/(2*u)*3", "1/t + 1/t",
+            "t - t + u", "(1/t - 1/t) + u", "(t+u)*(t-u)", "(t+u)*2*t", "2*t*(t+u)", "(t+u)/(t*u)",
+            "(t+u)/(t-u)", "t/(t+u) + 1", "(t+u)/(2*t) - (u+1)/(3*u)", "3/4*t", "(t^2+u)/(-2)",
+            "1/(1/t)", "t/(u/u)", "1/(2/3)", "t/(t-t)", "1/(0*t)", "t/(1/t - 1/t)", "u/(t^0)",
+        ]
+        for text in texts:
+            for poly_mode in (False, True):
+                read_as_the_oracle_reads(text, None, poly_mode)
+
+
+def counted_products(monkeypatch):
+    counts = []
+    product = QPoly.__mul__
+
+    def counting(self, other):
+        counts.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(QPoly, "__mul__", counting)
+    monkeypatch.setattr(QPoly, "__rmul__", counting)
+    return counts
+
+
+class TestWork:
+    def test_sums_over_sums_take_at_most_two_products(self, monkeypatch):
+        counts = counted_products(monkeypatch)
+        q = parse_rational("(3*t^2 - u + 1)/(t*u + 2*u^2)")
+        assert len(counts) <= 2
+        assert (q.num, q.den) == (parse_poly("3*t^2 - u + 1"), parse_poly("t*u + 2*u^2"))
+
+    def test_a_monomial_denominator_takes_no_product(self, monkeypatch):
+        counts = counted_products(monkeypatch)
+        q = parse_rational("(3*t^2 - u + 1)/(2*t*u^3)")
+        assert counts == []
+        assert (q.num, q.den) == (parse_poly("3*t^2 - u + 1"), parse_poly("2*t*u^3"))
+
+    def test_each_text_is_lexed_once(self, monkeypatch):
+        calls = []
+        lex = parsing._lex
+
+        def counting(text):
+            calls.append(text)
+            return lex(text)
+
+        monkeypatch.setattr(parsing, "_lex", counting)
+        assert parse_rational("t3/(t + u)").m == 3
+        assert parse_poly("t + 1").m == 2
+        assert parse_rational("t", 4).m == 4
+        assert calls == ["t3/(t + u)", "t + 1", "t"]
+        assert inferred_width("t", "t5") == 5 and calls[3:] == ["t", "t5"]

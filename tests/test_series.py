@@ -44,6 +44,7 @@ from tropdiff import (
     trop_frac,
     trop_poly,
 )
+from tropdiff import series
 from tropdiff.series import fraction_text
 
 T_LEX = order_standard("lex", 2)
@@ -52,6 +53,41 @@ U_LEX = MonomialOrder([[1, 0], [0, 1]])  # u smallest
 
 def rf(text, m=2):
     return parse_rational(text, m)
+
+
+class TestConstructor:
+    """QPoly(m, terms) with only int coefficients takes the early exit over 1."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_int_coefficients_give_what_fractions_give(self, m):
+        rng = random.Random(71 + m)
+        for _ in range(100):
+            ints = {exponent(rng, m, 3): rng.choice((0, *NONZERO, 10**30)) for _ in range(4)}
+            q = QPoly(m, ints)
+            assert canonical(q) and q._den == 1
+            assert q.terms == QPoly(m, {e: Fraction(c) for e, c in ints.items()}).terms
+            assert q.terms == {e: Fraction(c) for e, c in ints.items() if c}
+
+    @pytest.mark.parametrize(
+        "terms, error, message",
+        [
+            ({(1, -1): 1}, ValueError, "exponents must be nonnegative"),
+            ({(1,): 1}, DimensionMismatch, "does not have 2 coordinates"),
+            ({(True, 0): 1}, ValueError, "exponents must be integers"),
+            ({(0, 0): 1, (1, -1): 0}, ValueError, "exponents must be nonnegative"),
+            # a term's exponent, then its coefficient, then the next term
+            ({(0, 0): 1, (1, -1): 0.5}, ValueError, "exponents must be nonnegative"),
+            ({(0, 0): 0.5, (1, -1): 1}, ValueError, "must be exact, got the float 0.5"),
+        ],
+    )
+    def test_checks_run_term_by_term(self, terms, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            QPoly(2, terms)
+
+    def test_a_bool_or_fraction_coefficient_takes_the_general_route(self):
+        assert QPoly(2, {(1, 0): True}) == QPoly(2, {(1, 0): 1})
+        half = QPoly(2, {(1, 0): 2, (0, 1): Fraction(1, 2)})
+        assert canonical(half) and half.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)}
 
 
 class TestQPolyArithmetic:
@@ -356,6 +392,26 @@ class TestUnitBall:
             assert in_unit_ball(q) is want
             outcomes.add(want)
         assert outcomes == {True, False}
+
+    def test_the_verdict_is_kept_while_num_and_den_are_the_same_objects(self, monkeypatch):
+        extractions = []
+
+        class Counted(VertexPoly):
+            def __init__(self, m, points):
+                extractions.append(m)
+                super().__init__(m, points)
+
+        monkeypatch.setattr(series, "VertexPoly", Counted)
+        q = rf("t/(t+u)")
+        assert in_unit_ball(q) and len(extractions) == 2
+        assert in_unit_ball(q) and residue(q, T_LEX) == 1 and len(extractions) == 2
+        q.num = parse_poly("t", 2)  # equal, but another object: decided again
+        assert in_unit_ball(q) and len(extractions) == 4
+        q.den = parse_poly("t*u", 2)
+        assert not in_unit_ball(q) and len(extractions) == 6
+        with pytest.raises(NotInUnitBall):
+            residue(q, T_LEX)
+        assert len(extractions) == 6
 
     def test_units(self):
         assert is_unit(rf("(t+u)/(2*t+3*u)"))

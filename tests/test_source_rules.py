@@ -15,6 +15,9 @@ one of its fields, as an attribute or as a string (getattr).  The field
 names are read from QPoly itself, so renaming them keeps the rule in force.
 Likewise how a weight builds and keeps its shifts and its vertex set is
 private to weights: no other module names a private slot of BooleanWeight.
+And the unit-ball verdict that in_unit_ball keeps on a RationalFunction is
+private to series: no other module names a private slot of RationalFunction,
+so none can plant a verdict that residue would trust.
 
 The exact simplex has one caller: only vertexpoly imports feasibility.covered
 or calls it, and inside vertexpoly only the function _vertices names covered
@@ -29,7 +32,7 @@ from pathlib import Path
 import pytest
 
 import tropdiff
-from tropdiff import BooleanWeight, QPoly
+from tropdiff import BooleanWeight, QPoly, RationalFunction
 
 PACKAGE = Path(tropdiff.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -37,6 +40,7 @@ HEAVY = frozenset({"dataclasses", "typing", "inspect"})
 ALLOWED = (frozenset(sys.stdlib_module_names) - HEAVY) | {"tropdiff"}
 QPOLY_FIELDS = frozenset(QPoly.__slots__) - {"m"}
 MEMO_SLOTS = frozenset(name for name in BooleanWeight.__slots__ if name.startswith("_"))
+VERDICT_SLOTS = frozenset(name for name in RationalFunction.__slots__ if name.startswith("_"))
 
 
 def offences(source: str) -> list[str]:
@@ -163,6 +167,29 @@ def test_the_memo_rule_sees_each_offence():
         f"line 2: names memo slot {first}",
         f"line 3: names memo slot {second}",
         f"line 4: names memo slot {second}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "series.py"], ids=lambda p: p.name
+)
+def test_only_series_names_the_verdict_slot(path):
+    assert field_reads(path.read_text(encoding="utf-8"), VERDICT_SLOTS, "verdict slot") == []
+
+
+def test_the_verdict_rule_sees_each_offence():
+    series_source = PACKAGE.joinpath("series.py").read_text(encoding="utf-8")
+    assert len(VERDICT_SLOTS) == 1 and field_reads(series_source, VERDICT_SLOTS, "verdict slot")
+    [slot] = VERDICT_SLOTS
+    source = (
+        f"def f(q):\n"
+        f"    q.{slot} = (q.num, q.den, True)\n"
+        f"    known = getattr(q, {slot!r}, None)\n"
+        f"    return known, q.num, q.den, in_unit_ball(q)\n"
+    )
+    assert field_reads(source, VERDICT_SLOTS, "verdict slot") == [
+        f"line 2: names verdict slot {slot}",
+        f"line 3: names verdict slot {slot}",
     ]
 
 
