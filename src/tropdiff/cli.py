@@ -79,10 +79,14 @@ def _emit(args, to_json, to_pretty) -> int:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The text of path, or of stdin for '-'; text that does not decode is a SchemaError."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _json(text: str):

@@ -403,7 +403,11 @@ def problem_from(obj: object) -> ProblemFile:
 
     order = order_from(obj["order"], m) if "order" in obj else None
 
-    kernel = SubstitutionKernel(obj.get("kernel", "indicator"))
+    kind = obj.get("kernel", "indicator")
+    try:
+        kernel = SubstitutionKernel(kind)
+    except ValueError:
+        raise SchemaError(f"{shown(kind)} is not a valid SubstitutionKernel") from None
 
     bound = obj.get("prolong_bound", 0)
     if not _is_int(bound) or bound < 0:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import NotAMonomialOrder, exponent, integers, width
+from .errors import NotAMonomialOrder, exponent, integers, shown, width
 
 Exponent = tuple[int, ...]
 
@@ -41,7 +41,7 @@ def _standard_rows(kind: str, m: int) -> tuple[Exponent, ...]:
         return ((1,) * m,) + tuple(unit(k) for k in reversed(range(1, m)))
     if kind == "grevlex":
         return ((1,) * m,) + tuple(tuple(-v for v in unit(k)) for k in range(m - 1))
-    raise NotAMonomialOrder(f"unknown order kind {kind!r}")
+    raise NotAMonomialOrder(f"unknown order kind {shown(kind)}")
 
 
 class MonomialOrder:

@@ -17,15 +17,13 @@ largest variable index over the texts, at least 2, read from the tokens the
 parse lexes anyway, so each text is lexed once.  A variable whose index is
 above errors.MAX_WIDTH is a PolyParseError at its position.
 
-The descent reads coefficient text in one pass, with no ring arithmetic per
-atom.  A run of c * t_i^k factors, divided or not by such a run, is one int
-numerator monomial over one denominator monomial; a sum of them is an int
-polynomial over one monomial, by RationalFunction's own formulas (n1*d2 +- n2*d1
-over d1*d2; '/' swaps the sides of the divisor, '^k' powers both sides).  A
-value becomes a RationalFunction, built with the public QPoly(m, terms), only
-when a sum must be multiplied, divided or raised to a power, and at the end.
-QPoly is canonical, so num and den are the polynomials that RationalFunction
-arithmetic on every atom gives.
+The descent reads coefficient text in one pass, with no ring arithmetic.  Every
+value is a pair (num, den) of int polynomials (exponent -> nonzero int, den not
+zero), combined by RationalFunction's own formulas: '+' and '-' give
+n1*d2 +- n2*d1 over d1*d2, '*' gives n1*n2 over d1*d2, '/' gives n1*d2 over
+d1*n2, and '^k' powers both sides.  The RationalFunction is built once, at the
+end, with the public QPoly(m, terms).  QPoly is canonical, so num and den are
+the polynomials that RationalFunction arithmetic on every atom gives.
 
 Parentheses nest at most MAX_NESTING deep, checked over the tokens before
 parsing starts, so the recursive descent never runs out of stack.  A run of
@@ -111,15 +109,29 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
-def _times(ints: dict, c: int, e: tuple) -> list[tuple[tuple, int]]:
-    """The terms of ints times the monomial c*t^e, for c != 0; no two of them meet."""
-    return [(tuple(map(operator.add, f, e)), v * c) for f, v in ints.items()]
+def _product(f: dict, g: dict) -> dict:
+    """f * g for int polynomials."""
+    return _summed(
+        (tuple(map(operator.add, e1, e2)), c1 * c2)
+        for e1, c1 in f.items()
+        for e2, c2 in g.items()
+    )
+
+
+def _power(f: dict, k: int, one: tuple) -> dict:
+    """f ** k, with 0 ** 0 = 1 as QPoly ** 0; a zero or one-term f at once, so
+    t^1000000 costs no loop."""
+    if k and len(f) <= 1:
+        return {tuple(k * v for v in e): c**k for e, c in f.items()}
+    out = {one: 1}
+    for _ in range(k):
+        out = _product(out, f)
+    return out
 
 
 class _Parser:
-    """The descent.  A value is a RationalFunction or a tuple (ints, d, e): the
-    int polynomial ints (exponent -> nonzero int) over the monomial d*t^e, d != 0,
-    exactly the num and den that RationalFunction arithmetic would give."""
+    """The descent.  A value is a pair (num, den) of int polynomials, exactly the
+    num and den that RationalFunction arithmetic would give."""
 
     def __init__(self, tokens: list[_Token], m: int, poly_mode: bool):
         self.tokens = tokens
@@ -136,73 +148,38 @@ class _Parser:
             return tok
         return None
 
-    def _rf(self, value) -> RationalFunction:
-        if type(value) is not tuple:
-            return value
-        ints, d, e = value
-        return RationalFunction(QPoly(self.m, ints), QPoly(self.m, {e: d}))
-
     def expr(self):
         value = self.term()
         while op := self.at_op("+-"):
-            rhs = self.term()
-            minus = op.value == "-"
-            if type(value) is tuple and type(rhs) is tuple:
-                # n1/d1 +- n2/d2 = (n1*d2 +- n2*d1)/(d1*d2)
-                (n1, d1, e1), (n2, d2, e2) = value, rhs
-                pairs = _times(n1, d2, e2) + _times(n2, -d1 if minus else d1, e1)
-                value = (_summed(pairs), d1 * d2, tuple(map(operator.add, e1, e2)))
-            else:
-                value, rhs = self._rf(value), self._rf(rhs)
-                value = value - rhs if minus else value + rhs
+            (n1, d1), (n2, d2) = value, self.term()
+            if op.value == "-":
+                n2 = {e: -c for e, c in n2.items()}
+            num = _summed([*_product(n1, d2).items(), *_product(n2, d1).items()])
+            value = num, _product(d1, d2)
         return value
 
     def term(self):
         value = self.unary()
         while op := self.at_op("*/"):
-            rhs = self.unary()
-            if op.value == "/":
-                if type(rhs) is tuple:
-                    constant = rhs[0].keys() <= {self.one} and rhs[2] == self.one
-                    zero = not rhs[0]
-                else:
-                    constant = rhs.num.is_constant and rhs.den.is_constant
-                    zero = rhs.is_zero
-                if self.poly_mode and not constant:
-                    raise PolyParseError(
-                        "division by a non-constant is not allowed in a polynomial", op.pos
-                    )
-                if zero:
-                    raise ZeroDenominator(f"division by zero at position {op.pos}")
-            value = self._product(value, rhs, op.value == "/")
+            (n1, d1), (n2, d2) = value, self.unary()
+            if op.value == "*":
+                value = _product(n1, n2), _product(d1, d2)
+                continue
+            if self.poly_mode and not n2.keys() | d2.keys() <= {self.one}:
+                raise PolyParseError(
+                    "division by a non-constant is not allowed in a polynomial", op.pos
+                )
+            if not n2:
+                raise ZeroDenominator(f"division by zero at position {op.pos}")
+            value = _product(n1, d2), _product(d1, n2)
         return value
-
-    def _product(self, a, b, divide: bool):
-        """a * b = (n1*n2)/(d1*d2), or a / b = (n1*d2)/(d1*n2) for b != 0."""
-        if type(a) is tuple and type(b) is tuple:
-            (n1, d1, e1), (n2, d2, e2) = a, b
-            if divide and len(n2) == 1:
-                [(f, c)] = n2.items()
-                return dict(_times(n1, d2, e2)), d1 * c, tuple(map(operator.add, e1, f))
-            if not divide and (len(n1) <= 1 or len(n2) <= 1):
-                many, few = (n2, n1) if len(n1) <= 1 else (n1, n2)
-                # few is zero, which makes the product zero, or one monomial
-                num = {k: v for f, c in few.items() for k, v in _times(many, c, f)}
-                return num, d1 * d2, tuple(map(operator.add, e1, e2))
-        a, b = self._rf(a), self._rf(b)
-        return a / b if divide else a * b
 
     def unary(self):
         negative = False
         while op := self.at_op("+-"):
             negative ^= op.value == "-"
-        value = self.power()
-        if not negative:
-            return value
-        if type(value) is tuple:
-            ints, d, e = value
-            return {f: -c for f, c in ints.items()}, d, e
-        return -value
+        num, den = self.power()
+        return ({e: -c for e, c in num.items()} if negative else num), den
 
     def power(self):
         value = self.atom()
@@ -213,29 +190,20 @@ class _Parser:
             if tok.kind != "int":
                 raise PolyParseError("exponent must be a nonnegative integer", tok.pos)
             self.i += 1
-            k = tok.value
-            if type(value) is not tuple or len(value[0]) > 1:
-                return self._rf(value) ** k
-            if k == 0:  # as QPoly ** 0, even for zero
-                return {self.one: 1}, 1, self.one
-            ints, d, e = value
-            return (
-                {tuple(k * v for v in f): c**k for f, c in ints.items()},
-                d**k,
-                tuple(k * v for v in e),
-            )
+            num, den = value
+            return _power(num, tok.value, self.one), _power(den, tok.value, self.one)
         return value
 
     def atom(self):
         tok = self.tokens[self.i]
         self.i += 1
         if tok.kind == "int":
-            return ({self.one: tok.value} if tok.value else {}), 1, self.one
+            return ({self.one: tok.value} if tok.value else {}), {self.one: 1}
         if tok.kind == "var":
             i = tok.value
             if i > self.m:
                 raise UnknownVariable(f"variable t{i} exceeds m={self.m}", tok.pos)
-            return {self.one[: i - 1] + (1,) + self.one[i:]: 1}, 1, self.one
+            return {self.one[: i - 1] + (1,) + self.one[i:]: 1}, {self.one: 1}
         if tok.kind == "op" and tok.value == "(":
             value = self.expr()
             closing = self.tokens[self.i]
@@ -284,7 +252,8 @@ def _parse(text: str, m: int | None, poly_mode: bool) -> RationalFunction:
     tail = parser.tokens[parser.i]
     if tail.kind != "end":
         raise PolyParseError("unexpected trailing input", tail.pos)
-    return parser._rf(value)
+    num, den = value
+    return RationalFunction(QPoly(parser.m, num), QPoly(parser.m, den))
 
 
 def parse_rational(text: str, m: int | None = None) -> RationalFunction:

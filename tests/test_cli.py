@@ -864,16 +864,42 @@ class TestInputLimits:
         ]
 
     def test_a_refusal_of_a_huge_value_stays_short(self, capsys, tmp_path):
-        entry = list(range(100_000))
-        source = problem_with(tmp_path, json.dumps({"m": 2, "polynomials": [entry]}))
-        assert Path(source).stat().st_size > 500_000
-        code, out, err = run(capsys, "tropw", "--input", source)
+        huge = "x" * 100_000
+        cases = [
+            (
+                {"polynomials": [list(range(100_000))]},
+                "SchemaError: polynomial entry needs name and poly, got [0, 1, 2, 3,",
+                "... (list of length 100000)\n",
+            ),
+            (
+                {"polynomials": [], "kernel": huge},
+                "SchemaError: 'xxx",
+                "... (str of length 100000) is not a valid SubstitutionKernel\n",
+            ),
+            (
+                {"polynomials": [], "order": {"type": huge}},
+                "SchemaError: unknown order kind 'xxx",
+                "... (str of length 100000)\n",
+            ),
+        ]
+        for problem, start, end in cases:
+            source = problem_with(tmp_path, json.dumps({"m": 2, **problem}))
+            assert Path(source).stat().st_size > 100_000
+            code, out, err = run(capsys, "tropw", "--input", source)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: " + start)
+            assert err.endswith(end)
+            assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize(
+        "command", ["trop", "tropw", "translate", "initial", "prolong", "order-recover"]
+    )
+    def test_an_input_file_that_is_not_utf8_is_refused(self, capsys, tmp_path, command):
+        source = tmp_path / "problem.json"
+        source.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, command, "--input", str(source))
         assert (code, out) == (2, "")
-        assert err.startswith(
-            "error: SchemaError: polynomial entry needs name and poly, got [0, 1, 2, 3,"
-        )
-        assert err.endswith("... (list of length 100000)\n")
-        assert len(err.encode()) < 1024
+        assert err == "error: SchemaError: input is not UTF-8 text: invalid start byte at byte 0\n"
 
     @pytest.mark.parametrize(
         "keys", [["x" * 100_000], [f"k{i}" for i in range(10_000)]], ids=["huge-key", "many-keys"]

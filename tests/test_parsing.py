@@ -258,31 +258,47 @@ class TestAgainstTheDescentOracle:
                 read_as_the_oracle_reads(text, None, poly_mode)
 
 
-def counted_products(monkeypatch):
-    counts = []
-    product = QPoly.__mul__
-
-    def counting(self, other):
-        counts.append(1)
-        return product(self, other)
-
-    monkeypatch.setattr(QPoly, "__mul__", counting)
-    monkeypatch.setattr(QPoly, "__rmul__", counting)
-    return counts
+RING_ARITHMETIC = [
+    (QPoly, name) for name in ("__mul__", "__rmul__", "__pow__")
+] + [
+    (RationalFunction, name)
+    for name in (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+        "__mul__", "__rmul__", "__truediv__", "__pow__",
+    )
+]
 
 
 class TestWork:
-    def test_sums_over_sums_take_at_most_two_products(self, monkeypatch):
-        counts = counted_products(monkeypatch)
-        q = parse_rational("(3*t^2 - u + 1)/(t*u + 2*u^2)")
-        assert len(counts) <= 2
-        assert (q.num, q.den) == (parse_poly("3*t^2 - u + 1"), parse_poly("t*u + 2*u^2"))
+    @pytest.mark.parametrize(
+        "text, num, den",
+        [
+            ("(3*t^2 - u + 1)/(t*u + 2*u^2)", "3*t^2 - u + 1", "t*u + 2*u^2"),
+            ("(3*t^2 - u + 1)/(2*t*u^3)", "3*t^2 - u + 1", "2*t*u^3"),
+            ("(t+u)^2", "t^2 + 2*t*u + u^2", "1"),
+            ("(t+u)/(t-u)", "t + u", "t - u"),
+            ("0^0", "1", "1"),
+        ],
+        ids=["sum-over-sum", "sum-over-monomial", "sum-power", "sum-quotient", "zero-power-zero"],
+    )
+    def test_the_descent_does_no_ring_arithmetic(self, monkeypatch, text, num, den):
+        expected = parse_poly(num), parse_poly(den)
+        calls = []
 
-    def test_a_monomial_denominator_takes_no_product(self, monkeypatch):
-        counts = counted_products(monkeypatch)
-        q = parse_rational("(3*t^2 - u + 1)/(2*t*u^3)")
-        assert counts == []
-        assert (q.num, q.den) == (parse_poly("3*t^2 - u + 1"), parse_poly("2*t*u^3"))
+        def counted(cls, name):
+            method = getattr(cls, name)
+
+            def counting(*args, **kwargs):
+                calls.append(f"{cls.__name__}.{name}")
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counting)
+
+        for cls, name in RING_ARITHMETIC + [(QPoly, "__init__")]:
+            counted(cls, name)
+        q = parse_rational(text)
+        assert calls == ["QPoly.__init__"] * 2
+        assert (q.num, q.den) == expected
 
     def test_each_text_is_lexed_once(self, monkeypatch):
         calls = []
