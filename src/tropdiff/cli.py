@@ -55,9 +55,10 @@ from .weights import BooleanWeight, SubstitutionKernel
 # Each chain element costs a few exact vertex extractions, so the run time grows
 # linearly with --count; the cap keeps a run to seconds instead of hours.
 MAX_OMEGA_COUNT = 1000
-# A generator over m unknowns has C(bound + m, m) derivatives up to the bound,
-# and each costs more as the bound grows; the cap (about 5 s at m = 2) refuses
-# a prolongation that would run for minutes before printing anything.
+# A generator over m unknowns has C(bound + m, m) derivatives up to the bound.
+# The cap bounds that number, not the time: each derivative also grows, and a
+# coefficient's denominator squares with each derivative, so a one-term
+# generator with coefficient 1/(t + u) takes seconds to minutes well under it.
 MAX_DERIVATIVES = 2000
 # Decoding JSON, and reading the decoded value, take a stack frame per level;
 # the cap keeps both far below the interpreter's recursion limit on every

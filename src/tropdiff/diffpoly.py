@@ -4,7 +4,11 @@ A formal variable x_{i,J} stands for the derivative d^J y_i.  DiffMonomial is
 a commutative word in these variables, DiffPoly a finite sum of monomials
 with RationalFunction coefficients.  derive() is the total derivative: it
 differentiates coefficients and bumps each x_{i,J} to x_{i,J+e_k} by the
-Leibniz rule, so prolong() generates all d^J P up to a degree bound.
+Leibniz rule, so prolong() generates all d^J P up to a degree bound.  Where
+the Leibniz rule multiplies a coefficient by a factor's power 1, derive()
+carries the coefficient object itself, so the derivatives of a prolongation
+share coefficients, and each shared coefficient keeps its own partial
+derivatives (RationalFunction.partial) for the next derive().
 
 evaluate() substitutes honest polynomials for the unknowns, turning x_{i,J}
 into the J-th derivative of the i-th argument.  It is the semantic anchor
@@ -224,7 +228,10 @@ class DiffPoly:
             dc = c.partial(k)
             if dc:  # a zero 0/d added onto a kept term would widen its denominator
                 pieces.append((mono, dc))
-            pieces.extend((mono.bump(pos, k), c * p) for pos, (_, p) in enumerate(mono.factors))
+            # c * 1 is c itself, so its derivatives, kept on c, are worked out once
+            pieces.extend(
+                (mono.bump(pos, k), c if p == 1 else c * p) for pos, (_, p) in enumerate(mono.factors)
+            )
         return DiffPoly._trusted(self.m, self.n, _summed(pieces))
 
     def deriv(self, J: Sequence[int]) -> "DiffPoly":

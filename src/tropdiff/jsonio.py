@@ -18,6 +18,13 @@ data, so no dict is built per term of a coefficient:
     MonomialOrder     {"type": "lex"|"grlex"|"grevlex"} | {"type": "matrix", "rows": ...}
     DiffPoly          [{"coeff": <rational>, "monomial": <monomial>}, ...]
 
+Within one dumps call each distinct polynomial is written once per indent:
+a dict made for that call, and passed down through _write, maps a (QPoly,
+indent) pair to its text.  QPoly hashes as it compares, so equal polynomials
+that are distinct objects share one entry.  _write appends pieces to one
+list that dumps joins once, so a kept text is referenced, not copied into
+each enclosing value's text.  Nothing outlives the call.
+
 The encoders return values that dumps writes: diffpoly_json's entries hold
 the RationalFunction and the DiffMonomial themselves, the other encoders
 plain lists and dicts.  json.loads(dumps(v)) gives plain objects in every
@@ -72,56 +79,79 @@ def dumps(value: object) -> str:
     RationalFunction and DiffMonomial as the module docstring encodes them;
     any other type, bool, None, float and tuple included, is a TypeError.
     """
-    return _write(value, "\n")
+    out: list[str] = []
+    _write(value, "\n", out, {})
+    return "".join(out)
 
 
-def _write(value: object, newline: str) -> str:
+def _write(value: object, newline: str, out: list, written: dict) -> None:
+    """Append value's text at this indent to out."""
     kind = type(value)
     if kind is str:
-        return encode_basestring_ascii(value)
+        out.append(encode_basestring_ascii(value))
+        return
     if kind is int:
-        return int.__repr__(value)
+        out.append(int.__repr__(value))
+        return
     inner = newline + "  "
     if kind is list:
         for item in value:
             if type(item) is not int:
-                body = [_write(item, inner) for item in value]
-                return "[" + inner + ("," + inner).join(body) + newline + "]"
+                separator = "[" + inner
+                for item in value:
+                    out.append(separator)
+                    _write(item, inner, out, written)
+                    separator = "," + inner
+                out.append(newline + "]")
+                return
         # a list of plain ints, the common leaf, skips the recursion
-        return _int_list(value, newline)
+        out.append(_int_list(value, newline))
+        return
     if kind is dict:
         if not value:
-            return "{}"
-        # a key that is not a str is a TypeError in encode_basestring_ascii
-        body = [
-            encode_basestring_ascii(key) + ": " + _write(value[key], inner)
-            for key in sorted(value)
-        ]
-        return "{" + inner + ("," + inner).join(body) + newline + "}"
+            out.append("{}")
+            return
+        separator = "{" + inner
+        for key in sorted(value):
+            # a key that is not a str is a TypeError in encode_basestring_ascii
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, out, written)
+            separator = "," + inner
+        out.append(newline + "}")
+        return
     if kind is QPoly:
-        return _qpoly_text(value, newline)
+        out.append(_qpoly_text(value, newline, written))
+        return
     if kind is RationalFunction:
-        den = _qpoly_text(value.den, inner)
-        num = _qpoly_text(value.num, inner)
-        return "{" + inner + '"den": ' + den + "," + inner + '"num": ' + num + newline + "}"
+        den = _qpoly_text(value.den, inner, written)
+        num = _qpoly_text(value.num, inner, written)
+        out += ("{" + inner + '"den": ', den, "," + inner + '"num": ', num, newline + "}")
+        return
     if kind is DiffMonomial:
-        return _monomial_text(value, newline)
+        out.append(_monomial_text(value, newline))
+        return
     raise TypeError(f"cannot write {kind.__name__} as JSON: {value!r}")
 
 
-def _qpoly_text(f: QPoly, newline: str) -> str:
-    """{"terms": [{"coeff": ..., "exp": [...]}, ...]} at this indent."""
+def _qpoly_text(f: QPoly, newline: str, written: dict) -> str:
+    """{"terms": [{"coeff": ..., "exp": [...]}, ...]} at this indent, kept in written."""
+    text = written.get((f, newline))
+    if text is not None:
+        return text
     inner = newline + "  "
     if f.is_zero:
-        return "{" + inner + '"terms": []' + newline + "}"
-    item = inner + "  "
-    key = item + "  "
-    # a coefficient's text has only digits, "-" and "/", which JSON writes as they are
-    body = ("," + item).join(
-        f'{{{key}"coeff": "{text}",{key}"exp": {_int_list(e, key)}{item}}}'
-        for e, text in f.text_terms()
-    )
-    return "{" + inner + '"terms": [' + item + body + inner + "]" + newline + "}"
+        text = "{" + inner + '"terms": []' + newline + "}"
+    else:
+        item = inner + "  "
+        key = item + "  "
+        # a coefficient's text has only digits, "-" and "/", which JSON writes as they are
+        body = ("," + item).join(
+            f'{{{key}"coeff": "{coeff}",{key}"exp": {_int_list(e, key)}{item}}}'
+            for e, coeff in f.text_terms()
+        )
+        text = "{" + inner + '"terms": [' + item + body + inner + "]" + newline + "}"
+    written[f, newline] = text
+    return text
 
 
 def _monomial_text(mono: DiffMonomial, newline: str) -> str:

@@ -12,6 +12,15 @@ Public constructors validate; _trusted only wraps results built from validated v
 deriv(J) is d^J in QPoly, RationalFunction and DiffPoly alike: _iterated checks
 J once, then applies the one-direction derivative J_k times in each direction k.
 
+What is kept on a value: a RationalFunction keeps two values derived from
+it, in private slots that count only while num and den are the objects they
+were derived from: the unit-ball verdict (in_unit_ball) and the partial
+derivatives asked for so far (partial).  So a coefficient that DiffPoly.derive
+carries unchanged is differentiated once per direction, however many
+derivatives hold it.  Nothing is kept across values or calls.  A QPoly keeps
+nothing; it hashes as it compares, so equal polynomials can share one entry
+in a dict, such as jsonio.dumps's table of written text.
+
 Every sparse sum, here and in DiffPoly, goes through _summed: values at equal
 keys are added in order, and a key is dropped as soon as its running sum is
 zero.  Dropping at once matters because a RationalFunction is never reduced:
@@ -298,7 +307,20 @@ class QPoly:
             return NotImplemented
         return self.m == other.m and self._den == other._den and self._ints == other._ints
 
-    __hash__ = None  # sparse dict payload; use support/coeff instead
+    def __hash__(self):
+        """Agrees with ==: one hash per value, whatever order the terms were built in.
+
+        A constant equals its Fraction (and 0 the zero polynomial), so it hashes
+        like one; any other value by its terms as a set, over its denominator.
+        """
+        ints = self._ints
+        if not ints:
+            return 0
+        if len(ints) == 1:
+            [(e, c)] = ints.items()
+            if not any(e):
+                return hash(Fraction(c, self._den))
+        return hash((self._den, frozenset(ints.items())))
 
     def __str__(self):
         if not self._ints:
@@ -329,11 +351,15 @@ class QPoly:
 class RationalFunction:
     """Quotient of two QPoly with nonzero denominator, never reduced.
 
-    _ball, unset until in_unit_ball first decides on this object, holds
-    (num, den, verdict); the verdict holds while num and den are those objects.
+    Two values derived from this object are kept on it, each in a private slot
+    that is unset until first asked for and counts only while num and den are
+    the objects it was derived from:
+
+        _ball      (num, den, verdict), the answer of in_unit_ball
+        _partials  (num, den, {k: partial(k)}), the derivatives asked for so far
     """
 
-    __slots__ = ("num", "den", "_ball")
+    __slots__ = ("num", "den", "_ball", "_partials")
 
     def __init__(self, num: QPoly, den: QPoly | None = None):
         if den is None:
@@ -425,8 +451,17 @@ class RationalFunction:
         return RationalFunction._trusted(self.num**k, self.den**k)
 
     def partial(self, k: int) -> "RationalFunction":
-        num = self.num.partial(k) * self.den - self.num * self.den.partial(k)
-        return RationalFunction._trusted(num, self.den * self.den)
+        """(num' den - num den') / den^2 in direction k, worked out once per object."""
+        direction(k, self.m)  # before the memo, where True would find the entry of 1
+        num, den = self.num, self.den
+        known = getattr(self, "_partials", None)
+        if known is None or known[0] is not num or known[1] is not den:
+            known = self._partials = (num, den, {})
+        out = known[2].get(k)
+        if out is None:
+            out = RationalFunction._trusted(num.partial(k) * den - num * den.partial(k), den * den)
+            known[2][k] = out
+        return out
 
     def deriv(self, J: Sequence[int]) -> "RationalFunction":
         return _iterated(self, J, RationalFunction.partial)

@@ -110,6 +110,11 @@ def canonical(q: QPoly) -> bool:
     )
 
 
+def quotient_partial(q: RationalFunction, k: int) -> RationalFunction:
+    """(num' den - num den') / den^2, worked out afresh: RationalFunction.partial before it kept its results."""
+    return RationalFunction(q.num.partial(k) * q.den - q.num * q.den.partial(k), q.den * q.den)
+
+
 class FractionQPoly:
     """QPoly as it was with Fraction coefficients: exponent -> Fraction in terms.
 

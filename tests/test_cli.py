@@ -26,6 +26,7 @@ from tropdiff.jsonio import diffpoly_json, vertexfraction_json
 
 PROBLEM = "tests/data/exp_problem.json"
 PROBLEM_UFIRST = "tests/data/exp_problem_ufirst.json"
+RATIONAL_PROBLEM = "tests/data/rational_problem.json"  # 1/(t+u) * x_(0,0) at m = 2
 
 TROP_GOLDEN = {"den": [[1, 0], [0, 1]], "num": [[1, 0]]}
 NEGATIVE_EXP = {"num": {"terms": [{"exp": [0, -1], "coeff": "1"}]}}
@@ -294,6 +295,12 @@ class TestRendering:
     @pytest.mark.parametrize("argv", JSON_RUNS, ids=lambda argv: argv[0])
     def test_stdout_is_the_bytes_of_json_dumps(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+    def test_repeated_coefficients_are_the_bytes_of_json_dumps(self, capsys):
+        # every derivative's denominator is a power of t + u, written many times over
+        code, out, _ = run(capsys, "prolong", "--input", RATIONAL_PROBLEM, "--bound", "4")
         assert code == 0
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 

@@ -244,6 +244,32 @@ class TestDerive:
         P = running_example()
         assert P.deriv((2, 1)) == P.derive(0).derive(0).derive(1)
 
+    def test_a_factor_of_power_one_carries_its_coefficient_itself(self):
+        c = parse_rational("t/(t+u)", 2)
+        mono = X((0, 0)) * DiffMonomial.var(1, (0, 3), 2)
+        D = DiffPoly(2, 1, {mono: c}).derive(0)
+        assert D.terms[X((1, 0)) * DiffMonomial.var(1, (0, 3), 2)] is c
+        doubled = D.terms[X((0, 0)) * X((0, 3)) * X((1, 3))]
+        assert doubled.num == (c * 2).num and doubled.den == (c * 2).den
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_each_bump_carries_c_times_the_power(self, m):
+        # in a one-term polynomial every bump lands on a monomial of its own
+        rng = random.Random(113 + m)
+        for _ in range(40):
+            mono = diff_monomial(rng, m, 2)
+            if rng.random() < 0.5:
+                mono = mono * DiffMonomial.var(1, exponent(rng, m, 2), rng.randint(1, 3))
+            c = RationalFunction(qpoly(rng, m, 3, 3), qpoly(rng, m, 3, 3))
+            for k in range(m):
+                D = DiffPoly(m, 2, {mono: c}).derive(k)
+                for pos, (_, p) in enumerate(mono.factors):
+                    got = D.terms[mono.bump(pos, k)]
+                    if p == 1:
+                        assert got is c
+                    else:
+                        assert got.num == (c * p).num and got.den == (c * p).den
+
     def test_bad_direction(self):
         # was a DimensionMismatch; QPoly.partial's ValueError and text now
         with pytest.raises(ValueError, match=re.escape("direction must be an int in 0..1, got 2")):

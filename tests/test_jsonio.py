@@ -591,6 +591,20 @@ class TestLibraryValuesWritten:
         assert dumps(value) == as_json_dumps(value)
         assert json.loads(dumps(value))[-1]["monomial"] == []
 
+    def test_equal_polynomials_at_several_indents(self, m):
+        # dumps writes each distinct (polynomial, indent) once and reuses the text
+        rng = random.Random(331 + m)
+        pool = [qpoly(rng, m), QPoly.zero(m), QPoly.one(m)]
+        pool += [QPoly(m, dict(reversed(f.terms.items()))) for f in pool]  # equal, other objects
+        dens = [f for f in pool if not f.is_zero]
+        pool += [RationalFunction(rng.choice(pool), rng.choice(dens)) for _ in range(4)]
+        for _ in range(40):
+            value = [_nested(rng, rng.choice(pool), rng.randrange(4)) for _ in range(6)]
+            assert dumps(value) == as_json_dumps(value)
+        f = pool[0]
+        value = [f, {"a": [pool[3]], "b": RationalFunction(f, f)}, [[f]]]
+        assert dumps(value) == as_json_dumps(value) and dumps(f) == as_json_dumps(f)
+
     def test_encoding_holds_the_values(self, m):
         rng = random.Random(321 + m)
         P = diffpoly(rng, m, 2)
@@ -607,9 +621,9 @@ class TestWriterWork:
         calls = []
         write = jsonio._write
 
-        def counted(value, newline):
+        def counted(value, *rest):
             calls.append(type(value))
-            return write(value, newline)
+            return write(value, *rest)
 
         monkeypatch.setattr(jsonio, "_write", counted)
         monomials = [DiffMonomial(), DiffMonomial.var(1, (1, 0), 2), DiffMonomial.var(2, (0, 3))]

@@ -11,6 +11,7 @@ from helpers import (
     exponent,
     matrix_order,
     qpoly,
+    quotient_partial,
     rational,
     same_as_public,
     unit_ball_fraction,
@@ -250,6 +251,64 @@ class TestQPolyArithmetic:
             QPoly.constant(0, 1)
         with pytest.raises(ValueError):
             QPoly.constant(2, "t")
+
+
+class TestQPolyHash:
+    @pytest.mark.parametrize("m", [1, 2, 3], ids=["m1", "m2", "m3"])
+    def test_equal_polynomials_hash_alike_whatever_their_term_order(self, m):
+        rng = random.Random(71 + m)
+        for _ in range(40):
+            f = qpoly(rng, m)
+            terms = list(f.terms.items())
+            rng.shuffle(terms)
+            g = QPoly(m, dict(terms))
+            assert g == f and hash(g) == hash(f)
+            h = (f + 1) * (f + 1) - f * f - f - 1  # f again, its terms summed in another order
+            assert h == f and hash(h) == hash(f)
+            assert f - h == QPoly.zero(m) == 0 and hash(f - h) == hash(QPoly.zero(m)) == hash(0)
+
+    def test_a_constant_hashes_like_the_number_it_equals(self):
+        for m in (1, 2, 3):
+            for c in (0, 5, -7, Fraction(-3, 4), Fraction(2**70, 3)):
+                f = QPoly.constant(m, c)
+                assert f == c and hash(f) == hash(c)
+        assert QPoly.zero(2) == 0 and hash(QPoly.zero(2)) == hash(0)
+
+
+class TestPartialMemo:
+    """RationalFunction.partial keeps its results on the value while num and den stay put."""
+
+    @staticmethod
+    def same_representation(got, want):
+        return got.num == want.num and got.den == want.den
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_a_warm_partial_is_the_quotient_rule(self, m):
+        rng = random.Random(83 + m)
+        for trial in range(40):
+            q = rational(rng, m)
+            directions = list(range(m)) if trial % 2 else list(reversed(range(m)))
+            first = {k: q.partial(k) for k in directions}
+            for k in reversed(directions):  # each direction asked again, in the other order
+                assert q.partial(k) is first[k]
+            for k, got in first.items():
+                want = quotient_partial(q, k)
+                assert self.same_representation(got, want)
+                for j in directions:  # a result keeps its own derivatives
+                    assert got.partial(j) is got.partial(j)
+                    assert self.same_representation(got.partial(j), quotient_partial(want, j))
+
+    def test_rebinding_num_or_den_is_never_answered_from_the_memo(self):
+        q = rf("t/(t+u)")
+        old = q.partial(0)
+        for side, text in (("num", "t^2"), ("den", "u"), ("num", "t^2")):
+            setattr(q, side, parse_poly(text, 2))  # the last is equal, but another object
+            got = q.partial(0)
+            assert got is not old and self.same_representation(got, quotient_partial(q, 0))
+            old = got
+        assert q.partial(0) is old and q.partial(0) == rf("2*t/u")
+        with pytest.raises(ValueError, match="direction"):
+            q.partial(False)  # equal to 0, whose result is kept, but refused all the same
 
 
 class TestRationalFunction:

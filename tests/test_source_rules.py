@@ -13,11 +13,14 @@ another import.
 QPoly's integer representation is private to series: no other module names
 one of its fields, as an attribute or as a string (getattr).  The field
 names are read from QPoly itself, so renaming them keeps the rule in force.
-Likewise how a weight builds and keeps its shifts and its vertex set is
-private to weights: no other module names a private slot of BooleanWeight.
-And the unit-ball verdict that in_unit_ball keeps on a RationalFunction is
-private to series: no other module names a private slot of RationalFunction,
-so none can plant a verdict that residue would trust.
+Likewise a value derived from an object and kept on it, in a private slot
+(an underscore name in __slots__), is private to the module of the object's
+class, and one memo rule covers every such slot: only weights names a
+private slot of BooleanWeight (its shifts and its vertex set), and only
+series one of RationalFunction (the unit-ball verdict and the partial
+derivatives).  So no module can plant a kept value that its owner would
+trust.  The slot names are read from the classes, so a new slot is covered
+as soon as it is declared.
 
 The exact simplex has one caller: only vertexpoly imports feasibility.covered
 or calls it, and inside vertexpoly only the function _vertices names covered
@@ -39,8 +42,11 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 HEAVY = frozenset({"dataclasses", "typing", "inspect"})
 ALLOWED = (frozenset(sys.stdlib_module_names) - HEAVY) | {"tropdiff"}
 QPOLY_FIELDS = frozenset(QPoly.__slots__) - {"m"}
-MEMO_SLOTS = frozenset(name for name in BooleanWeight.__slots__ if name.startswith("_"))
-VERDICT_SLOTS = frozenset(name for name in RationalFunction.__slots__ if name.startswith("_"))
+# every private slot of a class that keeps derived values, by the module that may name it
+MEMO_SLOTS = {
+    module: frozenset(name for name in cls.__slots__ if name.startswith("_"))
+    for module, cls in (("weights.py", BooleanWeight), ("series.py", RationalFunction))
+}
 
 
 def offences(source: str) -> list[str]:
@@ -145,52 +151,39 @@ def test_the_field_rule_sees_each_read():
     ]
 
 
+def memo_reads(source: str, owner: str) -> list[str]:
+    """Names of a private slot of owner's class in source."""
+    return field_reads(source, MEMO_SLOTS[owner], "memo slot")
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "weights.py"], ids=lambda p: p.name
 )
 def test_only_weights_names_the_memo_slots(path):
-    assert field_reads(path.read_text(encoding="utf-8"), MEMO_SLOTS, "memo slot") == []
-
-
-def test_the_memo_rule_sees_each_offence():
-    weights_source = PACKAGE.joinpath("weights.py").read_text(encoding="utf-8")
-    assert len(MEMO_SLOTS) == 2 and field_reads(weights_source, MEMO_SLOTS, "memo slot")
-    first, second = sorted(MEMO_SLOTS)
-    source = (
-        f"def f(w, J):\n"
-        f"    a = w.{first}.get(J)\n"
-        f"    b = getattr(w, {second!r})\n"
-        f"    w.{second} = None\n"
-        f"    return w.shift(J).vertices(), w.data\n"
-    )
-    assert field_reads(source, MEMO_SLOTS, "memo slot") == [
-        f"line 2: names memo slot {first}",
-        f"line 3: names memo slot {second}",
-        f"line 4: names memo slot {second}",
-    ]
+    assert memo_reads(path.read_text(encoding="utf-8"), "weights.py") == []
 
 
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "series.py"], ids=lambda p: p.name
 )
 def test_only_series_names_the_verdict_slot(path):
-    assert field_reads(path.read_text(encoding="utf-8"), VERDICT_SLOTS, "verdict slot") == []
+    # named for the first of RationalFunction's memo slots; it covers all of them
+    assert memo_reads(path.read_text(encoding="utf-8"), "series.py") == []
 
 
-def test_the_verdict_rule_sees_each_offence():
-    series_source = PACKAGE.joinpath("series.py").read_text(encoding="utf-8")
-    assert len(VERDICT_SLOTS) == 1 and field_reads(series_source, VERDICT_SLOTS, "verdict slot")
-    [slot] = VERDICT_SLOTS
-    source = (
-        f"def f(q):\n"
-        f"    q.{slot} = (q.num, q.den, True)\n"
-        f"    known = getattr(q, {slot!r}, None)\n"
-        f"    return known, q.num, q.den, in_unit_ball(q)\n"
-    )
-    assert field_reads(source, VERDICT_SLOTS, "verdict slot") == [
-        f"line 2: names verdict slot {slot}",
-        f"line 3: names verdict slot {slot}",
-    ]
+def test_the_memo_rule_sees_each_offence():
+    for owner, slots in MEMO_SLOTS.items():
+        own = PACKAGE.joinpath(owner).read_text(encoding="utf-8")
+        assert slots and {read.split()[-1] for read in memo_reads(own, owner)} == slots
+        source = "def f(x):\n" + "".join(
+            f"    a = x.{slot}\n    b = getattr(x, {slot!r}, None)\n    x.{slot} = None\n"
+            for slot in sorted(slots)
+        ) + "    return x.num, x.den, x.data, x.shift((0, 0)), x.partial(0)\n"
+        assert memo_reads(source, owner) == [
+            f"line {line}: names memo slot {slot}"
+            for i, slot in enumerate(sorted(slots))
+            for line in range(2 + 3 * i, 5 + 3 * i)
+        ]
 
 
 def lp_uses(source: str) -> list[str]:
