@@ -171,19 +171,30 @@ def test_only_series_names_the_verdict_slot(path):
     assert memo_reads(path.read_text(encoding="utf-8"), "series.py") == []
 
 
+def assert_memo_rule_sees_each_offence(owner: str) -> None:
+    """The memo rule finds every private slot of owner's class: in owner's own
+    source, and in each way another module could name one."""
+    slots = MEMO_SLOTS[owner]
+    own = PACKAGE.joinpath(owner).read_text(encoding="utf-8")
+    assert slots and {read.split()[-1] for read in memo_reads(own, owner)} == slots
+    source = "def f(x):\n" + "".join(
+        f"    a = x.{slot}\n    b = getattr(x, {slot!r}, None)\n    x.{slot} = None\n"
+        for slot in sorted(slots)
+    ) + "    return x.num, x.den, x.data, x.shift((0, 0)), x.partial(0)\n"
+    assert memo_reads(source, owner) == [
+        f"line {line}: names memo slot {slot}"
+        for i, slot in enumerate(sorted(slots))
+        for line in range(2 + 3 * i, 5 + 3 * i)
+    ]
+
+
 def test_the_memo_rule_sees_each_offence():
-    for owner, slots in MEMO_SLOTS.items():
-        own = PACKAGE.joinpath(owner).read_text(encoding="utf-8")
-        assert slots and {read.split()[-1] for read in memo_reads(own, owner)} == slots
-        source = "def f(x):\n" + "".join(
-            f"    a = x.{slot}\n    b = getattr(x, {slot!r}, None)\n    x.{slot} = None\n"
-            for slot in sorted(slots)
-        ) + "    return x.num, x.den, x.data, x.shift((0, 0)), x.partial(0)\n"
-        assert memo_reads(source, owner) == [
-            f"line {line}: names memo slot {slot}"
-            for i, slot in enumerate(sorted(slots))
-            for line in range(2 + 3 * i, 5 + 3 * i)
-        ]
+    assert_memo_rule_sees_each_offence("weights.py")
+
+
+def test_the_verdict_rule_sees_each_offence():
+    # RationalFunction's memo slots: the unit-ball verdict and the partials
+    assert_memo_rule_sees_each_offence("series.py")
 
 
 def lp_uses(source: str) -> list[str]:
