@@ -40,13 +40,12 @@ class DiffMonomial:
         merged: dict[Var, int] = {}
         for (i, J), p in factors:
             (p,) = exponent((p,), what="powers")
-            if p == 0:
-                continue
             (i,) = integers((i,), "variable indices")
             if i < 1:
                 raise ValueError(f"variable indices start at 1, got {i}")
             var = (i, exponent(J, what="multi-index"))
-            merged[var] = merged.get(var, 0) + p
+            if p:  # a zero power drops its factor, once the factor is checked
+                merged[var] = merged.get(var, 0) + p
         self.factors = tuple(sorted(merged.items()))
 
     @classmethod

@@ -1,12 +1,6 @@
 """JSON encoding and decoding for every value the CLI speaks.
 
-Encodings are canonical: points and terms are emitted in sorted order, so a
-value always serializes to the same bytes and re-parses to an equal value.
-dumps is the one writer of those bytes: it writes exactly what
-json.dumps(value, sort_keys=True, indent=2) writes, without the pure-Python
-encoder that json.dumps falls back to when it indents.  Besides str, int,
-list and dict it writes three library values in place, straight from their
-data, so no dict is built per term of a coefficient:
+The JSON schema, one encoding per library value:
 
     VertexPoly        sorted list of exponent lists, zero is []
     VertexFraction    {"num": ..., "den": ...}
@@ -17,6 +11,15 @@ data, so no dict is built per term of a coefficient:
                       | {"type": "cofinite", "excluded": ...}
     MonomialOrder     {"type": "lex"|"grlex"|"grevlex"} | {"type": "matrix", "rows": ...}
     DiffPoly          [{"coeff": <rational>, "monomial": <monomial>}, ...]
+
+Encodings are canonical: points and terms are emitted in sorted order, so a
+value always serializes to the same bytes and re-parses to an equal value.
+dumps is the one writer of those bytes: it writes exactly what
+json.dumps(value, sort_keys=True, indent=2) writes, without the pure-Python
+encoder that json.dumps falls back to when it indents.  Besides str, int,
+list and dict it writes three library values in place, by their encodings
+above: QPoly, RationalFunction and DiffMonomial.  They are written straight
+from their data, so no dict is built per term of a coefficient.
 
 Within one dumps call each distinct polynomial is written once per indent:
 a dict made for that call, and passed down through _write, maps a (QPoly,
@@ -48,7 +51,8 @@ json.loads returns.  A coefficient must be text or an int: json.loads reads
 ints, and json.loads reads true and false as bools, which Python counts as
 ints.  And qpoly_from checks each exponent before it merges repeated
 exponents in a dict, where [true, 0] would otherwise merge into the key
-[1, 0].
+[1, 0].  And the CLI selects polynomials by name, so problem_from refuses
+a name that is not a string or that the file uses twice.
 """
 
 from __future__ import annotations
@@ -418,11 +422,16 @@ def problem_from(obj: object) -> ProblemFile:
     n = width(obj.get("n", 1), "n")
 
     polynomials: list[tuple[str, DiffPoly]] = []
+    names: set[str] = set()
     for entry in _listed(obj.get("polynomials", []), "polynomials"):
         if not isinstance(entry, dict) or "name" not in entry or "poly" not in entry:
             raise SchemaError(f"polynomial entry needs name and poly, got {shown(entry)}")
         _own_keys(entry, "polynomial entry", "name", "poly")
-        polynomials.append((str(entry["name"]), diffpoly_from(entry["poly"], m, n)))
+        name = entry["name"]
+        if not isinstance(name, str) or name in names:
+            raise SchemaError(f"polynomial names must be distinct strings, got {shown(name)}")
+        names.add(name)
+        polynomials.append((name, diffpoly_from(entry["poly"], m, n)))
 
     weights = None
     if "weight" in obj:

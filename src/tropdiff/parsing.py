@@ -21,9 +21,11 @@ The descent reads coefficient text in one pass, with no ring arithmetic.  Every
 value is a pair (num, den) of int polynomials (exponent -> nonzero int, den not
 zero), combined by RationalFunction's own formulas: '+' and '-' give
 n1*d2 +- n2*d1 over d1*d2, '*' gives n1*n2 over d1*d2, '/' gives n1*d2 over
-d1*n2, and '^k' powers both sides.  The RationalFunction is built once, at the
-end, with the public QPoly(m, terms).  QPoly is canonical, so num and den are
-the polynomials that RationalFunction arithmetic on every atom gives.
+d1*n2, and '^k' powers both sides, by series._product and series._power, the
+one product and power of int polynomials, which QPoly uses too (its power is in
+lowest terms with no gcd, by Gauss's lemma).  The RationalFunction is built
+once, at the end, with the public QPoly(m, terms).  QPoly is canonical, so num
+and den are the polynomials that RationalFunction arithmetic on every atom gives.
 
 Parentheses nest at most MAX_NESTING deep, checked over the tokens before
 parsing starts, so the recursive descent never runs out of stack.  A run of
@@ -32,8 +34,6 @@ an int) is a PolyParseError at its position.
 """
 
 from __future__ import annotations
-
-import operator
 
 from .errors import (
     MAX_WIDTH,
@@ -44,7 +44,7 @@ from .errors import (
     shown,
     width,
 )
-from .series import QPoly, RationalFunction, _summed
+from .series import QPoly, RationalFunction, _power, _product, _summed
 
 # Each level of parentheses costs the parser five stack frames; at this depth
 # an expression stays far below the interpreter's recursion limit.
@@ -107,26 +107,6 @@ def _lex(text: str) -> list[_Token]:
         raise PolyParseError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("end", None, n))
     return tokens
-
-
-def _product(f: dict, g: dict) -> dict:
-    """f * g for int polynomials."""
-    return _summed(
-        (tuple(map(operator.add, e1, e2)), c1 * c2)
-        for e1, c1 in f.items()
-        for e2, c2 in g.items()
-    )
-
-
-def _power(f: dict, k: int, one: tuple) -> dict:
-    """f ** k, with 0 ** 0 = 1 as QPoly ** 0; a zero or one-term f at once, so
-    t^1000000 costs no loop."""
-    if k and len(f) <= 1:
-        return {tuple(k * v for v in e): c**k for e, c in f.items()}
-    out = {one: 1}
-    for _ in range(k):
-        out = _product(out, f)
-    return out
 
 
 class _Parser:

@@ -25,6 +25,10 @@ Every sparse sum, here and in DiffPoly, goes through _summed: values at equal
 keys are added in order, and a key is dropped as soon as its running sum is
 zero.  Dropping at once matters because a RationalFunction is never reduced:
 a later term c/e added onto a kept 0/d would come out as (d*c)/(d*e), not c/e.
+Likewise there is one product and one power of int polynomials, _product and
+_power, used by QPoly's * and ** and by the parser.  A QPoly power takes no
+gcd: by Gauss's lemma the content of num^k is content(num)^k, which shares no
+factor with den^k, so num^k over den^k is already in lowest terms.
 """
 
 from __future__ import annotations
@@ -63,6 +67,26 @@ def _summed(pairs: Iterable[tuple]) -> dict:
             out[key] = value
         else:
             out.pop(key, None)
+    return out
+
+
+def _product(f: dict, g: dict) -> dict:
+    """f * g for int polynomials (exponent -> nonzero int)."""
+    return _summed(
+        (tuple(map(operator.add, e1, e2)), c1 * c2)
+        for e1, c1 in f.items()
+        for e2, c2 in g.items()
+    )
+
+
+def _power(f: dict, k: int, one: Exponent) -> dict:
+    """f ** k, with 0 ** 0 = {one: 1}; f ** 1 is f itself, and a zero or one-term
+    f is powered at once, so t^1000000 costs no loop."""
+    if len(f) <= 1 < k:
+        return {tuple(k * v for v in e): c**k for e, c in f.items()}
+    out = f if k else {one: 1}
+    for _ in range(k - 1):
+        out = _product(out, f)
     return out
 
 
@@ -252,14 +276,7 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not (self._ints and other._ints):
-            return QPoly._trusted(self.m, {})
-        products = (
-            (tuple(map(operator.add, e1, e2)), c1 * c2)
-            for e1, c1 in self._ints.items()
-            for e2, c2 in other._ints.items()
-        )
-        return QPoly._lowest(self.m, _summed(products), self._den * other._den)
+        return QPoly._lowest(self.m, _product(self._ints, other._ints), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -267,15 +284,8 @@ class QPoly:
         power(k)
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        if k == 0:
-            return QPoly.one(self.m)
-        if len(self._ints) == 1:  # (c/d t^e)^k = c^k/d^k t^(k e), already in lowest terms
-            [(e, c)] = self._ints.items()
-            return QPoly._trusted(self.m, {tuple(k * v for v in e): c**k}, self._den**k)
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        # no gcd: content(num^k) = content(num)^k (Gauss's lemma) shares no factor with den^k
+        return QPoly._trusted(self.m, _power(self._ints, k, (0,) * self.m), self._den**k)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -569,11 +579,10 @@ def bezout_witness(phi, psi) -> int:
     phi, psi = _as_rf(phi), _as_rf(psi)
     if phi.is_zero or psi.is_zero:
         raise ZeroTropicalValue("witness needs two nonzero inputs")
-    left = trop_poly(phi.num * psi.den)
-    right = trop_poly(psi.num * phi.den)
-    target = left + right
+    left, right = phi.num * psi.den, psi.num * phi.den
+    target = trop_poly(left) + trop_poly(right)
     for mult in range(1, len(target.points) + 2):
-        if trop_poly(phi.num * psi.den + psi.num * phi.den * mult) == target:
+        if trop_poly(left + right * mult) == target:
             return mult
     raise InternalInconsistency("no witness within the pigeonhole bound")
 

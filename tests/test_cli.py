@@ -13,6 +13,7 @@ from tropdiff import (
     DiffMonomial,
     DiffPoly,
     VertexFraction,
+    VertexPoly,
     initial_generators,
     multi_indices,
     order_standard,
@@ -22,11 +23,12 @@ from tropdiff import (
     tropw,
 )
 from tropdiff.cli import main
-from tropdiff.jsonio import diffpoly_json, vertexfraction_json
+from tropdiff.jsonio import diffpoly_json, problem_from, vertexfraction_json
 
 PROBLEM = "tests/data/exp_problem.json"
 PROBLEM_UFIRST = "tests/data/exp_problem_ufirst.json"
 RATIONAL_PROBLEM = "tests/data/rational_problem.json"  # 1/(t+u) * x_(0,0) at m = 2
+REPEATED_NAME = "tests/data/repeated_name_problem.json"  # two polynomials named P
 
 TROP_GOLDEN = {"den": [[1, 0], [0, 1]], "num": [[1, 0]]}
 NEGATIVE_EXP = {"num": {"terms": [{"exp": [0, -1], "coeff": "1"}]}}
@@ -267,6 +269,47 @@ class TestProblemCommands:
         assert "error" in err
 
 
+class TestSelectedNames:
+    """Named polynomials are printed alone, in the order the names are given."""
+
+    @pytest.fixture
+    def two(self, tmp_path):
+        problem = json.loads(Path(PROBLEM).read_text())
+        factor = lambda J, p: [{"var": [1, J], "pow": p}]
+        Q = [{"coeff": "u", "monomial": factor([0, 1], 1)}, {"coeff": "1", "monomial": factor([0, 0], 2)}]
+        problem["polynomials"].append({"name": "Q", "poly": Q})
+        source = tmp_path / "two.json"
+        source.write_text(json.dumps(problem))
+        return str(source)
+
+    @pytest.mark.parametrize("command", ["tropw", "translate", "prolong"])
+    def test_named_rows_in_the_order_given(self, capsys, two, command):
+        alone = {}
+        for name in ("P", "Q"):
+            code, alone[name], _ = run(capsys, command, "--input", two, "--format", "pretty", name)
+            assert code == 0
+            assert {line.split()[0].rstrip(":") for line in alone[name].splitlines()} == {name}
+        for names in (["Q", "P"], ["P", "Q"], ["Q"], []):
+            code, out, _ = run(capsys, command, "--input", two, "--format", "pretty", *names)
+            assert code == 0
+            assert out == "".join(alone[name] for name in names or ["P", "Q"])
+
+    def test_initial_takes_the_named_generators_in_the_order_given(self, capsys, two):
+        problem = problem_from(json.loads(Path(two).read_text()))
+        table = dict(problem.polynomials)
+        for names in (["Q", "P"], ["P", "Q"], ["Q"], []):
+            code, out, _ = run(capsys, "initial", "--input", two, "--bound", "1", *names)
+            assert code == 0
+            forms = initial_generators(
+                [table[name] for name in names or ["P", "Q"]],
+                problem.weights,
+                problem.order,
+                1,
+                problem.kernel,
+            )
+            assert json.loads(out) == [json_tree(diffpoly_json(f)) for f in forms]
+
+
 # one run of every subcommand that prints JSON
 JSON_RUNS = [
     ["tropw", "--input", PROBLEM],
@@ -476,6 +519,35 @@ class TestExitCodes:
         code, out, _ = run(capsys, "selftest")
         assert code == 4
         assert "FAIL: unit-ball chain grows strictly" in out.splitlines()
+
+    def test_a_translated_coefficient_outside_the_ball_is_exit_4(self, capsys, monkeypatch):
+        from tropdiff import translation
+
+        # the running example's value without its vertex (0,1) gives x_(1,1) the coefficient (t+u)/t
+        missing = VertexFraction(VertexPoly(2, [(1, 0)]), VertexPoly.one(2))
+        monkeypatch.setattr(translation, "tropw", lambda P, weights: missing)
+        code, out, err = run(capsys, "translate", "--input", PROBLEM)
+        assert code == 4 and out == ""
+        assert err.startswith("inconsistency: ") and "left the unit ball" in err
+
+    @pytest.mark.parametrize("names", [[], ["P"]], ids=["all", "selected"])
+    def test_a_repeated_name_is_a_schema_error(self, capsys, names):
+        # with the second P read over the first, P would select one of the two
+        code, out, err = run(capsys, "tropw", "--input", REPEATED_NAME, *names)
+        assert code == 2 and out == ""
+        assert err == "error: SchemaError: polynomial names must be distinct strings, got 'P'\n"
+
+    @pytest.mark.parametrize(
+        "name, shown", [(1, "1"), (None, "None"), (True, "True"), (["P"], "['P']")]
+    )
+    def test_a_name_that_is_not_a_string_is_a_schema_error(self, capsys, tmp_path, name, shown):
+        problem = json.loads(Path(PROBLEM).read_text())
+        problem["polynomials"][0]["name"] = name
+        source = tmp_path / "name.json"
+        source.write_text(json.dumps(problem))
+        code, out, err = run(capsys, "tropw", "--input", str(source))
+        assert code == 2 and out == ""
+        assert err == f"error: SchemaError: polynomial names must be distinct strings, got {shown}\n"
 
     @pytest.mark.parametrize(
         "field, value",

@@ -58,6 +58,25 @@ class TestDiffMonomial:
         with pytest.raises(ValueError, match="multi-index must be nonnegative"):
             DiffMonomial.var(1, (-1, 0))
 
+    @pytest.mark.parametrize("p", [0, 1])
+    @pytest.mark.parametrize(
+        "var, message",
+        [
+            ((0, (1, 0)), "variable indices start at 1, got 0"),
+            ((1.0, (1, 0)), "variable indices must be integers"),
+            ((True, (1, 0)), "variable indices must be integers"),
+            ((1, (-1, 0)), "multi-index must be nonnegative"),
+            ((1, (1.5, 0)), "multi-index must be integers"),
+            ((0, (-1, "x")), "variable indices start at 1, got 0"),
+            ((1, (-1, "x")), "multi-index must be integers"),
+        ],
+        ids=["index-0", "float-index", "bool-index", "negative-J", "float-J", "both", "str-J"],
+    )
+    def test_a_bad_factor_is_refused_whatever_its_power(self, var, message, p):
+        # a zero power drops its factor only after the factor is checked
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DiffMonomial([(var, p)])
+
     def test_mul(self):
         assert X((1, 0)) * X((1, 0)) == DiffMonomial([((1, (1, 0)), 2)])
 

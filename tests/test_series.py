@@ -212,10 +212,11 @@ class TestQPolyArithmetic:
 
     def test_one_term_power_multiplies_nothing(self, monkeypatch):
         # the old loop ran k - 1 products: 15 s for trop --m 2 't^1000000'
-        def refuse(self, other):
+        def refuse(*args):
             raise AssertionError("a one-term power must not multiply")
 
         monkeypatch.setattr(QPoly, "__mul__", refuse)
+        monkeypatch.setattr(series, "_product", refuse)
         k = 10**6
         h = QPoly(2, {(1, 2): Fraction(-2, 3)}) ** k
         [(e, c)] = h.terms.items()
@@ -524,6 +525,24 @@ class TestBezout:
     def test_zero_input(self):
         with pytest.raises(ZeroTropicalValue):
             bezout_witness(rf("0"), rf("t"))
+
+    @pytest.mark.parametrize(
+        "phi, psi, witness",
+        [("t", "t", 1), ("t", "-t+u", 2), ("-t-2*u", "t+u", 3), ("t/(t+u)", "(u-t)/(t+u)", 2)],
+    )
+    def test_the_cross_products_are_formed_once(self, monkeypatch, phi, psi, witness):
+        # phi.num * psi.den and psi.num * phi.den, whatever M is; each M adds a sum
+        products = []
+        mul = QPoly.__mul__
+
+        def counting(self, other):
+            products.append(isinstance(other, QPoly))
+            return mul(self, other)
+
+        phi, psi = rf(phi), rf(psi)
+        monkeypatch.setattr(QPoly, "__mul__", counting)
+        assert bezout_witness(phi, psi) == witness
+        assert products.count(True) == 2
 
     def test_postcondition_and_bound(self):
         rng = random.Random(53)

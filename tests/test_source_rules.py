@@ -22,6 +22,12 @@ derivatives).  So no module can plant a kept value that its owner would
 trust.  The slot names are read from the classes, so a new slot is covered
 as soon as it is declared.
 
+Exponents are added in two places only: series, whose _product is the one
+product of int polynomials (QPoly and the parser both use it), and
+vertexpoly, whose product adds vertex sets.  So no other module names
+operator.add, as an attribute or by importing it from operator, and a second
+spelling of the polynomial product cannot come back.
+
 The exact simplex has one caller: only vertexpoly imports feasibility.covered
 or calls it, and inside vertexpoly only the function _vertices names covered
 or the Pareto filter _pareto_minimal, so every vertex extraction, with its
@@ -195,6 +201,55 @@ def test_the_memo_rule_sees_each_offence():
 def test_the_verdict_rule_sees_each_offence():
     # RationalFunction's memo slots: the unit-ball verdict and the partials
     assert_memo_rule_sees_each_offence("series.py")
+
+
+EXPONENT_ADDERS = ("series.py", "vertexpoly.py")
+
+
+def exponent_sums(source: str) -> list[str]:
+    """Names of operator.add: the attribute, and the name imported from operator."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "operator":
+            found += [
+                f"line {node.lineno}: imports {alias.name}"
+                for alias in node.names
+                if alias.name in ("add", "*")
+            ]
+        elif isinstance(node, ast.Attribute) and node.attr == "add":
+            if getattr(node.value, "id", None) == "operator":
+                found.append(f"line {node.lineno}: uses operator.add")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in EXPONENT_ADDERS], ids=lambda p: p.name
+)
+def test_only_series_and_vertexpoly_add_exponents(path):
+    assert exponent_sums(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_exponent_sum_rule_sees_each_use():
+    for name in EXPONENT_ADDERS:
+        assert exponent_sums(PACKAGE.joinpath(name).read_text(encoding="utf-8"))
+    source = (
+        "import operator\n"
+        "from operator import add\n"
+        "from operator import mul, add as plus\n"
+        "from operator import *\n"
+        "x = operator.add(1, 2)\n"
+        "e = tuple(map(operator.add, a, b))\n"
+        "y = operator.sub(1, 2)\n"
+        "z = seen.add(1)\n"
+        "from .series import add\n"
+    )
+    assert exponent_sums(source) == [
+        "line 2: imports add",
+        "line 3: imports add",
+        "line 4: imports *",
+        "line 5: uses operator.add",
+        "line 6: uses operator.add",
+    ]
 
 
 def lp_uses(source: str) -> list[str]:

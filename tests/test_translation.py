@@ -12,12 +12,14 @@ from helpers import (
     translate_by_plug,
     weight,
 )
+from tropdiff import translation
 from tropdiff import weights as weights_module
 from tropdiff import (
     BooleanWeight,
     DiffMonomial,
     DiffPoly,
     DimensionMismatch,
+    InternalInconsistency,
     MonomialOrder,
     QPoly,
     RationalFunction,
@@ -167,6 +169,13 @@ class TestTranslate:
     def test_golden_display(self):
         got = str(translate(running_example(), [W]))
         assert got == "((t + u)/(t + u))*x_(1,1) + (-t/(t + u))*x_(0,0)"
+
+    def test_a_value_that_misses_a_vertex_is_an_inconsistency(self, monkeypatch):
+        # tropw(P) is {(1,0), (0,1)}; without (0,1), x_(1,1) gets (t+u)/t, outside the ball
+        missing = VertexFraction(VertexPoly(2, [(1, 0)]), VertexPoly.one(2))
+        monkeypatch.setattr(translation, "tropw", lambda P, weights: missing)
+        with pytest.raises(InternalInconsistency, match="left the unit ball"):
+            translate(running_example(), [W])
 
     def test_special_derivative_11(self):
         got = translate(running_example().deriv((1, 1)), [W])
