@@ -5,7 +5,8 @@ which operator.index would read as 0 or 1, is refused like any non-integer.
 exponent() is the one exponent check: every point of N^m that enters the
 library (an exponent I of t^I, a multi-index J of x_{i,J} or of a derivative
 d^J, a point of a weight) goes through it, so its sign and its width are
-checked in one place.
+checked in one place.  A tuple of exact ints, the form every point takes
+inside the library, is checked without a copy.
 width() is the one check of a width: the number m of t-variables and the
 number n of unknowns must each be an int from 1 to MAX_WIDTH wherever they
 enter.
@@ -53,8 +54,14 @@ def integers(values: Iterable, what: str = "exponents") -> tuple[int, ...]:
 
 
 def exponent(values: Iterable, m: int | None = None, what: str = "exponents") -> tuple[int, ...]:
-    """values as a point of N^m: nonnegative ints, exactly m of them when m is given."""
-    e = integers(values, what)
+    """values as a point of N^m: nonnegative ints, exactly m of them when m is given.
+
+    A tuple of entries of type int is checked and returned as it is; any
+    other input is first rebuilt by integers()."""
+    if type(values) is tuple and all(type(v) is int for v in values):
+        e = values
+    else:
+        e = integers(values, what)
     if e and min(e) < 0:
         raise ValueError(f"{what} must be nonnegative, got {shown(e)}")
     if m is not None and len(e) != m:

@@ -20,6 +20,19 @@ it stands for.  The ratio test compares rhs_i / coef_i by cross-multiplying,
 and entering and leaving choices are Bland's, exactly as on the rationals, so
 the pivots, the termination guarantee and every answer are those of the
 rational tableau.
+
+When target is not covered, the final tableau proves it (Farkas).  Phase 1
+stops with the artificial basic, a positive right-hand side in its row, and
+no positive entry there.  The slack columns start as the identity, so their
+entries in that row are the artificial's row of det * B^-1; let y_k be minus
+the entry of slack k, so y >= 0.  The entry of the column of a point q is
+then det - y.q <= 0, and the right-hand side is det - y.target > 0: so
+y.target < det <= y.q for every point q.  y separates target strictly from
+conv(points) + R^m_{>=0}, and y != 0.  These are ints, and they carry the
+signs of the rational certificate because det > 0.  covered hands y back
+through its optional separator list.  vertexpoly._vertices uses it for the
+second step of Clarkson's output-sensitive scheme, after the quick accepts:
+its LPs run over certified vertices only, and y names the next vertex.
 """
 
 from __future__ import annotations
@@ -29,8 +42,12 @@ from collections.abc import Sequence
 Point = Sequence[int]
 
 
-def covered(points: Sequence[Point], target: Point) -> bool:
-    """True iff target lies in conv(points) + the nonnegative orthant."""
+def covered(points: Sequence[Point], target: Point, separator: list[int] | None = None) -> bool:
+    """True iff target lies in conv(points) + the nonnegative orthant.
+
+    When it does not and separator is a list, separator is set to the Farkas
+    certificate y >= 0: y.target < y.q for every q in points.
+    """
     n = len(points)
     m = len(target)
     # Columns: lambda_0..lambda_{n-1}, slack_0..slack_{m-1}, artificial.
@@ -60,6 +77,8 @@ def covered(points: Sequence[Point], target: Point) -> bool:
         # lowest such index.
         enter = next((j for j in range(width) if j not in basis and rows[arow][j] > 0), -1)
         if enter < 0:
+            if separator is not None:
+                separator[:] = [-v for v in rows[arow][n:art]]
             return False
         # Ratio test rhs_i / coef_i on cross products (both coefs positive),
         # ties broken by smallest basic variable (Bland again).

@@ -11,19 +11,38 @@ Vertex extraction is the exact test from feasibility.covered: a candidate p
 is a vertex iff no convex combination of the other points sits componentwise
 below p.  A point dominated coordinatewise can never be a vertex, so a cheap
 Pareto filter runs first and the simplex only sees the antichain that
-survives.  Some points of that antichain are vertices by construction and
-skip the simplex (_quick_accepts): the lex-least point under each of the m
+survives.  The rest is Clarkson's output-sensitive scheme (K. L. Clarkson,
+FOCS 1994; for extreme points, Dula and Helgason, EJOR 92, 1996), in two
+steps.
+
+First, some points of the antichain are vertices by construction and skip
+the simplex (_quick_accepts): the lex-least point under each of the m
 rotations of the coordinate order, and the point of least total degree when
 no other point ties it.  Each is the single point of a face of the
-polyhedron, so it is a vertex; the first step of Clarkson's output-sensitive
-scheme (K. L. Clarkson, FOCS 1994).  feasibility.covered has no other caller
-in the package, and inside this module only _vertices runs it and the filter.
+polyhedron, so it is a vertex.  They seed the certified set E.
+
+Second, the Farkas step: each other point p of the antichain is tested
+against E alone, which is sound because E is a set of vertices other than
+p.  If E covers p, p is not a vertex.  If not, covered hands back y >= 0
+with y.p < y.q for every q in E (read off the final tableau; see
+feasibility).  The face of the polyhedron on which y is least holds a
+vertex, and the lex-least minimiser of (y.q, q) over the antichain is one:
+the lex-least point of that face is one of its vertices, hence of the
+polyhedron, and it lies in the antichain.  Its value is at most y.p, below
+every value on E, so it is a new vertex; it joins E and p is tested again,
+until E covers p or p itself is the minimiser.  So every LP runs over
+certified vertices only, and each LP either settles p or adds a vertex:
+at most one LP per antichain point and one per vertex that the first step
+left out.  A minimiser already in E would mean a wrong certificate, and it
+raises InternalInconsistency.  feasibility.covered has no other caller in
+the package, and inside this module only _vertices runs it and the filter.
 
 Two cases need neither the filter nor the LP.  A set of at most one point is
 its own vertex set.  A product with a one-point factor {p} is the other
 factor translated by p: the Minkowski sum with a single point maps the
 vertices of conv(S) + R^m_{>=0} one to one onto those of conv(S + p) +
 R^m_{>=0} and keeps their lex order, so __mul__ shifts the vertices it holds.
+With p = 0 that is the other factor itself, and a ** 1 is a.
 
 The public constructor checks every point it is given with errors.exponent.
 The semiring operations build their results from vertex sets that were
@@ -40,7 +59,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Sequence
 
-from .errors import DimensionMismatch, ZeroDenominator, exponent, power, width
+from .errors import DimensionMismatch, InternalInconsistency, ZeroDenominator, exponent, power, width
 from .feasibility import covered
 
 Point = tuple[int, ...]
@@ -83,8 +102,16 @@ def _vertices(points: set[Point]) -> tuple[Point, ...]:
     mins = _pareto_minimal(points)
     if len(mins) <= 2:
         return tuple(sorted(mins))
-    sure = _quick_accepts(mins)
-    kept = [p for p in mins if p in sure or not covered([q for q in mins if q != p], p)]
+    kept = _quick_accepts(mins)
+    y: list[int] = []
+    for p in mins:
+        while p not in kept and not covered(list(kept), p, y):
+            # y separates p strictly from kept, so the lex-least minimiser of
+            # y over mins is a vertex outside kept; p is kept once it is p
+            q = min(mins, key=lambda q: (sum(map(operator.mul, y, q)), q))
+            if q in kept:
+                raise InternalInconsistency(f"separator {y} of {p} is least on the vertex {q}")
+            kept.add(q)
     return tuple(sorted(kept))
 
 
@@ -143,14 +170,17 @@ class VertexPoly:
         if not isinstance(other, VertexPoly):
             return NotImplemented
         self._check(other)
-        a, b = self.points, other.points
-        if len(b) == 1:
+        a, b = self, other
+        if len(a.points) == 1 and (len(b.points) != 1 or not any(a.points[0])):
             a, b = b, a
-        if len(a) == 1:
+        # b is a one-point factor if either is, and {0} if either is
+        if len(b.points) == 1:
+            (p,) = b.points
+            if not any(p):  # {0} is the unit
+                return a
             # a translation maps vertices onto vertices and keeps lex order
-            (p,) = a
-            return VertexPoly._trusted(self.m, tuple(tuple(map(operator.add, p, q)) for q in b))
-        sums = {tuple(map(operator.add, p, q)) for p in a for q in b}
+            return VertexPoly._trusted(self.m, tuple(tuple(map(operator.add, p, q)) for q in a.points))
+        sums = {tuple(map(operator.add, p, q)) for p in a.points for q in b.points}
         return VertexPoly._trusted(self.m, _vertices(sums))
 
     def __pow__(self, k: int) -> "VertexPoly":
@@ -160,6 +190,8 @@ class VertexPoly:
             raise ValueError("negative power of a vertex set")
         if k == 0:
             return VertexPoly.one(self.m)
+        if k == 1:
+            return self
         return VertexPoly._trusted(self.m, tuple(tuple(k * v for v in p) for p in self.points))
 
     def __le__(self, other: "VertexPoly") -> bool:

@@ -18,10 +18,12 @@ cofinite are the only constructors and check each point once; shift builds
 from checked points.  kind is read from the set.
 
 A weight keeps what it has made: shift(J) builds the shifted weight once per
-multi-index J (checked on every call, before the lookup), and vertices()
-extracts the vertex set once.  The memo lives as long as the weight (the CLI
+multi-index J (checked on every call, before the lookup), vertices()
+extracts the vertex set once, and substitution_poly builds its polynomial
+once per J and kernel.  The memo lives as long as the weight (the CLI
 decodes its weights once per call, so there for one command) and holds one
-entry per distinct J asked of that weight.  == and hash read only the set.
+entry per distinct J (and kernel) asked of that weight.  == and hash read
+only the set.
 
 substitution_poly is the polynomial that the translation machinery plugs in
 for a single derivative x_{i,J}.  The indicator kernel puts coefficient 1 on
@@ -45,7 +47,7 @@ Point = tuple[int, ...]
 class BooleanWeight:
     """Finite or cofinite subset of N^m: data holds its points, or the points it leaves out."""
 
-    __slots__ = ("m", "is_cofinite", "data", "_shifts", "_vertex_set")
+    __slots__ = ("m", "is_cofinite", "data", "_shifts", "_vertex_set", "_substitutions")
 
     def __init__(self, *args):
         raise TypeError("a BooleanWeight is built by full, finite or cofinite")
@@ -54,7 +56,7 @@ class BooleanWeight:
     def _made(cls, m: int, is_cofinite: bool, data: frozenset[Point]) -> "BooleanWeight":
         out = object.__new__(cls)
         out.m, out.is_cofinite, out.data = m, is_cofinite, data
-        out._shifts, out._vertex_set = {}, None
+        out._shifts, out._vertex_set, out._substitutions = {}, None, {}
         return out
 
     @classmethod
@@ -143,11 +145,13 @@ def substitution_poly(
     empties the support.
     """
     J = exponent(J, weight.m, "multi-index")  # a tuple: the factorial kernel reads it again
-    vertices = weight.shift(J).vertices()
-    terms: dict[Point, int] = {}
-    for p in vertices:
-        c = 1
-        if kernel is not SubstitutionKernel.INDICATOR:
-            c = math.prod(math.perm(i + j, j) for i, j in zip(p, J))
-        terms[p] = c
-    return QPoly._trusted(weight.m, terms)
+    key = (J, kernel)
+    if key not in weight._substitutions:
+        terms: dict[Point, int] = {}
+        for p in weight.shift(J).vertices():
+            c = 1
+            if kernel is not SubstitutionKernel.INDICATOR:
+                c = math.prod(math.perm(i + j, j) for i, j in zip(p, J))
+            terms[p] = c
+        weight._substitutions[key] = QPoly._trusted(weight.m, terms)
+    return weight._substitutions[key]

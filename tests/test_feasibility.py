@@ -87,6 +87,25 @@ class TestAgainstOracle:
         assert covered([origin], origin)
         assert not covered([(1,) + (0,) * (m - 1), (0,) * (m - 1) + (1,)], origin)
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_a_refusal_hands_back_a_strict_separator(self, m):
+        # y >= 0 with y.target < y.q for every point q; a cover leaves the list as it was
+        rng = random.Random(800 + m)
+        refused = 0
+        for _ in range(150):
+            points, target = draw(rng, m)
+            y = ["untouched"]
+            got = covered(points, target, y)
+            assert got == covered(points, target) == covered_by_bases(points, target)
+            if got:
+                assert y == ["untouched"]
+                continue
+            refused += 1
+            value = [sum(a * b for a, b in zip(y, q)) for q in points]
+            assert len(y) == m and min(y) >= 0, (points, target, y)
+            assert sum(a * b for a, b in zip(y, target)) < min(value), (points, target, y)
+        assert refused > 0
+
     def test_runs_without_fractions(self, monkeypatch):
         rng = random.Random(600)
         cases = [draw(rng, m) for m in (2, 3, 4) for _ in range(40)]

@@ -8,6 +8,7 @@ import pytest
 from helpers import covered_by_bases, exponent
 from tropdiff import (
     DimensionMismatch,
+    InternalInconsistency,
     VertexFraction,
     VertexPoly,
     ZeroDenominator,
@@ -192,6 +193,19 @@ class TestOpsAgainstTheConstructor:
         assert seen["several vertices"] > 0
 
     @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+    def test_identities_return_the_other_operand(self, m, extraction_calls):
+        # {0} * a, a * {0} and a ** 1 are a itself, with no copy and no extraction
+        rng = random.Random(389 + m)
+        one = VertexPoly.one(m)
+        factors = [VertexPoly.zero(m), VertexPoly.point(exponent(rng, m, 5))]
+        factors += [VertexPoly(m, [exponent(rng, m, 5) for _ in range(rng.randint(2, 7))]) for _ in range(20)]
+        extraction_calls.clear()
+        for a in (a for a in factors if not a.is_one):  # a second {0} could be either operand
+            assert one * a is a and a * one is a and a**1 is a
+        assert one * VertexPoly.one(m) == one and one**1 is one
+        assert not extraction_calls
+
+    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
     def test_constructor_still_checks_every_point(self, m):
         good = (1,) * m
         with pytest.raises(ValueError, match="nonnegative"):
@@ -313,17 +327,17 @@ def point_sets(m, seed):
 
 
 @pytest.fixture
-def lp_targets(monkeypatch):
-    """The target of every feasibility.covered call that _vertices makes."""
+def lp_calls(monkeypatch):
+    """The columns and the target of every feasibility.covered call that _vertices makes."""
     real = vertexpoly.covered
-    targets = []
+    calls = []
 
-    def counted(points, target):
-        targets.append(target)
-        return real(points, target)
+    def counted(points, target, separator):
+        calls.append((list(points), target))
+        return real(points, target, separator)
 
     monkeypatch.setattr(vertexpoly, "covered", counted)
-    return targets
+    return calls
 
 
 class TestQuickAccepts:
@@ -332,10 +346,10 @@ class TestQuickAccepts:
     # that a later LP call happened to repair
 
     @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
-    def test_against_the_basis_oracle(self, m, lp_targets):
+    def test_against_the_basis_oracle(self, m, lp_calls):
         seen = Counter()
         for family, points in point_sets(m, 500 + m):
-            lp_targets.clear()
+            lp_calls.clear()
             got = VertexPoly(m, points).points
             vertices = own_vertices(points)
             assert got == vertices, (family, points)
@@ -343,14 +357,17 @@ class TestQuickAccepts:
                 assert staircase_vertices_2d(points) == vertices, points
             mins = _pareto_minimal(set(points))
             if len(mins) <= 2:
-                assert lp_targets == [] and len(vertices) == len(mins)
+                assert lp_calls == [] and len(vertices) == len(mins)
                 continue
             rotated, lowest = own_quick_accepts(mins)
             sure = rotated | lowest if len(lowest) == 1 else rotated
             assert _quick_accepts(mins) == sure, points
             assert sure <= set(vertices), (family, points, sure)
-            # one LP per Pareto-minimal point that is not accepted, and no other
-            assert sorted(lp_targets) == sorted(set(mins) - sure), points
+            # each LP targets a Pareto-minimal point that is not accepted, runs
+            # over vertices only, and rejects its target or adds a vertex
+            assert all(target in set(mins) - sure for _, target in lp_calls), points
+            assert all(set(columns) <= set(vertices) for columns, _ in lp_calls), points
+            assert len(lp_calls) <= len(set(mins) - sure) + len(set(vertices) - sure), points
             seen[family] += 1
             seen["degree tie"] += len(lowest) > 1
             seen["rotation is the degree minimiser"] += len(lowest) == 1 and lowest <= rotated
@@ -364,23 +381,95 @@ class TestQuickAccepts:
 
     @pytest.mark.parametrize("m", [3, 4])
     @pytest.mark.parametrize("d", [1, 2, 7])
-    def test_standard_simplex_needs_no_lp(self, m, d, lp_targets):
+    def test_standard_simplex_needs_no_lp(self, m, d, lp_calls):
         # corner k is the lex-least point when coordinates are read from k + 1
         corners = [tuple(d * (i == k) for i in range(m)) for k in range(m)]
         assert VertexPoly(m, corners).points == tuple(sorted(corners))
-        assert lp_targets == []
+        assert lp_calls == []
 
     @pytest.mark.parametrize(
         "staircase, vertices",
         [([(2, 0), (1, 1), (0, 2)], ((0, 2), (2, 0))), ([(6, 0), (2, 1), (0, 2)], ((0, 2), (2, 1), (6, 0)))],
         ids=["middle-rejected", "middle-kept"],
     )
-    def test_a_staircase_of_three_needs_one_lp(self, staircase, vertices, lp_targets):
+    def test_a_staircase_of_three_needs_one_lp(self, staircase, vertices, lp_calls):
         # the two ends are the lex-least points of the two rotations; the
         # least total degree is tied in the first set and an end in the
-        # second, so only the middle point needs its LP
+        # second, so only the middle point needs its LP, over the two ends
         assert VertexPoly(2, staircase).points == vertices
-        assert lp_targets == [staircase[1]]
+        assert [(sorted(columns), target) for columns, target in lp_calls] == [
+            (sorted([staircase[0], staircase[2]]), staircase[1])
+        ]
+
+
+def dot(y, q):
+    return sum(a * b for a, b in zip(y, q))
+
+
+def planar_hull(points):
+    """Vertices of the convex hull of points on one plane sum(p) = d in N^3, by
+    Andrew's monotone chain on (p_0, p_1); on that plane they are the vertices
+    of conv(points) + R^3_{>=0}."""
+    ordered = sorted(set(points))
+    chains = []
+    for run in (ordered, ordered[::-1]):
+        chain = []
+        for p in run:
+            while len(chain) >= 2 and (
+                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
+            ) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains += chain[:-1]
+    return tuple(sorted(chains))
+
+
+class TestFarkasStep:
+    # an LP that does not cover its target hands back y, and _vertices adds
+    # the lex-least minimiser of y over the Pareto set as a new vertex
+
+    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+    def test_every_certificate_separates_strictly(self, m, monkeypatch):
+        real = vertexpoly.covered
+        seen = Counter()
+
+        def checked(points, target, separator):
+            got = real(points, target, separator)
+            assert got == covered_by_bases(points, target), (points, target)
+            if not got:
+                y = separator
+                assert len(y) == m and min(y) >= 0 and any(y), (points, target, y)
+                assert all(dot(y, target) < dot(y, q) for q in points), (points, target, y)
+            seen[got] += 1
+            return got
+
+        monkeypatch.setattr(vertexpoly, "covered", checked)
+        for family, points in point_sets(m, 900 + m):
+            assert VertexPoly(m, points).points == general_route(points), (family, points)
+        assert seen[True] > 0 and seen[False] > 0, seen
+
+    def test_a_certificate_that_does_not_separate_is_refused(self, monkeypatch):
+        # (6,0) and (0,2) are accepted; y = (0, 1) is least on (6,0), which
+        # the LP's target (2,1) would have to beat
+        def lying(points, target, separator):
+            separator[:] = [0, 1]
+            return False
+
+        monkeypatch.setattr(vertexpoly, "covered", lying)
+        with pytest.raises(InternalInconsistency, match=re.escape("separator [0, 1] of (2, 1)")):
+            VertexPoly(2, [(6, 0), (2, 1), (0, 2)])
+
+    def test_the_lps_of_a_large_plane_run_over_vertices(self, lp_calls):
+        # 400 of the 1,891 points of x + y + z = 60; one LP per point over all
+        # the others took 397 x 399 = 158,403 columns
+        plane = [p for p in itertools.product(range(61), repeat=3) if sum(p) == 60]
+        points = random.Random(0).sample(plane, 400)
+        got = VertexPoly(3, points).points
+        assert got == planar_hull(points)
+        sure = _quick_accepts(sorted(points))
+        assert len(lp_calls) <= len(points) - len(sure) + len(set(got) - sure)
+        assert sum(len(columns) for columns, _ in lp_calls) <= len(lp_calls) * len(got) < 2500
 
 
 class TestSemiringLaws:

@@ -105,12 +105,29 @@ class TestShift:
 
 
 class TestMemo:
-    """A weight keeps the shifts and the vertex set it has made."""
+    """A weight keeps the shifts, the vertex set and the substitution polynomials it has made."""
 
     def test_a_shift_and_a_vertex_set_are_made_once(self):
         w = BooleanWeight.cofinite(2, [(1, 1), (0, 2)])
         assert w.shift((1, 0)) is w.shift([1, 0])
         assert w.vertices() is w.vertices()
+
+    @pytest.mark.parametrize("kernel", list(SubstitutionKernel), ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "make, J",
+        [
+            (lambda: BooleanWeight.cofinite(2, [(1, 1), (0, 2)]), (1, 0)),
+            (lambda: BooleanWeight.finite(3, [(2, 0, 1), (1, 1, 1)]), (1, 1, 0)),
+            (lambda: BooleanWeight.finite(2, [(1, 0)]), (2, 0)),  # the shift empties the weight
+        ],
+        ids=["cofinite", "finite", "emptied"],
+    )
+    def test_a_substitution_poly_is_made_once(self, make, J, kernel):
+        w = make()
+        first = substitution_poly(w, J, kernel)
+        assert substitution_poly(w, list(J), kernel) is first
+        assert first == substitution_poly(make(), J, kernel)
+        assert first.is_zero == (J == (2, 0))
 
     def test_a_warm_memo_keeps_equality_and_hash(self):
         warm = BooleanWeight.cofinite(2, [(1, 1), (0, 2)])
