@@ -24,7 +24,14 @@ from their data, so no dict is built per term of a coefficient.
 Within one dumps call each distinct polynomial is written once per indent:
 a dict made for that call, and passed down through _write, maps a (QPoly,
 indent) pair to its text.  QPoly hashes as it compares, so equal polynomials
-that are distinct objects share one entry.  _write appends pieces to one
+that are distinct objects share one entry.  The same dict keeps each
+coefficient object's pieces and each monomial's text, once per indent: a
+RationalFunction under (RationalFunction, id, indent), since it does not
+hash and the value being written keeps it alive until the call ends, and a
+DiffMonomial under (DiffMonomial, monomial, indent).  Those keys have three
+items, so none equals a (QPoly, indent) key.  DiffPoly.derive carries a
+coefficient by identity, so a prolongation repeats the same object in many
+derivatives.  _write appends pieces to one
 list that dumps joins once, so a kept text is referenced, not copied into
 each enclosing value's text.  Nothing outlives the call.
 
@@ -127,12 +134,22 @@ def _write(value: object, newline: str, out: list, written: dict) -> None:
         out.append(_qpoly_text(value, newline, written))
         return
     if kind is RationalFunction:
-        den = _qpoly_text(value.den, inner, written)
-        num = _qpoly_text(value.num, inner, written)
-        out += ("{" + inner + '"den": ', den, "," + inner + '"num": ', num, newline + "}")
+        # by identity: a RationalFunction does not hash, and value keeps it alive
+        key = (RationalFunction, id(value), newline)
+        pieces = written.get(key)
+        if pieces is None:
+            den = _qpoly_text(value.den, inner, written)
+            num = _qpoly_text(value.num, inner, written)
+            pieces = ("{" + inner + '"den": ', den, "," + inner + '"num": ', num, newline + "}")
+            written[key] = pieces
+        out += pieces
         return
     if kind is DiffMonomial:
-        out.append(_monomial_text(value, newline))
+        key = (DiffMonomial, value, newline)
+        text = written.get(key)
+        if text is None:
+            text = written[key] = _monomial_text(value, newline)
+        out.append(text)
         return
     raise TypeError(f"cannot write {kind.__name__} as JSON: {value!r}")
 

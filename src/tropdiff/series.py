@@ -26,9 +26,13 @@ keys are added in order, and a key is dropped as soon as its running sum is
 zero.  Dropping at once matters because a RationalFunction is never reduced:
 a later term c/e added onto a kept 0/d would come out as (d*c)/(d*e), not c/e.
 Likewise there is one product and one power of int polynomials, _product and
-_power, used by QPoly's * and ** and by the parser.  A QPoly power takes no
-gcd: by Gauss's lemma the content of num^k is content(num)^k, which shares no
-factor with den^k, so num^k over den^k is already in lowest terms.
+_power, used by QPoly's *, ** and product and by the parser.  A QPoly power
+takes no gcd: by Gauss's lemma the content of num^k is content(num)^k, which
+shares no factor with den^k, so num^k over den^k is already in lowest terms.
+QPoly.product of several factors takes one gcd, not one per factor: it folds
+_product over their ints, multiplies their denominators and divides out the
+common factor once.  A value has one lowest-terms form, so the result is the
+one a chain of * gives.
 """
 
 from __future__ import annotations
@@ -279,6 +283,23 @@ class QPoly:
         return QPoly._lowest(self.m, _product(self._ints, other._ints), self._den * other._den)
 
     __rmul__ = __mul__
+
+    @classmethod
+    def product(cls, m: int, factors: Iterable["QPoly"]) -> "QPoly":
+        """The product of the factors (1 for none), with one gcd at the end.
+
+        The int polynomials are folded by _product and the denominators
+        multiplied; lowest terms are unique, so this is the chained product.
+        """
+        ints, den = None, 1
+        for f in factors:
+            if f.m != m:
+                raise DimensionMismatch(f"mixing m={m} with m={f.m}")
+            ints = f._ints if ints is None else _product(ints, f._ints)
+            den *= f._den
+        if ints is None:
+            return cls.one(m)
+        return cls._lowest(m, ints, den)
 
     def __pow__(self, k: int):
         power(k)

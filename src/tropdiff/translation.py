@@ -11,6 +11,25 @@ by the reciprocal of tropw(P) read as an honest rational function (coefficient
 1 on every vertex).  The point of the scaling is that every coefficient of
 the result lands in the unit ball, so initial_form can take residues.
 
+tropw extracts its numerator once.  With num_i/den_i the value of term i
+(its coefficient's value times its factors' vertex sets), the tropical sum
+over the terms is (sum_i num_i * prod_{j != i} den_j) / prod_j den_j: the
+semiring is associative, commutative and distributive, and a vertex set is
+canonical, so this (num, den) is the one that adding the terms one at a time
+gives, point for point.  Each term's factors but the last are multiplied out
+with an extraction after each product, and the last factor times the other
+terms' denominators is one more extracted product; only the pair of those two
+goes into VertexPoly.sum_of_products.  So every extraction sees the raw sums
+of two vertex sets, never of a whole monomial's factors, and its input stays
+bounded.  This is the value that Aroca, Garay and Toghani define (Pacific J.
+Math. 283, 2016), computed with fewer extractions.
+
+translate builds each numerator as one QPoly.product of the normalizer's
+numerator, the coefficient's numerator and the substitution polynomials, one
+per unit of power, so it takes one gcd per coefficient, not one per factor;
+the denominator is the normalizer's times the coefficient's, and the full
+unit-ball check runs on each result.
+
 The generator variants prolong first and translate each derivative.  A
 degree bound makes the set finite; it is a truncation of the full object,
 which ranges over all derivative multi-indices.
@@ -41,18 +60,32 @@ def _ones_poly(vp: VertexPoly) -> QPoly:
 
 
 def tropw(P: DiffPoly, weights: Sequence[BooleanWeight]) -> VertexFraction:
-    """Tropical value of P along the weights."""
+    """Tropical value of P along the weights, with one extraction for its numerator."""
     _check_weights(P, weights)
-    total = VertexFraction.zero(P.m)
+    m = P.m
+    one = VertexPoly.one(m)
+    kept = []
     for mono, c in P.terms.items():
         value = trop_frac(c)
-        num = value.num
-        for (i, J), p in mono.factors:
-            num = num * weights[i - 1].shift(J).vertices() ** p
+        factors = [weights[i - 1].shift(J).vertices() ** p for (i, J), p in mono.factors]
         # a vanished term is skipped: adding 0/den would widen the denominator
-        if num:
-            total = total + VertexFraction(num, value.den)
-    return total
+        if not all(factors):
+            continue
+        head, last = value.num, one
+        for factor in factors:
+            head, last = head * last, factor
+        kept.append((head, last, value.den))
+    # after[k] is the product of the denominators of the terms after term k
+    after = [one]
+    for _, _, den in reversed(kept[1:]):
+        after.append(den * after[-1])
+    after.reverse()
+    before = one
+    pairs = []
+    for (head, last, den), rest in zip(kept, after):
+        pairs.append((head, last * (before * rest)))
+        before = before * den
+    return VertexFraction._trusted(VertexPoly.sum_of_products(m, pairs), before)
 
 
 def normalizer(value: VertexFraction) -> RationalFunction:
@@ -81,12 +114,14 @@ def translate(
     pref = normalizer(value)
     out: dict = {}
     for mono, c in P.terms.items():
-        moved = pref * c
+        factors = [pref.num, c.num]
         for (i, J), p in mono.factors:
-            moved = moved * substitution_poly(weights[i - 1], J, kernel) ** p
+            factors += [substitution_poly(weights[i - 1], J, kernel)] * p
+        num = QPoly.product(P.m, factors)
         # a shift that empties a weight gives a zero piece, and the term drops
-        if moved.is_zero:
+        if num.is_zero:
             continue
+        moved = RationalFunction._trusted(num, pref.den * c.den)
         if not in_unit_ball(moved):
             raise InternalInconsistency(f"translated coefficient {moved} left the unit ball")
         out[mono] = moved

@@ -44,6 +44,15 @@ vertices of conv(S) + R^m_{>=0} one to one onto those of conv(S + p) +
 R^m_{>=0} and keeps their lex order, so __mul__ shifts the vertices it holds.
 With p = 0 that is the other factor itself, and a ** 1 is a.
 
+A sum of products needs one extraction, not one per product and per sum:
+the polyhedron of a * b is the Minkowski sum of those of a and b, whose
+vertices are among the sums p + q of their vertices, and the Minkowski sum
+distributes over the convex hull of a union (B. Sturmfels, Groebner Bases
+and Convex Polytopes, 1996, ch. 2).  So sum_of_products extracts the union
+of the raw sums p + q over all the pairs once.  Its input has at most
+|a| * |b| points per pair, so it stays bounded when each factor of a pair is
+itself a vertex set, as the callers keep it.
+
 The public constructor checks every point it is given with errors.exponent.
 The semiring operations build their results from vertex sets that were
 checked when they were made, so they extract with _vertices and check
@@ -182,6 +191,16 @@ class VertexPoly:
             return VertexPoly._trusted(self.m, tuple(tuple(map(operator.add, p, q)) for q in a.points))
         sums = {tuple(map(operator.add, p, q)) for p in a.points for q in b.points}
         return VertexPoly._trusted(self.m, _vertices(sums))
+
+    @classmethod
+    def sum_of_products(cls, m: int, pairs: Iterable[tuple["VertexPoly", "VertexPoly"]]) -> "VertexPoly":
+        """The sum of a * b over the pairs, extracted once from the union of the raw sums p + q."""
+        sums: set[Point] = set()
+        for a, b in pairs:
+            if a.m != m or b.m != m:
+                raise DimensionMismatch(f"mixing m={m} with m={a.m} and m={b.m}")
+            sums.update(tuple(map(operator.add, p, q)) for p in a.points for q in b.points)
+        return cls._trusted(m, _vertices(sums))
 
     def __pow__(self, k: int) -> "VertexPoly":
         """k-fold product: the vertices of conv(S) + ... + conv(S) = k conv(S) are k S."""

@@ -18,8 +18,10 @@ from tropdiff import (
     NotAMonomialOrder,
     QPoly,
     RationalFunction,
+    VertexFraction,
     normalizer,
     substitution_poly,
+    trop_frac,
     trop_poly,
     tropw,
 )
@@ -249,6 +251,25 @@ def _solve(matrix, rhs):
     for r in reversed(range(size)):
         x[r] = (aug[r][size] - sum(aug[r][c] * x[c] for c in range(r + 1, size))) / aug[r][r]
     return x
+
+
+def tropw_by_sums(P, weights):
+    """tropw(P, weights) by the first route: term by term, with VertexFraction's +.
+
+    Each term's value is its coefficient's numerator times its factors'
+    vertex sets, extracted after every product, over its coefficient's
+    denominator; a vanished term is skipped, and the terms are added one at a
+    time, each + extracting its own products and sum.
+    """
+    total = VertexFraction.zero(P.m)
+    for mono, c in P.terms.items():
+        value = trop_frac(c)
+        num = value.num
+        for (i, J), p in mono.factors:
+            num = num * weights[i - 1].shift(J).vertices() ** p
+        if num:
+            total = total + VertexFraction(num, value.den)
+    return total
 
 
 def translate_by_plug(P, weights, kernel):

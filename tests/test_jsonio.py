@@ -31,6 +31,7 @@ from tropdiff import (
     order_standard,
     parse_poly,
     parse_rational,
+    prolong,
 )
 from tropdiff import jsonio
 from tropdiff.jsonio import (
@@ -604,6 +605,31 @@ class TestLibraryValuesWritten:
         f = pool[0]
         value = [f, {"a": [pool[3]], "b": RationalFunction(f, f)}, [[f]]]
         assert dumps(value) == as_json_dumps(value) and dumps(f) == as_json_dumps(f)
+
+    def test_shared_and_equal_coefficients_and_monomials(self, m):
+        # dumps keeps a coefficient's text by object and a monomial's by value,
+        # once per indent; an equal coefficient that is another object, a
+        # constant QPoly equal to a coefficient's id, and the shared objects of
+        # a prolongation must all still give the oracle's bytes
+        rng = random.Random(341 + m)
+        c = rational(rng, m)
+        mono = diff_monomial(rng, m, 2)
+        pool = [
+            c,
+            RationalFunction(c.num, c.den),  # equal, another object
+            RationalFunction(c.num * 2, c.den * 2),  # equal value, other representative
+            QPoly.constant(m, id(c)),
+            mono,
+            DiffMonomial(mono.factors),
+        ]
+        for _ in range(40):
+            value = [_nested(rng, rng.choice(pool), rng.randrange(4)) for _ in range(6)]
+            assert dumps(value) == as_json_dumps(value)
+        P = DiffPoly(m, 2, {mono: c, DiffMonomial(): c})
+        value = [diffpoly_json(q) for q in prolong(P, 2)]
+        coefficients = [id(entry["coeff"]) for entries in value for entry in entries]
+        assert len(set(coefficients)) < len(coefficients)  # derive carries objects along
+        assert dumps(value) == as_json_dumps(value)
 
     def test_encoding_holds_the_values(self, m):
         rng = random.Random(321 + m)

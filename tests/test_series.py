@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -197,6 +198,31 @@ class TestQPolyArithmetic:
                 for h in (f + g, f - f, -f, f * g, f.deriv(J), f**2, f / 3, f + c, f * c):
                     assert same_as_public(h)
                 assert same_as_public(QPoly.constant(m, c))
+
+    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+    def test_product_is_the_folded_product(self, m):
+        # one gcd at the end gives what a gcd after each * gives: one factor,
+        # a zero factor anywhere, and denominators other than 1
+        rng = random.Random(97 + m)
+        seen = {"one factor": 0, "zero": 0, "reduced": 0}
+        for _ in range(60):
+            factors = []
+            for _ in range(rng.randint(1, 4)):
+                f = QPoly.zero(m) if rng.random() < 0.1 else qpoly(rng, m, 3, 3)
+                factors.append(f / rng.choice((1, 1, 2, 3, 4, 6, 9)))
+            folded = factors[0]
+            for f in factors[1:]:
+                folded = folded * f
+            got = QPoly.product(m, factors)
+            assert got._ints == folded._ints and got._den == folded._den
+            assert canonical(got)
+            seen["one factor"] += len(factors) == 1
+            seen["zero"] += folded.is_zero
+            seen["reduced"] += got._den < math.prod(f._den for f in factors)
+        assert all(seen.values()), seen
+        assert QPoly.product(m, []) == QPoly.one(m)
+        with pytest.raises(DimensionMismatch):
+            QPoly.product(m, [QPoly.one(m), QPoly.one(m + 1)])
 
     @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
     def test_one_term_powers_equal_repeated_products(self, m):

@@ -5,14 +5,16 @@ import pytest
 from helpers import (
     diff_monomial,
     diffpoly,
+    exponent,
     finite_weight,
     matrix_order as random_matrix_order,
     qpoly,
     same_as_public,
     translate_by_plug,
+    tropw_by_sums,
     weight,
 )
-from tropdiff import translation
+from tropdiff import translation, vertexpoly
 from tropdiff import weights as weights_module
 from tropdiff import (
     BooleanWeight,
@@ -41,6 +43,7 @@ from tropdiff import (
     translate,
     translate_generators,
     trop_frac,
+    trop_poly,
     tropw,
 )
 
@@ -137,6 +140,109 @@ class TestTropw:
             P = DiffPoly(2, n, {diff_monomial(rng, 2, n): rational_coeff(rng)})
             direct = trop_frac(P.evaluate([w.series() for w in ws]))
             assert tropw(P, ws) == direct
+
+
+def tropw_case(rng, m):
+    """Up to four terms of up to three factors, over weights that shifts often empty."""
+    n = rng.randint(1, 2)
+    weights = [finite_weight(rng, m) if rng.random() < 0.7 else weight(rng, m) for _ in range(n)]
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        factors = [
+            ((rng.randint(1, n), exponent(rng, m, 2)), rng.choice((1, 1, 2, 3)))
+            for _ in range(rng.choice((0, 1, 2, 3, 3)))
+        ]
+        terms[DiffMonomial(factors)] = RationalFunction(qpoly(rng, m, 3, 3), qpoly(rng, m, 3, 3))
+    return DiffPoly(m, n, terms), weights
+
+
+class TestTropwOracles:
+    """tropw extracts its numerator once; adding the terms one at a time is the oracle."""
+
+    @pytest.mark.parametrize("m, draws", [(2, 150), (3, 60), (4, 25)], ids=["m2", "m3", "m4"])
+    def test_same_representation_as_the_sum_of_terms(self, m, draws):
+        # a vertex set is canonical, so num and den agree point for point
+        rng = random.Random(331 + m)
+        seen = dict.fromkeys(
+            ["vanished first", "vanished middle", "vanished last", "all vanished", "power",
+             "three factors", "multi-point denominator", "constant monomial", "several kept"], 0
+        )
+        for _ in range(draws):
+            P, weights = tropw_case(rng, m)
+            got, want = tropw(P, weights), tropw_by_sums(P, weights)
+            assert got.num.points == want.num.points and got.den.points == want.den.points
+            last = len(P.terms) - 1
+            kept = 0
+            for k, (mono, c) in enumerate(P.terms.items()):
+                if not all(weights[i - 1].shift(J).vertices() for (i, J), _ in mono.factors):
+                    seen["vanished first" if k == 0 else "vanished last" if k == last else "vanished middle"] += 1
+                    continue
+                kept += 1
+                seen["power"] += any(p >= 2 for _, p in mono.factors)
+                seen["three factors"] += len(mono.factors) == 3
+                seen["multi-point denominator"] += len(trop_poly(c.den)) > 1
+                seen["constant monomial"] += mono.is_one
+            seen["all vanished"] += not kept
+            seen["several kept"] += kept > 1
+        assert all(seen.values()), seen
+        zero = DiffPoly.zero(m, 1)
+        got = tropw(zero, [BooleanWeight.full(m)])
+        assert got.num.points == () and got.den.points == VertexFraction.zero(m).den.points
+
+    def test_extraction_input_stays_bounded(self, monkeypatch):
+        # six factors of 21, 20, 19, 20, 19 and 18 vertices: a route that did
+        # not extract between factors would hand one extraction about 5.5e7 sums
+        w = BooleanWeight.finite(2, [(i, (20 - i) ** 2) for i in range(21)])
+        shifts = [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (3, 0)]
+        P = DiffPoly(2, 1, {DiffMonomial([((1, J), 1) for J in shifts]): 1})
+        sizes = []
+        real = vertexpoly._vertices
+
+        def recorded(points):
+            sizes.append(len(points))
+            return real(points)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(vertexpoly, "_vertices", recorded)
+            got = tropw(P, [w])
+        assert [len(w.shift(J).vertices()) for J in shifts] == [21, 20, 19, 20, 19, 18]
+        assert max(sizes) <= 5000
+        want = tropw_by_sums(P, [w])
+        assert got.num.points == want.num.points and got.den.points == want.den.points
+
+
+class TestSeriesOracle:
+    """tropw bounds the value of P at series on the weights, and is that value generically.
+
+    phi_i has a nonzero coefficient on every point of the finite weight w_i,
+    so d^J phi_i is supported on the shift of w_i by J and each monomial's
+    value is exactly its share of tropw; a sum can only cancel, so
+    trop(P(phi)) <= tropw(P, w), with equality for generic coefficients
+    (Aroca, Garay and Toghani, Pacific J. Math. 283, 2016).
+    """
+
+    @pytest.mark.parametrize("m, draws", [(2, 80), (3, 60), (4, 40)], ids=["m2", "m3", "m4"])
+    def test_tropw_is_the_value_of_a_generic_evaluation(self, m, draws):
+        rng = random.Random(509 + m)
+        nonzero = 0
+        for _ in range(draws):
+            n = rng.randint(1, 2)
+            weights = [finite_weight(rng, m) for _ in range(n)]
+            P = diffpoly(rng, m, n, max_terms=3)
+            bound = tropw(P, weights)
+
+            def evaluated():
+                phis = [
+                    QPoly(m, {I: rng.choice((-1, 1)) * rng.randint(1, 10**6) for I in w.data})
+                    for w in weights
+                ]
+                value = trop_frac(P.evaluate(phis))
+                assert value <= bound
+                return value
+
+            assert evaluated() == bound or evaluated() == bound
+            nonzero += not bound.is_zero
+        assert nonzero >= draws // 3
 
 
 def rational_coeff(rng):

@@ -158,6 +158,34 @@ class TestOpsAgainstTheConstructor:
             assert (a * b).points == VertexPoly(m, sums).points
 
     @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+    def test_sum_of_products_is_the_folded_sum(self, m, extraction_calls):
+        # one extraction of the union of raw sums gives what + of the
+        # products gives, each product and each sum extracted on its own
+        rng = random.Random(293 + m)
+        shapes = [VertexPoly.zero(m), VertexPoly.one(m), VertexPoly.point(exponent(rng, m, 5))]
+        several = 0
+        for _ in range(40):
+            pairs = []
+            for _ in range(rng.randint(0, 4)):
+                a, b = (
+                    rng.choice(shapes) if rng.random() < 0.2
+                    else VertexPoly(m, [exponent(rng, m, 5) for _ in range(rng.randint(1, 5))])
+                    for _ in range(2)
+                )
+                pairs.append((a, b))
+            folded = VertexPoly.zero(m)
+            for a, b in pairs:
+                folded = folded + a * b
+            extraction_calls.clear()
+            got = VertexPoly.sum_of_products(m, pairs)
+            assert got.m == m and got.points == folded.points
+            assert extraction_calls["_pareto_minimal"] <= 1
+            several += len(pairs) > 1 and len(got) > 1
+        assert several
+        with pytest.raises(DimensionMismatch):
+            VertexPoly.sum_of_products(m, [(VertexPoly.one(m), VertexPoly.one(m + 1))])
+
+    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
     def test_a_one_point_factor_translates(self, m, extraction_calls):
         # a product with a one-point factor, on either side, and an extraction
         # of at most one point run neither the filter nor the LP; each must
