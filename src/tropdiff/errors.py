@@ -24,6 +24,8 @@ from collections.abc import Iterable
 MAX_WIDTH = 1000
 # A value whose repr is longer is shown by its start, its type and its length.
 _SHOWN_LENGTH = 200
+# The entry types of a tuple that exponent() takes as it is: int alone, not bool.
+_INT_ONLY = frozenset({int})
 
 
 def shown(value: object) -> str:
@@ -58,7 +60,7 @@ def exponent(values: Iterable, m: int | None = None, what: str = "exponents") ->
 
     A tuple of entries of type int is checked and returned as it is; any
     other input is first rebuilt by integers()."""
-    if type(values) is tuple and all(type(v) is int for v in values):
+    if type(values) is tuple and _INT_ONLY.issuperset(map(type, values)):
         e = values
     else:
         e = integers(values, what)

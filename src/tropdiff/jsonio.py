@@ -165,9 +165,13 @@ def _qpoly_text(f: QPoly, newline: str, written: dict) -> str:
     else:
         item = inner + "  "
         key = item + "  "
-        # a coefficient's text has only digits, "-" and "/", which JSON writes as they are
+        entry = key + "  "
+        comma = "," + entry
+        # a coefficient's text has only digits, "-" and "/", which JSON writes as they
+        # are; an exponent is never empty, and is written inline as _int_list writes it
         body = ("," + item).join(
-            f'{{{key}"coeff": "{coeff}",{key}"exp": {_int_list(e, key)}{item}}}'
+            f'{{{key}"coeff": "{coeff}",{key}"exp": [{entry}{comma.join(map(int.__repr__, e))}'
+            f"{key}]{item}}}"
             for e, coeff in f.text_terms()
         )
         text = "{" + inner + '"terms": [' + item + body + inner + "]" + newline + "}"

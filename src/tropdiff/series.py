@@ -15,9 +15,10 @@ J once, then applies the one-direction derivative J_k times in each direction k.
 What is kept on a value: a RationalFunction keeps two values derived from
 it, in private slots that count only while num and den are the objects they
 were derived from: the unit-ball verdict (in_unit_ball) and the partial
-derivatives asked for so far (partial).  So a coefficient that DiffPoly.derive
-carries unchanged is differentiated once per direction, however many
-derivatives hold it.  Nothing is kept across values or calls.  A QPoly keeps
+derivatives asked for so far (partial), beside the square of den that they
+all divide by.  So a coefficient that DiffPoly.derive carries unchanged is
+differentiated once per direction, however many derivatives hold it, and its
+den is squared once.  Nothing is kept across values or calls.  A QPoly keeps
 nothing; it hashes as it compares, so equal polynomials can share one entry
 in a dict, such as jsonio.dumps's table of written text.
 
@@ -26,13 +27,21 @@ keys are added in order, and a key is dropped as soon as its running sum is
 zero.  Dropping at once matters because a RationalFunction is never reduced:
 a later term c/e added onto a kept 0/d would come out as (d*c)/(d*e), not c/e.
 Likewise there is one product and one power of int polynomials, _product and
-_power, used by QPoly's *, ** and product and by the parser.  A QPoly power
-takes no gcd: by Gauss's lemma the content of num^k is content(num)^k, which
-shares no factor with den^k, so num^k over den^k is already in lowest terms.
-QPoly.product of several factors takes one gcd, not one per factor: it folds
-_product over their ints, multiplies their denominators and divides out the
-common factor once.  A value has one lowest-terms form, so the result is the
-one a chain of * gives.
+_power, used by QPoly's *, ** and product and by the parser.  _product does
+only the term products a result needs: a one-term factor translates the
+other, with no sum, and f * f on one dict takes each cross term once, doubled.
+A QPoly power takes no gcd: by Gauss's lemma the content of num^k is
+content(num)^k, which shares no factor with den^k, so num^k over den^k is
+already in lowest terms.  QPoly.product of several factors and
+QPoly.sum_of_products of several pairs each take one gcd, not one per step:
+product folds _product over the ints and multiplies the denominators;
+sum_of_products sums every term pair of every pair in one _summed pass over
+the lcm of the pairs' denominators.  A value has one lowest-terms form, so
+each result is the one a chain of * and + gives.  RationalFunction's sum and
+derivative are sums of products: a + b over distinct denominators is one
+sum_of_products over den_a * den_b; over one denominator d it is
+(num_a + num_b) * d over d * d, one product; and partial is the
+sum_of_products num' * den - num * den' over the kept square of den.
 """
 
 from __future__ import annotations
@@ -75,7 +84,25 @@ def _summed(pairs: Iterable[tuple]) -> dict:
 
 
 def _product(f: dict, g: dict) -> dict:
-    """f * g for int polynomials (exponent -> nonzero int)."""
+    """f * g for int polynomials (exponent -> nonzero int).
+
+    A one-term factor translates the other: its exponents stay distinct and
+    no int product is zero, so nothing is summed.  f * f on one dict takes
+    each cross term once, doubled.
+    """
+    if len(g) == 1:
+        f, g = g, f
+    if len(f) == 1:
+        [(e1, c1)] = f.items()
+        return {tuple(map(operator.add, e1, e2)): c1 * c2 for e2, c2 in g.items()}
+    if f is g:
+        items = list(f.items())
+        doubled = [(e, 2 * c) for e, c in items]
+        return _summed(
+            (tuple(map(operator.add, e1, e2)), c1 * c2)
+            for i, (e1, c1) in enumerate(items)
+            for e2, c2 in ((e1, c1), *doubled[i + 1 :])
+        )
     return _summed(
         (tuple(map(operator.add, e1, e2)), c1 * c2)
         for e1, c1 in f.items()
@@ -207,8 +234,10 @@ class QPoly:
 
     def text_terms(self) -> list[tuple[Exponent, str]]:
         """(exponent, coefficient as str(Fraction) writes it), by increasing exponent."""
-        den = self._den
-        return [(e, fraction_text(self._ints[e], den)) for e in sorted(self._ints)]
+        ints, den = self._ints, self._den
+        if den == 1:
+            return [(e, str(ints[e])) for e in sorted(ints)]
+        return [(e, fraction_text(ints[e], den)) for e in sorted(ints)]
 
     @property
     def is_zero(self) -> bool:
@@ -301,6 +330,31 @@ class QPoly:
             return cls.one(m)
         return cls._lowest(m, ints, den)
 
+    @classmethod
+    def sum_of_products(cls, m: int, pairs: Iterable[tuple["QPoly", "QPoly"]]) -> "QPoly":
+        """The sum of a * b over the pairs (0 for none), with one gcd at the end.
+
+        Every term pair of every pair goes through one _summed pass over the
+        lcm of the pairs' denominators; lowest terms are unique, so this is
+        the chained sum of products.
+        """
+        pairs = list(pairs)
+        for a, b in pairs:
+            if a.m != m or b.m != m:
+                raise DimensionMismatch(f"mixing m={m} with m={a.m} and m={b.m}")
+        den = math.lcm(*(a._den * b._den for a, b in pairs))
+        scaled = []
+        for a, b in pairs:
+            s = den // (a._den * b._den)
+            scaled.append((a._ints if s == 1 else {e: c * s for e, c in a._ints.items()}, b._ints))
+        ints = _summed(
+            (tuple(map(operator.add, e1, e2)), c1 * c2)
+            for f, g in scaled
+            for e1, c1 in f.items()
+            for e2, c2 in g.items()
+        )
+        return cls._lowest(m, ints, den)
+
     def __pow__(self, k: int):
         power(k)
         if k < 0:
@@ -387,7 +441,9 @@ class RationalFunction:
     the objects it was derived from:
 
         _ball      (num, den, verdict), the answer of in_unit_ball
-        _partials  (num, den, {k: partial(k)}), the derivatives asked for so far
+        _partials  (num, den, den * den, {k: partial(k)}), the derivatives asked
+                   for so far and the square of den, which each of them and
+                   each sum over den (a + b with a.den == b.den) takes as its den
     """
 
     __slots__ = ("num", "den", "_ball", "_partials")
@@ -439,8 +495,12 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        num = self.num * other.den + other.num * self.den
-        return RationalFunction._trusted(num, self.den * other.den)
+        a, b = self.den, other.den
+        if a == b:  # one product, over the square kept on other
+            return RationalFunction._trusted((self.num + other.num) * a, other._kept()[2])
+        # by den's own class, as * and + dispatch on it
+        num = type(a).sum_of_products(self.m, ((self.num, b), (other.num, a)))
+        return RationalFunction._trusted(num, a * b)
 
     __radd__ = __add__
 
@@ -482,17 +542,27 @@ class RationalFunction:
         return RationalFunction._trusted(self.num**k, self.den**k)
 
     def partial(self, k: int) -> "RationalFunction":
-        """(num' den - num den') / den^2 in direction k, worked out once per object."""
+        """(num' den - num den') / den^2 in direction k, worked out once per object.
+
+        den^2 is formed once per object, with the first direction asked for,
+        and every direction's result shares it.
+        """
         direction(k, self.m)  # before the memo, where True would find the entry of 1
+        _, _, square, derived = self._kept()
+        out = derived.get(k)
+        if out is None:
+            num, den = self.num, self.den
+            pairs = ((num.partial(k), den), (num, -den.partial(k)))
+            out = derived[k] = RationalFunction._trusted(type(den).sum_of_products(self.m, pairs), square)
+        return out
+
+    def _kept(self) -> tuple:
+        """The _partials memo, made anew unless num and den are the objects it was made from."""
         num, den = self.num, self.den
         known = getattr(self, "_partials", None)
         if known is None or known[0] is not num or known[1] is not den:
-            known = self._partials = (num, den, {})
-        out = known[2].get(k)
-        if out is None:
-            out = RationalFunction._trusted(num.partial(k) * den - num * den.partial(k), den * den)
-            known[2][k] = out
-        return out
+            known = self._partials = (num, den, den * den, {})
+        return known
 
     def deriv(self, J: Sequence[int]) -> "RationalFunction":
         return _iterated(self, J, RationalFunction.partial)

@@ -66,11 +66,11 @@ def tropw(P: DiffPoly, weights: Sequence[BooleanWeight]) -> VertexFraction:
     one = VertexPoly.one(m)
     kept = []
     for mono, c in P.terms.items():
-        value = trop_frac(c)
         factors = [weights[i - 1].shift(J).vertices() ** p for (i, J), p in mono.factors]
         # a vanished term is skipped: adding 0/den would widen the denominator
         if not all(factors):
             continue
+        value = trop_frac(c)
         head, last = value.num, one
         for factor in factors:
             head, last = head * last, factor

@@ -183,6 +183,14 @@ class FractionQPoly:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def sum_of_products(cls, m, pairs):
+        """QPoly.sum_of_products spelled as the fold of * and +."""
+        out = cls(m, {})
+        for a, b in pairs:
+            out = out + a * b
+        return out
+
     def __pow__(self, k):
         out = FractionQPoly(self.m, {(0,) * self.m: 1})
         for _ in range(k):

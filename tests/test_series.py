@@ -47,7 +47,7 @@ from tropdiff import (
     trop_poly,
 )
 from tropdiff import series
-from tropdiff.series import fraction_text
+from tropdiff.series import _summed, fraction_text
 
 T_LEX = order_standard("lex", 2)
 U_LEX = MonomialOrder([[1, 0], [0, 1]])  # u smallest
@@ -223,6 +223,61 @@ class TestQPolyArithmetic:
         assert QPoly.product(m, []) == QPoly.one(m)
         with pytest.raises(DimensionMismatch):
             QPoly.product(m, [QPoly.one(m), QPoly.one(m + 1)])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4], ids=["m1", "m2", "m3", "m4"])
+    def test_one_term_and_square_products_match_the_oracle(self, m, monkeypatch):
+        # a one-term factor, on either side, is a translation that sums
+        # nothing; f * f on one dict doubles each cross term once
+        rng = random.Random(191 + m)
+        summed = []
+        monkeypatch.setattr(series, "_summed", lambda pairs: summed.append(1) or _summed(pairs))
+        translations = 0
+        for _ in range(60):
+            f = fraction_qpoly(rng, m, rng.choice((1, 1, 4)))
+            g = QPoly.zero(m) if rng.random() < 0.1 else fraction_qpoly(rng, m)
+            F, G = FractionQPoly.of(f), FractionQPoly.of(g)
+            for got, want in ((f * g, F * G), (g * f, G * F), (f * f, F * F), (g * g, G * G)):
+                assert canonical(got) and got.terms == want.terms
+            if 1 in (len(f._ints), len(g._ints)):
+                summed.clear()
+                f * g, g * f
+                assert not summed
+                translations += 1
+            twin = QPoly._trusted(m, dict(f._ints), f._den)  # equal, but another dict
+            assert (f * f).terms == (f * twin).terms == (f**2).terms
+        assert translations > 10
+        assert (QPoly.zero(m) * QPoly.zero(m)).is_zero
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4], ids=["m1", "m2", "m3", "m4"])
+    def test_sum_of_products_is_the_chained_sum(self, m):
+        # one pass over the lcm of the denominators gives what * and + give:
+        # zero factors, pairs that cancel, and denominators that differ
+        rng = random.Random(193 + m)
+        seen = {"zero factor": 0, "cancels": 0, "unequal dens": 0, "zero sum": 0}
+        for _ in range(60):
+            pairs = []
+            for _ in range(rng.randint(1, 4)):
+                a = QPoly.zero(m) if rng.random() < 0.1 else fraction_qpoly(rng, m)
+                b = fraction_qpoly(rng, m, rng.choice((1, 3)))
+                pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+                if rng.random() < 0.3:  # a pair that cancels the last one
+                    pairs.append((-a, b) if rng.random() < 0.5 else (b, -a))
+            chained = QPoly.zero(m)
+            for a, b in pairs:
+                chained = chained + a * b
+            got = QPoly.sum_of_products(m, pairs)
+            assert got._ints == chained._ints and got._den == chained._den
+            assert canonical(got)
+            oracle = [(FractionQPoly.of(a), FractionQPoly.of(b)) for a, b in pairs]
+            assert got.terms == FractionQPoly.sum_of_products(m, oracle).terms
+            seen["zero factor"] += any(a.is_zero or b.is_zero for a, b in pairs)
+            seen["cancels"] += any(a == -c and b is d for (a, b), (c, d) in zip(pairs, pairs[1:]))
+            seen["unequal dens"] += len({a._den * b._den for a, b in pairs}) > 1
+            seen["zero sum"] += got.is_zero
+        assert all(seen.values()), seen
+        assert QPoly.sum_of_products(m, []) == QPoly.zero(m)
+        with pytest.raises(DimensionMismatch):
+            QPoly.sum_of_products(m, [(QPoly.one(m), QPoly.one(m + 1))])
 
     @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
     def test_one_term_powers_equal_repeated_products(self, m):
@@ -852,6 +907,31 @@ class TestAgainstFractionOracle:
                 got, want = op(p, q), op(P, Q)
                 self.check(got.num, want.num)
                 self.check(got.den, want.den)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4], ids=["m1", "m2", "m3", "m4"])
+    def test_sums_over_one_denominator_and_over_two(self, m):
+        # one den object, an equal den, a distinct one and a cancelling
+        # numerator: each sum has the num and den that three products give
+        def oracle(p):
+            return RationalFunction._trusted(FractionQPoly.of(p.num), FractionQPoly.of(p.den))
+
+        rng = random.Random(197 + m)
+        for _ in range(40):
+            d = fraction_qpoly(rng, m, 3)
+            p = RationalFunction(fraction_qpoly(rng, m, 3), d)
+            for q in (
+                RationalFunction(fraction_qpoly(rng, m, 3), d),
+                RationalFunction(fraction_qpoly(rng, m, 3), QPoly(m, d.terms)),
+                RationalFunction(fraction_qpoly(rng, m, 3), fraction_qpoly(rng, m, 3)),
+                RationalFunction(-p.num, d),
+            ):
+                for got, want in ((p + q, oracle(p) + oracle(q)), (q + p, oracle(q) + oracle(p))):
+                    self.check(got.num, want.num)
+                    self.check(got.den, want.den)
+                self.check((p - q).num, (oracle(p) - oracle(q)).num)
+                if q.den == d:  # over the square that q's derivatives share
+                    assert (p + q).den is q.partial(0).den is q.partial(m - 1).den
+            assert p.partial(0).den is p.partial(m - 1).den
 
     def test_public_constructors_build_lowest_terms(self):
         assert canonical(QPoly(2, {(1, 0): Fraction(2, 6), (0, 1): Fraction(-4, 9)}))

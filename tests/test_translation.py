@@ -104,6 +104,17 @@ class TestTropw:
         assert got.num.points == ((0, 2), (2, 0))
         assert got.den.points == ((0, 0),)
 
+    def test_a_vanished_term_is_not_tropicalized(self, monkeypatch):
+        # the shift by (3,0) empties the weight, so 1/u's value is never needed
+        w = BooleanWeight.finite(2, [(1, 0), (0, 1), (2, 2)])
+        vanished = parse_rational("1/u", 2)
+        P = DiffPoly(2, 1, {X((0, 0)): RationalFunction(T), X((3, 0)): vanished})
+        seen = []
+        monkeypatch.setattr(translation, "trop_frac", lambda c: seen.append(c) or trop_frac(c))
+        got = tropw(P, [w])
+        assert len(seen) == 1 and seen[0] is not vanished
+        assert got == tropw(DiffPoly(2, 1, {X((0, 0)): RationalFunction(T)}), [w])
+
     def test_weight_validation(self):
         with pytest.raises(DimensionMismatch):
             tropw(running_example(), [W, W])
