@@ -60,6 +60,12 @@ ints.  And qpoly_from checks each exponent before it merges repeated
 exponents in a dict, where [true, 0] would otherwise merge into the key
 [1, 0].  And the CLI selects polynomials by name, so problem_from refuses
 a name that is not a string or that the file uses twice.
+
+diffpoly_from decodes and checks every term first, each monomial against n
+and m even when its coefficient later cancels, and then sums the terms in
+one pass that skips zero coefficients.  That pass keeps the keys, order and
+coefficient objects that adding the terms one at a time gives, in time
+linear in the number of terms.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ from .diffpoly import DiffMonomial, DiffPoly
 from .errors import DimensionMismatch, NotAMonomialOrder, SchemaError, exponent, shown, width
 from .orders import MonomialOrder, order_standard
 from .parsing import inferred_width, parse_poly, parse_rational
-from .series import QPoly, RationalFunction
+from .series import QPoly, RationalFunction, _summed
 from .vertexpoly import VertexFraction, VertexPoly
 from .weights import BooleanWeight, SubstitutionKernel
 
@@ -369,7 +375,8 @@ def order_from(obj: object, m: int) -> MonomialOrder:
 
 @_decoder
 def diffpoly_from(obj: object, m: int, n: int) -> DiffPoly:
-    total = DiffPoly.zero(m, n)
+    m, n = width(m), width(n, "n")
+    terms: list[tuple[DiffMonomial, RationalFunction]] = []
     for entry in _listed(obj, "differential polynomial"):
         if not isinstance(entry, dict) or "coeff" not in entry:
             raise SchemaError(f"term must be an object with coeff, got {shown(entry)}")
@@ -387,8 +394,9 @@ def diffpoly_from(obj: object, m: int, n: int) -> DiffPoly:
             if not _is_int(power) or power < 1:
                 raise SchemaError(f"pow must be a positive integer, got {shown(power)}")
             factors.append((var, power))
-        total = total + DiffPoly(m, n, {DiffMonomial(factors): coeff})
-    return total
+        # the constructor checks the monomial against n and m, and drops a zero coefficient
+        terms += DiffPoly(m, n, {DiffMonomial(factors): coeff}).terms.items()
+    return DiffPoly._trusted(m, n, _summed(terms))
 
 
 @_decoder

@@ -56,7 +56,7 @@ itself a vertex set, as the callers keep it.
 The public constructor checks every point it is given with errors.exponent.
 The semiring operations build their results from vertex sets that were
 checked when they were made, so they extract with _vertices and check
-nothing again.
+nothing again; so does BooleanWeight.vertices, from a weight's own points.
 
 staircase_vertices_2d answers the same question for m = 2 by a completely
 different route (staircase walk plus convex chain); the test suite holds the

@@ -11,6 +11,13 @@ support.  For a cofinite set N^m minus E the support is infinite, but each
 of its minimal points is 0 or q + e_k for some q in E: a minimal p != 0 has
 some p_k > 0, and p - e_k must then lie in E.  Those candidates, minus E, lie
 in the set and reach every minimal point, so they span the same polyhedron.
+A set that holds the origin needs no extraction: its series has constant
+term 1, so it is a unit, and its value is the semiring's 1, the vertex set
+{0}, since every point of N^m lies above the origin (Aroca, Garay and
+Toghani, Pacific J. Math. 283, 2016).  A finite set holds the origin when 0
+is in data, a cofinite one (full included) when 0 is not.  Any other set
+extracts its candidates once with vertexpoly._vertices: they are built from
+the weight's own checked points, so nothing is checked a second time.
 
 A weight is its set: finite, or cofinite with data the points it leaves out,
 and N^m is the cofinite weight that leaves out nothing.  full, finite and
@@ -19,7 +26,7 @@ from checked points.  kind is read from the set.
 
 A weight keeps what it has made: shift(J) builds the shifted weight once per
 multi-index J (checked on every call, before the lookup), vertices()
-extracts the vertex set once, and substitution_poly builds its polynomial
+makes the vertex set once, and substitution_poly builds its polynomial
 once per J and kernel.  The memo lives as long as the weight (the CLI
 decodes its weights once per call, so there for one command) and holds one
 entry per distinct J (and kernel) asked of that weight.  == and hash read
@@ -39,7 +46,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import TropdiffError, exponent, width
 from .series import QPoly
-from .vertexpoly import VertexPoly
+from .vertexpoly import VertexPoly, _vertices
 
 Point = tuple[int, ...]
 
@@ -96,14 +103,22 @@ class BooleanWeight:
         return self._shifts[J]
 
     def vertices(self) -> VertexPoly:
-        """Tropical value of the series with this support, extracted once."""
-        if self._vertex_set is not None:
-            return self._vertex_set
-        points = self.data
-        if self.is_cofinite:
-            steps = {q[:k] + (q[k] + 1,) + q[k + 1 :] for q in self.data for k in range(self.m)}
-            points = ({(0,) * self.m} | steps) - self.data
-        self._vertex_set = VertexPoly(self.m, points)
+        """Tropical value of the series with this support, made once.
+
+        A set that holds the origin is valued {0}, the semiring's 1: its
+        series is a unit.  Any other set extracts the candidates it builds
+        from its own checked points, with no second check.
+        """
+        if self._vertex_set is None:
+            m = self.m
+            if ((0,) * m in self.data) != self.is_cofinite:
+                self._vertex_set = VertexPoly.one(m)
+            else:
+                points = self.data
+                if self.is_cofinite:  # the origin is left out, so it is no candidate
+                    steps = {q[:k] + (q[k] + 1,) + q[k + 1 :] for q in self.data for k in range(m)}
+                    points = steps - self.data
+                self._vertex_set = VertexPoly._trusted(m, _vertices(points))
         return self._vertex_set
 
     def series(self) -> QPoly:

@@ -19,18 +19,21 @@ from tropdiff import (
     QPoly,
     RationalFunction,
     VertexFraction,
+    VertexPoly,
     normalizer,
     substitution_poly,
     trop_frac,
     trop_poly,
     tropw,
 )
-from tropdiff import cli, parsing
+from tropdiff import cli, jsonio, parsing
 from tropdiff.errors import (
     NegativeExponent,
     PolyParseError,
+    SchemaError,
     UnknownVariable,
     ZeroDenominator,
+    shown,
     width,
 )
 from tropdiff.errors import exponent as checked_exponent
@@ -277,6 +280,48 @@ def tropw_by_sums(P, weights):
             num = num * weights[i - 1].shift(J).vertices() ** p
         if num:
             total = total + VertexFraction(num, value.den)
+    return total
+
+
+def vertices_by_candidates(w):
+    """w.vertices() by the first route: every candidate through the public constructor.
+
+    A finite weight's candidates are its points.  A cofinite weight's are 0
+    and every q + e_k for an excluded q, minus the excluded set, with no
+    shortcut for a set that holds the origin.
+    """
+    m = w.m
+    if not w.is_cofinite:
+        return VertexPoly(m, w.data)
+    out = {(0,) * m}
+    for q in w.data:
+        for k in range(m):
+            out.add(tuple(v + (j == k) for j, v in enumerate(q)))
+    return VertexPoly(m, out - w.data)
+
+
+@jsonio._decoder
+def diffpoly_by_fold(obj, m, n):
+    """jsonio.diffpoly_from by the first route: a fold of DiffPoly's + over the terms."""
+    total = DiffPoly.zero(m, n)
+    for entry in jsonio._listed(obj, "differential polynomial"):
+        if not isinstance(entry, dict) or "coeff" not in entry:
+            raise SchemaError(f"term must be an object with coeff, got {shown(entry)}")
+        jsonio._own_keys(entry, "differential polynomial term", "coeff", "monomial")
+        coeff = jsonio.rational_from(entry["coeff"], m)
+        factors = []
+        for fac in jsonio._listed(entry.get("monomial", []), "monomial"):
+            if not isinstance(fac, dict) or "var" not in fac:
+                raise SchemaError(f"monomial factor must name a var, got {shown(fac)}")
+            jsonio._own_keys(fac, "monomial factor", "var", "pow")
+            var = fac["var"]
+            if not isinstance(var, (list, tuple)) or len(var) != 2:
+                raise SchemaError(f"var must be [index, multi-index], got {shown(var)}")
+            power = fac.get("pow", 1)
+            if not jsonio._is_int(power) or power < 1:
+                raise SchemaError(f"pow must be a positive integer, got {shown(power)}")
+            factors.append((var, power))
+        total = total + DiffPoly(m, n, {DiffMonomial(factors): coeff})
     return total
 
 

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     diff_monomial,
     diffpoly,
+    diffpoly_by_fold,
     exponent,
     json_tree,
     matrix_order,
@@ -340,6 +341,122 @@ class TestDiffPolyRoundTrip:
             diffpoly_from(
                 [{"coeff": "1", "monomial": [{"var": [1, [0, 0]], "pow": 0}]}], 2, 1
             )
+
+
+X = [{"var": [1, [0, 0]]}]
+# spelt in several ways: the last two entries are one monomial, x1_(1,0)^2
+MONOMIALS = [
+    [],
+    X,
+    [{"var": [2, [0, 1]]}, {"var": [1, [0, 0]], "pow": 1}],
+    [{"var": [1, [1, 0]], "pow": 2}],
+    [{"var": [1, [1, 0]]}, {"var": [1, [1, 0]]}],
+]
+# an index past n = 2, an index 0, a short and a negative multi-index, a zero power
+BAD_MONOMIALS = [
+    [{"var": [3, [0, 0]]}],
+    [{"var": [0, [1, 0]]}],
+    [{"var": [1, [0]]}],
+    [{"var": [2, [0, -1]]}, {"var": [1, [0, 0]]}],
+    [{"var": [1, [0, 0]], "pow": 0}],
+]
+# a zero over a denominator other than 1 would widen the denominator it is added to
+ZEROS = ("0", "0/(t+u)", "0/t")
+COEFFS = [*ZEROS, "1", "-1", "t", "-t", "2/3", "-2/3", "1/(t+u)", "-1/(t+u)", "t/(t+u)", "u/(t+u)", "(t-u)/(t*u)"]
+
+
+def _negated(text):
+    return text[1:] if text.startswith("-") else "-" + text
+
+
+def _term_list(rng):
+    """Terms over a few monomials, so that they repeat, cancel and come back;
+    one list in eight hides a bad monomial behind a cancelling pair."""
+    terms = []
+    for _ in range(rng.randint(1, 8)):
+        mono, coeff = rng.choice(MONOMIALS), rng.choice(COEFFS)
+        terms.append({"coeff": coeff, "monomial": mono})
+        if rng.random() < 0.3:
+            terms.append({"coeff": _negated(coeff), "monomial": mono})
+    if rng.random() < 0.125:
+        at = rng.randint(0, len(terms))
+        mono = rng.choice(MONOMIALS)
+        pair = [{"coeff": "t", "monomial": mono}, {"coeff": "-t", "monomial": mono}]
+        bad = {"coeff": rng.choice(COEFFS), "monomial": rng.choice(BAD_MONOMIALS)}
+        terms[at:at] = [*pair, bad] if rng.random() < 0.5 else [bad, *pair]
+    return terms
+
+
+def _decoded(decode, terms):
+    """What a decoder gives: the keys in order and the bytes, or the error."""
+    try:
+        P = decode(terms, 2, 2)
+    except SchemaError as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+    return list(P.terms), dumps(diffpoly_json(P)), dumps([P.terms[mono] for mono in P.terms])
+
+
+class TestDecodeOracle:
+    """diffpoly_from sums its terms in one pass; a fold of + over them is the oracle."""
+
+    def test_seeded_term_lists_match_the_fold(self):
+        rng = random.Random(3101)
+        errors = repeats = zeros = 0
+        for _ in range(600):
+            terms = _term_list(rng)
+            expected = _decoded(diffpoly_by_fold, terms)
+            assert _decoded(diffpoly_from, terms) == expected, terms
+            errors += expected[0] is SchemaError
+            monos = [json.dumps(t["monomial"]) for t in terms]
+            repeats += len(set(monos)) < len(monos)
+            zeros += any(t["coeff"].lstrip("-") in ZEROS for t in terms)
+        assert errors > 40 and repeats > 300 and zeros > 100
+
+    def test_a_monomial_that_cancels_and_comes_back_moves_to_the_end(self):
+        terms = [
+            {"coeff": "t", "monomial": X},
+            {"coeff": "1", "monomial": []},
+            {"coeff": "-t", "monomial": X},
+            {"coeff": "u/(t+u)", "monomial": X},
+        ]
+        got = diffpoly_from(terms, 2, 2)
+        assert list(got.terms) == [DiffMonomial(), DiffMonomial.var(1, (0, 0))]
+        assert dumps(got.terms[DiffMonomial.var(1, (0, 0))]) == dumps(parse_rational("u/(t+u)", 2))
+        assert _decoded(diffpoly_from, terms) == _decoded(diffpoly_by_fold, terms)
+
+    @pytest.mark.parametrize("bad", BAD_MONOMIALS, ids=["index-past-n", "index-0", "short", "negative", "pow-0"])
+    def test_a_bad_monomial_behind_a_cancelling_pair_is_refused(self, bad):
+        pair = [{"coeff": "t", "monomial": X}, {"coeff": "-t", "monomial": X}]
+        for terms in (
+            [*pair, {"coeff": "1", "monomial": bad}],
+            [*pair, {"coeff": "0", "monomial": bad}],
+            [{"coeff": "t", "monomial": bad}, {"coeff": "-t", "monomial": bad}],
+        ):
+            expected = _decoded(diffpoly_by_fold, terms)
+            assert expected[0] is SchemaError
+            assert _decoded(diffpoly_from, terms) == expected
+
+    def test_no_sum_of_differential_polynomials_while_decoding(self, monkeypatch):
+        added = []
+        add = DiffPoly.__add__
+
+        def counted_add(self, other):
+            added.append(other)
+            return add(self, other)
+
+        rng = random.Random(3102)
+        lists = [terms for terms in (_term_list(rng) for _ in range(100)) if len(terms) > 3]
+        monkeypatch.setattr(DiffPoly, "__add__", counted_add)
+        monkeypatch.setattr(DiffPoly, "__radd__", counted_add)
+        diffpoly_by_fold([{"coeff": "t", "monomial": X}, {"coeff": "u", "monomial": X}], 2, 2)
+        assert added, "the counter must see the fold's sums"
+        added.clear()
+        for terms in lists:
+            try:
+                diffpoly_from(terms, 2, 2)
+            except SchemaError:
+                pass
+        assert added == []
 
 
 class TestProblemFile:

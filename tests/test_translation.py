@@ -534,16 +534,25 @@ class TestOneShiftPerFactor:
     @pytest.mark.parametrize("kernel", [IND, FACT], ids=["indicator", "factorial"])
     @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
     def test_each_shift_is_built_and_extracted_once(self, monkeypatch, m, kernel):
-        made = BooleanWeight._made.__func__
-        built, extracted = [], []
+        make_weight = BooleanWeight._made.__func__
+        built, made = [], []
 
         def counted_made(cls, *args):
             built.append(args)
-            return made(cls, *args)
+            return make_weight(cls, *args)
 
-        def counted_extraction(m, points):
-            extracted.append(points)
-            return VertexPoly(m, points)
+        class CountedValues:
+            """The two ways a weight makes its value: {0} at once, or an extraction."""
+
+            @staticmethod
+            def one(m):
+                made.append(m)
+                return VertexPoly.one(m)
+
+            @staticmethod
+            def _trusted(m, points):
+                made.append(points)
+                return VertexPoly._trusted(m, points)
 
         rng = random.Random(401 + m)
         order = order_standard("grlex", m)
@@ -559,12 +568,12 @@ class TestOneShiftPerFactor:
                 for var, _ in mono.factors
             }
             built.clear()
-            extracted.clear()
+            made.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(BooleanWeight, "_made", classmethod(counted_made))
-                patch.setattr(weights_module, "VertexPoly", counted_extraction)
+                patch.setattr(weights_module, "VertexPoly", CountedValues)
                 initial_generators(generators, weights, order, 2, kernel)
-            assert len(built) == len(extracted) == len(factors)
+            assert len(built) == len(made) == len(factors)
 
 
 def residue_field_value(phi, w, J, kernel, order):

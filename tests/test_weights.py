@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import exponent, weight
+from helpers import exponent, vertices_by_candidates, weight
 from tropdiff import (
     BooleanWeight,
     DimensionMismatch,
@@ -225,6 +225,45 @@ class TestVertices:
                 p for p in itertools.product(range(side), repeat=m) if p in w
             ]
             assert w.vertices() == VertexPoly(m, grid)
+
+
+class TestVerticesOracle:
+    """vertices() against the candidate set through the public constructor.
+
+    A set that holds the origin is valued {0} without extraction; a finite
+    set holds it when 0 is one of its points, a cofinite one when 0 is not
+    left out.  Every other set extracts its candidates.
+    """
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_kind_with_and_without_the_origin(self, m):
+        rng = random.Random(310 + m)
+        origin = (0,) * m
+        seen = set()
+        for _ in range(150):
+            points = {exponent(rng, m, 3) for _ in range(rng.randint(0, 4))}
+            if rng.random() < 0.5:
+                points.add(origin)
+            else:
+                points.discard(origin)
+            J = exponent(rng, m, 2)
+            for w in (BooleanWeight.finite(m, points), BooleanWeight.cofinite(m, points)):
+                for v in (w, w.shift(J)):
+                    got = v.vertices()
+                    assert got == vertices_by_candidates(v), (v, J)
+                    assert got is v.vertices()
+                    holds = origin in v
+                    if holds:
+                        assert got == VertexPoly.one(m)
+                    seen.add((v.kind, holds, v.is_empty))
+        assert seen == {
+            ("finite", True, False),
+            ("finite", False, False),
+            ("finite", False, True),
+            ("cofinite", True, False),
+            ("cofinite", False, False),
+            ("full", True, False),
+        }
 
 
 class TestSeries:
