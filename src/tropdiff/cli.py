@@ -28,6 +28,7 @@ import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate
 
 from . import jsonio
 from .diffpoly import DiffMonomial, DiffPoly, multi_indices, prolong
@@ -64,6 +65,9 @@ MAX_DERIVATIVES = 2000
 # the cap keeps both far below the interpreter's recursion limit on every
 # version, where the decoder's own limit differs between versions.
 MAX_JSON_NESTING = 100
+# an ASCII bracket as a signed byte, 1 for an opening one and -1 for a closing one
+_DEPTH_STEP = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+_NOT_A_BRACKET = bytes(c for c in range(128) if c not in b"[]{}")
 
 _REL_NAME = {LT: "LT", EQ: "EQ", GT: "GT"}
 _REL_SIGN = {LT: "<", EQ: "=", GT: ">"}
@@ -94,16 +98,15 @@ def _json(text: str):
     """json.loads(text), refusing nesting above MAX_JSON_NESTING and integers
     that int() refuses as a SchemaError; a syntax error stays a JSONDecodeError."""
     # a value nests at most as deep as it has brackets, so only text with more
-    # than the cap needs the scan, which skips strings as the decoder does
+    # than the cap needs the scan.  It drops the strings as the decoder reads
+    # them, by "(?:[^"\\]|\\.)*" unrolled (the same strings, matched without an
+    # alternation per character), keeps the brackets as steps of the depth, and
+    # takes the greatest depth a prefix reaches.
     if text.count("[") + text.count("{") > MAX_JSON_NESTING:
-        depth = 0
-        for match in re.finditer(r'"(?:[^"\\]|\\.)*"|([\[{])|([\]}])', text):
-            if match.group(1):
-                depth += 1
-                if depth > MAX_JSON_NESTING:
-                    raise SchemaError(f"JSON input nests deeper than {MAX_JSON_NESTING}")
-            elif match.group(2):
-                depth -= 1
+        outside = re.sub(r'"[^"\\]*(?:\\.[^"\\]*)*"', "", text).encode("ascii", "ignore")
+        steps = memoryview(outside.translate(_DEPTH_STEP, _NOT_A_BRACKET)).cast("b")
+        if max(accumulate(steps), default=0) > MAX_JSON_NESTING:
+            raise SchemaError(f"JSON input nests deeper than {MAX_JSON_NESTING}")
     try:
         return json.loads(text)
     except json.JSONDecodeError:

@@ -10,6 +10,14 @@ carries the coefficient object itself, so the derivatives of a prolongation
 share coefficients, and each shared coefficient keeps its own partial
 derivatives (RationalFunction.partial) for the next derive().
 
+A DiffMonomial hashes its factors once, when it is made, and keeps the hash:
+derive() sums its pieces in a dict, so a monomial is hashed many times.  It
+also keeps each bump(position, k) it has answered, in a dict made on first
+use, so a repeat returns the same object.  The factors are an immutable
+tuple that nothing rebinds after construction, so neither kept value goes
+stale.  Within a prolongation many derivatives hold the same monomials, and
+each derivative bumps them again.
+
 evaluate() substitutes honest polynomials for the unknowns, turning x_{i,J}
 into the J-th derivative of the i-th argument.  It is the semantic anchor
 for everything the translation layer does combinatorially.
@@ -34,7 +42,8 @@ Factor = tuple[Var, int]
 class DiffMonomial:
     """Sorted product of powers of the derivative variables x_{i,J}."""
 
-    __slots__ = ("factors",)
+    # the kept hash, and the bumps answered so far by (position, k)
+    __slots__ = ("factors", "_hash", "_bumps")
 
     def __init__(self, factors: Iterable[Factor] = ()):
         merged: dict[Var, int] = {}
@@ -46,13 +55,17 @@ class DiffMonomial:
             var = (i, exponent(J, what="multi-index"))
             if p:  # a zero power drops its factor, once the factor is checked
                 merged[var] = merged.get(var, 0) + p
-        self.factors = tuple(sorted(merged.items()))
+        self.factors = factors = tuple(sorted(merged.items()))
+        self._hash = hash(factors)
+        self._bumps = None
 
     @classmethod
     def _trusted(cls, factors: tuple[Factor, ...]) -> "DiffMonomial":
         """Wrap sorted, merged factors built from a checked monomial's own."""
         out = object.__new__(cls)
         out.factors = factors
+        out._hash = hash(factors)
+        out._bumps = None
         return out
 
     @classmethod
@@ -78,23 +91,32 @@ class DiffMonomial:
         return DiffMonomial._trusted(tuple(sorted(merged.items())))
 
     def bump(self, position: int, k: int) -> "DiffMonomial":
-        """Replace one copy of the factor at `position` by its k-th derivative."""
-        var, p = self.factors[position]
-        i, J = var
-        lifted = (i, tuple(v + 1 if j == k else v for j, v in enumerate(J)))
-        merged = dict(self.factors)
-        if p == 1:
-            del merged[var]
-        else:
-            merged[var] = p - 1
-        merged[lifted] = merged.get(lifted, 0) + 1
-        return DiffMonomial._trusted(tuple(sorted(merged.items())))
+        """Replace one copy of the factor at `position` by its k-th derivative.
+
+        The answer is kept on the monomial, so a repeat returns the same object.
+        """
+        bumps = self._bumps
+        if bumps is None:
+            bumps = self._bumps = {}
+        out = bumps.get((position, k))
+        if out is None:
+            var, p = self.factors[position]
+            i, J = var
+            lifted = (i, tuple(v + 1 if j == k else v for j, v in enumerate(J)))
+            merged = dict(self.factors)
+            if p == 1:
+                del merged[var]
+            else:
+                merged[var] = p - 1
+            merged[lifted] = merged.get(lifted, 0) + 1
+            out = bumps[position, k] = DiffMonomial._trusted(tuple(sorted(merged.items())))
+        return out
 
     def __eq__(self, other):
         return isinstance(other, DiffMonomial) and self.factors == other.factors
 
     def __hash__(self):
-        return hash(self.factors)
+        return self._hash
 
     def render(self, indexed: bool) -> str:
         """Text form; indexed picks x1, x2, ... over the bare name x."""

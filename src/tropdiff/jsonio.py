@@ -17,9 +17,13 @@ value always serializes to the same bytes and re-parses to an equal value.
 dumps is the one writer of those bytes: it writes exactly what
 json.dumps(value, sort_keys=True, indent=2) writes, without the pure-Python
 encoder that json.dumps falls back to when it indents.  Besides str, int,
-list and dict it writes three library values in place, by their encodings
-above: QPoly, RationalFunction and DiffMonomial.  They are written straight
-from their data, so no dict is built per term of a coefficient.
+list and dict it writes four library values in place, by their encodings
+above: QPoly, RationalFunction, DiffMonomial and DiffPoly.  They are written
+straight from their data, so no dict is built per term of a coefficient or
+of a differential polynomial.  A DiffPoly's terms come in display_order(),
+each written from the pieces that _rational_pieces and _monomial_piece give
+for its coefficient and its monomial: the same pieces that a RationalFunction
+or a DiffMonomial is written as anywhere else.
 
 Within one dumps call each distinct polynomial is written once per indent:
 a dict made for that call, and passed down through _write, maps a (QPoly,
@@ -31,14 +35,13 @@ hash and the value being written keeps it alive until the call ends, and a
 DiffMonomial under (DiffMonomial, monomial, indent).  Those keys have three
 items, so none equals a (QPoly, indent) key.  DiffPoly.derive carries a
 coefficient by identity, so a prolongation repeats the same object in many
-derivatives.  _write appends pieces to one
-list that dumps joins once, so a kept text is referenced, not copied into
-each enclosing value's text.  Nothing outlives the call.
+derivatives.  _write appends pieces to one list that dumps joins once, so a
+kept text is referenced, not copied into each enclosing value's text.
+Nothing outlives the call.
 
-The encoders return values that dumps writes: diffpoly_json's entries hold
-the RationalFunction and the DiffMonomial themselves, the other encoders
-plain lists and dicts.  json.loads(dumps(v)) gives plain objects in every
-case, and those are what the decoders read.
+The encoders return values that dumps writes: diffpoly_json returns P
+itself, the other encoders plain lists and dicts.  json.loads(dumps(v))
+gives plain objects in every case, and those are what the decoders read.
 
 Wherever a QPoly or RationalFunction is expected on input, expression text
 like "t^2 - 1/2*u" is accepted too.  Without m, the width is the length of the
@@ -93,8 +96,9 @@ def dumps(value: object) -> str:
     """value as the bytes of json.dumps(value, sort_keys=True, indent=2).
 
     Written are str, int, list and dict (with str keys), and QPoly,
-    RationalFunction and DiffMonomial as the module docstring encodes them;
-    any other type, bool, None, float and tuple included, is a TypeError.
+    RationalFunction, DiffMonomial and DiffPoly as the module docstring
+    encodes them; any other type, bool, None, float and tuple included, is a
+    TypeError.
     """
     out: list[str] = []
     _write(value, "\n", out, {})
@@ -140,24 +144,55 @@ def _write(value: object, newline: str, out: list, written: dict) -> None:
         out.append(_qpoly_text(value, newline, written))
         return
     if kind is RationalFunction:
-        # by identity: a RationalFunction does not hash, and value keeps it alive
-        key = (RationalFunction, id(value), newline)
-        pieces = written.get(key)
-        if pieces is None:
-            den = _qpoly_text(value.den, inner, written)
-            num = _qpoly_text(value.num, inner, written)
-            pieces = ("{" + inner + '"den": ', den, "," + inner + '"num": ', num, newline + "}")
-            written[key] = pieces
-        out += pieces
+        out += _rational_pieces(value, newline, written)
         return
     if kind is DiffMonomial:
-        key = (DiffMonomial, value, newline)
-        text = written.get(key)
-        if text is None:
-            text = written[key] = _monomial_text(value, newline)
-        out.append(text)
+        out.append(_monomial_piece(value, newline, written))
+        return
+    if kind is DiffPoly:
+        if not value.terms:
+            out.append("[]")
+            return
+        # each term is {"coeff": ..., "monomial": ...}, written from its pieces
+        key = inner + "  "
+        opening = "[" + inner + "{" + key + '"coeff": '
+        following = "," + inner + "{" + key + '"coeff": '
+        monomial = "," + key + '"monomial": '
+        close = inner + "}"
+        terms = value.terms
+        for mono in value.display_order():
+            out.append(opening)
+            out += _rational_pieces(terms[mono], key, written)
+            out.append(monomial)
+            out.append(_monomial_piece(mono, key, written))
+            out.append(close)
+            opening = following
+        out.append(newline + "]")
         return
     raise TypeError(f"cannot write {kind.__name__} as JSON: {value!r}")
+
+
+def _rational_pieces(q: RationalFunction, newline: str, written: dict) -> tuple[str, ...]:
+    """{"den": ..., "num": ...} at this indent, as pieces kept in written."""
+    # by identity: a RationalFunction does not hash, and the value written keeps it alive
+    key = (RationalFunction, id(q), newline)
+    pieces = written.get(key)
+    if pieces is None:
+        inner = newline + "  "
+        den = _qpoly_text(q.den, inner, written)
+        num = _qpoly_text(q.num, inner, written)
+        pieces = ("{" + inner + '"den": ', den, "," + inner + '"num": ', num, newline + "}")
+        written[key] = pieces
+    return pieces
+
+
+def _monomial_piece(mono: DiffMonomial, newline: str, written: dict) -> str:
+    """mono's text at this indent, kept in written."""
+    key = (DiffMonomial, mono, newline)
+    text = written.get(key)
+    if text is None:
+        text = written[key] = _monomial_text(mono, newline)
+    return text
 
 
 def _qpoly_text(f: QPoly, newline: str, written: dict) -> str:
@@ -235,8 +270,9 @@ def order_json(order: MonomialOrder) -> dict:
     return {"type": kind}
 
 
-def diffpoly_json(P: DiffPoly) -> list:
-    return [{"coeff": P.terms[mono], "monomial": mono} for mono in P.display_order()]
+def diffpoly_json(P: DiffPoly) -> DiffPoly:
+    # dumps writes a DiffPoly itself, term by term
+    return P
 
 
 # -- decoders ----------------------------------------------------------------

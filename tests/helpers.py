@@ -6,8 +6,10 @@ acceptance suite fixes its own seeds.
 
 import argparse
 import itertools
+import json
 import math
 import operator
+import re
 from fractions import Fraction
 
 from tropdiff import (
@@ -300,6 +302,35 @@ def vertices_by_candidates(w):
     return VertexPoly(m, out - w.data)
 
 
+def bump_by_rebuild(mono, position, k):
+    """mono.bump(position, k) through the public constructor, which merges the factors."""
+    factors = list(mono.factors)
+    (i, J), p = factors[position]
+    factors[position] = ((i, J), p - 1)  # a zero power drops the factor
+    lifted = tuple(v + 1 if j == k else v for j, v in enumerate(J))
+    return DiffMonomial([*factors, ((i, lifted), 1)])
+
+
+def json_by_scan(text):
+    """cli._json by its first route: a Python loop over the strings and brackets
+    that a regular expression finds, counting the depth as it goes."""
+    if text.count("[") + text.count("{") > cli.MAX_JSON_NESTING:
+        depth = 0
+        for match in re.finditer(r'"(?:[^"\\]|\\.)*"|([\[{])|([\]}])', text):
+            if match.group(1):
+                depth += 1
+                if depth > cli.MAX_JSON_NESTING:
+                    raise SchemaError(f"JSON input nests deeper than {cli.MAX_JSON_NESTING}")
+            elif match.group(2):
+                depth -= 1
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the interpreter's limit on the digits of an int
+        raise SchemaError("JSON input holds an integer with too many digits") from None
+
+
 @jsonio._decoder
 def diffpoly_by_fold(obj, m, n):
     """jsonio.diffpoly_from by the first route: a fold of DiffPoly's + over the terms."""
@@ -364,8 +395,14 @@ def diffmonomial_json(mono):
     return [{"var": [i, list(J)], "pow": p} for (i, J), p in mono.factors]
 
 
+def diffpoly_entries(P):
+    """P as the writer first took it: a dict per term, holding the coefficient and the monomial."""
+    return [{"coeff": P.terms[mono], "monomial": mono} for mono in P.display_order()]
+
+
 def json_tree(value):
-    """value with every QPoly, RationalFunction and DiffMonomial in it as plain dicts and lists.
+    """value with every QPoly, RationalFunction, DiffMonomial and DiffPoly in it
+    as plain dicts and lists.
 
     json.dumps(json_tree(v), sort_keys=True, indent=2) is what jsonio.dumps(v)
     must write, and json_tree(v) is what json.loads(jsonio.dumps(v)) must read.
@@ -376,6 +413,8 @@ def json_tree(value):
         return rational_json(value)
     if isinstance(value, DiffMonomial):
         return diffmonomial_json(value)
+    if isinstance(value, DiffPoly):
+        return json_tree(diffpoly_entries(value))
     if isinstance(value, list):
         return [json_tree(item) for item in value]
     if isinstance(value, dict):

@@ -1,17 +1,19 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import full_parser, json_tree
+from helpers import full_parser, json_by_scan, json_tree
 from tropdiff import (
     BooleanWeight,
     DiffMonomial,
     DiffPoly,
+    SchemaError,
     VertexFraction,
     VertexPoly,
     initial_generators,
@@ -843,6 +845,41 @@ class TestInputLimits:
         assert run(capsys, "trop", '{"num": %s, "den": "1"}' % text)[2].startswith(
             "error: PolyParseError: "
         )
+
+    def test_the_nesting_scan_matches_the_loop_it_replaced(self):
+        from tropdiff.cli import MAX_JSON_NESTING, _json
+
+        cap = MAX_JSON_NESTING
+        texts = [
+            nested(cap),
+            nested(cap + 1),
+            "[" * cap + '"]]]["' + "]" * cap,  # brackets inside a string
+            "[" * (cap + 1) + '"]"' + "]" * (cap + 1),
+            "[" * cap + '"\\"[[["' + "]" * cap,  # an escaped quote inside a string
+            "[" * cap + '"\\\\"' + "[" + "]" * (cap + 1),  # an escaped backslash ends it
+            "[" * 60 + '"' + "[" * 60,  # an unterminated string: its brackets count
+            "[" * 60 + '"\\\n' + "[" * 60 + '"' + "]" * 60,  # no escape of a newline
+            "[]" * 60 + "]",  # malformed, never deep
+            "[" * 50 + "{" * 51 + "}" * 51 + "]" * 50,  # 101 deep over both kinds
+            '{"a": ' * (cap - 1) + '"{[é]}"' + "}" * (cap - 1),
+            '{"a": ' * cap + '"x"' + "}" * cap,
+        ]
+        pieces = ["[", "[", "{", "]", "}", '"', '\\"', "\\", ",", "1", " ", "\n", "é", '"[{"', '"]}"']
+        rng = random.Random(409)
+        for _ in range(400):
+            middle = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 40)))
+            texts.append("[" * rng.randint(cap - 6, cap + 6) + middle + "]" * rng.randint(0, cap + 6))
+
+        def outcome(decode, text):
+            try:
+                return "value", decode(text)
+            except (SchemaError, json.JSONDecodeError) as exc:
+                return type(exc), str(exc)
+
+        outcomes = [outcome(_json, text) for text in texts]
+        assert outcomes == [outcome(json_by_scan, text) for text in texts]
+        kinds = {kind for kind, _ in outcomes}
+        assert kinds == {"value", SchemaError, json.JSONDecodeError}
 
     def test_a_json_integer_with_too_many_digits_is_a_schema_error(self, capsys, tmp_path):
         source = problem_with(tmp_path, '{"m": %s}' % LONG_INT)

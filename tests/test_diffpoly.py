@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import diff_monomial, diffpoly, exponent, qpoly, same_as_public
+from helpers import bump_by_rebuild, diff_monomial, diffpoly, exponent, qpoly, same_as_public
 from tropdiff import (
     DiffMonomial,
     DiffPoly,
@@ -123,15 +123,63 @@ class TestDiffMonomial:
             for position, ((i, J), p) in enumerate(mono.factors):
                 for k in range(m):
                     up = tuple(v + (j == k) for j, v in enumerate(J))
-                    listed = list(mono.factors)
-                    listed[position] = ((i, J), p - 1)
-                    listed.append(((i, up), 1))
                     got = mono.bump(position, k)
-                    assert got.factors == DiffMonomial(listed).factors
+                    assert got.factors == bump_by_rebuild(mono, position, k).factors
                     assert got.factors == DiffMonomial(got.factors).factors
                     raised += p > 1
                     present += (i, up) in dict(mono.factors)
         assert raised and present
+
+    def test_a_repeated_bump_is_the_same_object(self):
+        sq = DiffMonomial([((1, (0, 0)), 2)])
+        assert sq.bump(0, 1) is sq.bump(0, 1)
+        assert sq.bump(0, 0) is not sq.bump(0, 1)
+        assert sq.bump(0, 1).bump(1, 1) is sq.bump(0, 1).bump(1, 1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4], ids=["m1", "m2", "m3", "m4"])
+    def test_kept_bumps_match_the_unkept_oracle(self, m):
+        # bump answers a repeat from the monomial's memo: every answer, first or
+        # repeated and in any order, is what the oracle rebuilds from the factors
+        rng = random.Random(113 + m)
+        raised = present = repeats = 0
+        for _ in range(60):
+            var = (rng.randint(1, 2), exponent(rng, m, 2))
+            mono = diff_monomial(rng, m, 2) * DiffMonomial.var(*var, rng.randint(1, 3))
+            if rng.random() < 0.5:  # a factor that a bump of var lifts onto
+                lift = rng.randrange(m)
+                mono = mono * DiffMonomial.var(var[0], tuple(v + (j == lift) for j, v in enumerate(var[1])))
+            asks = [(position, k) for position in range(len(mono.factors)) for k in range(m)]
+            asks += rng.choices(asks, k=len(asks))
+            rng.shuffle(asks)
+            first = {}
+            for position, k in asks:
+                got = mono.bump(position, k)
+                want = bump_by_rebuild(mono, position, k)
+                assert got.factors == want.factors and got == want and hash(got) == hash(want)
+                repeats += (position, k) in first
+                assert first.setdefault((position, k), got) is got
+                (i, J), p = mono.factors[position]
+                raised += p > 1
+                present += (i, tuple(v + (j == k) for j, v in enumerate(J))) in dict(mono.factors)
+        assert raised and present and repeats
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4], ids=["m1", "m2", "m3", "m4"])
+    def test_the_kept_hash_is_the_hash_of_the_factors(self, m):
+        # the constructor and the library's own routes (*, bump) keep the same hash
+        rng = random.Random(131 + m)
+        for _ in range(60):
+            mono = diff_monomial(rng, m, 2)
+            bumped = mono.bump(0, 0)
+            pairs = [
+                (mono, DiffMonomial(reversed(mono.factors))),
+                (mono, mono * DiffMonomial()),
+                (mono, DiffMonomial() * mono),
+                (bumped, DiffMonomial(bumped.factors)),
+            ]
+            for a, b in pairs:
+                assert a == b and hash(a) == hash(b) == hash(a.factors) == hash(b.factors)
+                assert {a: 1}[b] == 1
+        assert hash(DiffMonomial()) == hash(())
 
     def test_render(self):
         mono = DiffMonomial([((1, (1, 0)), 2), ((2, (0, 1)), 1)])

@@ -6,7 +6,9 @@ import pytest
 
 from helpers import (
     diff_monomial,
+    diffmonomial_json,
     diffpoly,
+    diffpoly_entries,
     diffpoly_by_fold,
     exponent,
     json_tree,
@@ -743,20 +745,81 @@ class TestLibraryValuesWritten:
             value = [_nested(rng, rng.choice(pool), rng.randrange(4)) for _ in range(6)]
             assert dumps(value) == as_json_dumps(value)
         P = DiffPoly(m, 2, {mono: c, DiffMonomial(): c})
-        value = [diffpoly_json(q) for q in prolong(P, 2)]
-        coefficients = [id(entry["coeff"]) for entries in value for entry in entries]
+        value = prolong(P, 2)
+        coefficients = [id(entry["coeff"]) for q in value for entry in diffpoly_entries(q)]
+        assert coefficients == [id(q.terms[E]) for q in value for E in q.display_order()]
         assert len(set(coefficients)) < len(coefficients)  # derive carries objects along
         assert dumps(value) == as_json_dumps(value)
+        assert dumps(value) == dumps([diffpoly_entries(q) for q in value])
 
     def test_encoding_holds_the_values(self, m):
         rng = random.Random(321 + m)
         P = diffpoly(rng, m, 2)
-        value = diffpoly_json(P)
-        assert [entry["monomial"] for entry in value] == sorted(
-            P.terms, key=lambda E: (E.total_degree, E.factors), reverse=True
-        )
-        assert all(entry["coeff"] is P.terms[entry["monomial"]] for entry in value)
-        assert through_text(value) == json_tree(value)
+        assert diffpoly_json(P) is P  # dumps writes the polynomial itself
+        entries = diffpoly_entries(P)
+        order = sorted(P.terms, key=lambda E: (E.total_degree, E.factors), reverse=True)
+        assert [entry["monomial"] for entry in entries] == order == P.display_order()
+        assert all(entry["coeff"] is P.terms[entry["monomial"]] for entry in entries)
+        assert through_text(P) == json_tree(entries) == json_tree(P)
+        assert [entry["monomial"] for entry in through_text(P)] == list(map(diffmonomial_json, order))
+
+
+def _entries_route(value):
+    """value with each DiffPoly in it as the writer first took it: a dict per term."""
+    if isinstance(value, DiffPoly):
+        return diffpoly_entries(value)
+    if isinstance(value, list):
+        return [_entries_route(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _entries_route(item) for key, item in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4], ids=["m1", "m2", "m3", "m4"])
+class TestDiffPolyWritten:
+    """dumps writes a DiffPoly term by term, in place: the bytes of the oracle
+    tree, and those of the dict per term that it replaced."""
+
+    @staticmethod
+    def assert_written(value):
+        text = dumps(value)
+        assert text == as_json_dumps(value)
+        assert text == dumps(_entries_route(value))
+
+    def test_seeded_polynomials_nested_at_several_indents(self, m):
+        rng = random.Random(351 + m)
+        for depth in range(4):
+            for _ in range(25):
+                P = diffpoly(rng, m, rng.choice((1, 2)), max_terms=rng.randint(1, 5))
+                self.assert_written(_nested(rng, P, depth))
+        polys = [diffpoly(rng, m, 2) for _ in range(4)]
+        self.assert_written([polys[:2], {"b": polys[2], "a": [{"poly": polys[3]}]}, polys[0]])
+
+    def test_the_zero_polynomial_and_the_constant_monomial(self, m):
+        zero = DiffPoly.zero(m, 2)
+        constant = DiffPoly(m, 1, {DiffMonomial(): QPoly.monomial((1,) + (0,) * (m - 1), 3)})
+        assert dumps(zero) == "[]"
+        for value in (zero, [zero], {"poly": zero}, constant, [zero, constant], {"a": [{"poly": constant}]}):
+            self.assert_written(value)
+        assert json.loads(dumps({"poly": zero})) == {"poly": []}
+        (entry,) = json.loads(dumps(constant))
+        assert entry["monomial"] == []
+
+    def test_shared_and_equal_coefficients(self, m):
+        # a prolongation repeats coefficient objects; an equal coefficient that
+        # is another object, or another representative, is written by its own data
+        rng = random.Random(361 + m)
+        c = rational(rng, m)
+        x = DiffMonomial.var(1, (1,) + (0,) * (m - 1))
+        y = DiffMonomial.var(2, (0,) * m, 2)
+        equal = RationalFunction(c.num * 2, c.den * 2)
+        P = DiffPoly(m, 2, {x: c, y: RationalFunction(c.num, c.den), DiffMonomial(): equal})
+        assert P.terms[x] is c and P.terms[y] is not c
+        value = prolong(P, 2)
+        coefficients = [id(q.terms[E]) for q in value for E in q.terms]
+        assert len(set(coefficients)) < len(coefficients)
+        for nested in (value, [value, {"p": value[-1]}], {"a": value[:2], "b": [[value[0], c]]}):
+            self.assert_written(nested)
 
 
 class TestWriterWork:
@@ -769,22 +832,24 @@ class TestWriterWork:
             return write(value, *rest)
 
         monkeypatch.setattr(jsonio, "_write", counted)
-        monomials = [DiffMonomial(), DiffMonomial.var(1, (1, 0), 2), DiffMonomial.var(2, (0, 3))]
+        few = [DiffMonomial(), DiffMonomial.var(1, (1, 0), 2), DiffMonomial.var(2, (0, 3))]
+        many = few + [DiffMonomial.var(1, (i, j)) for i in range(5) for j in range(1, 5)]
         wide = QPoly(2, {(i, j): i - j or 1 for i in range(10) for j in range(5)})
-        counts = []
         for coefficient in (RationalFunction(QPoly.monomial((1, 0), 3)), RationalFunction(wide, wide + 1)):
-            P = DiffPoly(2, 2, {mono: coefficient for mono in monomials})
-            calls.clear()
-            text = dumps(diffpoly_json(P))
-            assert text.count('"exp"') == len(monomials) * (len(coefficient.num.terms) + len(coefficient.den.terms))
-            counts.append(len(calls))
-        # the list, and per term its dict, its coefficient and its monomial
-        assert counts == [1 + 3 * len(monomials)] * 2
+            for monomials in (few, many):
+                P = DiffPoly(2, 2, {mono: coefficient for mono in monomials})
+                calls.clear()
+                text = dumps(diffpoly_json(P))
+                assert text.count('"exp"') == len(monomials) * (
+                    len(coefficient.num.terms) + len(coefficient.den.terms)
+                )
+                # one call for the polynomial, whatever its size: no term recurses
+                assert calls == [DiffPoly]
 
     @pytest.mark.parametrize(
         "value",
-        [DiffPoly.zero(2, 1), VertexPoly.zero(2), Fraction(1, 2), [QPoly.one(2), 0.5]],
-        ids=["diffpoly", "vertexpoly", "fraction", "float-beside-a-qpoly"],
+        [VertexFraction.one(2), VertexPoly.zero(2), Fraction(1, 2), [QPoly.one(2), 0.5]],
+        ids=["vertexfraction", "vertexpoly", "fraction", "float-beside-a-qpoly"],
     )
     def test_other_library_values_are_type_errors(self, value):
         with pytest.raises(TypeError):

@@ -16,11 +16,12 @@ names are read from QPoly itself, so renaming them keeps the rule in force.
 Likewise a value derived from an object and kept on it, in a private slot
 (an underscore name in __slots__), is private to the module of the object's
 class, and one memo rule covers every such slot: only weights names a
-private slot of BooleanWeight (its shifts and its vertex set), and only
-series one of RationalFunction (the unit-ball verdict and the partial
-derivatives).  So no module can plant a kept value that its owner would
-trust.  The slot names are read from the classes, so a new slot is covered
-as soon as it is declared.
+private slot of BooleanWeight (its shifts and its vertex set), only series
+one of RationalFunction (the unit-ball verdict and the partial derivatives),
+and only diffpoly one of DiffMonomial (its kept hash and its bumps).  So
+no module can plant a kept value that its owner would trust.  The slot
+names are read from the classes, so a new slot is covered as soon as it is
+declared.
 
 Exponents are added in two places only: series, whose _product is the one
 product of int polynomials (QPoly and the parser both use it), and
@@ -41,7 +42,7 @@ from pathlib import Path
 import pytest
 
 import tropdiff
-from tropdiff import BooleanWeight, QPoly, RationalFunction
+from tropdiff import BooleanWeight, DiffMonomial, QPoly, RationalFunction
 
 PACKAGE = Path(tropdiff.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -51,7 +52,11 @@ QPOLY_FIELDS = frozenset(QPoly.__slots__) - {"m"}
 # every private slot of a class that keeps derived values, by the module that may name it
 MEMO_SLOTS = {
     module: frozenset(name for name in cls.__slots__ if name.startswith("_"))
-    for module, cls in (("weights.py", BooleanWeight), ("series.py", RationalFunction))
+    for module, cls in (
+        ("weights.py", BooleanWeight),
+        ("series.py", RationalFunction),
+        ("diffpoly.py", DiffMonomial),
+    )
 }
 
 
@@ -177,6 +182,13 @@ def test_only_series_names_the_verdict_slot(path):
     assert memo_reads(path.read_text(encoding="utf-8"), "series.py") == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "diffpoly.py"], ids=lambda p: p.name
+)
+def test_only_diffpoly_names_the_monomial_slots(path):
+    assert memo_reads(path.read_text(encoding="utf-8"), "diffpoly.py") == []
+
+
 def assert_memo_rule_sees_each_offence(owner: str) -> None:
     """The memo rule finds every private slot of owner's class: in owner's own
     source, and in each way another module could name one."""
@@ -186,7 +198,7 @@ def assert_memo_rule_sees_each_offence(owner: str) -> None:
     source = "def f(x):\n" + "".join(
         f"    a = x.{slot}\n    b = getattr(x, {slot!r}, None)\n    x.{slot} = None\n"
         for slot in sorted(slots)
-    ) + "    return x.num, x.den, x.data, x.shift((0, 0)), x.partial(0)\n"
+    ) + "    return x.num, x.den, x.data, x.shift((0, 0)), x.partial(0), x.factors, x.bump(0, 0)\n"
     assert memo_reads(source, owner) == [
         f"line {line}: names memo slot {slot}"
         for i, slot in enumerate(sorted(slots))
@@ -201,6 +213,11 @@ def test_the_memo_rule_sees_each_offence():
 def test_the_verdict_rule_sees_each_offence():
     # RationalFunction's memo slots: the unit-ball verdict and the partials
     assert_memo_rule_sees_each_offence("series.py")
+
+
+def test_the_monomial_rule_sees_each_offence():
+    # DiffMonomial's memo slots: the kept hash and the bumps
+    assert_memo_rule_sees_each_offence("diffpoly.py")
 
 
 EXPONENT_ADDERS = ("series.py", "vertexpoly.py")
