@@ -7,9 +7,12 @@ json.dumps(value, sort_keys=True, indent=2); list order is fixed by contract
 order), so identical input produces byte-identical output.
 
 A subcommand call parses its arguments once, with a parser built from that
-command's row of _COMMANDS alone.  The top-level parser names the commands and
-declares none of their arguments: it prints --help, and the error for no
-arguments, an unknown command, or arguments the command's parser leaves over.
+command's row of _COMMANDS alone.  The parser is built on the first call that
+names the command and reused by every later call in the same process; it holds
+the row's argument declarations and nothing else.  The top-level parser names
+the commands and declares none of their arguments: it prints --help, and the
+error for no arguments, an unknown command, or arguments the command's parser
+leaves over.
 
 JSON input is decoded by _json, which reports input that json.loads refuses as
 exit 2 in every case: a syntax error as json.JSONDecodeError, nesting deeper
@@ -22,6 +25,7 @@ inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -413,18 +417,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, from its row of _COMMANDS alone; built on
+    first use and kept, since it holds only the row's argument declarations."""
+    (arguments,) = [arguments for row_name, _, _, arguments in _COMMANDS if row_name == name]
+    # the prog that a subparser of the top level would have
+    parser = argparse.ArgumentParser(prog="tropdiff " + name)
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    return parser
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """The parsed arguments of a call; argparse exits on help and on every usage error."""
-    for name, _, func, arguments in _COMMANDS:
+    for name, _, func, _ in _COMMANDS:
         if argv[:1] == [name]:
-            # the prog that a subparser of the top level would have
-            parser = argparse.ArgumentParser(prog="tropdiff " + name)
-            for flags, options in arguments:
-                parser.add_argument(*flags, **options)
-            parser.set_defaults(func=func)
-            args, rest = parser.parse_known_args(argv[1:])
+            args, rest = _command_parser(name).parse_known_args(argv[1:])
             if rest:
                 _build_parser().error("unrecognized arguments: " + " ".join(rest))
+            args.func = func
             return args
     # --help, no arguments or an unknown command: the top level prints the
     # help or the error

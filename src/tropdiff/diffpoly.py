@@ -13,10 +13,11 @@ derivatives (RationalFunction.partial) for the next derive().
 A DiffMonomial hashes its factors once, when it is made, and keeps the hash:
 derive() sums its pieces in a dict, so a monomial is hashed many times.  It
 also keeps each bump(position, k) it has answered, in a dict made on first
-use, so a repeat returns the same object.  The factors are an immutable
-tuple that nothing rebinds after construction, so neither kept value goes
-stale.  Within a prolongation many derivatives hold the same monomials, and
-each derivative bumps them again.
+use, so a repeat returns the same object.  Within a prolongation many
+derivatives hold the same monomials, and each derivative bumps them again.
+The factors are an immutable tuple in a private slot, shown by the read-only
+property factors, so nothing rebinds them after construction and neither
+kept value goes stale.
 
 evaluate() substitutes honest polynomials for the unknowns, turning x_{i,J}
 into the J-th derivative of the i-th argument.  It is the semantic anchor
@@ -42,8 +43,8 @@ Factor = tuple[Var, int]
 class DiffMonomial:
     """Sorted product of powers of the derivative variables x_{i,J}."""
 
-    # the kept hash, and the bumps answered so far by (position, k)
-    __slots__ = ("factors", "_hash", "_bumps")
+    # the factors, their kept hash, and the bumps answered so far by (position, k)
+    __slots__ = ("_factors", "_hash", "_bumps")
 
     def __init__(self, factors: Iterable[Factor] = ()):
         merged: dict[Var, int] = {}
@@ -55,7 +56,7 @@ class DiffMonomial:
             var = (i, exponent(J, what="multi-index"))
             if p:  # a zero power drops its factor, once the factor is checked
                 merged[var] = merged.get(var, 0) + p
-        self.factors = factors = tuple(sorted(merged.items()))
+        self._factors = factors = tuple(sorted(merged.items()))
         self._hash = hash(factors)
         self._bumps = None
 
@@ -63,7 +64,7 @@ class DiffMonomial:
     def _trusted(cls, factors: tuple[Factor, ...]) -> "DiffMonomial":
         """Wrap sorted, merged factors built from a checked monomial's own."""
         out = object.__new__(cls)
-        out.factors = factors
+        out._factors = factors
         out._hash = hash(factors)
         out._bumps = None
         return out
@@ -77,16 +78,21 @@ class DiffMonomial:
         return cls((((i, J), power),))
 
     @property
+    def factors(self) -> tuple[Factor, ...]:
+        """The (variable, power) pairs, sorted by variable, each power positive."""
+        return self._factors
+
+    @property
     def is_one(self) -> bool:
-        return not self.factors
+        return not self._factors
 
     @property
     def total_degree(self) -> int:
-        return sum(p for _, p in self.factors)
+        return sum(p for _, p in self._factors)
 
     def __mul__(self, other: "DiffMonomial") -> "DiffMonomial":
-        merged = dict(self.factors)
-        for var, p in other.factors:
+        merged = dict(self._factors)
+        for var, p in other._factors:
             merged[var] = merged.get(var, 0) + p
         return DiffMonomial._trusted(tuple(sorted(merged.items())))
 
@@ -100,10 +106,10 @@ class DiffMonomial:
             bumps = self._bumps = {}
         out = bumps.get((position, k))
         if out is None:
-            var, p = self.factors[position]
+            var, p = self._factors[position]
             i, J = var
             lifted = (i, tuple(v + 1 if j == k else v for j, v in enumerate(J)))
-            merged = dict(self.factors)
+            merged = dict(self._factors)
             if p == 1:
                 del merged[var]
             else:
@@ -113,24 +119,24 @@ class DiffMonomial:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, DiffMonomial) and self.factors == other.factors
+        return isinstance(other, DiffMonomial) and self._factors == other._factors
 
     def __hash__(self):
         return self._hash
 
     def render(self, indexed: bool) -> str:
         """Text form; indexed picks x1, x2, ... over the bare name x."""
-        if not self.factors:
+        if not self._factors:
             return "1"
         bits = []
-        for (i, J), p in self.factors:
+        for (i, J), p in self._factors:
             name = f"x{i}" if indexed else "x"
             body = f"{name}_(" + ",".join(map(str, J)) + ")"
             bits.append(body if p == 1 else f"{body}^{p}")
         return "*".join(bits)
 
     def __str__(self):
-        return self.render(indexed=any(i != 1 for (i, _), _ in self.factors))
+        return self.render(indexed=any(i != 1 for (i, _), _ in self._factors))
 
     __repr__ = __str__
 
@@ -156,7 +162,7 @@ class DiffPoly:
         self.n = width(n, "n")
         terms = terms or {}
         for mono in terms:
-            for (i, J), _ in mono.factors:
+            for (i, J), _ in mono._factors:
                 if not 1 <= i <= n:
                     raise DimensionMismatch(f"unknown index {i} out of range for n={n}")
                 exponent(J, m, "multi-index")
@@ -251,7 +257,8 @@ class DiffPoly:
                 pieces.append((mono, dc))
             # c * 1 is c itself, so its derivatives, kept on c, are worked out once
             pieces.extend(
-                (mono.bump(pos, k), c if p == 1 else c * p) for pos, (_, p) in enumerate(mono.factors)
+                (mono.bump(pos, k), c if p == 1 else c * p)
+                for pos, (_, p) in enumerate(mono._factors)
             )
         return DiffPoly._trusted(self.m, self.n, _summed(pieces))
 
@@ -265,7 +272,7 @@ class DiffPoly:
         total = RationalFunction(QPoly.zero(self.m))
         for mono, c in self.terms.items():
             val = QPoly.one(self.m)
-            for (i, J), p in mono.factors:
+            for (i, J), p in mono._factors:
                 val = val * (args[i - 1].deriv(J) ** p)
             total = total + c * val
         return total
@@ -283,7 +290,7 @@ class DiffPoly:
 
     def display_order(self) -> list[DiffMonomial]:
         """The monomials as str and JSON list them: by total degree, then factors, largest first."""
-        return sorted(self.terms, key=lambda E: (E.total_degree, E.factors), reverse=True)
+        return sorted(self.terms, key=lambda E: (E.total_degree, E._factors), reverse=True)
 
     def __str__(self):
         if not self.terms:

@@ -501,8 +501,9 @@ def full_parser():
     """The two-level parser that tropdiff's CLI once built for every call.
 
     The top level picks the command, whose subparser declares all of that
-    command's arguments from cli._COMMANDS, read when this is called.  main
-    must exit, print and parse exactly as this parser does.
+    command's arguments from cli._COMMANDS, read when this is called.  Each
+    call builds a fresh parser, so main, which keeps each command's parser
+    across calls, must exit, print and parse exactly as this parser does.
     """
     parser = argparse.ArgumentParser(
         prog="tropdiff",

@@ -1203,6 +1203,39 @@ class TestParser:
         monkeypatch.setenv("COLUMNS", "80")
         assert run(capsys, "nosuch") == (2, "", UNKNOWN_COMMAND)
 
+    def test_a_kept_parser_carries_nothing_from_one_call_to_the_next(
+        self, capsys, monkeypatch, received
+    ):
+        """Calls of every command, interleaved in one process, each exit, print
+        and parse as a freshly built full parser; each command's parser is
+        built once across them all."""
+        from tropdiff import cli
+
+        monkeypatch.setenv("COLUMNS", "80")
+        # each change runs on every command, and then every plain call: names
+        # given, a bound, a format, usage errors and help, each then left out
+        changes = [
+            lambda call: [*call, "P"],
+            lambda call: [*call, "--bound", "3"],
+            lambda call: [*call, "--format", "pretty"],
+            lambda call: [*call, "--bound", "x"],
+            lambda call: call[:1],  # no arguments: a missing --input
+            lambda call: [*call, "--bogus"],
+            lambda call: [*call, "--help"],
+        ]
+        cli._command_parser.cache_clear()
+        for change in changes:
+            for argv in [*map(change, CALLS), *CALLS]:
+                values, out, err = parse(capsys, full_parser(), argv)
+                if isinstance(values, dict):
+                    del values["command"]
+                    expected = (0, out, err, [values])
+                else:
+                    expected = (0 if values == 0 else 2, out, err, [])
+                received.clear()
+                assert (*run(capsys, *argv), received) == expected, argv
+        assert cli._command_parser.cache_info().misses == len(COMMANDS)
+
 
 class TestEntryPoint:
     """python -m tropdiff reads its arguments from sys.argv."""

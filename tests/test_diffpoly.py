@@ -181,6 +181,16 @@ class TestDiffMonomial:
                 assert {a: 1}[b] == 1
         assert hash(DiffMonomial()) == hash(())
 
+    def test_the_factors_cannot_be_rebound(self):
+        # the kept hash and bumps are worked out from the factors, so a
+        # rebinding would leave them answering for the old ones
+        x = DiffMonomial.var(1, (0,))
+        bumped = x.bump(0, 0)
+        with pytest.raises(AttributeError):
+            x.factors = ()
+        assert x.factors == (((1, (0,)), 1),) and x != DiffMonomial()
+        assert hash(x) == hash(x.factors) and x.bump(0, 0) is bumped
+
     def test_render(self):
         mono = DiffMonomial([((1, (1, 0)), 2), ((2, (0, 1)), 1)])
         assert mono.render(indexed=True) == "x1_(1,0)^2*x2_(0,1)"

@@ -18,10 +18,10 @@ Likewise a value derived from an object and kept on it, in a private slot
 class, and one memo rule covers every such slot: only weights names a
 private slot of BooleanWeight (its shifts and its vertex set), only series
 one of RationalFunction (the unit-ball verdict and the partial derivatives),
-and only diffpoly one of DiffMonomial (its kept hash and its bumps).  So
-no module can plant a kept value that its owner would trust.  The slot
-names are read from the classes, so a new slot is covered as soon as it is
-declared.
+and only diffpoly one of DiffMonomial (its factors, its kept hash and its
+bumps).  So no module can plant a kept value that its owner would trust.
+The slot names are read from the classes, so a new slot is covered as soon
+as it is declared.
 
 Exponents are added in two places only: series, whose _product is the one
 product of int polynomials (QPoly and the parser both use it), and
@@ -216,7 +216,7 @@ def test_the_verdict_rule_sees_each_offence():
 
 
 def test_the_monomial_rule_sees_each_offence():
-    # DiffMonomial's memo slots: the kept hash and the bumps
+    # DiffMonomial's private slots: its factors, the kept hash and the bumps
     assert_memo_rule_sees_each_offence("diffpoly.py")
 
 

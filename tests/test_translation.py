@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -222,6 +223,24 @@ class TestTropwOracles:
         assert got.num.points == want.num.points and got.den.points == want.den.points
 
 
+def assert_tropw_is_a_generic_value(rng, P, weights, supports):
+    """trop(P(phi)) <= tropw(P, weights), with phi_i a QPoly with random nonzero
+    coefficients on supports[i], and == on the first draw of phi or a second."""
+    bound = tropw(P, weights)
+
+    def evaluated():
+        phis = [
+            QPoly(P.m, {I: rng.choice((-1, 1)) * rng.randint(1, 10**6) for I in support})
+            for support in supports
+        ]
+        value = trop_frac(P.evaluate(phis))
+        assert value <= bound
+        return value
+
+    assert evaluated() == bound or evaluated() == bound
+    return bound
+
+
 class TestSeriesOracle:
     """tropw bounds the value of P at series on the weights, and is that value generically.
 
@@ -230,6 +249,12 @@ class TestSeriesOracle:
     value is exactly its share of tropw; a sum can only cancel, so
     trop(P(phi)) <= tropw(P, w), with equality for generic coefficients
     (Aroca, Garay and Toghani, Pacific J. Math. 283, 2016).
+
+    A cofinite or full w_i is infinite, so phi_i is cut to the box [0, B]^m.
+    A minimal point q of the shift of w_i by J has each q - e_k + J (q_k > 0)
+    left out of w_i, or is 0; so q + J has no coordinate above the largest
+    left-out one + 1 or J's largest.  With B at least both, the cut keeps
+    every vertex of each shift, and with it each monomial's value.
     """
 
     @pytest.mark.parametrize("m, draws", [(2, 80), (3, 60), (4, 40)], ids=["m2", "m3", "m4"])
@@ -240,20 +265,30 @@ class TestSeriesOracle:
             n = rng.randint(1, 2)
             weights = [finite_weight(rng, m) for _ in range(n)]
             P = diffpoly(rng, m, n, max_terms=3)
-            bound = tropw(P, weights)
-
-            def evaluated():
-                phis = [
-                    QPoly(m, {I: rng.choice((-1, 1)) * rng.randint(1, 10**6) for I in w.data})
-                    for w in weights
-                ]
-                value = trop_frac(P.evaluate(phis))
-                assert value <= bound
-                return value
-
-            assert evaluated() == bound or evaluated() == bound
+            bound = assert_tropw_is_a_generic_value(rng, P, weights, [w.data for w in weights])
             nonzero += not bound.is_zero
         assert nonzero >= draws // 3
+
+    @pytest.mark.parametrize("m, draws", [(2, 80), (3, 60)], ids=["m2", "m3"])
+    def test_a_box_cut_of_cofinite_and_full_weights_keeps_the_value(self, m, draws):
+        rng = random.Random(521 + m)
+        kinds = set()
+        for _ in range(draws):
+            n = rng.randint(1, 2)
+            weights = [
+                BooleanWeight.cofinite(m, [exponent(rng, m, 3) for _ in range(rng.randint(0, 3))])
+                for _ in range(n)
+            ]
+            P = diffpoly(rng, m, n, max_terms=3)
+            B = max(
+                [c + 1 for w in weights for point in w.data for c in point]
+                + [c for mono in P.terms for (_, J), _ in mono.factors for c in J]
+            )
+            box = list(itertools.product(range(B + 1), repeat=m))
+            supports = [[I for I in box if I in w] for w in weights]
+            assert_tropw_is_a_generic_value(rng, P, weights, supports)
+            kinds.update(w.kind for w in weights)
+        assert kinds == {"cofinite", "full"}
 
 
 def rational_coeff(rng):
