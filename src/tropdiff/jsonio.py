@@ -73,6 +73,7 @@ linear in the number of terms.
 
 from __future__ import annotations
 
+import collections
 import functools
 from collections.abc import Callable, Sequence
 from fractions import Fraction
@@ -450,30 +451,13 @@ def pairs_from(obj: object, m: int) -> list[tuple[tuple[int, ...], tuple[int, ..
 # -- problem files -----------------------------------------------------------
 
 
-class ProblemFile:
-    """Decoded problem description shared by the CLI subcommands."""
-
-    __slots__ = ("m", "n", "polynomials", "weights", "order", "kernel", "prolong_bound", "pairs")
-
-    def __init__(
-        self,
-        m: int,
-        n: int,
-        polynomials: list[tuple[str, DiffPoly]],
-        weights: list[BooleanWeight] | None,
-        order: MonomialOrder | None,
-        kernel: SubstitutionKernel,
-        prolong_bound: int,
-        pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    ):
-        self.m = m
-        self.n = n
-        self.polynomials = polynomials
-        self.weights = weights
-        self.order = order
-        self.kernel = kernel
-        self.prolong_bound = prolong_bound
-        self.pairs = pairs
+# The decoded problem description that the CLI subcommands share: polynomials
+# is a list of (name, DiffPoly), weights a list of BooleanWeight or None, order
+# a MonomialOrder or None, kernel a SubstitutionKernel, and pairs a list of
+# exponent pairs (I, J).
+ProblemFile = collections.namedtuple(
+    "ProblemFile", ("m", "n", "polynomials", "weights", "order", "kernel", "prolong_bound", "pairs")
+)
 
 
 @_decoder

@@ -12,11 +12,11 @@ Public constructors validate; _trusted only wraps results built from validated v
 deriv(J) is d^J in QPoly, RationalFunction and DiffPoly alike: _iterated checks
 J once, then applies the one-direction derivative J_k times in each direction k.
 
-What is kept on a value: a RationalFunction keeps two values derived from
-it, in private slots that count only while num and den are the objects they
-were derived from: the unit-ball verdict (in_unit_ball) and the partial
-derivatives asked for so far (partial), beside the square of den that they
-all divide by.  So a coefficient that DiffPoly.derive carries unchanged is
+What is kept on a value: a RationalFunction's num and den are read-only, so
+what is derived from them stays true, and it keeps three such values in
+private slots: the unit-ball verdict (in_unit_ball), the square of den, and
+the partial derivatives asked for so far (partial), which divide by that
+square.  So a coefficient that DiffPoly.derive carries unchanged is
 differentiated once per direction, however many derivatives hold it, and its
 den is squared once.  Nothing is kept across values or calls.  A QPoly keeps
 nothing; it hashes as it compares, so equal polynomials can share one entry
@@ -252,8 +252,8 @@ class QPoly:
             raise ValueError("not a constant polynomial")
         return Fraction(self._ints.get((0,) * self.m, 0), self._den)
 
-    def coeff(self, exponent: Sequence[int]) -> Fraction:
-        return Fraction(self._ints.get(tuple(exponent), 0), self._den)
+    def coeff(self, e: Sequence[int]) -> Fraction:
+        return Fraction(self._ints.get(exponent(e, self.m), 0), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -436,17 +436,17 @@ class QPoly:
 class RationalFunction:
     """Quotient of two QPoly with nonzero denominator, never reduced.
 
-    Two values derived from this object are kept on it, each in a private slot
-    that is unset until first asked for and counts only while num and den are
-    the objects it was derived from:
+    num and den are read-only, so a value derived from them stays true for
+    the object's life.  Three such values are kept on it, each in a private
+    slot that is unset until first asked for:
 
-        _ball      (num, den, verdict), the answer of in_unit_ball
-        _partials  (num, den, den * den, {k: partial(k)}), the derivatives asked
-                   for so far and the square of den, which each of them and
-                   each sum over den (a + b with a.den == b.den) takes as its den
+        _ball      the verdict of in_unit_ball
+        _square    den * den, the den of each partial and of each sum over
+                   den (a + b with a.den == b.den)
+        _partials  {k: partial(k)}, the derivatives asked for so far
     """
 
-    __slots__ = ("num", "den", "_ball", "_partials")
+    __slots__ = ("_num", "_den", "_ball", "_square", "_partials")
 
     def __init__(self, num: QPoly, den: QPoly | None = None):
         if den is None:
@@ -455,57 +455,68 @@ class RationalFunction:
             raise DimensionMismatch(f"mixing m={num.m} with m={den.m}")
         if den.is_zero:
             raise ZeroDenominator("rational function with zero denominator")
-        self.num = num
-        self.den = den
+        self._num = num
+        self._den = den
 
     @classmethod
     def _trusted(cls, num: QPoly, den: QPoly) -> "RationalFunction":
         out = object.__new__(cls)
-        out.num = num
-        out.den = den
+        out._num = num
+        out._den = den
         return out
 
     @classmethod
     def constant(cls, m: int, c) -> "RationalFunction":
         return cls(QPoly.constant(m, c))
 
+    num = property(operator.attrgetter("_num"))
+    den = property(operator.attrgetter("_den"))
+
     @property
     def m(self) -> int:
-        return self.num.m
+        return self._num.m
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return self._num.is_zero
 
     def __bool__(self):
-        return not self.num.is_zero
+        return not self._num.is_zero
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
-            if other.m != self.m:
-                raise DimensionMismatch(f"mixing m={self.m} with m={other.m}")
+            if other._num.m != self._num.m:
+                raise DimensionMismatch(f"mixing m={self._num.m} with m={other._num.m}")
             return other
         if isinstance(other, QPoly):
             return RationalFunction(other)
         if isinstance(other, (int, Fraction)):
-            return RationalFunction.constant(self.m, other)
+            return RationalFunction.constant(self._num.m, other)
         return None
+
+    def _squared_den(self) -> QPoly:
+        """den * den, made once and kept."""
+        square = getattr(self, "_square", None)
+        if square is None:
+            den = self._den
+            square = self._square = den * den
+        return square
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.den, other.den
+        a, b = self._den, other._den
         if a == b:  # one product, over the square kept on other
-            return RationalFunction._trusted((self.num + other.num) * a, other._kept()[2])
+            return RationalFunction._trusted((self._num + other._num) * a, other._squared_den())
         # by den's own class, as * and + dispatch on it
-        num = type(a).sum_of_products(self.m, ((self.num, b), (other.num, a)))
+        num = type(a).sum_of_products(self._num.m, ((self._num, b), (other._num, a)))
         return RationalFunction._trusted(num, a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction._trusted(-self.num, self.den)
+        return RationalFunction._trusted(-self._num, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -519,11 +530,11 @@ class RationalFunction:
     def __mul__(self, other):
         # QPoly.__mul__ checks a polynomial's m; neither factor changes the denominator
         if isinstance(other, (int, Fraction, QPoly)):
-            return RationalFunction._trusted(self.num * other, self.den)
+            return RationalFunction._trusted(self._num * other, self._den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction._trusted(self.num * other.num, self.den * other.den)
+        return RationalFunction._trusted(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -531,63 +542,56 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.num.is_zero:
+        if other._num.is_zero:
             raise ZeroDenominator("division by zero")
-        return RationalFunction._trusted(self.num * other.den, self.den * other.num)
+        return RationalFunction._trusted(self._num * other._den, self._den * other._num)
 
     def __pow__(self, k: int):
         power(k)
         if k < 0:
-            return RationalFunction(self.den, self.num) ** (-k)
-        return RationalFunction._trusted(self.num**k, self.den**k)
+            return RationalFunction(self._den, self._num) ** (-k)
+        return RationalFunction._trusted(self._num**k, self._den**k)
 
     def partial(self, k: int) -> "RationalFunction":
         """(num' den - num den') / den^2 in direction k, worked out once per object.
 
-        den^2 is formed once per object, with the first direction asked for,
-        and every direction's result shares it.
+        Every direction's result shares the kept den^2.
         """
-        direction(k, self.m)  # before the memo, where True would find the entry of 1
-        _, _, square, derived = self._kept()
+        num, den = self._num, self._den
+        direction(k, num.m)  # before the memo, where True would find the entry of 1
+        derived = getattr(self, "_partials", None)
+        if derived is None:
+            derived = self._partials = {}
         out = derived.get(k)
         if out is None:
-            num, den = self.num, self.den
-            pairs = ((num.partial(k), den), (num, -den.partial(k)))
-            out = derived[k] = RationalFunction._trusted(type(den).sum_of_products(self.m, pairs), square)
+            num = type(den).sum_of_products(num.m, ((num.partial(k), den), (num, -den.partial(k))))
+            out = derived[k] = RationalFunction._trusted(num, self._squared_den())
         return out
-
-    def _kept(self) -> tuple:
-        """The _partials memo, made anew unless num and den are the objects it was made from."""
-        num, den = self.num, self.den
-        known = getattr(self, "_partials", None)
-        if known is None or known[0] is not num or known[1] is not den:
-            known = self._partials = (num, den, den * den, {})
-        return known
 
     def deriv(self, J: Sequence[int]) -> "RationalFunction":
         return _iterated(self, J, RationalFunction.partial)
 
     def as_qpoly(self) -> QPoly:
         """Convert when the denominator is a nonzero constant."""
-        if not self.den.is_constant:
+        if not self._den.is_constant:
             raise ValueError("denominator is not constant")
-        return self.num / self.den.constant_value()
+        return self._num / self._den.constant_value()
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self._num * other._den == other._num * self._den
 
     __hash__ = None  # equality is up to cross-multiplication
 
     def __str__(self):
-        num = str(self.num)
-        if self.den == QPoly.one(self.m):
+        num = str(self._num)
+        if self._den == QPoly.one(self._num.m):
             return num
-        if len(self.num._ints) > 1:
+        if len(self._num._ints) > 1:
             num = f"({num})"
-        den = str(self.den)
+        den = str(self._den)
         # parens unless the denominator is a single bare factor, otherwise the
         # left-associative grammar would regroup q/3*u as (q/3)*u
         if any(ch in den for ch in "+-*/"):
@@ -610,7 +614,7 @@ def _as_rf(q) -> RationalFunction:
 
 def _quotient_at(q: RationalFunction, e: Exponent) -> Fraction:
     """q.num's coefficient at e over q.den's, for e in the support of q.den."""
-    num, den = q.num, q.den
+    num, den = q._num, q._den
     return Fraction(num._ints.get(e, 0) * den._den, num._den * den._ints[e])
 
 
@@ -621,7 +625,7 @@ def trop_poly(f: QPoly) -> VertexPoly:
 
 def trop_frac(q) -> VertexFraction:
     q = _as_rf(q)
-    return VertexFraction(trop_poly(q.num), trop_poly(q.den))
+    return VertexFraction(trop_poly(q._num), trop_poly(q._den))
 
 
 def in_unit_ball(q) -> bool:
@@ -635,12 +639,10 @@ def in_unit_ball(q) -> bool:
     check of the same coefficient extracts nothing.
     """
     q = _as_rf(q)
-    known = getattr(q, "_ball", None)
-    if known is not None and known[0] is q.num and known[1] is q.den:
-        return known[2]
-    den = trop_poly(q.den)
-    verdict = VertexPoly(q.m, den.points + tuple(q.num._ints)) == den
-    q._ball = (q.num, q.den, verdict)
+    verdict = getattr(q, "_ball", None)
+    if verdict is None:
+        num, den = q._num, trop_poly(q._den)
+        verdict = q._ball = VertexPoly(num.m, den.points + tuple(num._ints)) == den
     return verdict
 
 
@@ -670,7 +672,7 @@ def bezout_witness(phi, psi) -> int:
     phi, psi = _as_rf(phi), _as_rf(psi)
     if phi.is_zero or psi.is_zero:
         raise ZeroTropicalValue("witness needs two nonzero inputs")
-    left, right = phi.num * psi.den, psi.num * phi.den
+    left, right = phi._num * psi._den, psi._num * phi._den
     target = trop_poly(left) + trop_poly(right)
     for mult in range(1, len(target.points) + 2):
         if trop_poly(left + right * mult) == target:
@@ -689,7 +691,7 @@ def residue(q, order: MonomialOrder) -> Fraction:
         raise DimensionMismatch(f"order on m={order.m}, element has m={q.m}")
     if not in_unit_ball(q):
         raise NotInUnitBall(f"residue of {q} is undefined: tropical value exceeds 1")
-    return _quotient_at(q, order.min(q.den._ints.keys()))
+    return _quotient_at(q, order.min(q._den._ints.keys()))
 
 
 def max_ideal_member(q, order: MonomialOrder) -> bool:

@@ -24,13 +24,14 @@ and N^m is the cofinite weight that leaves out nothing.  full, finite and
 cofinite are the only constructors and check each point once; shift builds
 from checked points.  kind is read from the set.
 
-A weight keeps what it has made: shift(J) builds the shifted weight once per
-multi-index J (checked on every call, before the lookup), vertices()
-makes the vertex set once, and substitution_poly builds its polynomial
-once per J and kernel.  The memo lives as long as the weight (the CLI
-decodes its weights once per call, so there for one command) and holds one
-entry per distinct J (and kernel) asked of that weight.  == and hash read
-only the set.
+A weight is read-only (m, is_cofinite and data cannot be rebound), so what
+it has made stays true and is kept: shift(J) builds the shifted weight once
+per multi-index J (checked on every call, before the lookup), vertices()
+makes the vertex set once, and substitution_poly builds its polynomial once
+per J and kernel (both checked first; a kernel must be a SubstitutionKernel).
+The memo lives as long as the weight (the CLI decodes its weights once per
+call, so there for one command) and holds one entry per distinct J (and
+kernel) asked of that weight.  == and hash read only the set.
 
 substitution_poly is the polynomial that the translation machinery plugs in
 for a single derivative x_{i,J}.  The indicator kernel puts coefficient 1 on
@@ -42,9 +43,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections.abc import Iterable, Sequence
 
-from .errors import TropdiffError, exponent, width
+from .errors import TropdiffError, exponent, shown, width
 from .series import QPoly
 from .vertexpoly import VertexPoly, _vertices
 
@@ -52,9 +54,9 @@ Point = tuple[int, ...]
 
 
 class BooleanWeight:
-    """Finite or cofinite subset of N^m: data holds its points, or the points it leaves out."""
+    """Finite or cofinite subset of N^m, read-only: data holds its points, or the points it leaves out."""
 
-    __slots__ = ("m", "is_cofinite", "data", "_shifts", "_vertex_set", "_substitutions")
+    __slots__ = ("_m", "_is_cofinite", "_data", "_shifts", "_vertex_set", "_substitutions")
 
     def __init__(self, *args):
         raise TypeError("a BooleanWeight is built by full, finite or cofinite")
@@ -62,7 +64,7 @@ class BooleanWeight:
     @classmethod
     def _made(cls, m: int, is_cofinite: bool, data: frozenset[Point]) -> "BooleanWeight":
         out = object.__new__(cls)
-        out.m, out.is_cofinite, out.data = m, is_cofinite, data
+        out._m, out._is_cofinite, out._data = m, is_cofinite, data
         out._shifts, out._vertex_set, out._substitutions = {}, None, {}
         return out
 
@@ -78,28 +80,32 @@ class BooleanWeight:
     def cofinite(cls, m: int, excluded: Iterable[Sequence[int]]) -> "BooleanWeight":
         return cls._made(width(m), True, frozenset(exponent(p, m) for p in excluded))
 
+    m = property(operator.attrgetter("_m"))
+    is_cofinite = property(operator.attrgetter("_is_cofinite"))
+    data = property(operator.attrgetter("_data"))
+
     @property
     def kind(self) -> str:
         """Read from the set: "finite", "cofinite", or "full" when nothing is left out."""
-        return ("cofinite" if self.data else "full") if self.is_cofinite else "finite"
+        return ("cofinite" if self._data else "full") if self._is_cofinite else "finite"
 
     def __contains__(self, point: Sequence[int]) -> bool:
-        return (exponent(point, self.m) in self.data) != self.is_cofinite
+        return (exponent(point, self._m) in self._data) != self._is_cofinite
 
     @property
     def is_empty(self) -> bool:
-        return not (self.is_cofinite or self.data)
+        return not (self._is_cofinite or self._data)
 
     def shift(self, J: Sequence[int]) -> "BooleanWeight":
         """The set {I >= 0 : I + J in self}, built once per J from checked points."""
-        J = exponent(J, self.m, "multi-index")
+        J = exponent(J, self._m, "multi-index")
         if J not in self._shifts:
             moved = frozenset(
                 tuple(i - j for i, j in zip(p, J))
-                for p in self.data
+                for p in self._data
                 if all(i >= j for i, j in zip(p, J))
             )
-            self._shifts[J] = BooleanWeight._made(self.m, self.is_cofinite, moved)
+            self._shifts[J] = BooleanWeight._made(self._m, self._is_cofinite, moved)
         return self._shifts[J]
 
     def vertices(self) -> VertexPoly:
@@ -110,38 +116,38 @@ class BooleanWeight:
         from its own checked points, with no second check.
         """
         if self._vertex_set is None:
-            m = self.m
-            if ((0,) * m in self.data) != self.is_cofinite:
+            m, data = self._m, self._data
+            if ((0,) * m in data) != self._is_cofinite:
                 self._vertex_set = VertexPoly.one(m)
             else:
-                points = self.data
-                if self.is_cofinite:  # the origin is left out, so it is no candidate
-                    steps = {q[:k] + (q[k] + 1,) + q[k + 1 :] for q in self.data for k in range(m)}
-                    points = steps - self.data
+                points = data
+                if self._is_cofinite:  # the origin is left out, so it is no candidate
+                    steps = {q[:k] + (q[k] + 1,) + q[k + 1 :] for q in data for k in range(m)}
+                    points = steps - data
                 self._vertex_set = VertexPoly._trusted(m, _vertices(points))
         return self._vertex_set
 
     def series(self) -> QPoly:
         """The honest polynomial, available for finite supports only."""
-        if self.is_cofinite:
+        if self._is_cofinite:
             raise TropdiffError("only a finite weight is a polynomial")
-        return QPoly(self.m, dict.fromkeys(self.data, 1))
+        return QPoly(self._m, dict.fromkeys(self._data, 1))
 
     def __eq__(self, other):
         if not isinstance(other, BooleanWeight):
             return NotImplemented
-        return (self.m, self.is_cofinite, self.data) == (other.m, other.is_cofinite, other.data)
+        return (self._m, self._is_cofinite, self._data) == (other._m, other._is_cofinite, other._data)
 
     def __hash__(self):
-        return hash((self.m, self.is_cofinite, self.data))
+        return hash((self._m, self._is_cofinite, self._data))
 
     def __str__(self):
         if self.kind == "full":
-            return "N^%d" % self.m
-        pts = ", ".join("(" + ",".join(map(str, p)) + ")" for p in sorted(self.data))
+            return "N^%d" % self._m
+        pts = ", ".join("(" + ",".join(map(str, p)) + ")" for p in sorted(self._data))
         if self.kind == "finite":
             return "{%s}" % pts
-        return "N^%d minus {%s}" % (self.m, pts)
+        return "N^%d minus {%s}" % (self._m, pts)
 
     __repr__ = __str__
 
@@ -159,7 +165,9 @@ def substitution_poly(
     Supported on the vertices of the shifted weight; zero when the shift
     empties the support.
     """
-    J = exponent(J, weight.m, "multi-index")  # a tuple: the factorial kernel reads it again
+    if type(kernel) is not SubstitutionKernel:
+        raise ValueError(f"kernel must be a SubstitutionKernel, got {shown(kernel)}")
+    J = exponent(J, weight._m, "multi-index")  # a tuple: the factorial kernel reads it again
     key = (J, kernel)
     if key not in weight._substitutions:
         terms: dict[Point, int] = {}
@@ -168,5 +176,5 @@ def substitution_poly(
             if kernel is not SubstitutionKernel.INDICATOR:
                 c = math.prod(math.perm(i + j, j) for i, j in zip(p, J))
             terms[p] = c
-        weight._substitutions[key] = QPoly._trusted(weight.m, terms)
+        weight._substitutions[key] = QPoly._trusted(weight._m, terms)
     return weight._substitutions[key]

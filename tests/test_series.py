@@ -328,6 +328,17 @@ class TestQPolyArithmetic:
             QPoly.constant(2, 0.5)
         assert QPoly(2, {(1, 0): Fraction(1, 10)}).coeff((1, 0)) == Fraction(1, 10)
 
+    def test_coeff_checks_its_exponent(self):
+        f = parse_poly("3*t + u", 2)
+        assert f.coeff((1, 0)) == 3 and f.coeff([0, 1]) == 1 and f.coeff((2, 0)) == 0
+        for bad in [(1.0, 0), (True, 0)]:  # == and hash like (1, 0), whose coefficient is 3
+            with pytest.raises(ValueError, match="integers"):
+                f.coeff(bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            f.coeff((-1, 0))
+        with pytest.raises(DimensionMismatch):
+            f.coeff((1,))
+
     def test_constant_checks_its_input(self):
         assert QPoly.constant(3, Fraction(1, 2)).terms == QPoly(3, {(0, 0, 0): Fraction(1, 2)}).terms
         assert QPoly.constant(2, 0).terms == QPoly(2, {(0, 0): 0}).terms == {}
@@ -360,7 +371,7 @@ class TestQPolyHash:
 
 
 class TestPartialMemo:
-    """RationalFunction.partial keeps its results on the value while num and den stay put."""
+    """RationalFunction.partial keeps its results on the value, whose num and den are read-only."""
 
     @staticmethod
     def same_representation(got, want):
@@ -382,15 +393,15 @@ class TestPartialMemo:
                     assert got.partial(j) is got.partial(j)
                     assert self.same_representation(got.partial(j), quotient_partial(want, j))
 
-    def test_rebinding_num_or_den_is_never_answered_from_the_memo(self):
+    def test_num_and_den_cannot_be_rebound_under_the_memo(self):
         q = rf("t/(t+u)")
         old = q.partial(0)
-        for side, text in (("num", "t^2"), ("den", "u"), ("num", "t^2")):
-            setattr(q, side, parse_poly(text, 2))  # the last is equal, but another object
-            got = q.partial(0)
-            assert got is not old and self.same_representation(got, quotient_partial(q, 0))
-            old = got
-        assert q.partial(0) is old and q.partial(0) == rf("2*t/u")
+        num, den = q.num, q.den
+        for side, text in (("num", "t^2"), ("den", "u"), ("num", "t")):
+            with pytest.raises(AttributeError):
+                setattr(q, side, parse_poly(text, 2))  # the last is equal, but another object
+        assert q.num is num and q.den is den
+        assert q.partial(0) is old and self.same_representation(old, quotient_partial(q, 0))
         with pytest.raises(ValueError, match="direction"):
             q.partial(False)  # equal to 0, whose result is kept, but refused all the same
 
@@ -536,7 +547,7 @@ class TestUnitBall:
             outcomes.add(want)
         assert outcomes == {True, False}
 
-    def test_the_verdict_is_kept_while_num_and_den_are_the_same_objects(self, monkeypatch):
+    def test_the_verdict_is_kept_and_num_and_den_cannot_be_rebound(self, monkeypatch):
         extractions = []
 
         class Counted(VertexPoly):
@@ -548,13 +559,16 @@ class TestUnitBall:
         q = rf("t/(t+u)")
         assert in_unit_ball(q) and len(extractions) == 2
         assert in_unit_ball(q) and residue(q, T_LEX) == 1 and len(extractions) == 2
-        q.num = parse_poly("t", 2)  # equal, but another object: decided again
-        assert in_unit_ball(q) and len(extractions) == 4
-        q.den = parse_poly("t*u", 2)
-        assert not in_unit_ball(q) and len(extractions) == 6
+        with pytest.raises(AttributeError):
+            q.num = parse_poly("t", 2)
+        with pytest.raises(AttributeError):
+            q.den = parse_poly("t*u", 2)  # would take q out of the ball
+        assert in_unit_ball(q) and residue(q, T_LEX) == 1 and len(extractions) == 2
+        outside = rf("t/(t*u)")
+        assert not in_unit_ball(outside) and len(extractions) == 4
         with pytest.raises(NotInUnitBall):
-            residue(q, T_LEX)
-        assert len(extractions) == 6
+            residue(outside, T_LEX)
+        assert len(extractions) == 4
 
     def test_units(self):
         assert is_unit(rf("(t+u)/(2*t+3*u)"))

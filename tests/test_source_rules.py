@@ -13,15 +13,18 @@ another import.
 QPoly's integer representation is private to series: no other module names
 one of its fields, as an attribute or as a string (getattr).  The field
 names are read from QPoly itself, so renaming them keeps the rule in force.
-Likewise a value derived from an object and kept on it, in a private slot
-(an underscore name in __slots__), is private to the module of the object's
-class, and one memo rule covers every such slot: only weights names a
-private slot of BooleanWeight (its shifts and its vertex set), only series
-one of RationalFunction (the unit-ball verdict and the partial derivatives),
-and only diffpoly one of DiffMonomial (its factors, its kept hash and its
-bumps).  So no module can plant a kept value that its owner would trust.
-The slot names are read from the classes, so a new slot is covered as soon
-as it is declared.
+Likewise a class that keeps values derived from an object on it declares
+private slots only (underscore names in __slots__), so what they were
+derived from is read through read-only properties and cannot be rebound
+under a kept value.  Each such slot is private to the module of the class,
+and one memo rule covers every one: only weights names a private slot of
+BooleanWeight (its set, its shifts, its vertex set and its substitution
+polynomials), only series one of RationalFunction (num, den, the unit-ball
+verdict, the square of den and the partial derivatives), and only diffpoly
+one of DiffMonomial (its factors, its kept hash and its bumps).  So no
+module can plant a kept value that its owner would trust.  The slot names
+are read from the classes, so a new slot is covered as soon as it is
+declared.
 
 Exponents are added in two places only: series, whose _product is the one
 product of int polynomials (QPoly and the parser both use it), and
@@ -49,14 +52,11 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 HEAVY = frozenset({"dataclasses", "typing", "inspect"})
 ALLOWED = (frozenset(sys.stdlib_module_names) - HEAVY) | {"tropdiff"}
 QPOLY_FIELDS = frozenset(QPoly.__slots__) - {"m"}
-# every private slot of a class that keeps derived values, by the module that may name it
+# each class that keeps derived values, by the module that may name its private slots
+MEMO_CLASSES = {"weights.py": BooleanWeight, "series.py": RationalFunction, "diffpoly.py": DiffMonomial}
 MEMO_SLOTS = {
     module: frozenset(name for name in cls.__slots__ if name.startswith("_"))
-    for module, cls in (
-        ("weights.py", BooleanWeight),
-        ("series.py", RationalFunction),
-        ("diffpoly.py", DiffMonomial),
-    )
+    for module, cls in MEMO_CLASSES.items()
 }
 
 
@@ -162,6 +162,11 @@ def test_the_field_rule_sees_each_read():
     ]
 
 
+@pytest.mark.parametrize("owner", sorted(MEMO_CLASSES))
+def test_a_class_that_keeps_derived_values_declares_no_public_slot(owner):
+    assert [name for name in MEMO_CLASSES[owner].__slots__ if not name.startswith("_")] == []
+
+
 def memo_reads(source: str, owner: str) -> list[str]:
     """Names of a private slot of owner's class in source."""
     return field_reads(source, MEMO_SLOTS[owner], "memo slot")
@@ -211,7 +216,7 @@ def test_the_memo_rule_sees_each_offence():
 
 
 def test_the_verdict_rule_sees_each_offence():
-    # RationalFunction's memo slots: the unit-ball verdict and the partials
+    # RationalFunction's private slots: num, den, the verdict, the square and the partials
     assert_memo_rule_sees_each_offence("series.py")
 
 

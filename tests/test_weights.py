@@ -139,6 +139,24 @@ class TestMemo:
         assert warm.shift((1, 0)) == fresh.shift((1, 0))
         assert hash(warm.shift((1, 0))) == hash(fresh.shift((1, 0)))
 
+    def test_the_set_cannot_be_rebound_under_the_memo(self):
+        w = BooleanWeight.finite(2, [(1, 0)])
+        vertices, shifted, poly = w.vertices(), w.shift((0, 0)), substitution_poly(w, (0, 0))
+        for field, value in [("m", 3), ("is_cofinite", True), ("data", frozenset({(0, 1)}))]:
+            with pytest.raises(AttributeError):
+                setattr(w, field, value)
+        assert (w.m, w.is_cofinite, w.data) == (2, False, frozenset({(1, 0)})) and str(w) == "{(1,0)}"
+        assert w.vertices() is vertices and w.shift((0, 0)) is shifted
+        assert substitution_poly(w, (0, 0)) is poly and poly == parse_poly("t", 2)
+
+    def test_a_kernel_that_is_not_a_substitution_kernel_is_refused(self):
+        w = BooleanWeight.finite(2, [(2, 0), (0, 1)])
+        assert substitution_poly(w, (1, 0), SubstitutionKernel.INDICATOR) == parse_poly("t", 2)
+        assert substitution_poly(w, (1, 0), SubstitutionKernel.FACTORIAL) == parse_poly("2*t", 2)
+        for bad in ["indicator", "factorial", "bogus", None]:  # the memo holds both kernels
+            with pytest.raises(ValueError, match="SubstitutionKernel"):
+                substitution_poly(w, (1, 0), bad)
+
     def test_a_bad_J_is_refused_after_a_good_J(self):
         # (True, 0) and (1.0, 0) are == and hash like the memoised (1, 0)
         w = BooleanWeight.cofinite(2, [(1, 1)])
