@@ -30,7 +30,7 @@ import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
-from .errors import DimensionMismatch, direction, exponent, integers, width
+from .errors import DimensionMismatch, direction, exponent, integers, shown, width
 from .series import QPoly, RationalFunction, _iterated, _summed
 
 # what a DiffPoly adds and subtracts as a constant term
@@ -162,10 +162,7 @@ class DiffPoly:
         self.n = width(n, "n")
         terms = terms or {}
         for mono in terms:
-            for (i, J), _ in mono._factors:
-                if not 1 <= i <= n:
-                    raise DimensionMismatch(f"unknown index {i} out of range for n={n}")
-                exponent(J, m, "multi-index")
+            self._check_monomial(mono)
         self.terms = _summed((mono, self._coerce_coeff(c)) for mono, c in terms.items())
 
     @classmethod
@@ -175,6 +172,15 @@ class DiffPoly:
         out.n = n
         out.terms = terms
         return out
+
+    def _check_monomial(self, mono) -> None:
+        """Refuse anything but a DiffMonomial in x_{1..n, J} with J of width m."""
+        if not isinstance(mono, DiffMonomial):
+            raise TypeError(f"expected a DiffMonomial, got {shown(mono)}")
+        for (i, J), _ in mono._factors:
+            if not 1 <= i <= self.n:
+                raise DimensionMismatch(f"unknown index {i} out of range for n={self.n}")
+            exponent(J, self.m, "multi-index")
 
     def _coerce_coeff(self, c) -> RationalFunction:
         if isinstance(c, QPoly):
@@ -198,6 +204,7 @@ class DiffPoly:
         return not self.terms
 
     def coeff(self, mono: DiffMonomial) -> RationalFunction:
+        self._check_monomial(mono)
         return self.terms.get(mono, RationalFunction(QPoly.zero(self.m)))
 
     def monomials(self) -> set[DiffMonomial]:

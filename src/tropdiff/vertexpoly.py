@@ -13,23 +13,26 @@ below p.  A point dominated coordinatewise can never be a vertex, so a cheap
 Pareto filter runs first and the simplex only sees the antichain that
 survives.  The rest is Clarkson's output-sensitive scheme (K. L. Clarkson,
 FOCS 1994; for extreme points, Dula and Helgason, EJOR 92, 1996), in two
-steps.
+steps.  Both rest on one lemma: for any y >= 0, y != 0, the points of the
+polyhedron on which y is least form a face, and the lex-least point of that
+face under any order of the coordinates is one of its vertices, hence a
+vertex of the polyhedron, and it lies in the antichain.  It is the lex-least
+minimiser of (y.q, q) over the antichain, with q read in that order.
 
-First, some points of the antichain are vertices by construction and skip
-the simplex (_quick_accepts): the lex-least point under each of the m
-rotations of the coordinate order, and the point of least total degree when
-no other point ties it.  Each is the single point of a face of the
-polyhedron, so it is a vertex.  They seed the certified set E.
+First, some points of the antichain are vertices by the lemma and skip the
+simplex (_quick_accepts): for each coordinate k, with y = e_k, the lex-least
+point under "k first, then the others ascending" and under "k first, then
+the others descending" (all six orders at m = 3); and, with y = (1, ..., 1),
+the lex-least point of least total degree, ties included.  They seed the
+certified set E.
 
 Second, the Farkas step: each other point p of the antichain is tested
 against E alone, which is sound because E is a set of vertices other than
 p.  If E covers p, p is not a vertex.  If not, covered hands back y >= 0
 with y.p < y.q for every q in E (read off the final tableau; see
-feasibility).  The face of the polyhedron on which y is least holds a
-vertex, and the lex-least minimiser of (y.q, q) over the antichain is one:
-the lex-least point of that face is one of its vertices, hence of the
-polyhedron, and it lies in the antichain.  Its value is at most y.p, below
-every value on E, so it is a new vertex; it joins E and p is tested again,
+feasibility).  By the lemma the lex-least minimiser of (y.q, q) over the
+antichain is a vertex.  Its value is at most y.p, below every value on E,
+so it is a new vertex; it joins E and p is tested again,
 until E covers p or p itself is the minimiser.  So every LP runs over
 certified vertices only, and each LP either settles p or adds a vertex:
 at most one LP per antichain point and one per vertex that the first step
@@ -85,22 +88,27 @@ def _pareto_minimal(points: set[Point]) -> list[Point]:
 
 
 def _quick_accepts(mins: list[Point]) -> set[Point]:
-    """Points of the antichain mins that are vertices with no LP.
+    """Points of the antichain mins that are vertices with no LP; mins must be
+    sorted lexicographically, as _pareto_minimal returns it.
 
-    The lex-least point of S under any order of the coordinates is the
-    lex-least point of the polyhedron P = conv(S) + R^m_{>=0} (P's lex-least
-    point is a vertex, so it lies in S).  It is the single point of a face of
-    P, so it is a vertex; the m rotated orders, read from coordinate k onward,
-    give up to m of them.  A unique minimiser in S of the total degree, the
-    positive functional (1, ..., 1), is the single point of the face of P
-    that the functional minimises, so it is a vertex too.  Neither argument
-    holds for a tie, so a tie in total degree adds nothing.
+    Each accept is a vertex by the module's lemma: the lex-least minimiser of
+    (y.q, q) over mins, under some order of the coordinates, for some y >= 0,
+    y != 0.  With y = e_k it is the lex-least point under "k first, then the
+    others ascending" and under "k first, then the others descending", for
+    each k: 2 orders at m = 2, all 6 at m = 3, 2m beyond.  With y = (1, ..., 1)
+    it is the lex-least point of least total degree, ties included.
+
+    min keeps the first of the points its key ties, so over the sorted mins
+    it breaks a tie on coordinate k, or on the total degree, by the ascending
+    order of the rest; over mins sorted by the reversed point it breaks a tie
+    on k by the descending order of the others.
     """
-    sure = {min(mins, key=lambda p: p[k:] + p[:k]) for k in range(len(mins[0]))}
-    degrees = [sum(p) for p in mins]
-    least = min(degrees)
-    if degrees.count(least) == 1:
-        sure.add(mins[degrees.index(least)])
+    backwards = sorted(mins, key=lambda p: p[::-1])
+    sure = {min(mins, key=sum)}
+    for k in range(len(mins[0])):
+        at_k = operator.itemgetter(k)
+        sure.add(min(mins, key=at_k))
+        sure.add(min(backwards, key=at_k))
     return sure
 
 

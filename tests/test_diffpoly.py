@@ -210,12 +210,30 @@ class TestConstruction:
             DiffPoly(2, 1, {DiffMonomial.var(1, (0, 0, 0)): 1})
         with pytest.raises(DimensionMismatch):
             DiffPoly(2, 1, {X((0, 0)): parse_poly("t1+t2+t3", 3)})
+        with pytest.raises(TypeError, match=re.escape("expected a DiffMonomial, got 'x'")):
+            DiffPoly(2, 1, {"x": 1})
 
     def test_coeff_lookup(self):
         P = running_example()
         assert P.coeff(X((0, 0))) == -RationalFunction(T)
         assert P.coeff(X((5, 5))).is_zero
         assert P.monomials() == {X((1, 1)), X((0, 0))}
+
+    def test_coeff_refuses_a_monomial_outside_the_ring(self):
+        # an unknown index above n, a multi-index not of width m, and a key
+        # that is not a monomial each looked up 0 before
+        P = DiffPoly(2, 1, {X((0, 0)): 3})
+        with pytest.raises(DimensionMismatch, match=re.escape("unknown index 7 out of range for n=1")):
+            P.coeff(DiffMonomial.var(7, (0, 0)))
+        width = re.escape("multi-index: (0, 0, 0) does not have 2 coordinates")
+        with pytest.raises(DimensionMismatch, match=width):
+            P.coeff(X((0, 0, 0)))
+        with pytest.raises(DimensionMismatch):
+            P.coeff(DiffMonomial.var(7, (0, 0, 0)))
+        for bad in ("x", (1, (0, 0)), None):
+            with pytest.raises(TypeError, match="expected a DiffMonomial"):
+                P.coeff(bad)
+        assert P.coeff(X((0, 0))) == 3 and P.coeff(X((0, 1))).is_zero
 
     def test_equality_cross_multiplied(self):
         lead = parse_rational("(t+u)/(t+u)")

@@ -319,12 +319,18 @@ def own_vertices(points):
 
 def own_quick_accepts(mins):
     """The quick accepts, spelled apart from vertexpoly, in two parts: for each
-    k the least point when coordinates are read k, k+1, ..., m-1, 0, ..., k-1;
-    and every point of least total degree (accepted only when it is alone)."""
+    coordinate order (k, then the others ascending) and (k, then the others
+    descending), the least point with its coordinates read in that order; and
+    every point of least total degree (the lex-least of them is accepted)."""
     m = len(mins[0])
-    rotated = {min(mins, key=lambda p: tuple(p[(k + i) % m] for i in range(m))) for k in range(m)}
+    orders = set()
+    for k in range(m):
+        others = tuple(i for i in range(m) if i != k)
+        orders |= {(k,) + others, (k,) + others[::-1]}
+    assert len(orders) == (2 if m == 2 else 2 * m), orders  # all six orders at m = 3
+    by_order = {min(mins, key=lambda p: tuple(p[i] for i in order)) for order in orders}
     least = min(map(sum, mins))
-    return rotated, {p for p in mins if sum(p) == least}
+    return by_order, {p for p in mins if sum(p) == least}
 
 
 def point_sets(m, seed):
@@ -373,7 +379,7 @@ class TestQuickAccepts:
     # oracle on its own: the final vertex set alone could hide a wrong accept
     # that a later LP call happened to repair
 
-    @pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5], ids=["m2", "m3", "m4", "m5"])
     def test_against_the_basis_oracle(self, m, lp_calls):
         seen = Counter()
         for family, points in point_sets(m, 500 + m):
@@ -387,8 +393,8 @@ class TestQuickAccepts:
             if len(mins) <= 2:
                 assert lp_calls == [] and len(vertices) == len(mins)
                 continue
-            rotated, lowest = own_quick_accepts(mins)
-            sure = rotated | lowest if len(lowest) == 1 else rotated
+            by_order, lowest = own_quick_accepts(mins)
+            sure = by_order | {min(lowest)}
             assert _quick_accepts(mins) == sure, points
             assert sure <= set(vertices), (family, points, sure)
             # each LP targets a Pareto-minimal point that is not accepted, runs
@@ -398,21 +404,42 @@ class TestQuickAccepts:
             assert len(lp_calls) <= len(set(mins) - sure) + len(set(vertices) - sure), points
             seen[family] += 1
             seen["degree tie"] += len(lowest) > 1
-            seen["rotation is the degree minimiser"] += len(lowest) == 1 and lowest <= rotated
+            tie_adds = len(lowest) > 1 and min(lowest) not in by_order
+            seen["a degree tie accepts a point no order does"] += tie_adds
+            seen["an order's least point is the degree minimiser"] += min(lowest) in by_order
             seen["lp accepts"] += len(set(vertices) - sure) > 0
             seen["lp rejects"] += len(mins) > len(vertices)
-        wanted = ["random", "plane", "tie", "degree tie", "rotation is the degree minimiser",
+        wanted = ["random", "plane", "tie", "degree tie", "an order's least point is the degree minimiser",
                   "lp accepts", "lp rejects"]
-        if m > 2:  # at m = 2 a shared coordinate makes two points comparable
-            wanted.append("shared")
+        if m > 2:  # at m = 2 a shared coordinate makes two points comparable,
+            # and the seeded ties fall on an end (test_a_degree_tie_accepts_its_least_point)
+            wanted += ["shared", "a degree tie accepts a point no order does"]
         assert all(seen[name] > 0 for name in wanted), seen
 
     @pytest.mark.parametrize("m", [3, 4])
     @pytest.mark.parametrize("d", [1, 2, 7])
     def test_standard_simplex_needs_no_lp(self, m, d, lp_calls):
-        # corner k is the lex-least point when coordinates are read from k + 1
+        # at m = 3 and 4 each corner is the least point of an order that
+        # starts at another coordinate
         corners = [tuple(d * (i == k) for i in range(m)) for k in range(m)]
         assert VertexPoly(m, corners).points == tuple(sorted(corners))
+        assert lp_calls == []
+
+    def test_a_hexagon_needs_no_lp_that_adds_a_vertex(self, lp_calls):
+        # the six permutations of (0, 1, 3) are the least points of the six
+        # coordinate orders; the three points inside the hexagon each need one
+        # LP over those six, and each LP rejects its target
+        hexagon = sorted(set(itertools.permutations((0, 1, 3))))
+        inside = [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+        assert VertexPoly(3, hexagon + inside).points == tuple(hexagon)
+        assert sorted(target for _, target in lp_calls) == inside
+        assert all(sorted(columns) == hexagon for columns, _ in lp_calls)
+        assert all(covered_by_bases(columns, target) for columns, target in lp_calls)
+
+    def test_a_degree_tie_accepts_its_least_point(self, lp_calls):
+        # (2, 1) and (3, 0) tie for the least total degree; (2, 1) is the
+        # lex-least of them and the least point of neither coordinate order
+        assert VertexPoly(2, [(0, 10), (2, 1), (3, 0)]).points == ((0, 10), (2, 1), (3, 0))
         assert lp_calls == []
 
     @pytest.mark.parametrize(
@@ -421,9 +448,9 @@ class TestQuickAccepts:
         ids=["middle-rejected", "middle-kept"],
     )
     def test_a_staircase_of_three_needs_one_lp(self, staircase, vertices, lp_calls):
-        # the two ends are the lex-least points of the two rotations; the
-        # least total degree is tied in the first set and an end in the
-        # second, so only the middle point needs its LP, over the two ends
+        # the two ends are the least points of the two coordinate orders; the
+        # lex-least point of least total degree is an end in both sets, so
+        # only the middle point needs its LP, over the two ends
         assert VertexPoly(2, staircase).points == vertices
         assert [(sorted(columns), target) for columns, target in lp_calls] == [
             (sorted([staircase[0], staircase[2]]), staircase[1])
