@@ -88,12 +88,21 @@ def _emit(args, to_json, to_pretty) -> int:
 
 
 def _read_source(path: str) -> str:
-    """The text of path, or of stdin for '-'; text that does not decode is a SchemaError."""
+    """The text of path, or of stdin for '-'; text that does not decode is a SchemaError.
+
+    A file is read as bytes and decoded as UTF-8 in one call, with the
+    universal newlines that text mode applies: "\\r\\n" and a lone "\\r" read as
+    "\\n".  A byte that does not decode is reported at its offset in the file,
+    as text mode reports it.
+    """
     try:
         if path == "-":
             return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return text
     except UnicodeDecodeError as exc:
         raise SchemaError(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 

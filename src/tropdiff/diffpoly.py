@@ -141,6 +141,16 @@ class DiffMonomial:
     __repr__ = __str__
 
 
+def check_monomial(mono, m: int, n: int) -> None:
+    """Refuse anything but a DiffMonomial in x_{1..n, J} with J of width m."""
+    if not isinstance(mono, DiffMonomial):
+        raise TypeError(f"expected a DiffMonomial, got {shown(mono)}")
+    for (i, J), _ in mono._factors:
+        if not 1 <= i <= n:
+            raise DimensionMismatch(f"unknown index {i} out of range for n={n}")
+        exponent(J, m, "multi-index")
+
+
 def _rf_constant(c: RationalFunction) -> Fraction | None:
     if c.num.is_constant and c.den.is_constant:
         return c.num.constant_value() / c.den.constant_value()
@@ -162,7 +172,7 @@ class DiffPoly:
         self.n = width(n, "n")
         terms = terms or {}
         for mono in terms:
-            self._check_monomial(mono)
+            check_monomial(mono, self.m, self.n)
         self.terms = _summed((mono, self._coerce_coeff(c)) for mono, c in terms.items())
 
     @classmethod
@@ -172,15 +182,6 @@ class DiffPoly:
         out.n = n
         out.terms = terms
         return out
-
-    def _check_monomial(self, mono) -> None:
-        """Refuse anything but a DiffMonomial in x_{1..n, J} with J of width m."""
-        if not isinstance(mono, DiffMonomial):
-            raise TypeError(f"expected a DiffMonomial, got {shown(mono)}")
-        for (i, J), _ in mono._factors:
-            if not 1 <= i <= self.n:
-                raise DimensionMismatch(f"unknown index {i} out of range for n={self.n}")
-            exponent(J, self.m, "multi-index")
 
     def _coerce_coeff(self, c) -> RationalFunction:
         if isinstance(c, QPoly):
@@ -204,7 +205,7 @@ class DiffPoly:
         return not self.terms
 
     def coeff(self, mono: DiffMonomial) -> RationalFunction:
-        self._check_monomial(mono)
+        check_monomial(mono, self.m, self.n)
         return self.terms.get(mono, RationalFunction(QPoly.zero(self.m)))
 
     def monomials(self) -> set[DiffMonomial]:

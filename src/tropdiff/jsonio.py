@@ -64,11 +64,14 @@ exponents in a dict, where [true, 0] would otherwise merge into the key
 [1, 0].  And the CLI selects polynomials by name, so problem_from refuses
 a name that is not a string or that the file uses twice.
 
-diffpoly_from decodes and checks every term first, each monomial against n
-and m even when its coefficient later cancels, and then sums the terms in
-one pass that skips zero coefficients.  That pass keeps the keys, order and
-coefficient objects that adding the terms one at a time gives, in time
-linear in the number of terms.
+diffpoly_from decodes and checks every term first, in file order, so the
+first malformed term is the one reported.  Each term's coefficient comes from
+rational_from at the problem's m, and its monomial is checked once, by
+diffpoly.check_monomial (the check DiffPoly itself makes), against n and m
+even when its coefficient is zero or later cancels; no one-term DiffPoly is
+built.  It then sums the nonzero terms in one pass, which keeps the keys,
+order and coefficient objects that adding the terms one at a time gives, in
+time linear in the number of terms.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .diffpoly import DiffMonomial, DiffPoly
+from .diffpoly import DiffMonomial, DiffPoly, check_monomial
 from .errors import DimensionMismatch, NotAMonomialOrder, SchemaError, exponent, shown, width
 from .orders import MonomialOrder, order_standard
 from .parsing import inferred_width, parse_poly, parse_rational
@@ -431,8 +434,10 @@ def diffpoly_from(obj: object, m: int, n: int) -> DiffPoly:
             if not _is_int(power) or power < 1:
                 raise SchemaError(f"pow must be a positive integer, got {shown(power)}")
             factors.append((var, power))
-        # the constructor checks the monomial against n and m, and drops a zero coefficient
-        terms += DiffPoly(m, n, {DiffMonomial(factors): coeff}).terms.items()
+        mono = DiffMonomial(factors)
+        check_monomial(mono, m, n)
+        if coeff:
+            terms.append((mono, coeff))
     return DiffPoly._trusted(m, n, _summed(terms))
 
 

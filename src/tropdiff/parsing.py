@@ -27,8 +27,15 @@ lowest terms with no gcd, by Gauss's lemma).  The RationalFunction is built
 once, at the end, with the public QPoly(m, terms).  QPoly is canonical, so num
 and den are the polynomials that RationalFunction arithmetic on every atom gives.
 
-Parentheses nest at most MAX_NESTING deep, checked over the tokens before
-parsing starts, so the recursive descent never runs out of stack.  A run of
+A token is a plain tuple (kind, value, pos).  kind is "int" or "var", with the
+integer or the variable index as value, an operator or parenthesis character
+itself, with value None, or "end", which closes every token list; pos is the
+offset in the text.  The descent reads kind straight from tokens[i][0].
+
+Parentheses nest at most MAX_NESTING deep, so the recursive descent never runs
+out of stack.  Each '(' is a token of its own, so depth never exceeds their
+count: the tokens are scanned for depth before parsing starts only when the
+text holds more than MAX_NESTING of them, after the lexer's errors.  A run of
 digits that int() refuses (longer than the interpreter's limit on the digits of
 an int) is a PolyParseError at its position.
 """
@@ -51,15 +58,6 @@ from .series import QPoly, RationalFunction, _power, _product, _summed
 MAX_NESTING = 100
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind: str, value: object, pos: int):
-        self.kind = kind  # int, var, op, end
-        self.value = value
-        self.pos = pos
-
-
 def _int(digits: str, pos: int) -> int:
     try:
         return int(digits)
@@ -67,8 +65,8 @@ def _int(digits: str, pos: int) -> int:
         raise PolyParseError(f"integer of {len(digits)} digits is too long", pos) from None
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _lex(text: str) -> list[tuple]:
+    tokens: list[tuple] = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -79,7 +77,7 @@ def _lex(text: str) -> list[_Token]:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("int", _int(text[i:j], i), i))
+            tokens.append(("int", _int(text[i:j], i), i))
             i = j
             continue
         if ch.isalpha():
@@ -97,15 +95,15 @@ def _lex(text: str) -> list[_Token]:
                 idx = 0
             if idx < 1:
                 raise UnknownVariable(f"unknown variable {shown(name)}", i)
-            tokens.append(_Token("var", idx, i))
+            tokens.append(("var", idx, i))
             i = j
             continue
         if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, i))
+            tokens.append((ch, None, i))
             i += 1
             continue
         raise PolyParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", None, n))
+    tokens.append(("end", None, n))
     return tokens
 
 
@@ -113,96 +111,94 @@ class _Parser:
     """The descent.  A value is a pair (num, den) of int polynomials, exactly the
     num and den that RationalFunction arithmetic would give."""
 
-    def __init__(self, tokens: list[_Token], m: int, poly_mode: bool):
+    def __init__(self, tokens: list[tuple], m: int, poly_mode: bool):
         self.tokens = tokens
         self.i = 0
         self.m = m
         self.poly_mode = poly_mode
         self.one = (0,) * m  # the exponent of 1
 
-    def at_op(self, ops: str) -> _Token | None:
-        """The next token, taken, when it is one of the operators ops; else None."""
-        tok = self.tokens[self.i]
-        if tok.kind == "op" and tok.value in ops:
-            self.i += 1
-            return tok
-        return None
-
     def expr(self):
+        tokens = self.tokens
         value = self.term()
-        while op := self.at_op("+-"):
+        while (op := tokens[self.i][0]) in ("+", "-"):
+            self.i += 1
             (n1, d1), (n2, d2) = value, self.term()
-            if op.value == "-":
+            if op == "-":
                 n2 = {e: -c for e, c in n2.items()}
             num = _summed([*_product(n1, d2).items(), *_product(n2, d1).items()])
             value = num, _product(d1, d2)
         return value
 
     def term(self):
+        tokens = self.tokens
         value = self.unary()
-        while op := self.at_op("*/"):
+        while (tok := tokens[self.i])[0] in ("*", "/"):
+            op, _, pos = tok
+            self.i += 1
             (n1, d1), (n2, d2) = value, self.unary()
-            if op.value == "*":
+            if op == "*":
                 value = _product(n1, n2), _product(d1, d2)
                 continue
             if self.poly_mode and not n2.keys() | d2.keys() <= {self.one}:
                 raise PolyParseError(
-                    "division by a non-constant is not allowed in a polynomial", op.pos
+                    "division by a non-constant is not allowed in a polynomial", pos
                 )
             if not n2:
-                raise ZeroDenominator(f"division by zero at position {op.pos}")
+                raise ZeroDenominator(f"division by zero at position {pos}")
             value = _product(n1, d2), _product(d1, n2)
         return value
 
     def unary(self):
+        tokens = self.tokens
         negative = False
-        while op := self.at_op("+-"):
-            negative ^= op.value == "-"
+        while (op := tokens[self.i][0]) in ("+", "-"):
+            self.i += 1
+            negative ^= op == "-"
         num, den = self.power()
         return ({e: -c for e, c in num.items()} if negative else num), den
 
     def power(self):
         value = self.atom()
-        if self.at_op("^"):
-            tok = self.tokens[self.i]
-            if tok.kind == "op" and tok.value == "-":
-                raise NegativeExponent("exponents must be nonnegative", tok.pos)
-            if tok.kind != "int":
-                raise PolyParseError("exponent must be a nonnegative integer", tok.pos)
-            self.i += 1
-            num, den = value
-            return _power(num, tok.value, self.one), _power(den, tok.value, self.one)
-        return value
+        if self.tokens[self.i][0] != "^":
+            return value
+        kind, k, pos = self.tokens[self.i + 1]  # '^' is never the last token
+        if kind == "-":
+            raise NegativeExponent("exponents must be nonnegative", pos)
+        if kind != "int":
+            raise PolyParseError("exponent must be a nonnegative integer", pos)
+        self.i += 2
+        num, den = value
+        return _power(num, k, self.one), _power(den, k, self.one)
 
     def atom(self):
-        tok = self.tokens[self.i]
+        kind, value, pos = self.tokens[self.i]
         self.i += 1
-        if tok.kind == "int":
-            return ({self.one: tok.value} if tok.value else {}), {self.one: 1}
-        if tok.kind == "var":
-            i = tok.value
-            if i > self.m:
-                raise UnknownVariable(f"variable t{i} exceeds m={self.m}", tok.pos)
-            return {self.one[: i - 1] + (1,) + self.one[i:]: 1}, {self.one: 1}
-        if tok.kind == "op" and tok.value == "(":
-            value = self.expr()
-            closing = self.tokens[self.i]
+        if kind == "int":
+            return ({self.one: value} if value else {}), {self.one: 1}
+        if kind == "var":
+            if value > self.m:
+                raise UnknownVariable(f"variable t{value} exceeds m={self.m}", pos)
+            return {self.one[: value - 1] + (1,) + self.one[value:]: 1}, {self.one: 1}
+        if kind == "(":
+            inner = self.expr()
+            kind, _, pos = self.tokens[self.i]
             self.i += 1
-            if not (closing.kind == "op" and closing.value == ")"):
-                raise PolyParseError("expected closing parenthesis", closing.pos)
-            return value
+            if kind != ")":
+                raise PolyParseError("expected closing parenthesis", pos)
+            return inner
         raise PolyParseError(
-            "expected a number, variable or parenthesized expression", tok.pos
+            "expected a number, variable or parenthesized expression", pos
         )
 
 
-def _widest(tokens: list[_Token], m: int = 2) -> int:
+def _widest(tokens: list[tuple], m: int = 2) -> int:
     """The largest of m and the variable indices among the tokens."""
-    for tok in tokens:
-        if tok.kind == "var" and tok.value > m:
-            if tok.value > MAX_WIDTH:
-                raise PolyParseError(f"variable index above MAX_WIDTH = {MAX_WIDTH}", tok.pos)
-            m = tok.value
+    for kind, value, pos in tokens:
+        if kind == "var" and value > m:
+            if value > MAX_WIDTH:
+                raise PolyParseError(f"variable index above MAX_WIDTH = {MAX_WIDTH}", pos)
+            m = value
     return m
 
 
@@ -216,22 +212,23 @@ def inferred_width(*texts: str) -> int:
 
 def _parse(text: str, m: int | None, poly_mode: bool) -> RationalFunction:
     tokens = _lex(text)
-    if tokens[0].kind == "end":
+    if tokens[0][0] == "end":
         raise PolyParseError("empty input", 0)
-    depth = 0
-    for tok in tokens:
-        if tok.kind == "op":
-            if tok.value == "(":
+    # every '(' of text is a token, so the depth never exceeds their count
+    if text.count("(") > MAX_NESTING:
+        depth = 0
+        for kind, _, pos in tokens:
+            if kind == "(":
                 depth += 1
                 if depth > MAX_NESTING:
-                    raise PolyParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
-            elif tok.value == ")":
+                    raise PolyParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
+            elif kind == ")":
                 depth -= 1
     parser = _Parser(tokens, _widest(tokens) if m is None else width(m), poly_mode)
     value = parser.expr()
-    tail = parser.tokens[parser.i]
-    if tail.kind != "end":
-        raise PolyParseError("unexpected trailing input", tail.pos)
+    kind, _, pos = tokens[parser.i]
+    if kind != "end":
+        raise PolyParseError("unexpected trailing input", pos)
     num, den = value
     return RationalFunction(QPoly(parser.m, num), QPoly(parser.m, den))
 

@@ -543,38 +543,37 @@ class RationalDescent:
         return tok
 
     def at_op(self, *ops):
-        tok = self.peek()
-        return tok.kind == "op" and tok.value in ops
+        return self.peek()[0] in ops
 
     def expr(self):
         value = self.term()
         while self.at_op("+", "-"):
-            op = self.take()
+            op, _, _ = self.take()
             rhs = self.term()
-            value = value + rhs if op.value == "+" else value - rhs
+            value = value + rhs if op == "+" else value - rhs
         return value
 
     def term(self):
         value = self.unary()
         while self.at_op("*", "/"):
-            op = self.take()
+            op, _, pos = self.take()
             rhs = self.unary()
-            if op.value == "*":
+            if op == "*":
                 value = value * rhs
                 continue
             if self.poly_mode and not (rhs.num.is_constant and rhs.den.is_constant):
                 raise PolyParseError(
-                    "division by a non-constant is not allowed in a polynomial", op.pos
+                    "division by a non-constant is not allowed in a polynomial", pos
                 )
             if rhs.is_zero:
-                raise ZeroDenominator(f"division by zero at position {op.pos}")
+                raise ZeroDenominator(f"division by zero at position {pos}")
             value = value / rhs
         return value
 
     def unary(self):
         sign = 1
         while self.at_op("+", "-"):
-            if self.take().value == "-":
+            if self.take()[0] == "-":
                 sign = -sign
         value = self.power()
         return value if sign > 0 else -value
@@ -583,49 +582,49 @@ class RationalDescent:
         value = self.atom()
         if self.at_op("^"):
             self.take()
-            tok = self.peek()
-            if tok.kind == "op" and tok.value == "-":
-                raise NegativeExponent("exponents must be nonnegative", tok.pos)
-            if tok.kind != "int":
-                raise PolyParseError("exponent must be a nonnegative integer", tok.pos)
+            kind, k, pos = self.peek()
+            if kind == "-":
+                raise NegativeExponent("exponents must be nonnegative", pos)
+            if kind != "int":
+                raise PolyParseError("exponent must be a nonnegative integer", pos)
             self.take()
-            value = value ** tok.value
+            value = value ** k
         return value
 
     def atom(self):
-        tok = self.take()
-        if tok.kind == "int":
-            return RationalFunction.constant(self.m, Fraction(tok.value))
-        if tok.kind == "var":
-            if tok.value > self.m:
-                raise UnknownVariable(f"variable t{tok.value} exceeds m={self.m}", tok.pos)
-            return RationalFunction(QPoly.variable(self.m, tok.value))
-        if tok.kind == "op" and tok.value == "(":
-            value = self.expr()
-            closing = self.take()
-            if not (closing.kind == "op" and closing.value == ")"):
-                raise PolyParseError("expected closing parenthesis", closing.pos)
-            return value
+        kind, value, pos = self.take()
+        if kind == "int":
+            return RationalFunction.constant(self.m, Fraction(value))
+        if kind == "var":
+            if value > self.m:
+                raise UnknownVariable(f"variable t{value} exceeds m={self.m}", pos)
+            return RationalFunction(QPoly.variable(self.m, value))
+        if kind == "(":
+            inner = self.expr()
+            closing, _, pos = self.take()
+            if closing != ")":
+                raise PolyParseError("expected closing parenthesis", pos)
+            return inner
         raise PolyParseError(
-            "expected a number, variable or parenthesized expression", tok.pos
+            "expected a number, variable or parenthesized expression", pos
         )
 
 
 def descent_parse(text, m=None, poly_mode=False):
     """parse_rational (or parse_poly, with poly_mode) by RationalDescent, with the same checks."""
     tokens = parsing._lex(text)
-    if tokens[0].kind == "end":
+    if tokens[0][0] == "end":
         raise PolyParseError("empty input", 0)
     depth = 0
-    for tok in tokens:
-        if tok.kind == "op" and tok.value in "()":
-            depth += 1 if tok.value == "(" else -1
+    for kind, _, pos in tokens:
+        if kind in ("(", ")"):
+            depth += 1 if kind == "(" else -1
             if depth > parsing.MAX_NESTING:
-                raise PolyParseError(f"parentheses nest deeper than {parsing.MAX_NESTING}", tok.pos)
+                raise PolyParseError(f"parentheses nest deeper than {parsing.MAX_NESTING}", pos)
     m = parsing.inferred_width(text) if m is None else width(m)
     parser = RationalDescent(tokens, m, poly_mode)
     value = parser.expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise PolyParseError("unexpected trailing input", tail.pos)
+    kind, _, pos = parser.peek()
+    if kind != "end":
+        raise PolyParseError("unexpected trailing input", pos)
     return value.as_qpoly() if poly_mode else value

@@ -1027,6 +1027,39 @@ class TestInputLimits:
         assert err.startswith("error: SchemaError: problem file takes no key '")
         assert len(err.encode()) < 1024
 
+class TestReadSource:
+    """A problem file is read as bytes: the same text, errors and offsets as text mode."""
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("command", ["tropw", "translate", "initial", "prolong"])
+    def test_any_newline_prints_the_bytes_of_the_lf_file(self, capsys, tmp_path, command, newline):
+        lf = Path(PROBLEM).read_bytes()
+        assert b"\r" not in lf and lf.count(b"\n") > 10
+        source = tmp_path / "problem.json"
+        source.write_bytes(lf.replace(b"\n", newline))
+        want = run(capsys, command, "--input", PROBLEM)
+        assert want[0] == 0 and want[1]
+        assert run(capsys, command, "--input", str(source)) == want
+
+    def test_a_bad_byte_deep_in_the_file_is_reported_at_its_offset(self, capsys, tmp_path):
+        source = tmp_path / "problem.json"
+        source.write_bytes(b'{"m": 2, "x": "' + b"a" * 20_000 + b"\xff")
+        assert run(capsys, "tropw", "--input", str(source)) == (2, "", (
+            "error: SchemaError: input is not UTF-8 text: invalid start byte at byte 20015\n"
+        ))
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_a_json_syntax_error_after_a_newline_keeps_its_position(
+        self, capsys, tmp_path, newline
+    ):
+        source = tmp_path / "problem.json"
+        source.write_bytes(b'{\n  "m": 2,\n  x}\n'.replace(b"\n", newline))
+        assert run(capsys, "tropw", "--input", str(source)) == (2, "", (
+            "error: JSONDecodeError: Expecting property name enclosed in double quotes: "
+            "line 3 column 3 (char 14)\n"
+        ))
+
+
 COMMANDS = [
     "trop", "tropw", "translate", "initial", "prolong",
     "order-recover", "bezout", "omega-chain", "selftest",

@@ -460,6 +460,42 @@ class TestDecodeOracle:
                 pass
         assert added == []
 
+    def test_no_diffpoly_is_built_per_term(self, monkeypatch):
+        built = []
+        init = DiffPoly.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        rng = random.Random(3103)
+        lists = [_term_list(rng) for _ in range(100)]
+        monkeypatch.setattr(DiffPoly, "__init__", counted_init)
+        DiffPoly(2, 2, {DiffMonomial(): 1})
+        assert built, "the counter must see a constructor call"
+        built.clear()
+        decoded = 0
+        for terms in lists:
+            try:
+                diffpoly_from(terms, 2, 2)
+                decoded += 1
+            except SchemaError:
+                pass
+        assert decoded > 50 and sum(map(len, lists)) > 300
+        assert built == []
+
+    def test_the_first_malformed_term_is_the_one_reported(self):
+        terms = [
+            {"coeff": "1", "monomial": [{"var": [3, [0, 0]]}]},
+            {"coeff": "t +", "monomial": X},
+        ]
+        with pytest.raises(SchemaError) as info:
+            diffpoly_from(terms, 2, 2)
+        assert str(info.value) == "unknown index 3 out of range for n=2"
+        assert _decoded(diffpoly_from, terms) == _decoded(diffpoly_by_fold, terms)
+        with pytest.raises(PolyParseError):
+            diffpoly_from(terms[1:], 2, 2)
+
 
 class TestProblemFile:
     def test_example_file(self):
