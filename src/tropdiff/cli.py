@@ -14,9 +14,13 @@ the commands and declares none of their arguments: it prints --help, and the
 error for no arguments, an unknown command, or arguments the command's parser
 leaves over.
 
-JSON input is decoded by _json, which reports input that json.loads refuses as
-exit 2 in every case: a syntax error as json.JSONDecodeError, nesting deeper
-than MAX_JSON_NESTING or an integer with too many digits as a SchemaError.
+Input comes in one way: _read_source reads a file and stdin ('-') alike as
+bytes, with one UTF-8 decode that does not depend on the locale.  JSON input
+is decoded by _json, which reports input that json.loads refuses as exit 2 in
+every case: a syntax error as json.JSONDecodeError, nesting deeper than
+MAX_JSON_NESTING or an integer with too many digits as a SchemaError.  An
+output integer with more digits than the interpreter writes as text is a
+SchemaError too (series.fraction_text).
 
 Exit codes: 0 success, 2 parse or usage error, 3 domain error, 4 internal
 inconsistency.
@@ -78,7 +82,8 @@ _REL_SIGN = {LT: "<", EQ: "=", GT: ">"}
 
 
 def _emit(args, to_json, to_pretty) -> int:
-    """Print the requested rendering; only that one of the two is built."""
+    """Print the requested rendering; only that one of the two is built, and
+    whole before any of it is printed, so a refusal while writing prints nothing."""
     if args.format == "json":
         print(jsonio.dumps(to_json()))
     else:
@@ -90,21 +95,24 @@ def _emit(args, to_json, to_pretty) -> int:
 def _read_source(path: str) -> str:
     """The text of path, or of stdin for '-'; text that does not decode is a SchemaError.
 
-    A file is read as bytes and decoded as UTF-8 in one call, with the
-    universal newlines that text mode applies: "\\r\\n" and a lone "\\r" read as
-    "\\n".  A byte that does not decode is reported at its offset in the file,
-    as text mode reports it.
+    A file and stdin alike are read as bytes and decoded as UTF-8 in one call,
+    whatever the locale, with the universal newlines that text mode applies:
+    "\\r\\n" and a lone "\\r" read as "\\n".  One leading byte-order mark is
+    dropped after the decode.  A byte that does not decode is reported at its
+    offset in the input, as text mode reports it.
     """
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "rb") as handle:
-            text = handle.read().decode("utf-8")
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return text
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff")
 
 
 def _json(text: str):
@@ -235,7 +243,9 @@ def cmd_initial(args) -> int:
     generators = [poly for _, poly in _selected(problem, args.names)]
     bound = _bound_of(args, problem, len(generators))
     forms = initial_generators(generators, weights, order, bound, kernel)
-    return _emit(args, lambda: list(map(jsonio.diffpoly_json, forms)), lambda: map(str, forms))
+    return _emit(
+        args, lambda: list(map(jsonio.diffpoly_json, forms)), lambda: list(map(str, forms))
+    )
 
 
 def cmd_prolong(args) -> int:

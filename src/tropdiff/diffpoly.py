@@ -31,7 +31,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .errors import DimensionMismatch, direction, exponent, integers, shown, width
-from .series import QPoly, RationalFunction, _iterated, _summed
+from .series import QPoly, RationalFunction, _iterated, _summed, fraction_text
 
 # what a DiffPoly adds and subtracts as a constant term
 _SCALARS = (RationalFunction, QPoly, Fraction, int)
@@ -310,12 +310,13 @@ class DiffPoly:
             ms = mono.render(indexed=self.n > 1)
             if const is not None:
                 mag = abs(const)
+                text = fraction_text(mag.numerator, mag.denominator)
                 if mono.is_one:
-                    body = str(mag)
+                    body = text
                 elif mag == 1:
                     body = ms
                 else:
-                    body = f"{mag}*{ms}"
+                    body = f"{text}*{ms}"
                 negative = const < 0
             else:
                 body = f"({c})" if mono.is_one else f"({c})*{ms}"

@@ -45,7 +45,8 @@ gives plain objects in every case, and those are what the decoders read.
 
 Wherever a QPoly or RationalFunction is expected on input, expression text
 like "t^2 - 1/2*u" is accepted too.  Without m, the width is the length of the
-first exponent list in a side's terms, else inferred_width of the text sides.
+first exponent list in a side's terms, else inferred_width of the text sides:
+one rule, _width_of, for qpoly_from and rational_from alike.
 
 Decoders check shape only: that a list, an object or a key is where the
 schema puts one.  Every object takes its documented keys only, and a weight
@@ -55,14 +56,18 @@ it, so a misspelt key is not read as an absent one.  The values inside go
 to the constructors, which check them (errors.exponent for every exponent
 and multi-index, errors.width for m and n); a public decoder reports a
 constructor's ValueError, DimensionMismatch or NotAMonomialOrder as a
-SchemaError.  Three value checks stay here, because they concern what
-json.loads returns.  A coefficient must be text or an int: json.loads reads
-0.1 as a binary float, which is not 1/10.  pow and prolong_bound must be
-ints, and json.loads reads true and false as bools, which Python counts as
-ints.  And qpoly_from checks each exponent before it merges repeated
-exponents in a dict, where [true, 0] would otherwise merge into the key
-[1, 0].  And the CLI selects polynomials by name, so problem_from refuses
-a name that is not a string or that the file uses twice.
+SchemaError.  Four value checks stay here, because they concern what
+json.loads returns.  A terms coefficient must be an int or text in the one
+form dumps writes, -?[0-9]+(/[0-9]+)?, matched before Fraction reads it:
+json.loads reads 0.1 as a binary float, which is not 1/10, and Fraction's
+own grammar (decimals, exponents, underscores, spaces, a plus sign, digits
+outside ASCII) is no input format; "1e30000000" alone would build an int of
+thirty million digits.  pow and prolong_bound must be ints, and json.loads
+reads true and false as bools, which Python counts as ints.  qpoly_from
+checks each exponent before it merges repeated exponents in a dict, where
+[true, 0] would otherwise merge into the key [1, 0].  And the CLI selects
+polynomials by name, so problem_from refuses a name that is not a string or
+that the file uses twice.
 
 diffpoly_from decodes and checks every term first, in file order, so the
 first malformed term is the one reported.  Each term's coefficient comes from
@@ -78,6 +83,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import re
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -91,6 +97,8 @@ from .vertexpoly import VertexFraction, VertexPoly
 from .weights import BooleanWeight, SubstitutionKernel
 
 _NAMED_KEYS = 3  # an unknown-key refusal names this many keys and counts the rest
+# a coefficient's text in a terms object: the form that dumps writes, in ASCII digits
+_COEFF_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 # -- writer ------------------------------------------------------------------
@@ -316,16 +324,21 @@ def _own_keys(obj: dict, what: str, *keys: str) -> None:
         raise SchemaError(f"{what} takes no key {named}")
 
 
-def _terms_width(obj: object) -> int | None:
-    """The length of the first exponent list in a terms object, if it has one."""
-    if isinstance(obj, dict) and isinstance(obj.get("terms"), list):
-        for entry in obj["terms"]:
-            exp = entry.get("exp") if isinstance(entry, dict) else None
-            if isinstance(exp, list):
-                if not exp:
-                    raise SchemaError("an exponent list needs at least one coordinate, got []")
-                return len(exp)
-    return None
+def _width_of(sides: Sequence) -> int:
+    """The width of polynomial sides decoded without m: the length of the first
+    exponent list in a terms side, else inferred_width of the text sides."""
+    for side in sides:
+        if isinstance(side, dict) and isinstance(side.get("terms"), list):
+            for entry in side["terms"]:
+                exp = entry.get("exp") if isinstance(entry, dict) else None
+                if isinstance(exp, list):
+                    if not exp:
+                        raise SchemaError("an exponent list needs at least one coordinate, got []")
+                    return len(exp)
+    texts = [side for side in sides if isinstance(side, str)]
+    if not texts:
+        raise SchemaError("cannot infer the exponent width; pass m")
+    return inferred_width(*texts)
 
 
 @_decoder
@@ -335,9 +348,7 @@ def qpoly_from(obj: object, m: int | None = None) -> QPoly:
     if isinstance(obj, dict) and "terms" in obj:
         _own_keys(obj, "polynomial object", "terms")
         if m is None:
-            m = _terms_width(obj)
-            if m is None:
-                raise SchemaError("cannot infer the exponent width of {\"terms\": []}")
+            m = _width_of([obj])
         terms: dict[tuple, Fraction] = {}
         for entry in _listed(obj["terms"], "terms"):
             if not isinstance(entry, dict):
@@ -345,12 +356,12 @@ def qpoly_from(obj: object, m: int | None = None) -> QPoly:
             _own_keys(entry, "polynomial term", "exp", "coeff")
             exp = exponent(_listed(entry.get("exp"), "exponent"), m)
             coeff = entry.get("coeff")
-            if not _is_int(coeff) and not isinstance(coeff, str):
-                raise SchemaError(f"coefficient must be text or an integer, got {shown(coeff)}")
+            if not (_is_int(coeff) or isinstance(coeff, str) and _COEFF_TEXT.fullmatch(coeff)):
+                raise SchemaError(f'coefficient must be an integer or "[-]p[/q]", got {shown(coeff)}')
             try:
                 terms[exp] = terms.get(exp, 0) + Fraction(coeff)
             except (ValueError, ZeroDivisionError) as exc:
-                # a coefficient such as "1/0" is a ZeroDivisionError
+                # "1/0" is a ZeroDivisionError, and more digits than int() reads a ValueError
                 raise SchemaError(f"bad term {shown(entry)}") from exc
         return QPoly(m, terms)
     raise SchemaError(f"expected polynomial text or a terms object, got {shown(obj)}")
@@ -363,14 +374,7 @@ def rational_from(obj: object, m: int | None = None) -> RationalFunction:
     if isinstance(obj, dict) and "num" in obj:
         _own_keys(obj, "rational function object", "num", "den")
         if m is None:
-            # exponent lists first, then the variables of the text sides
-            sides = [obj[side] for side in ("num", "den") if side in obj]
-            m = next(filter(None, map(_terms_width, sides)), None)
-            texts = [side for side in sides if isinstance(side, str)]
-            if m is None and texts:
-                m = inferred_width(*texts)
-            if m is None:
-                raise SchemaError("cannot infer the exponent width; pass m")
+            m = _width_of([obj[side] for side in ("num", "den") if side in obj])
         num = qpoly_from(obj["num"], m)
         den = qpoly_from(obj["den"], m) if "den" in obj else QPoly.one(m)
         return RationalFunction(num, den)

@@ -9,6 +9,11 @@ of a quotient is the corresponding vertex fraction.  Elements of tropical
 value <= 1 form the unit ball; the residue map, divisibility test, lifting
 witness and separating constants below all live there.
 Public constructors validate; _trusted only wraps results built from validated values.
+A coefficient enters as an int or a Fraction, checked by _coefficient alone
+(QPoly(m, terms), QPoly.constant, RationalFunction.constant and DiffPoly's
+values); any other value, a float or text among them, is a ValueError, so
+text becomes a number only through parsing.  fraction_text is where a
+coefficient becomes text, for JSON and for str alike.
 deriv(J) is d^J in QPoly, RationalFunction and DiffPoly alike: _iterated checks
 J once, then applies the one-direction derivative J_k times in each direction k.
 
@@ -49,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -57,11 +63,13 @@ from .errors import (
     InconsistentOracle,
     InternalInconsistency,
     NotInUnitBall,
+    SchemaError,
     ZeroDenominator,
     ZeroTropicalValue,
     direction,
     exponent,
     power,
+    shown,
     width,
 )
 from .orders import EQ, GT, LT, MonomialOrder
@@ -130,16 +138,27 @@ def _iterated(value, J: Sequence[int], partial: Callable):
 
 
 def _coefficient(c) -> Fraction:
-    """c as an exact Fraction; a float is refused rather than read as its binary value."""
-    if isinstance(c, float):
-        raise ValueError(f"coefficients must be exact, got the float {c!r}")
+    """c, an int (a bool among them) or a Fraction, as a Fraction.
+
+    Any other value is a ValueError: a float would be read as its binary value,
+    and text by Fraction's own grammar, which is no input format."""
+    if not isinstance(c, (int, Fraction)):
+        raise ValueError(f"coefficients must be exact, got the {type(c).__name__} {shown(c)}")
     return Fraction(c)
 
 
 def fraction_text(c: int, d: int) -> str:
-    """str(Fraction(c, d)) for d > 0, written without building the Fraction."""
+    """str(Fraction(c, d)) for d > 0, written without building the Fraction.
+
+    An int longer than the interpreter writes as text is a SchemaError, as an
+    input int of that length is; a coefficient's text is made here alone."""
     g = math.gcd(c, d)
-    return str(c // g) if g == d else f"{c // g}/{d // g}"
+    try:
+        return str(c // g) if g == d else f"{c // g}/{d // g}"
+    except ValueError:  # the interpreter's limit on the digits of an int
+        raise SchemaError(
+            f"output holds an integer with more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _var_names(m: int) -> tuple[str, ...]:
@@ -235,8 +254,6 @@ class QPoly:
     def text_terms(self) -> list[tuple[Exponent, str]]:
         """(exponent, coefficient as str(Fraction) writes it), by increasing exponent."""
         ints, den = self._ints, self._den
-        if den == 1:
-            return [(e, str(ints[e])) for e in sorted(ints)]
         return [(e, fraction_text(ints[e], den)) for e in sorted(ints)]
 
     @property

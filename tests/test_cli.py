@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def stdin_of(data: bytes):
+    """A stand-in for sys.stdin whose bytes, read through .buffer, are data."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
 def running_example() -> DiffPoly:
     X = lambda J: DiffMonomial.var(1, J)
     return DiffPoly(2, 1, {X((1, 1)): 1, X((0, 0)): -parse_poly("t", 2)})
@@ -123,10 +129,33 @@ class TestTrop:
         assert json.loads(out) == TROP_GOLDEN
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("t/(t+u)"))
+        # stdin is read as bytes, through sys.stdin.buffer, as a file is
+        monkeypatch.setattr("sys.stdin", stdin_of(b"t/(t+u)"))
         code, out, _ = run(capsys, "trop", "--input", "-")
         assert code == 0
         assert json.loads(out) == TROP_GOLDEN
+
+    def test_stdin_that_is_not_utf8_is_a_schema_error(self, capsys, monkeypatch):
+        # the byte is refused at its offset, not read as the character '\udcff'
+        monkeypatch.setattr("sys.stdin", stdin_of(b"\xff"))
+        assert run(capsys, "trop", "--input", "-") == (
+            2, "", "error: SchemaError: input is not UTF-8 text: invalid start byte at byte 0\n"
+        )
+
+    def test_stdin_is_decoded_as_utf8_whatever_the_io_encoding(self):
+        # the decode is UTF-8 whatever PYTHONIOENCODING says; latin-1 would read 'aaaa\xff'
+        import tropdiff
+
+        src = str(Path(tropdiff.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="latin-1")
+        done = subprocess.run(
+            [sys.executable, "-m", "tropdiff", "trop", "--input", "-"],
+            input=b"aaaa\xff", env=env, capture_output=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, b"", b"error: SchemaError: input is not UTF-8 text: invalid start byte at byte 4\n"
+        )
 
     def test_missing_expression(self, capsys):
         code, _, err = run(capsys, "trop")
@@ -656,6 +685,9 @@ class TestExitCodes:
             ("polynomials", [{"name": "P", "poly": [{"coeff": {"num": {"terms": 5}}}]}]),
             ("polynomials", [{"name": "P", "poly": [{"coeff": {"num": {"terms": [5]}}}]}]),
             ("order", {"type": "alphabetical"}),
+            ("order", "lex"),
+            ("polynomials", [{"name": "P", "poly": [{"coeff": "1", "monomial": [{"pow": 1}]}]}]),
+            ("polynomials", [{"name": "P", "poly": [{"coeff": "1", "monomial": [{"var": [1]}]}]}]),
             # a key of another type was read as absent: N^2, the empty weight, lex
             ("weight", [{"type": "cofinite", "points": [[0, 0]]}]),
             ("weight", [{"type": "finite", "excluded": [[1, 1]]}]),
@@ -678,9 +710,9 @@ class TestExitCodes:
         ],
         ids=[
             "polynomials", "points", "excluded", "monomial", "terms", "term", "order-type",
-            "cofinite-points", "finite-excluded", "named-order-rows", "problem-file-key",
-            "kernel-key", "entry-key", "diffpoly-term-key", "factor-key", "num-den-key",
-            "terms-key", "term-key",
+            "order-not-an-object", "factor-without-var", "var-not-a-pair", "cofinite-points",
+            "finite-excluded", "named-order-rows", "problem-file-key", "kernel-key", "entry-key",
+            "diffpoly-term-key", "factor-key", "num-den-key", "terms-key", "term-key",
         ],
     )
     def test_malformed_shapes_are_schema_errors(self, capsys, tmp_path, field, value):
@@ -887,6 +919,39 @@ class TestInputLimits:
         assert (code, out) == (2, "")
         assert err == "error: SchemaError: JSON input holds an integer with too many digits\n"
 
+    @pytest.mark.parametrize("format", ["json", "pretty"])
+    @pytest.mark.parametrize("command", ["prolong", "translate", "initial"])
+    def test_an_output_integer_with_too_many_digits_is_a_schema_error(
+        self, capsys, tmp_path, command, format
+    ):
+        # 2^20000 has 6,021 digits: it is read, and writing it is refused as reading
+        # it as a JSON int is; nothing is printed of the polynomial before it
+        problem = {
+            "m": 2,
+            "polynomials": [
+                {"name": "P", "poly": [{"coeff": "3", "monomial": []}]},
+                {"name": "Q", "poly": [{"coeff": "2^20000", "monomial": []}]},
+            ],
+            "weight": [{"type": "full"}],
+            "order": {"type": "lex"},
+        }
+        source = problem_with(tmp_path, json.dumps(problem))
+        assert run(capsys, command, "--input", source, "--format", format) == (2, "", (
+            "error: SchemaError: output holds an integer with more than "
+            f"{sys.get_int_max_str_digits()} digits\n"
+        ))
+
+    def test_a_coefficient_in_exponent_notation_is_refused_at_once(self, capsys):
+        # Fraction("1e30000000") builds an int of thirty million digits
+        term = {"exp": [1, 0], "coeff": "1e30000000"}
+        start = time.perf_counter()
+        code, out, err = run(capsys, "trop", json.dumps({"num": {"terms": [term]}}))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            'error: SchemaError: coefficient must be an integer or "[-]p[/q]", got \'1e30000000\'\n'
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1028,7 +1093,7 @@ class TestInputLimits:
         assert len(err.encode()) < 1024
 
 class TestReadSource:
-    """A problem file is read as bytes: the same text, errors and offsets as text mode."""
+    """A file and stdin are read as bytes: the same text, errors and offsets as text mode."""
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
     @pytest.mark.parametrize("command", ["tropw", "translate", "initial", "prolong"])
@@ -1058,6 +1123,59 @@ class TestReadSource:
             "error: JSONDecodeError: Expecting property name enclosed in double quotes: "
             "line 3 column 3 (char 14)\n"
         ))
+
+    @pytest.mark.parametrize("command", ["tropw", "translate", "initial", "prolong"])
+    def test_a_leading_byte_order_mark_is_dropped(self, capsys, monkeypatch, tmp_path, command):
+        # RFC 8259 lets a parser ignore it; json.loads alone refuses it
+        bom = b"\xef\xbb\xbf" + Path(PROBLEM).read_bytes()
+        source = tmp_path / "bom.json"
+        source.write_bytes(bom)
+        want = run(capsys, command, "--input", PROBLEM)
+        assert want[0] == 0 and want[1]
+        assert run(capsys, command, "--input", str(source)) == want
+        monkeypatch.setattr("sys.stdin", stdin_of(bom))
+        assert run(capsys, command, "--input", "-") == want
+
+    def test_only_one_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        source = tmp_path / "bom.json"
+        source.write_bytes(b"\xef\xbb\xbf" * 2 + Path(PROBLEM).read_bytes())
+        code, out, err = run(capsys, "tropw", "--input", str(source))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: JSONDecodeError: Unexpected UTF-8 BOM")
+
+    def test_stdin_reads_as_the_file_does(self, capsys, monkeypatch, tmp_path):
+        """Seeded byte strings through --input - and --input <file> give the same
+        exit code, stdout and stderr: newlines, text outside ASCII, bytes that do
+        not decode at several offsets, and a leading byte-order mark."""
+        rng = random.Random(1061)
+        bases = [
+            ("tropw", Path(PROBLEM).read_bytes()),
+            ("trop", b"t/(t+u)\n"),
+            ("trop", b'{\n  "num": "t",\n  "den": "t+u"\n}\n'),
+        ]
+        wide = ["é", "€", "𝕥"]  # two, three and four bytes in UTF-8
+        bad = [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf0\x9d\x95"]
+        seen = set()
+        for k in range(90):
+            command, data = rng.choice(bases)
+            data = data.replace(b"\n", rng.choice([b"\n", b"\r\n", b"\r"]))
+            if rng.random() < 0.4:
+                # inside a name or a text side, or before a newline
+                marker = rng.choice([b'"P"', b'"t"', b"\n"])
+                char = rng.choice(wide).encode()
+                data = data.replace(marker, marker[:-1] + char + marker[-1:], 1)
+            if rng.random() < 0.4:
+                at = rng.randrange(len(data) + 1)
+                data = data[:at] + rng.choice(bad) + data[at:]
+            if rng.random() < 0.3:
+                data = b"\xef\xbb\xbf" + data
+            source = tmp_path / f"case{k}"
+            source.write_bytes(data)
+            from_file = run(capsys, command, "--input", str(source))
+            monkeypatch.setattr("sys.stdin", stdin_of(data))
+            assert run(capsys, command, "--input", "-") == from_file, data
+            seen.add(from_file[0] if from_file[0] == 0 else from_file[2].split(":")[1].strip())
+        assert seen == {0, "SchemaError", "PolyParseError", "JSONDecodeError", "UnknownVariable"}
 
 
 COMMANDS = [

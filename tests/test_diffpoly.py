@@ -506,3 +506,15 @@ class TestPresentation:
 
     def test_zero(self):
         assert str(DiffPoly.zero(2, 1)) == "0"
+
+    def test_a_constant_term_other_than_one(self):
+        # its magnitude stands alone, after the terms of higher degree
+        x = DiffMonomial.var(1, (0, 0))
+        P = DiffPoly(2, 1, {DiffMonomial.one(): Fraction(-3, 2), x: 2})
+        assert str(P) == "2*x_(0,0) - 3/2"
+
+    def test_monomial(self):
+        x, y = DiffMonomial.var(1, (1, 0)), DiffMonomial.var(2, (0, 1))
+        assert str(x * x) == "x_(1,0)^2"
+        assert str(x * y) == "x1_(1,0)*x2_(0,1)"
+        assert str(DiffMonomial.one()) == "1"

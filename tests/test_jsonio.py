@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,25 @@ class TestQPolyRoundTrip:
         with pytest.raises(SchemaError, match="1/0"):
             qpoly_from({"terms": [{"exp": [1, 0], "coeff": "1/0"}]}, 2)
 
+    @pytest.mark.parametrize(
+        "coeff, value", [("-3/4", Fraction(-3, 4)), ("12", 12), (7, 7), ("6/4", Fraction(3, 2))]
+    )
+    def test_a_coefficient_in_the_written_form_is_read(self, coeff, value):
+        assert qpoly_from({"terms": [{"exp": [1, 0], "coeff": coeff}]}, 2).terms == {(1, 0): value}
+
+    @pytest.mark.parametrize(
+        "coeff",
+        [
+            "0.1", "1e3", "1_000", " 3/4", "3/4\n", "+5", "１", "٣",
+            "1/0", "1/-2", "-", "", "1e30000000", 0.5, True, None,
+        ],
+    )
+    def test_any_other_coefficient_is_a_schema_error_that_names_it(self, coeff):
+        # Fraction's own grammar reads each text before "1/0", and "1e30000000" as
+        # an int of thirty million digits
+        with pytest.raises(SchemaError, match=re.escape(repr(coeff))):
+            qpoly_from({"terms": [{"exp": [1, 0], "coeff": coeff}]}, 2)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_coefficient_text_is_str_of_fraction(self, m):
         # the text comes from series.fraction_text, never from a Fraction
@@ -157,10 +177,10 @@ class TestRationalRoundTrip:
         assert got.m == 2 and got.is_zero
 
     def test_width_unknowable(self):
-        with pytest.raises(SchemaError):
-            qpoly_from({"terms": []})
-        with pytest.raises(SchemaError):
-            rational_from({"num": {"terms": []}})
+        # one rule, and one refusal, for both decoders
+        for decode, obj in [(qpoly_from, {"terms": []}), (rational_from, {"num": {"terms": []}})]:
+            with pytest.raises(SchemaError, match="^cannot infer the exponent width; pass m$"):
+                decode(obj)
 
     def test_exponent_lists_take_precedence_over_text(self):
         got = rational_from({"num": "t", "den": {"terms": [{"exp": [0, 0, 0, 1], "coeff": "1"}]}})

@@ -72,6 +72,16 @@ class TestKind:
             assert order.rows == ((1,),)
             assert order.kind == "lex"
 
+    def test_repr_names_the_kind(self):
+        assert repr(order_standard("grlex", 3)) == "MonomialOrder(grlex, m=3)"
+        assert repr(MonomialOrder([[1, 0], [0, 1]])) == "MonomialOrder([[1, 0], [0, 1]])"
+
+    def test_equal_orders_hash_alike(self):
+        # a matrix with a named order's rows is that order
+        lex = order_standard("lex", 3)
+        assert hash(MonomialOrder(lex.rows)) == hash(lex)
+        assert len({lex, MonomialOrder(lex.rows), order_standard("grlex", 3)}) == 2
+
     def test_no_kind_knob(self):
         # a label that contradicts the rows cannot be given or set
         with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from tropdiff import (
     EQ,
     GT,
     LT,
+    DiffMonomial,
+    DiffPoly,
     DimensionMismatch,
     InconsistentOracle,
     MonomialOrder,
@@ -91,6 +94,26 @@ class TestConstructor:
         half = QPoly(2, {(1, 0): 2, (0, 1): Fraction(1, 2)})
         assert canonical(half) and half.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)}
 
+    @pytest.mark.parametrize(
+        "value", ["3/4", "1_0", "1e2", Decimal("0.5"), None, 1j],
+        ids=["str", "str-underscore", "str-exponent", "decimal", "none", "complex"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: QPoly(2, {(1, 0): c}),
+            lambda c: QPoly.constant(2, c),
+            lambda c: RationalFunction.constant(2, c),
+            lambda c: DiffPoly(2, 1, {DiffMonomial.var(1, (0, 0)): c}),
+        ],
+        ids=["qpoly", "qpoly-constant", "rational-constant", "diffpoly"],
+    )
+    def test_only_an_int_or_a_fraction_is_a_coefficient(self, build, value):
+        # text reaches the library through parsing alone; Fraction reads "1_0" and "1e2"
+        message = f"coefficients must be exact, got the {type(value).__name__} {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(value)
+
 
 class TestQPolyArithmetic:
     def test_terms_merge_and_cancel(self):
@@ -104,6 +127,9 @@ class TestQPolyArithmetic:
         f = parse_poly("t", 2)
         assert 2 * f - f == f
         assert f / 2 == QPoly(2, {(1, 0): Fraction(1, 2)})
+
+    def test_zero_is_written_0(self):
+        assert str(QPoly.zero(2)) == str(parse_poly("t - t", 2)) == "0"
 
     def test_divide_by_zero_scalar(self):
         with pytest.raises(ZeroDenominator):
