@@ -18,9 +18,12 @@ Input comes in one way: _read_source reads a file and stdin ('-') alike as
 bytes, with one UTF-8 decode that does not depend on the locale.  JSON input
 is decoded by _json, which reports input that json.loads refuses as exit 2 in
 every case: a syntax error as json.JSONDecodeError, nesting deeper than
-MAX_JSON_NESTING or an integer with too many digits as a SchemaError.  An
-output integer with more digits than the interpreter writes as text is a
-SchemaError too (series.fraction_text).
+MAX_JSON_NESTING or an integer with too many digits as a SchemaError.
+
+Output goes out one way: _emit builds the whole text of the chosen format
+before it prints any, and refuses an integer with more digits than the
+interpreter writes as text (a coefficient, an exponent, a point of a vertex
+set, a multi-index or a power) as a SchemaError, so nothing is printed.
 
 Exit codes: 0 success, 2 parse or usage error, 3 domain error, 4 internal
 inconsistency.
@@ -29,9 +32,11 @@ inconsistency.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -46,6 +51,7 @@ from .errors import (
     PolyParseError,
     SchemaError,
     TropdiffError,
+    shown,
     width,
 )
 from .orders import EQ, GT, LT, MonomialOrder, order_standard
@@ -83,12 +89,20 @@ _REL_SIGN = {LT: "<", EQ: "=", GT: ">"}
 
 def _emit(args, to_json, to_pretty) -> int:
     """Print the requested rendering; only that one of the two is built, and
-    whole before any of it is printed, so a refusal while writing prints nothing."""
-    if args.format == "json":
-        print(jsonio.dumps(to_json()))
-    else:
-        for line in to_pretty():
-            print(line)
+    whole before any of it is printed.  An integer with more digits than the
+    interpreter writes as text, anywhere in it, is a SchemaError, and nothing
+    is printed."""
+    try:
+        lines = [jsonio.dumps(to_json())] if args.format == "json" else list(to_pretty())
+    except ValueError as exc:
+        # the interpreter's digit limit raises a plain ValueError, told by its message
+        if "integer string conversion" not in str(exc):
+            raise
+        raise SchemaError(
+            f"output holds an integer with more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -99,10 +113,13 @@ def _read_source(path: str) -> str:
     whatever the locale, with the universal newlines that text mode applies:
     "\\r\\n" and a lone "\\r" read as "\\n".  One leading byte-order mark is
     dropped after the decode.  A byte that does not decode is reported at its
-    offset in the input, as text mode reports it.
+    offset in the input, as text mode reports it.  A closed stdin is an
+    OSError, as a missing file is.
     """
     try:
         if path == "-":
+            if sys.stdin is None:  # closed before the interpreter started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF), path)
             data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as handle:
@@ -169,7 +186,7 @@ def _bound_of(args, problem: jsonio.ProblemFile, generators: int) -> int:
     size = generators * math.comb(bound + problem.m, problem.m)
     if size > MAX_DERIVATIVES:
         raise SchemaError(
-            f"bound {bound} asks for {size} derivatives, more than {MAX_DERIVATIVES}"
+            f"bound {shown(bound)} asks for {shown(size)} derivatives, more than {MAX_DERIVATIVES}"
         )
     return bound
 
@@ -243,9 +260,7 @@ def cmd_initial(args) -> int:
     generators = [poly for _, poly in _selected(problem, args.names)]
     bound = _bound_of(args, problem, len(generators))
     forms = initial_generators(generators, weights, order, bound, kernel)
-    return _emit(
-        args, lambda: list(map(jsonio.diffpoly_json, forms)), lambda: list(map(str, forms))
-    )
+    return _emit(args, lambda: list(map(jsonio.diffpoly_json, forms)), lambda: map(str, forms))
 
 
 def cmd_prolong(args) -> int:

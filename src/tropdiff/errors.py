@@ -31,14 +31,18 @@ _INT_ONLY = frozenset({int})
 def shown(value: object) -> str:
     """repr(value) when short; else its start, its type and its length (len(value),
     or the length of the repr for a value without one, such as an int).  A value
-    nested too deep for repr is shown by its type and its length alone."""
+    that repr refuses, one nested too deep or one that holds an int with more
+    digits than the interpreter writes as text, is shown by its type and its
+    length alone; such an int itself by its type and its bit length."""
     try:
         text = repr(value)
-    except RecursionError:
+    except (RecursionError, ValueError):
         text = ""
     else:
         if len(text) <= _SHOWN_LENGTH:
             return text
+    if isinstance(value, int) and not text:
+        return f"({type(value).__name__} of {value.bit_length()} bits)"
     size = len(value) if hasattr(value, "__len__") else len(text)
     start = f"{text[:_SHOWN_LENGTH]}... " if text else ""
     return f"{start}({type(value).__name__} of length {size})"

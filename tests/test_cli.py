@@ -25,7 +25,7 @@ from tropdiff import (
     translate,
     tropw,
 )
-from tropdiff.cli import main
+from tropdiff.cli import MAX_DERIVATIVES, main
 from tropdiff.jsonio import diffpoly_json, problem_from, vertexfraction_json
 
 PROBLEM = "tests/data/exp_problem.json"
@@ -140,6 +140,20 @@ class TestTrop:
         monkeypatch.setattr("sys.stdin", stdin_of(b"\xff"))
         assert run(capsys, "trop", "--input", "-") == (
             2, "", "error: SchemaError: input is not UTF-8 text: invalid start byte at byte 0\n"
+        )
+
+    @pytest.mark.parametrize("command", ["trop", "tropw"])
+    def test_a_closed_stdin_is_an_error_like_a_missing_file(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        # the interpreter sets sys.stdin to None when it starts with fd 0 closed
+        missing = str(tmp_path / "missing.json")
+        assert run(capsys, command, "--input", missing) == (
+            2, "", f"error: [Errno 2] No such file or directory: {missing!r}\n"
+        )
+        monkeypatch.setattr(sys, "stdin", None)
+        assert run(capsys, command, "--input", "-") == (
+            2, "", "error: [Errno 9] Bad file descriptor: '-'\n"
         )
 
     def test_stdin_is_decoded_as_utf8_whatever_the_io_encoding(self):
@@ -1091,6 +1105,87 @@ class TestInputLimits:
         assert (code, out) == (2, "")
         assert err.startswith("error: SchemaError: problem file takes no key '")
         assert len(err.encode()) < 1024
+
+# the greatest int of as many digits as the interpreter writes; one more makes it too long
+WIDEST = 10 ** sys.get_int_max_str_digits() - 1
+TOO_LONG = (
+    "error: SchemaError: output holds an integer with more than "
+    f"{sys.get_int_max_str_digits()} digits\n"
+)
+
+
+class TestOutputBoundary:
+    """cli._emit builds the whole text before it prints any: an integer too long to
+    write, wherever it sits in the output, exits 2 with nothing printed."""
+
+    @pytest.mark.parametrize("format", ["json", "pretty"])
+    @pytest.mark.parametrize("case", ["exponent", "weight-point", "multi-index"])
+    def test_an_output_integer_that_is_no_coefficient_is_refused(
+        self, capsys, tmp_path, case, format
+    ):
+        if case == "exponent":
+            # t^WIDEST reads, and its square's exponent has one digit more
+            argv = ["trop", "--m", "2", f"(t^{WIDEST})^2"]
+        elif case == "weight-point":
+            # the value of t*x_(0,0) at the one point of the weight is shifted by t
+            problem = {
+                "m": 2,
+                "polynomials": [{"name": "P", "poly": [
+                    {"coeff": "t", "monomial": [{"var": [1, [0, 0]], "pow": 1}]},
+                ]}],
+                "weight": [{"type": "finite", "points": [[WIDEST, 0]]}],
+            }
+            argv = ["tropw", "--input", problem_with(tmp_path, json.dumps(problem))]
+        else:
+            # the derivative d/dt of x_(WIDEST,0) is x_(WIDEST+1,0)
+            problem = {
+                "m": 2,
+                "polynomials": [{"name": "P", "poly": [
+                    {"coeff": "1", "monomial": [{"var": [1, [WIDEST, 0]], "pow": 1}]},
+                ]}],
+            }
+            source = problem_with(tmp_path, json.dumps(problem))
+            argv = ["prolong", "--bound", "1", "--input", source]
+        assert run(capsys, *argv, "--format", format) == (2, "", TOO_LONG)
+
+    @pytest.mark.parametrize("format", ["json", "pretty"])
+    def test_the_widest_integer_is_written(self, capsys, tmp_path, format):
+        code, out, err = run(capsys, "trop", "--m", "2", f"t^{WIDEST}", "--format", format)
+        assert (code, err) == (0, "") and str(WIDEST) in out
+
+    def test_another_value_error_is_not_the_refusal(self, capsys, monkeypatch):
+        from tropdiff import cli
+        from tropdiff.vertexpoly import VertexFraction
+
+        def refuse(*args):
+            raise ValueError("not about digits")
+
+        monkeypatch.setattr(cli.jsonio, "dumps", refuse)
+        with pytest.raises(ValueError, match="^not about digits$"):
+            main(["trop", "t/(t+u)"])
+        monkeypatch.setattr(VertexFraction, "__str__", refuse)
+        with pytest.raises(ValueError, match="^not about digits$"):
+            main(["trop", "t/(t+u)", "--format", "pretty"])
+        assert capsys.readouterr() == ("", "")
+
+    def test_a_pretty_rendering_without_lines_prints_nothing(self, capsys, tmp_path):
+        empty = {"m": 2, "polynomials": [], "weight": [{"type": "full"}]}
+        source = problem_with(tmp_path, json.dumps(empty))
+        assert run(capsys, "tropw", "--input", source, "--format", "pretty") == (0, "", "")
+        assert run(capsys, "tropw", "--input", source) == (0, "[]\n", "")
+
+    def test_a_bound_too_large_to_write_its_derivative_count_is_refused(self, capsys):
+        # C(10^4000 + 2, 2) has about 8,000 digits; the message shows it by its bit length
+        bound = 10**4000
+        code, out, err = run(capsys, "prolong", "--input", PROBLEM, "--bound", str(bound))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: SchemaError: bound 1000")
+        size = (bound + 2) * (bound + 1) // 2
+        assert err.endswith(
+            f"(int of length 4001) asks for (int of {size.bit_length()} bits) derivatives, "
+            f"more than {MAX_DERIVATIVES}\n"
+        )
+
 
 class TestReadSource:
     """A file and stdin are read as bytes: the same text, errors and offsets as text mode."""

@@ -32,6 +32,12 @@ vertexpoly, whose product adds vertex sets.  So no other module names
 operator.add, as an attribute or by importing it from operator, and a second
 spelling of the polynomial product cannot come back.
 
+The math layer knows no schema and no process: only the modules that read
+and write the CLI's formats (cli and jsonio) name SchemaError, besides errors,
+which defines it, and the package, which exports it; and only cli imports
+sys.  So an output integer too long to write is refused at the CLI's one
+output boundary, cli._emit, not inside a module that computes.
+
 The exact simplex has one caller: only vertexpoly imports feasibility.covered
 or calls it, and inside vertexpoly only the function _vertices names covered
 or the Pareto filter _pareto_minimal, so every vertex extraction, with its
@@ -375,4 +381,53 @@ def test_the_extraction_rule_sees_each_use():
         "line 12: uses covered",
         "line 15: uses _pareto_minimal",
         "line 16: uses covered",
+    ]
+
+
+# the modules that may name SchemaError, and the one that may import sys
+SCHEMA_MODULES = ("__init__.py", "errors.py", "jsonio.py", "cli.py")
+SYS_MODULES = ("cli.py",)
+
+
+def boundary_names(source: str, schema: bool = True, sys_module: bool = True) -> list[str]:
+    """Each use of the name SchemaError, and each import of sys, where not allowed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and sys_module:
+            found += [f"line {node.lineno}: imports sys" for a in node.names if a.name == "sys"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys" and sys_module:
+            found.append(f"line {node.lineno}: imports sys")
+        if schema and "SchemaError" in (
+            getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+        ):
+            found.append(f"line {node.lineno}: names SchemaError")
+    return sorted(found, key=lambda line: int(line.split()[1].rstrip(":")))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_format_modules_name_the_schema_error(path):
+    source = path.read_text(encoding="utf-8")
+    schema, sys_module = path.name not in SCHEMA_MODULES, path.name not in SYS_MODULES
+    assert boundary_names(source, schema, sys_module) == []
+
+
+def test_the_boundary_rule_sees_each_use():
+    assert boundary_names(PACKAGE.joinpath("cli.py").read_text(encoding="utf-8"))
+    source = (
+        "import sys\n"
+        "import os, sys as system\n"
+        "from sys import maxsize\n"
+        "from .errors import SchemaError\n"
+        "from . import errors\n"
+        "raise errors.SchemaError('x')\n"
+        "class SchemaError(Exception): pass\n"
+        "message = 'SchemaError'\n"
+    )
+    assert boundary_names(source) == [
+        "line 1: imports sys",
+        "line 2: imports sys",
+        "line 3: imports sys",
+        "line 4: names SchemaError",
+        "line 6: names SchemaError",
+        "line 7: names SchemaError",
     ]
