@@ -19,6 +19,15 @@ The factors are an immutable tuple in a private slot, shown by the read-only
 property factors, so nothing rebinds them after construction and neither
 kept value goes stale.
 
+checked_variable is the one check of a variable x_{i,J}: i an int from 1, at
+most n when n is given, and J a point of N^m.  DiffMonomial(factors) checks
+each factor's power and variable once, at any n and m, then merges repeated
+variables and sorts; check_monomial, which DiffPoly's constructor and coeff
+make, checks a monomial's variables against a DiffPoly's n and m; and
+jsonio.diffpoly_from checks each factor it reads against the problem's n and
+m, then has DiffMonomial._checked merge and sort the factors, with no second
+check.
+
 evaluate() substitutes honest polynomials for the unknowns, turning x_{i,J}
 into the J-th derivative of the i-th argument.  It is the semantic anchor
 for everything the translation layer does combinatorially.
@@ -47,16 +56,11 @@ class DiffMonomial:
     __slots__ = ("_factors", "_hash", "_bumps")
 
     def __init__(self, factors: Iterable[Factor] = ()):
-        merged: dict[Var, int] = {}
+        checked = []
         for (i, J), p in factors:
             (p,) = exponent((p,), what="powers")
-            (i,) = integers((i,), "variable indices")
-            if i < 1:
-                raise ValueError(f"variable indices start at 1, got {i}")
-            var = (i, exponent(J, what="multi-index"))
-            if p:  # a zero power drops its factor, once the factor is checked
-                merged[var] = merged.get(var, 0) + p
-        self._factors = factors = tuple(sorted(merged.items()))
+            checked.append((checked_variable(i, J), p))
+        self._factors = factors = _merged(checked)
         self._hash = hash(factors)
         self._bumps = None
 
@@ -68,6 +72,12 @@ class DiffMonomial:
         out._hash = hash(factors)
         out._bumps = None
         return out
+
+    @classmethod
+    def _checked(cls, factors: Iterable[Factor]) -> "DiffMonomial":
+        """The monomial of factors whose variables checked_variable gave, each
+        power a nonnegative int."""
+        return cls._trusted(_merged(factors))
 
     @classmethod
     def one(cls) -> "DiffMonomial":
@@ -141,14 +151,34 @@ class DiffMonomial:
     __repr__ = __str__
 
 
+def _merged(factors: Iterable[Factor]) -> tuple[Factor, ...]:
+    """Checked factors sorted by variable, a repeated variable's powers added and a
+    zero power dropped."""
+    merged: dict[Var, int] = {}
+    for var, p in factors:
+        if p:
+            merged[var] = merged.get(var, 0) + p
+    return tuple(sorted(merged.items()))
+
+
+def checked_variable(i, J, m: int | None = None, n: int | None = None) -> Var:
+    """The variable x_{i,J}: i an int from 1, at most n when n is given, then J a
+    point of N^m (of any width when m is None)."""
+    if type(i) is not int:
+        (i,) = integers((i,), "variable indices")
+    if i < 1:
+        raise ValueError(f"variable indices start at 1, got {i}")
+    if n is not None and i > n:
+        raise DimensionMismatch(f"unknown index {i} out of range for n={n}")
+    return i, exponent(J, m, "multi-index")
+
+
 def check_monomial(mono, m: int, n: int) -> None:
     """Refuse anything but a DiffMonomial in x_{1..n, J} with J of width m."""
     if not isinstance(mono, DiffMonomial):
         raise TypeError(f"expected a DiffMonomial, got {shown(mono)}")
     for (i, J), _ in mono._factors:
-        if not 1 <= i <= n:
-            raise DimensionMismatch(f"unknown index {i} out of range for n={n}")
-        exponent(J, m, "multi-index")
+        checked_variable(i, J, m, n)
 
 
 def _rf_constant(c: RationalFunction) -> Fraction | None:

@@ -71,12 +71,16 @@ that the file uses twice.
 
 diffpoly_from decodes and checks every term first, in file order, so the
 first malformed term is the one reported.  Each term's coefficient comes from
-rational_from at the problem's m, and its monomial is checked once, by
-diffpoly.check_monomial (the check DiffPoly itself makes), against n and m
-even when its coefficient is zero or later cancels; no one-term DiffPoly is
-built.  It then sums the nonzero terms in one pass, which keeps the keys,
-order and coefficient objects that adding the terms one at a time gives, in
-time linear in the number of terms.
+rational_from at the problem's m.  Its monomial's factors are read in file
+order, and each is checked once, whole, before the next: its shape and its
+pow here, then its index against n and its multi-index against m by
+diffpoly.checked_variable, the check that DiffMonomial and DiffPoly make too.
+So the first faulty factor is the one reported, even when the coefficient is
+zero or later cancels.  DiffMonomial._checked then merges and sorts the
+checked factors, with no second check; no one-term DiffPoly is built.  It
+then sums the nonzero terms in one pass, which keeps the keys, order and
+coefficient objects that adding the terms one at a time gives, in time
+linear in the number of terms.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .diffpoly import DiffMonomial, DiffPoly, check_monomial
+from .diffpoly import DiffMonomial, DiffPoly, checked_variable
 from .errors import DimensionMismatch, NotAMonomialOrder, SchemaError, exponent, shown, width
 from .orders import MonomialOrder, order_standard
 from .parsing import inferred_width, parse_poly, parse_rational
@@ -437,9 +441,9 @@ def diffpoly_from(obj: object, m: int, n: int) -> DiffPoly:
             power = fac.get("pow", 1)
             if not _is_int(power) or power < 1:
                 raise SchemaError(f"pow must be a positive integer, got {shown(power)}")
-            factors.append((var, power))
-        mono = DiffMonomial(factors)
-        check_monomial(mono, m, n)
+            i, J = var
+            factors.append((checked_variable(i, J, m, n), power))
+        mono = DiffMonomial._checked(factors)
         if coeff:
             terms.append((mono, coeff))
     return DiffPoly._trusted(m, n, _summed(terms))

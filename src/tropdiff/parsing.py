@@ -23,9 +23,18 @@ zero), combined by RationalFunction's own formulas: '+' and '-' give
 n1*d2 +- n2*d1 over d1*d2, '*' gives n1*n2 over d1*d2, '/' gives n1*d2 over
 d1*n2, and '^k' powers both sides, by series._product and series._power, the
 one product and power of int polynomials, which QPoly uses too (its power is in
-lowest terms with no gcd, by Gauss's lemma).  The RationalFunction is built
-once, at the end, with the public QPoly(m, terms).  QPoly is canonical, so num
-and den are the polynomials that RationalFunction arithmetic on every atom gives.
+lowest terms with no gcd, by Gauss's lemma).  A den of 1, that of every atom
+and of every subexpression with no division, is carried as None, and a formula
+skips each product by it: n1 + n2 over None when neither side divides, n1*d2
++- n2 over d2 when only the right one does, and so on.  So a text that divides
+once, such as (2*t*u - 3*t)/(u), takes no product at all.  The RationalFunction
+is built once, at the end, with the public QPoly(m, terms), den None becoming
+the polynomial 1.  QPoly is canonical, so num and den are the polynomials that
+RationalFunction arithmetic on every atom gives.
+
+An operand (its signs, its atom and any '^k': the unary, power and atom of
+the grammar) is read in one method, one stack frame, and '(' recurses through
+expr and term back into it.
 
 A token is a plain tuple (kind, value, pos).  kind is "int" or "var", with the
 integer or the variable index as value, an operator or parenthesis character
@@ -53,8 +62,9 @@ from .errors import (
 )
 from .series import QPoly, RationalFunction, _power, _product, _summed
 
-# Each level of parentheses costs the parser five stack frames; at this depth
-# an expression stays far below the interpreter's recursion limit.
+# Each level of parentheses costs the parser three stack frames (operand, expr
+# and term); at this depth an expression stays far below the interpreter's
+# recursion limit.
 MAX_NESTING = 100
 
 
@@ -109,7 +119,8 @@ def _lex(text: str) -> list[tuple]:
 
 class _Parser:
     """The descent.  A value is a pair (num, den) of int polynomials, exactly the
-    num and den that RationalFunction arithmetic would give."""
+    num and den that RationalFunction arithmetic would give; den is None where
+    it is 1, for an atom and every subexpression with no division."""
 
     def __init__(self, tokens: list[tuple], m: int, poly_mode: bool):
         self.tokens = tokens
@@ -120,76 +131,91 @@ class _Parser:
 
     def expr(self):
         tokens = self.tokens
-        value = self.term()
+        n1, d1 = self.term()
         while (op := tokens[self.i][0]) in ("+", "-"):
             self.i += 1
-            (n1, d1), (n2, d2) = value, self.term()
+            n2, d2 = self.term()
+            # n1*d2 +- n2*d1 over d1*d2
             if op == "-":
                 n2 = {e: -c for e, c in n2.items()}
-            num = _summed([*_product(n1, d2).items(), *_product(n2, d1).items()])
-            value = num, _product(d1, d2)
-        return value
+            if d2 is not None:
+                n1 = _product(n1, d2)
+            if d1 is not None:
+                n2 = _product(n2, d1)
+                d1 = d1 if d2 is None else _product(d1, d2)
+            else:
+                d1 = d2
+            n1 = _summed([*n1.items(), *n2.items()])
+        return n1, d1
 
     def term(self):
         tokens = self.tokens
-        value = self.unary()
+        n1, d1 = self.operand()
         while (tok := tokens[self.i])[0] in ("*", "/"):
             op, _, pos = tok
             self.i += 1
-            (n1, d1), (n2, d2) = value, self.unary()
+            n2, d2 = self.operand()
             if op == "*":
-                value = _product(n1, n2), _product(d1, d2)
-                continue
-            if self.poly_mode and not n2.keys() | d2.keys() <= {self.one}:
-                raise PolyParseError(
-                    "division by a non-constant is not allowed in a polynomial", pos
-                )
-            if not n2:
-                raise ZeroDenominator(f"division by zero at position {pos}")
-            value = _product(n1, d2), _product(d1, n2)
-        return value
+                n1 = _product(n1, n2)
+            else:
+                if self.poly_mode and not (
+                    n2.keys() <= {self.one} and (d2 is None or d2.keys() <= {self.one})
+                ):
+                    raise PolyParseError(
+                        "division by a non-constant is not allowed in a polynomial", pos
+                    )
+                if not n2:
+                    raise ZeroDenominator(f"division by zero at position {pos}")
+                # n1/d1 over n2/d2 is n1*d2 over d1*n2
+                if d2 is not None:
+                    n1 = _product(n1, d2)
+                d2 = n2
+            if d2 is not None:
+                d1 = d2 if d1 is None else _product(d1, d2)
+        return n1, d1
 
-    def unary(self):
-        tokens = self.tokens
+    def operand(self):
+        """An operand, read in one frame: its signs, an atom and any '^k'."""
+        tokens, i = self.tokens, self.i
         negative = False
-        while (op := tokens[self.i][0]) in ("+", "-"):
-            self.i += 1
-            negative ^= op == "-"
-        num, den = self.power()
-        return ({e: -c for e, c in num.items()} if negative else num), den
-
-    def power(self):
-        value = self.atom()
-        if self.tokens[self.i][0] != "^":
-            return value
-        kind, k, pos = self.tokens[self.i + 1]  # '^' is never the last token
-        if kind == "-":
-            raise NegativeExponent("exponents must be nonnegative", pos)
-        if kind != "int":
-            raise PolyParseError("exponent must be a nonnegative integer", pos)
-        self.i += 2
-        num, den = value
-        return _power(num, k, self.one), _power(den, k, self.one)
-
-    def atom(self):
-        kind, value, pos = self.tokens[self.i]
-        self.i += 1
+        while (kind := tokens[i][0]) in ("+", "-"):
+            i += 1
+            negative ^= kind == "-"
+        kind, value, pos = tokens[i]
+        i += 1
         if kind == "int":
-            return ({self.one: value} if value else {}), {self.one: 1}
-        if kind == "var":
+            num = {self.one: value} if value else {}
+            den = None
+        elif kind == "var":
             if value > self.m:
                 raise UnknownVariable(f"variable t{value} exceeds m={self.m}", pos)
-            return {self.one[: value - 1] + (1,) + self.one[value:]: 1}, {self.one: 1}
-        if kind == "(":
-            inner = self.expr()
-            kind, _, pos = self.tokens[self.i]
-            self.i += 1
+            num = {self.one[: value - 1] + (1,) + self.one[value:]: 1}
+            den = None
+        elif kind == "(":
+            self.i = i
+            num, den = self.expr()
+            kind, _, pos = tokens[self.i]
+            i = self.i + 1
             if kind != ")":
                 raise PolyParseError("expected closing parenthesis", pos)
-            return inner
-        raise PolyParseError(
-            "expected a number, variable or parenthesized expression", pos
-        )
+        else:
+            raise PolyParseError(
+                "expected a number, variable or parenthesized expression", pos
+            )
+        if tokens[i][0] == "^":
+            kind, k, pos = tokens[i + 1]  # '^' is never the last token
+            if kind == "-":
+                raise NegativeExponent("exponents must be nonnegative", pos)
+            if kind != "int":
+                raise PolyParseError("exponent must be a nonnegative integer", pos)
+            i += 2
+            num = _power(num, k, self.one)
+            if den is not None:
+                den = _power(den, k, self.one)
+        self.i = i
+        if negative:
+            num = {e: -c for e, c in num.items()}
+        return num, den
 
 
 def _widest(tokens: list[tuple], m: int = 2) -> int:
@@ -230,6 +256,8 @@ def _parse(text: str, m: int | None, poly_mode: bool) -> RationalFunction:
     if kind != "end":
         raise PolyParseError("unexpected trailing input", pos)
     num, den = value
+    if den is None:
+        den = {parser.one: 1}
     return RationalFunction(QPoly(parser.m, num), QPoly(parser.m, den))
 
 

@@ -119,12 +119,20 @@ def _product(f: dict, g: dict) -> dict:
 
 def _power(f: dict, k: int, one: Exponent) -> dict:
     """f ** k, with 0 ** 0 = {one: 1}; f ** 1 is f itself, and a zero or one-term
-    f is powered at once, so t^1000000 costs no loop."""
+    f is powered at once, so t^1000000 costs no loop.  Any other f is multiplied
+    in k times, so a k above the largest index (sys.maxsize) is an OverflowError
+    at once, not a loop that would never end."""
     if len(f) <= 1 < k:
         return {tuple(k * v for v in e): c**k for e, c in f.items()}
-    out = f if k else {one: 1}
-    for _ in range(k - 1):
-        out = _product(out, f)
+    try:
+        factors = itertools.repeat(f, k)
+    except OverflowError:
+        raise OverflowError(
+            f"cannot expand a polynomial of {len(f)} terms to the power {shown(k)}"
+        ) from None
+    out = next(factors, {one: 1})
+    for g in factors:
+        out = _product(out, g)
     return out
 
 

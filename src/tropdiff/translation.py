@@ -25,8 +25,10 @@ bounded.  This is the value that Aroca, Garay and Toghani define (Pacific J.
 Math. 283, 2016), computed with fewer extractions.
 
 translate builds each numerator as one QPoly.product of the normalizer's
-numerator, the coefficient's numerator and the substitution polynomials, one
-per unit of power, so it takes one gcd per coefficient, not one per factor;
+numerator, the coefficient's numerator and each factor's substitution
+polynomial, raised to the factor's power once (QPoly ** p, which takes no gcd)
+when that power is not 1, so it takes one gcd per coefficient, not one per
+factor, and no work that grows with a power of a polynomial of one term;
 the denominator is the normalizer's times the coefficient's, and the full
 unit-ball check runs on each result.
 
@@ -116,7 +118,8 @@ def translate(
     for mono, c in P.terms.items():
         factors = [pref.num, c.num]
         for (i, J), p in mono.factors:
-            factors += [substitution_poly(weights[i - 1], J, kernel)] * p
+            piece = substitution_poly(weights[i - 1], J, kernel)
+            factors.append(piece if p == 1 else piece**p)
         num = QPoly.product(P.m, factors)
         # a shift that empties a weight gives a zero piece, and the term drops
         if num.is_zero:

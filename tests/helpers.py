@@ -333,7 +333,11 @@ def json_by_scan(text):
 
 @jsonio._decoder
 def diffpoly_by_fold(obj, m, n):
-    """jsonio.diffpoly_from by the first route: a fold of DiffPoly's + over the terms."""
+    """jsonio.diffpoly_from by the first route: a fold of DiffPoly's + over the terms.
+
+    Each factor is checked as it is read, as the one-factor monomial of a
+    DiffPoly, so the first faulty factor in file order is the one reported.
+    """
     total = DiffPoly.zero(m, n)
     for entry in jsonio._listed(obj, "differential polynomial"):
         if not isinstance(entry, dict) or "coeff" not in entry:
@@ -351,6 +355,7 @@ def diffpoly_by_fold(obj, m, n):
             power = fac.get("pow", 1)
             if not jsonio._is_int(power) or power < 1:
                 raise SchemaError(f"pow must be a positive integer, got {shown(power)}")
+            DiffPoly(m, n, {DiffMonomial([(var, power)]): 1})
             factors.append((var, power))
         total = total + DiffPoly(m, n, {DiffMonomial(factors): coeff})
     return total

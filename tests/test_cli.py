@@ -314,6 +314,58 @@ class TestProblemCommands:
         assert "error" in err
 
 
+def with_power(tmp_path, term: int, power: int) -> str:
+    """The example problem with the factor of its term-th term raised to power."""
+    problem = json.loads(Path(PROBLEM).read_text())
+    problem["polynomials"][0]["poly"][term]["monomial"][0]["pow"] = power
+    source = tmp_path / f"power{term}.json"
+    source.write_text(json.dumps(problem))
+    return str(source)
+
+
+class TestFactorPowers:
+    """translate raises each factor's substitution polynomial to its power once.
+
+    In the example problem the second term's factor x_(0,0) has the
+    substitution polynomial 1, and the first term's x_(1,1) has t + u.
+    """
+
+    @pytest.mark.parametrize("power", [2**70, 2**62, 10**6], ids=["2^70", "2^62", "10^6"])
+    @pytest.mark.parametrize("command", ["translate", "initial"])
+    def test_a_huge_power_of_a_factor_of_1_costs_what_a_small_one_costs(
+        self, capsys, monkeypatch, tmp_path, command, power
+    ):
+        from tropdiff import series
+
+        # the term products of every polynomial product, the parser's included
+        products = []
+        product = series._product
+
+        def counted(f, g):
+            products.append(len(f) * len(g))
+            return product(f, g)
+
+        monkeypatch.setattr(series, "_product", counted)
+        work = []
+        for p in (3, power):
+            products.clear()
+            code, _, err = run(capsys, command, "--input", with_power(tmp_path, 1, p))
+            assert (code, err) == (0, "")
+            work.append(sum(products))
+        assert work[0] == work[1] > 0
+
+    @pytest.mark.parametrize("command", ["translate", "initial"])
+    def test_a_power_above_the_largest_index_of_a_factor_not_1_fails_at_once(self, tmp_path, command):
+        source = with_power(tmp_path, 0, sys.maxsize + 1)
+        with pytest.raises(OverflowError, match="cannot expand a polynomial of 2 terms to the power"):
+            main([command, "--input", source])
+
+    @pytest.mark.parametrize("command", ["tropw", "prolong"])
+    def test_the_commands_without_substitution_read_the_same_files(self, capsys, tmp_path, command):
+        for term in (0, 1):
+            assert run(capsys, command, "--input", with_power(tmp_path, term, 2**70))[0] == 0
+
+
 class TestSelectedNames:
     """Named polynomials are printed alone, in the order the names are given."""
 

@@ -24,6 +24,7 @@ from tropdiff import (
     BooleanWeight,
     DiffMonomial,
     DiffPoly,
+    DimensionMismatch,
     MonomialOrder,
     PolyParseError,
     QPoly,
@@ -374,14 +375,36 @@ MONOMIALS = [
     [{"var": [1, [1, 0]], "pow": 2}],
     [{"var": [1, [1, 0]]}, {"var": [1, [1, 0]]}],
 ]
-# an index past n = 2, an index 0, a short and a negative multi-index, a zero power
+# an index past n = 2, an index 0, a short and a negative multi-index, a zero power;
+# then two faults of different kinds in different factors, where the first faulty
+# factor in file order is the one reported (TWO_FAULTS pins each message)
 BAD_MONOMIALS = [
     [{"var": [3, [0, 0]]}],
     [{"var": [0, [1, 0]]}],
     [{"var": [1, [0]]}],
     [{"var": [2, [0, -1]]}, {"var": [1, [0, 0]]}],
     [{"var": [1, [0, 0]], "pow": 0}],
+    [{"var": [1, [0]]}, {"var": [1, [0, 0]], "pow": 0}],
+    [{"var": [3, [0, 0]]}, {"var": [True, [0, 0]]}],
+    [{"var": [1, [0, 0]], "pow": 0}, {"var": [3, [0, 0]]}],
+    [{"var": [3, [0, 0]]}, {"var": [2, [0]]}],
+    [{"var": [1, [0, -1]]}, {"var": [0, [0, 0]]}],
+    [{"var": [1, [0]]}, 5],
 ]
+BAD_IDS = [
+    "index-past-n", "index-0", "short", "negative", "pow-0",
+    "short-then-pow-0", "past-n-then-bool", "pow-0-then-past-n", "past-n-then-short-of-a-lower-index",
+    "negative-then-index-0", "short-then-no-object",
+]
+# (class of the cause, message) of each two-fault monomial above
+TWO_FAULTS = {
+    "short-then-pow-0": (DimensionMismatch, "multi-index: (0,) does not have 2 coordinates"),
+    "past-n-then-bool": (DimensionMismatch, "unknown index 3 out of range for n=2"),
+    "pow-0-then-past-n": (type(None), "pow must be a positive integer, got 0"),
+    "past-n-then-short-of-a-lower-index": (DimensionMismatch, "unknown index 3 out of range for n=2"),
+    "negative-then-index-0": (ValueError, "multi-index must be nonnegative, got (0, -1)"),
+    "short-then-no-object": (DimensionMismatch, "multi-index: (0,) does not have 2 coordinates"),
+}
 # a zero over a denominator other than 1 would widen the denominator it is added to
 ZEROS = ("0", "0/(t+u)", "0/t")
 COEFFS = [*ZEROS, "1", "-1", "t", "-t", "2/3", "-2/3", "1/(t+u)", "-1/(t+u)", "t/(t+u)", "u/(t+u)", "(t-u)/(t*u)"]
@@ -446,7 +469,7 @@ class TestDecodeOracle:
         assert dumps(got.terms[DiffMonomial.var(1, (0, 0))]) == dumps(parse_rational("u/(t+u)", 2))
         assert _decoded(diffpoly_from, terms) == _decoded(diffpoly_by_fold, terms)
 
-    @pytest.mark.parametrize("bad", BAD_MONOMIALS, ids=["index-past-n", "index-0", "short", "negative", "pow-0"])
+    @pytest.mark.parametrize("bad", BAD_MONOMIALS, ids=BAD_IDS)
     def test_a_bad_monomial_behind_a_cancelling_pair_is_refused(self, bad):
         pair = [{"coeff": "t", "monomial": X}, {"coeff": "-t", "monomial": X}]
         for terms in (
@@ -503,6 +526,16 @@ class TestDecodeOracle:
                 pass
         assert decoded > 50 and sum(map(len, lists)) > 300
         assert built == []
+
+    @pytest.mark.parametrize("name", TWO_FAULTS)
+    def test_the_first_faulty_factor_in_file_order_is_reported(self, name):
+        bad = BAD_MONOMIALS[BAD_IDS.index(name)]
+        cause, message = TWO_FAULTS[name]
+        terms = [{"coeff": "1", "monomial": bad}]
+        assert _decoded(diffpoly_from, terms) == (SchemaError, message, cause)
+        # the factors in the other order report the other fault
+        swapped = [{"coeff": "1", "monomial": bad[::-1]}]
+        assert _decoded(diffpoly_from, swapped)[1] != message
 
     def test_the_first_malformed_term_is_the_one_reported(self):
         terms = [

@@ -252,10 +252,14 @@ class TestAgainstTheDescentOracle:
             "t - t + u", "(1/t - 1/t) + u", "(t+u)*(t-u)", "(t+u)*2*t", "2*t*(t+u)", "(t+u)/(t*u)",
             "(t+u)/(t-u)", "t/(t+u) + 1", "(t+u)/(2*t) - (u+1)/(3*u)", "3/4*t", "(t^2+u)/(-2)",
             "1/(1/t)", "t/(u/u)", "1/(2/3)", "t/(t-t)", "1/(0*t)", "t/(1/t - 1/t)", "u/(t^0)",
+            # a denominator of 1 on either side of each operator, or made by a division
+            "(t)/(1)", "1/t", "t/1/1", "2/3*t", "(1)^3", "(t+1)/(1)", "-(1/(t-u))^2",
+            "(2*t*u - 3*t)/(u)", "(1)/(-3/2)", "t + 1/u", "1 - u/(t+1)", "t*(1/u)", "(t+1)*(u/2)",
         ]
         for text in texts:
-            for poly_mode in (False, True):
-                read_as_the_oracle_reads(text, None, poly_mode)
+            for m in (None, 2, 3, 4):
+                for poly_mode in (False, True):
+                    read_as_the_oracle_reads(text, m, poly_mode)
 
 
 RING_ARITHMETIC = [
