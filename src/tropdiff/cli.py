@@ -25,8 +25,8 @@ before it prints any, and refuses an integer with more digits than the
 interpreter writes as text (a coefficient, an exponent, a point of a vertex
 set, a multi-index or a power) as a SchemaError, so nothing is printed.
 
-Exit codes: 0 success, 2 parse or usage error, 3 domain error, 4 internal
-inconsistency.
+Exit codes: 0 success, 2 parse or usage error or a power too large to
+expand, 3 domain error, 4 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -486,7 +486,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (PolyParseError, SchemaError, json.JSONDecodeError) as exc:
+    except (PolyParseError, SchemaError, json.JSONDecodeError, OverflowError) as exc:
+        # an OverflowError is a power of a polynomial too large to expand
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
     except (InconsistentOracle, InternalInconsistency) as exc:

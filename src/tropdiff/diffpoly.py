@@ -26,7 +26,10 @@ variables and sorts; check_monomial, which DiffPoly's constructor and coeff
 make, checks a monomial's variables against a DiffPoly's n and m; and
 jsonio.diffpoly_from checks each factor it reads against the problem's n and
 m, then has DiffMonomial._checked merge and sort the factors, with no second
-check.
+check.  The merge is _merged, series._summed plus a sort, for the
+constructor, _checked and a product of monomials alike; only bump, derive's
+memoized hot path, edits a copy of the factors in place.  str of a DiffPoly
+is series._signed_sum of its terms, the signed-sum text of QPoly too.
 
 evaluate() substitutes honest polynomials for the unknowns, turning x_{i,J}
 into the J-th derivative of the i-th argument.  It is the semantic anchor
@@ -40,7 +43,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .errors import DimensionMismatch, direction, exponent, integers, shown, width
-from .series import QPoly, RationalFunction, _iterated, _summed, fraction_text
+from .series import QPoly, RationalFunction, _iterated, _signed_sum, _summed, fraction_text
 
 # what a DiffPoly adds and subtracts as a constant term
 _SCALARS = (RationalFunction, QPoly, Fraction, int)
@@ -101,10 +104,7 @@ class DiffMonomial:
         return sum(p for _, p in self._factors)
 
     def __mul__(self, other: "DiffMonomial") -> "DiffMonomial":
-        merged = dict(self._factors)
-        for var, p in other._factors:
-            merged[var] = merged.get(var, 0) + p
-        return DiffMonomial._trusted(tuple(sorted(merged.items())))
+        return DiffMonomial._checked(self._factors + other._factors)
 
     def bump(self, position: int, k: int) -> "DiffMonomial":
         """Replace one copy of the factor at `position` by its k-th derivative.
@@ -154,11 +154,7 @@ class DiffMonomial:
 def _merged(factors: Iterable[Factor]) -> tuple[Factor, ...]:
     """Checked factors sorted by variable, a repeated variable's powers added and a
     zero power dropped."""
-    merged: dict[Var, int] = {}
-    for var, p in factors:
-        if p:
-            merged[var] = merged.get(var, 0) + p
-    return tuple(sorted(merged.items()))
+    return tuple(sorted(_summed(factors).items()))
 
 
 def checked_variable(i, J, m: int | None = None, n: int | None = None) -> Var:
@@ -331,31 +327,17 @@ class DiffPoly:
         return sorted(self.terms, key=lambda E: (E.total_degree, E._factors), reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits: list[str] = []
+        triples = []
         for mono in self.display_order():
             c = self.terms[mono]
+            ms = "" if mono.is_one else mono.render(indexed=self.n > 1)
             const = _rf_constant(c)
-            ms = mono.render(indexed=self.n > 1)
-            if const is not None:
+            if const is None:
+                triples.append((False, f"({c})", ms))
+            else:
                 mag = abs(const)
-                text = fraction_text(mag.numerator, mag.denominator)
-                if mono.is_one:
-                    body = text
-                elif mag == 1:
-                    body = ms
-                else:
-                    body = f"{text}*{ms}"
-                negative = const < 0
-            else:
-                body = f"({c})" if mono.is_one else f"({c})*{ms}"
-                negative = False
-            if not bits:
-                bits.append(f"-{body}" if negative else body)
-            else:
-                bits.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(bits)
+                triples.append((const < 0, fraction_text(mag.numerator, mag.denominator), ms))
+        return _signed_sum(triples)
 
     __repr__ = __str__
 

@@ -21,9 +21,11 @@ list and dict it writes four library values in place, by their encodings
 above: QPoly, RationalFunction, DiffMonomial and DiffPoly.  They are written
 straight from their data, so no dict is built per term of a coefficient or
 of a differential polynomial.  A DiffPoly's terms come in display_order(),
-each written from the pieces that _rational_pieces and _monomial_piece give
+each written from the pieces that _rational_pieces and _monomial_text give
 for its coefficient and its monomial: the same pieces that a RationalFunction
-or a DiffMonomial is written as anywhere else.
+or a DiffMonomial is written as anywhere else.  Each encoding has one writer,
+which keeps its text in written: _qpoly_text, _rational_pieces and
+_monomial_text.
 
 Within one dumps call each distinct polynomial is written once per indent:
 a dict made for that call, and passed down through _write, maps a (QPoly,
@@ -64,10 +66,10 @@ own grammar (decimals, exponents, underscores, spaces, a plus sign, digits
 outside ASCII) is no input format; "1e30000000" alone would build an int of
 thirty million digits.  pow and prolong_bound must be ints, and json.loads
 reads true and false as bools, which Python counts as ints.  qpoly_from
-checks each exponent before it merges repeated exponents in a dict, where
-[true, 0] would otherwise merge into the key [1, 0].  And the CLI selects
-polynomials by name, so problem_from refuses a name that is not a string or
-that the file uses twice.
+checks each exponent before series._summed, the one sparse sum, merges
+repeated exponents, where [true, 0] would otherwise merge into the key
+[1, 0].  And the CLI selects polynomials by name, so problem_from refuses a
+name that is not a string or that the file uses twice.
 
 diffpoly_from decodes and checks every term first, in file order, so the
 first malformed term is the one reported.  Each term's coefficient comes from
@@ -163,7 +165,7 @@ def _write(value: object, newline: str, out: list, written: dict) -> None:
         out += _rational_pieces(value, newline, written)
         return
     if kind is DiffMonomial:
-        out.append(_monomial_piece(value, newline, written))
+        out.append(_monomial_text(value, newline, written))
         return
     if kind is DiffPoly:
         if not value.terms:
@@ -180,7 +182,7 @@ def _write(value: object, newline: str, out: list, written: dict) -> None:
             out.append(opening)
             out += _rational_pieces(terms[mono], key, written)
             out.append(monomial)
-            out.append(_monomial_piece(mono, key, written))
+            out.append(_monomial_text(mono, key, written))
             out.append(close)
             opening = following
         out.append(newline + "]")
@@ -200,15 +202,6 @@ def _rational_pieces(q: RationalFunction, newline: str, written: dict) -> tuple[
         pieces = ("{" + inner + '"den": ', den, "," + inner + '"num": ', num, newline + "}")
         written[key] = pieces
     return pieces
-
-
-def _monomial_piece(mono: DiffMonomial, newline: str, written: dict) -> str:
-    """mono's text at this indent, kept in written."""
-    key = (DiffMonomial, mono, newline)
-    text = written.get(key)
-    if text is None:
-        text = written[key] = _monomial_text(mono, newline)
-    return text
 
 
 def _qpoly_text(f: QPoly, newline: str, written: dict) -> str:
@@ -236,18 +229,23 @@ def _qpoly_text(f: QPoly, newline: str, written: dict) -> str:
     return text
 
 
-def _monomial_text(mono: DiffMonomial, newline: str) -> str:
-    """[{"pow": p, "var": [i, [J]]}, ...] at this indent; the constant monomial is []."""
+def _monomial_text(mono: DiffMonomial, newline: str, written: dict) -> str:
+    """[{"pow": p, "var": [i, [J]]}, ...] at this indent, kept in written; the
+    constant monomial is []."""
     if not mono.factors:
         return "[]"
-    item = newline + "  "
-    key = item + "  "
-    entry = key + "  "
-    body = ("," + item).join(
-        f'{{{key}"pow": {p!r},{key}"var": [{entry}{i!r},{entry}{_int_list(J, entry)}{key}]{item}}}'
-        for (i, J), p in mono.factors
-    )
-    return "[" + item + body + newline + "]"
+    memo = (DiffMonomial, mono, newline)
+    text = written.get(memo)
+    if text is None:
+        item = newline + "  "
+        key = item + "  "
+        entry = key + "  "
+        body = ("," + item).join(
+            f'{{{key}"pow": {p!r},{key}"var": [{entry}{i!r},{entry}{_int_list(J, entry)}{key}]{item}}}'
+            for (i, J), p in mono.factors
+        )
+        text = written[memo] = "[" + item + body + newline + "]"
+    return text
 
 
 def _int_list(values: Sequence[int], newline: str) -> str:
@@ -268,22 +266,6 @@ def vertexpoly_json(vp: VertexPoly) -> list:
 
 def vertexfraction_json(vf: VertexFraction) -> dict:
     return {"num": vertexpoly_json(vf.num), "den": vertexpoly_json(vf.den)}
-
-
-def weight_json(w: BooleanWeight) -> dict:
-    if w.kind == "full":
-        return {"type": "full"}
-    pts = [list(p) for p in sorted(w.data)]
-    if w.kind == "finite":
-        return {"type": "finite", "points": pts}
-    return {"type": "cofinite", "excluded": pts}
-
-
-def order_json(order: MonomialOrder) -> dict:
-    kind = order.kind
-    if kind == "matrix":
-        return {"type": "matrix", "rows": [list(r) for r in order.rows]}
-    return {"type": kind}
 
 
 def diffpoly_json(P: DiffPoly) -> DiffPoly:
@@ -353,7 +335,7 @@ def qpoly_from(obj: object, m: int | None = None) -> QPoly:
         _own_keys(obj, "polynomial object", "terms")
         if m is None:
             m = _width_of([obj])
-        terms: dict[tuple, Fraction] = {}
+        pairs: list[tuple[tuple, Fraction]] = []
         for entry in _listed(obj["terms"], "terms"):
             if not isinstance(entry, dict):
                 raise SchemaError(f"term must be an object with exp and coeff, got {shown(entry)}")
@@ -363,11 +345,11 @@ def qpoly_from(obj: object, m: int | None = None) -> QPoly:
             if not (_is_int(coeff) or isinstance(coeff, str) and _COEFF_TEXT.fullmatch(coeff)):
                 raise SchemaError(f'coefficient must be an integer or "[-]p[/q]", got {shown(coeff)}')
             try:
-                terms[exp] = terms.get(exp, 0) + Fraction(coeff)
+                pairs.append((exp, Fraction(coeff)))
             except (ValueError, ZeroDivisionError) as exc:
                 # "1/0" is a ZeroDivisionError, and more digits than int() reads a ValueError
                 raise SchemaError(f"bad term {shown(entry)}") from exc
-        return QPoly(m, terms)
+        return QPoly(m, _summed(pairs))
     raise SchemaError(f"expected polynomial text or a terms object, got {shown(obj)}")
 
 

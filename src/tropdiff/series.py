@@ -15,6 +15,8 @@ values); any other value, a float or text among them, is a ValueError, so
 text becomes a number only through parsing.  fraction_text is where a
 coefficient becomes text, for JSON and for str alike; it only formats, and an
 int too long to write is refused where the CLI prints (cli._emit).
+_signed_sum writes the text "a - b + c" of str, for QPoly and DiffPoly alike,
+from each term's sign, coefficient text and monomial text.
 deriv(J) is d^J in QPoly, RationalFunction and DiffPoly alike: _iterated checks
 J once, then applies the one-direction derivative J_k times in each direction k.
 
@@ -28,10 +30,14 @@ den is squared once.  Nothing is kept across values or calls.  A QPoly keeps
 nothing; it hashes as it compares, so equal polynomials can share one entry
 in a dict, such as jsonio.dumps's table of written text.
 
-Every sparse sum, here and in DiffPoly, goes through _summed: values at equal
-keys are added in order, and a key is dropped as soon as its running sum is
-zero.  Dropping at once matters because a RationalFunction is never reduced:
-a later term c/e added onto a kept 0/d would come out as (d*c)/(d*e), not c/e.
+Every sparse sum goes through _summed: QPoly's and DiffPoly's terms,
+DiffMonomial's merge of repeated variables (diffpoly._merged, which sorts
+the sum) and the terms decoder, jsonio.qpoly_from.  Values at equal keys are
+added in order, and a key is dropped as soon as its running sum is zero.
+Dropping at once matters because a RationalFunction is never reduced: a
+later term c/e added onto a kept 0/d would come out as (d*c)/(d*e), not c/e.
+Only DiffMonomial.bump, the memoized hot path of DiffPoly.derive, edits a
+copy of its factors in place.
 Likewise there is one product and one power of int polynomials, _product and
 _power, used by QPoly's *, ** and product and by the parser.  _product does
 only the term products a result needs: a one-term factor translates the
@@ -158,6 +164,22 @@ def fraction_text(c: int, d: int) -> str:
     """str(Fraction(c, d)) for d > 0, written without building the Fraction."""
     g = math.gcd(c, d)
     return str(c // g) if g == d else f"{c // g}/{d // g}"
+
+
+def _signed_sum(terms: Iterable[tuple[bool, str, str]]) -> str:
+    """The text "a - b + c" of a sum, from (negative, coefficient text, monomial text) triples.
+
+    The coefficient "1" is left out before a monomial, an empty monomial text
+    leaves the coefficient alone, and the empty sum is "0".
+    """
+    bits: list[str] = []
+    for negative, coeff, mono in terms:
+        body = coeff if not mono else mono if coeff == "1" else f"{coeff}*{mono}"
+        if bits:
+            bits.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            bits.append(f"-{body}" if negative else body)
+    return " ".join(bits) or "0"
 
 
 def _var_names(m: int) -> tuple[str, ...]:
@@ -424,27 +446,15 @@ class QPoly:
         return hash((self._den, frozenset(ints.items())))
 
     def __str__(self):
-        if not self._ints:
-            return "0"
-        names = _var_names(self.m)
-        den = self._den
-        bits: list[str] = []
-        for exp in sorted(self._ints, reverse=True):
-            c = self._ints[exp]
-            mono = "*".join(
-                name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e
+        names, den = _var_names(self.m), self._den
+        return _signed_sum(
+            (
+                c < 0,
+                fraction_text(abs(c), den),
+                "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e),
             )
-            if not mono:
-                body = fraction_text(abs(c), den)
-            elif abs(c) == den:
-                body = mono
-            else:
-                body = f"{fraction_text(abs(c), den)}*{mono}"
-            if not bits:
-                bits.append(body if c > 0 else f"-{body}")
-            else:
-                bits.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(bits)
+            for exp, c in sorted(self._ints.items(), reverse=True)
+        )
 
     __repr__ = __str__
 

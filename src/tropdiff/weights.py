@@ -92,10 +92,6 @@ class BooleanWeight:
     def __contains__(self, point: Sequence[int]) -> bool:
         return (exponent(point, self._m) in self._data) != self._is_cofinite
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self._is_cofinite or self._data)
-
     def shift(self, J: Sequence[int]) -> "BooleanWeight":
         """The set {I >= 0 : I + J in self}, built once per J from checked points."""
         J = exponent(J, self._m, "multi-index")

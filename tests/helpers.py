@@ -29,6 +29,7 @@ from tropdiff import (
     tropw,
 )
 from tropdiff import cli, jsonio, parsing
+from tropdiff.diffpoly import _rf_constant
 from tropdiff.errors import (
     NegativeExponent,
     PolyParseError,
@@ -39,7 +40,7 @@ from tropdiff.errors import (
     width,
 )
 from tropdiff.errors import exponent as checked_exponent
-from tropdiff.series import _summed
+from tropdiff.series import _summed, _var_names, fraction_text
 
 NONZERO = (-3, -2, -1, 1, 2, 3)
 
@@ -400,6 +401,24 @@ def diffmonomial_json(mono):
     return [{"var": [i, list(J)], "pow": p} for (i, J), p in mono.factors]
 
 
+def weight_json(w):
+    """The weight object that jsonio.weight_from reads back as w."""
+    if w.kind == "full":
+        return {"type": "full"}
+    pts = [list(p) for p in sorted(w.data)]
+    if w.kind == "finite":
+        return {"type": "finite", "points": pts}
+    return {"type": "cofinite", "excluded": pts}
+
+
+def order_json(order):
+    """The order object that jsonio.order_from reads back as order."""
+    kind = order.kind
+    if kind == "matrix":
+        return {"type": "matrix", "rows": [list(r) for r in order.rows]}
+    return {"type": kind}
+
+
 def diffpoly_entries(P):
     """P as the writer first took it: a dict per term, holding the coefficient and the monomial."""
     return [{"coeff": P.terms[mono], "monomial": mono} for mono in P.display_order()]
@@ -470,6 +489,107 @@ def diffpoly(rng, m, n, max_terms=2, coeff_terms=3):
             qpoly(rng, m, coeff_terms, 3), qpoly(rng, m, coeff_terms, 3)
         )
         terms[diff_monomial(rng, m, n)] = coeff
+    return DiffPoly(m, n, terms)
+
+
+# -- str, one sum at a time: the signed-sum rule written out per class ----------
+
+
+def qpoly_text(f):
+    """str(f), each term's sign and coefficient worked out in place."""
+    if not f._ints:
+        return "0"
+    names = _var_names(f.m)
+    den = f._den
+    bits = []
+    for exp in sorted(f._ints, reverse=True):
+        c = f._ints[exp]
+        mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e)
+        if not mono:
+            body = fraction_text(abs(c), den)
+        elif abs(c) == den:
+            body = mono
+        else:
+            body = f"{fraction_text(abs(c), den)}*{mono}"
+        if not bits:
+            bits.append(body if c > 0 else f"-{body}")
+        else:
+            bits.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(bits)
+
+
+def rational_text(q):
+    """str(q), with qpoly_text for the num and den."""
+    num = qpoly_text(q.num)
+    if q.den == QPoly.one(q.m):
+        return num
+    if len(q.num._ints) > 1:
+        num = f"({num})"
+    den = qpoly_text(q.den)
+    if any(ch in den for ch in "+-*/"):
+        den = f"({den})"
+    return f"{num}/{den}"
+
+
+def diffpoly_text(P):
+    """str(P), each term's sign and coefficient worked out in place, and
+    rational_text for a coefficient that is not constant."""
+    if not P.terms:
+        return "0"
+    bits = []
+    for mono in P.display_order():
+        c = P.terms[mono]
+        const = _rf_constant(c)
+        ms = mono.render(indexed=P.n > 1)
+        if const is not None:
+            mag = abs(const)
+            text = fraction_text(mag.numerator, mag.denominator)
+            if mono.is_one:
+                body = text
+            elif mag == 1:
+                body = ms
+            else:
+                body = f"{text}*{ms}"
+            negative = const < 0
+        else:
+            body = f"({rational_text(c)})" if mono.is_one else f"({rational_text(c)})*{ms}"
+            negative = False
+        if not bits:
+            bits.append(f"-{body}" if negative else body)
+        else:
+            bits.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(bits)
+
+
+def texted_qpoly(rng, m):
+    """A polynomial with up to four terms, zero included, whose coefficients
+    are signed, often 1 or -1, and often fractions, and which often has a
+    constant term."""
+    terms = {}
+    for _ in range(rng.randrange(5)):
+        e = (0,) * m if rng.random() < 0.25 else exponent(rng, m, 3)
+        terms[e] = Fraction(rng.choice(NONZERO), rng.choice((1, 1, 2, 3)))
+    return QPoly(m, terms)
+
+
+def texted_rational(rng, m):
+    """A quotient of texted_qpoly polynomials, often over 1 or a constant."""
+    den = QPoly.one(m) if rng.random() < 0.25 else texted_qpoly(rng, m)
+    while den.is_zero:
+        den = texted_qpoly(rng, m)
+    return RationalFunction(texted_qpoly(rng, m), den)
+
+
+def texted_diffpoly(rng, m, n):
+    """A differential polynomial of up to four terms, the constant monomial
+    often among them, with constant and texted_rational coefficients."""
+    terms = {}
+    for _ in range(rng.randrange(5)):
+        mono = DiffMonomial.one() if rng.random() < 0.25 else diff_monomial(rng, m, n)
+        if rng.random() < 0.5:
+            terms[mono] = Fraction(rng.choice(NONZERO), rng.choice((1, 1, 2, 3)))
+        else:
+            terms[mono] = texted_rational(rng, m)
     return DiffPoly(m, n, terms)
 
 

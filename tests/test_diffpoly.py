@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bump_by_rebuild, diff_monomial, diffpoly, exponent, qpoly, same_as_public
+from helpers import (
+    bump_by_rebuild,
+    diff_monomial,
+    diffpoly,
+    diffpoly_text,
+    exponent,
+    qpoly,
+    same_as_public,
+    texted_diffpoly,
+)
 from tropdiff import (
     DiffMonomial,
     DiffPoly,
@@ -497,6 +506,29 @@ class TestProlong:
 
 
 class TestPresentation:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_seeded_values_against_the_oracle(self, m, n):
+        # str is what the per-class signed-sum rule (helpers.diffpoly_text) writes
+        rng = random.Random(100 * n + m)
+        seen = set()
+        for _ in range(300):
+            P = texted_diffpoly(rng, m, n)
+            assert str(P) == diffpoly_text(P)
+            for mono, c in P.terms.items():
+                if c.num.is_constant and c.den.is_constant:
+                    const = c.num.constant_value() / c.den.constant_value()
+                    seen.add((mono.is_one, str(const) if abs(const) == 1 else "other constant"))
+                else:
+                    seen.add((mono.is_one, "not constant"))
+            seen.add(("zero", P.is_zero))
+        # the constant monomial and others, each with a coefficient of 1, -1,
+        # another constant and one that is not constant
+        for one in (False, True):
+            for kind in ("1", "-1", "other constant", "not constant"):
+                assert (one, kind) in seen
+        assert {("zero", True), ("zero", False)} <= seen
+
     def test_running_example(self):
         assert str(running_example()) == "x_(1,1) + (-t)*x_(0,0)"
 

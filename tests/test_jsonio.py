@@ -14,11 +14,13 @@ from helpers import (
     exponent,
     json_tree,
     matrix_order,
+    order_json,
     qpoly,
     qpoly_json,
     rational,
     rational_json,
     weight,
+    weight_json,
 )
 from tropdiff import (
     BooleanWeight,
@@ -44,14 +46,12 @@ from tropdiff.jsonio import (
     dumps,
     diffpoly_json,
     order_from,
-    order_json,
     problem_from,
     qpoly_from,
     rational_from,
     vertexfraction_json,
     vertexpoly_json,
     weight_from,
-    weight_json,
 )
 
 

@@ -13,9 +13,12 @@ from helpers import (
     exponent,
     matrix_order,
     qpoly,
+    qpoly_text,
     quotient_partial,
     rational,
+    rational_text,
     same_as_public,
+    texted_rational,
     unit_ball_fraction,
 )
 from tropdiff import (
@@ -1001,3 +1004,29 @@ class TestFractionText:
         f = QPoly(2, {(1, 0): Fraction(1, 6), (0, 1): Fraction(1, 3)})
         assert f.text_terms() == [((0, 1), "1/3"), ((1, 0), "1/6")]
         assert [text for _, text in f.text_terms()] == [str(c) for _, c in sorted(f.terms.items())]
+
+
+class TestText:
+    """str of QPoly and RationalFunction is what the per-class signed-sum rule
+    (helpers.qpoly_text) writes, and parse_rational reads it back."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_seeded_values_against_the_oracle(self, m):
+        rng = random.Random(300 + m)
+        terms, shapes = set(), set()
+        for _ in range(200):
+            q = texted_rational(rng, m)
+            for f in (q.num, q.den):
+                assert str(f) == qpoly_text(f)
+                for e, c in f.terms.items():
+                    terms.add((any(e), c < 0, abs(c) == 1, c.denominator > 1))
+            assert str(q) == rational_text(q)
+            assert parse_rational(str(q), m) == q
+            shapes.add((q.is_zero, q.den == QPoly.one(m)))
+        # with a monomial and without, each sign, a unit, another whole and a
+        # fraction; a zero numerator, and a denominator of 1 and not
+        for monomial in (False, True):
+            for negative in (False, True):
+                for unit, fraction in ((True, False), (False, False), (False, True)):
+                    assert (monomial, negative, unit, fraction) in terms
+        assert {(True, True), (False, False)} <= shapes

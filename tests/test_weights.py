@@ -32,8 +32,9 @@ class TestConstruction:
         assert (3, 3) in BooleanWeight.full(2)
 
     def test_empty(self):
-        assert BooleanWeight.finite(2, []).is_empty
-        assert not COF11.is_empty
+        empty = BooleanWeight.finite(2, [])
+        assert (empty.kind, empty.data) == ("finite", frozenset())
+        assert COF11.kind == "cofinite" and COF11.data
 
     def test_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -76,7 +77,8 @@ class TestShift:
     def test_finite_shrinks(self):
         fin = BooleanWeight.finite(2, [(2, 1), (0, 3)])
         assert fin.shift((1, 0)) == BooleanWeight.finite(2, [(1, 1)])
-        assert fin.shift((3, 0)).is_empty
+        gone = fin.shift((3, 0))
+        assert (gone.kind, gone.data) == ("finite", frozenset())
 
     def test_pointwise_agreement(self):
         rng = random.Random(91)
@@ -273,7 +275,7 @@ class TestVerticesOracle:
                     holds = origin in v
                     if holds:
                         assert got == VertexPoly.one(m)
-                    seen.add((v.kind, holds, v.is_empty))
+                    seen.add((v.kind, holds, v.kind == "finite" and not v.data))
         assert seen == {
             ("finite", True, False),
             ("finite", False, False),
