@@ -487,7 +487,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (PolyParseError, SchemaError, json.JSONDecodeError, OverflowError) as exc:
-        # an OverflowError is a power of a polynomial too large to expand
+        # an OverflowError is a power too large to expand or to build (series._power)
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
     except (InconsistentOracle, InternalInconsistency) as exc:

@@ -29,8 +29,9 @@ _monomial_text.
 
 Within one dumps call each distinct polynomial is written once per indent:
 a dict made for that call, and passed down through _write, maps a (QPoly,
-indent) pair to its text.  QPoly hashes as it compares, so equal polynomials
-that are distinct objects share one entry.  The same dict keeps each
+indent) pair to its text.  QPoly hashes as it compares, and keeps its hash,
+so equal polynomials that are distinct objects share one entry, and each
+polynomial works its hash out once however often it is looked up.  The same dict keeps each
 coefficient object's pieces and each monomial's text, once per indent: a
 RationalFunction under (RationalFunction, id, indent), since it does not
 hash and the value being written keeps it alive until the call ends, and a

@@ -20,15 +20,18 @@ from each term's sign, coefficient text and monomial text.
 deriv(J) is d^J in QPoly, RationalFunction and DiffPoly alike: _iterated checks
 J once, then applies the one-direction derivative J_k times in each direction k.
 
-What is kept on a value: a RationalFunction's num and den are read-only, so
-what is derived from them stays true, and it keeps three such values in
-private slots: the unit-ball verdict (in_unit_ball), the square of den, and
-the partial derivatives asked for so far (partial), which divide by that
-square.  So a coefficient that DiffPoly.derive carries unchanged is
-differentiated once per direction, however many derivatives hold it, and its
-den is squared once.  Nothing is kept across values or calls.  A QPoly keeps
-nothing; it hashes as it compares, so equal polynomials can share one entry
-in a dict, such as jsonio.dumps's table of written text.
+What is kept on a value: no module but this one names a QPoly's ints or
+denominator, and nothing rebinds them, so what is derived from them stays
+true.  A QPoly keeps two such values in private slots: its hash, and its
+square (f * f, which returns the kept object).  It hashes as it compares, so
+equal polynomials can share one entry in a dict, such as jsonio.dumps's table
+of written text, and each object works its hash out once.  A
+RationalFunction's num and den are read-only, and it keeps two values in
+private slots: the unit-ball verdict (in_unit_ball) and the partial
+derivatives asked for so far (partial), which divide by den * den.  So a
+coefficient that DiffPoly.derive carries unchanged is differentiated once per
+direction, however many derivatives hold it, and a den that many
+coefficients share is squared once.  Nothing is kept across values or calls.
 
 Every sparse sum goes through _summed: QPoly's and DiffPoly's terms,
 DiffMonomial's merge of repeated variables (diffpoly._merged, which sorts
@@ -53,7 +56,7 @@ each result is the one a chain of * and + gives.  RationalFunction's sum and
 derivative are sums of products: a + b over distinct denominators is one
 sum_of_products over den_a * den_b; over one denominator d it is
 (num_a + num_b) * d over d * d, one product; and partial is the
-sum_of_products num' * den - num * den' over the kept square of den.
+sum_of_products num' * den - num * den' over den * den, the square kept on den.
 """
 
 from __future__ import annotations
@@ -123,13 +126,30 @@ def _product(f: dict, g: dict) -> dict:
     )
 
 
+# the most bits that c ** k may have, by the bound k * c.bit_length(), for |c| >= 2
+MAX_POWER_BITS = 2**28
+
+
+def _raised(c: int, k: int) -> int:
+    """c ** k for k >= 0, refused with an OverflowError before it is built when
+    |c| >= 2 and k * c.bit_length() is above MAX_POWER_BITS; 0, 1 and -1 take
+    any power."""
+    bits = c.bit_length()
+    if bits > 1 and k * bits > MAX_POWER_BITS:
+        raise OverflowError(
+            f"cannot raise {shown(c)} to the power {shown(k)}: over {MAX_POWER_BITS} bits"
+        )
+    return c**k
+
+
 def _power(f: dict, k: int, one: Exponent) -> dict:
     """f ** k, with 0 ** 0 = {one: 1}; f ** 1 is f itself, and a zero or one-term
-    f is powered at once, so t^1000000 costs no loop.  Any other f is multiplied
+    f is powered at once, so t^1000000 costs no loop; its coefficient goes
+    through _raised, which refuses one too large to build.  Any other f is multiplied
     in k times, so a k above the largest index (sys.maxsize) is an OverflowError
     at once, not a loop that would never end."""
     if len(f) <= 1 < k:
-        return {tuple(k * v for v in e): c**k for e, c in f.items()}
+        return {tuple(k * v for v in e): _raised(c, k) for e, c in f.items()}
     try:
         factors = itertools.repeat(f, k)
     except OverflowError:
@@ -201,7 +221,7 @@ class QPoly:
     constant_value, terms, and the text of str and text_terms.
     """
 
-    __slots__ = ("m", "_ints", "_den")
+    __slots__ = ("m", "_ints", "_den", "_hashed", "_squared")
 
     def __init__(self, m: int, terms: Mapping[Sequence[int], Fraction | int] | None = None):
         self.m = width(m)
@@ -342,6 +362,13 @@ class QPoly:
         return QPoly._lowest(self.m, {e: c * p for e, c in self._ints.items()}, self._den * q)
 
     def __mul__(self, other):
+        if other is self:
+            square = getattr(self, "_squared", None)
+            if square is None:
+                # no gcd: content(num^2) = content(num)^2 (Gauss's lemma) shares no factor with den^2
+                ints = _product(self._ints, self._ints)
+                square = self._squared = QPoly._trusted(self.m, ints, self._den * self._den)
+            return square
         if isinstance(other, (int, Fraction)):
             return self._scaled(other.numerator, other.denominator)
         other = self._coerce(other)
@@ -397,8 +424,9 @@ class QPoly:
         power(k)
         if k < 0:
             raise ValueError("negative power of a polynomial")
+        den = _raised(self._den, k)
         # no gcd: content(num^k) = content(num)^k (Gauss's lemma) shares no factor with den^k
-        return QPoly._trusted(self.m, _power(self._ints, k, (0,) * self.m), self._den**k)
+        return QPoly._trusted(self.m, _power(self._ints, k, (0,) * self.m), den)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -431,7 +459,14 @@ class QPoly:
         return self.m == other.m and self._den == other._den and self._ints == other._ints
 
     def __hash__(self):
-        """Agrees with ==: one hash per value, whatever order the terms were built in.
+        """Agrees with ==: one hash per value, worked out once per object."""
+        hashed = getattr(self, "_hashed", None)
+        if hashed is None:
+            hashed = self._hashed = self._value_hash()
+        return hashed
+
+    def _value_hash(self) -> int:
+        """One hash per value, whatever order the terms were built in.
 
         A constant equals its Fraction (and 0 the zero polynomial), so it hashes
         like one; any other value by its terms as a set, over its denominator.
@@ -463,16 +498,18 @@ class RationalFunction:
     """Quotient of two QPoly with nonzero denominator, never reduced.
 
     num and den are read-only, so a value derived from them stays true for
-    the object's life.  Three such values are kept on it, each in a private
+    the object's life.  Two such values are kept on it, each in a private
     slot that is unset until first asked for:
 
         _ball      the verdict of in_unit_ball
-        _square    den * den, the den of each partial and of each sum over
-                   den (a + b with a.den == b.den)
         _partials  {k: partial(k)}, the derivatives asked for so far
+
+    den * den, the den of each partial and of each sum over den (a + b with
+    a.den == b.den), is kept on den itself, so every RationalFunction over
+    one den object shares one square.
     """
 
-    __slots__ = ("_num", "_den", "_ball", "_square", "_partials")
+    __slots__ = ("_num", "_den", "_ball", "_partials")
 
     def __init__(self, num: QPoly, den: QPoly | None = None):
         if den is None:
@@ -520,21 +557,13 @@ class RationalFunction:
             return RationalFunction.constant(self._num.m, other)
         return None
 
-    def _squared_den(self) -> QPoly:
-        """den * den, made once and kept."""
-        square = getattr(self, "_square", None)
-        if square is None:
-            den = self._den
-            square = self._square = den * den
-        return square
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self._den, other._den
-        if a == b:  # one product, over the square kept on other
-            return RationalFunction._trusted((self._num + other._num) * a, other._squared_den())
+        if a == b:  # one product, over the square kept on other's den
+            return RationalFunction._trusted((self._num + other._num) * a, b * b)
         # by den's own class, as * and + dispatch on it
         num = type(a).sum_of_products(self._num.m, ((self._num, b), (other._num, a)))
         return RationalFunction._trusted(num, a * b)
@@ -581,7 +610,7 @@ class RationalFunction:
     def partial(self, k: int) -> "RationalFunction":
         """(num' den - num den') / den^2 in direction k, worked out once per object.
 
-        Every direction's result shares the kept den^2.
+        Every direction's result shares the den^2 kept on den.
         """
         num, den = self._num, self._den
         direction(k, num.m)  # before the memo, where True would find the entry of 1
@@ -591,7 +620,7 @@ class RationalFunction:
         out = derived.get(k)
         if out is None:
             num = type(den).sum_of_products(num.m, ((num.partial(k), den), (num, -den.partial(k))))
-            out = derived[k] = RationalFunction._trusted(num, self._squared_den())
+            out = derived[k] = RationalFunction._trusted(num, den * den)
         return out
 
     def deriv(self, J: Sequence[int]) -> "RationalFunction":

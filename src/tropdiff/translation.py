@@ -34,12 +34,14 @@ unit-ball check runs on each result.
 
 The generator variants prolong first and translate each derivative.  A
 degree bound makes the set finite; it is a truncation of the full object,
-which ranges over all derivative multi-indices.
+which ranges over all derivative multi-indices.  Zero images and repeats are
+dropped in one pass: an image is compared only with the kept images on its
+monomial set, so n images with distinct sets take no comparison at all.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .diffpoly import DiffPoly, prolong
 from .errors import DimensionMismatch, InternalInconsistency, ZeroTropicalValue
@@ -147,17 +149,29 @@ def initial_form(
     return DiffPoly._trusted(P.m, P.n, out)
 
 
+def _distinct_nonzero(images: Iterable[DiffPoly]) -> list[DiffPoly]:
+    """The nonzero images, each value once, in first-seen order.
+
+    A DiffPoly keeps no zero coefficient, so equal images have one monomial
+    set, and an image is compared only with the kept images on its set.
+    """
+    kept: list[DiffPoly] = []
+    by_monomials: dict[frozenset, list[DiffPoly]] = {}
+    for image in images:
+        if image.is_zero:
+            continue
+        alike = by_monomials.setdefault(frozenset(image.terms), [])
+        if not any(image == k for k in alike):
+            alike.append(image)
+            kept.append(image)
+    return kept
+
+
 def _prolonged_nonzero(
     generators: Sequence[DiffPoly], bound: int, step: Callable[[DiffPoly], DiffPoly]
 ) -> list[DiffPoly]:
     """step(d^J g) for every generator g and |J| <= bound, zeros and repeats dropped."""
-    kept: list[DiffPoly] = []
-    for g in generators:
-        for q in prolong(g, bound):
-            image = step(q)
-            if not image.is_zero and not any(image == k for k in kept):
-                kept.append(image)
-    return kept
+    return _distinct_nonzero(step(q) for g in generators for q in prolong(g, bound))
 
 
 def translate_generators(

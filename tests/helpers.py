@@ -386,6 +386,16 @@ def translate_by_plug(P, weights, kernel):
     return out
 
 
+def distinct_nonzero_pairwise(images):
+    """The nonzero images, each value once in first-seen order, by the first route
+    taken: each image is compared with every image kept before it."""
+    kept = []
+    for image in images:
+        if not image.is_zero and not any(image == k for k in kept):
+            kept.append(image)
+    return kept
+
+
 # -- the trees jsonio.dumps writes library values as --------------------------
 
 

@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import os
@@ -55,6 +56,17 @@ PROBLEM_M1 = {
     "weight": [{"type": "full"}],
 }
 
+# x_(1)^(2^40) at m = 1 over the weight {2}: the factorial kernel's substitution
+# polynomial for x_(1) is 2*t, the shifted vertex 1 with the coefficient 2!/1!
+FACTOR_OF_2 = {
+    "m": 1,
+    "polynomials": [
+        {"name": "P", "poly": [{"coeff": "1", "monomial": [{"var": [1, [1]], "pow": 2**40}]}]}
+    ],
+    "weight": [{"type": "finite", "points": [[2]]}],
+    "order": {"type": "lex"},
+    "kernel": "factorial",
+}
 
 TRANSLATE_PRETTY = """\
 P J=[0, 0]: ((t + u)/(t + u))*x_(1,1) + (-t/(t + u))*x_(0,0)
@@ -361,10 +373,64 @@ class TestFactorPowers:
         assert (code, out) == (2, "")
         assert err == f"error: OverflowError: cannot expand a polynomial of 2 terms to the power {2**63}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trop", "--m", "1", f"(2*t)^{2**40}"],
+            ["trop", "--m", "1", f"(t/2)^{2**40}"],
+            ["bezout", "--m", "1", "--", f"(2*t)^{2**40}", "t"],
+            ["translate", "--input"],
+            ["initial", "--input"],
+        ],
+        ids=["trop-num", "trop-den", "bezout", "translate", "initial"],
+    )
+    def test_a_power_of_a_one_term_polynomial_too_large_to_build_fails_at_once(self, capsys, tmp_path, argv):
+        from tropdiff import series
+
+        # the expected text names the cap before anything runs
+        want = f"error: OverflowError: cannot raise 2 to the power {2**40}: over {series.MAX_POWER_BITS} bits\n"
+        if argv[-1] == "--input":
+            source = tmp_path / "factor_of_2.json"
+            source.write_text(json.dumps(FACTOR_OF_2))
+            argv = [*argv, str(source)]
+        assert run(capsys, *argv) == (2, "", want)
+
+    def test_a_power_of_a_one_term_polynomial_within_the_cap_is_computed(self, capsys):
+        # (2*t)^K has about K bits, under the bound 2K that the cap is held against
+        code, out, err = run(capsys, "trop", "--m", "1", "(2*t)^100000000")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"num": [[100000000]], "den": [[0]]}
+        assert run(capsys, "trop", "--m", "1", f"t^{2**40}")[0] == 0  # 1 takes any power
+
     @pytest.mark.parametrize("command", ["tropw", "prolong"])
     def test_the_commands_without_substitution_read_the_same_files(self, capsys, tmp_path, command):
         for term in (0, 1):
             assert run(capsys, command, "--input", with_power(tmp_path, term, 2**70))[0] == 0
+
+
+class TestGeneratorRepeats:
+    def test_a_form_is_compared_only_with_the_kept_forms_on_its_monomials(self, capsys, monkeypatch):
+        # initial --bound 61 of the example problem makes 1,953 forms; compared with
+        # every kept form, they took 1,906,128 comparisons
+        from tropdiff import translation
+
+        compared, kept = [], []
+        equal, distinct = DiffPoly.__eq__, translation._distinct_nonzero
+
+        def counted_equal(a, b):
+            compared.append(1)
+            return equal(a, b)
+
+        def kept_forms(images):
+            kept.extend(distinct(images))
+            return kept
+
+        monkeypatch.setattr(DiffPoly, "__eq__", counted_equal)
+        monkeypatch.setattr(translation, "_distinct_nonzero", kept_forms)
+        code, out, err = run(capsys, "initial", "--input", PROBLEM, "--bound", "61")
+        assert (code, err, len(out.encode())) == (0, "", 2_326_966)
+        on_one_set = collections.Counter(frozenset(form.terms) for form in kept)
+        assert len(kept) == 1953 and len(compared) <= 1953 * max(on_one_set.values())
 
 
 class TestSelectedNames:

@@ -398,6 +398,65 @@ class TestQPolyHash:
                 assert f == c and hash(f) == hash(c)
         assert QPoly.zero(2) == 0 and hash(QPoly.zero(2)) == hash(0)
 
+    def test_a_hash_is_worked_out_once_per_object(self, monkeypatch):
+        worked = []
+        value_hash = QPoly._value_hash
+        monkeypatch.setattr(QPoly, "_value_hash", lambda f: worked.append(f) or value_hash(f))
+        f, g = parse_poly("t^2 - 3*u/4", 2), parse_poly("-3*u/4 + t^2", 2)
+        assert hash(f) == hash(f) == hash(g) == hash(g) and f is not g
+        assert {f: 1}[g] == 1 and len(worked) == 2 and worked[0] is f and worked[1] is g
+
+
+class TestPowerCap:
+    """A power whose int could pass MAX_POWER_BITS bits is refused before it is built."""
+
+    def test_the_bound_is_k_times_the_bit_length(self, monkeypatch):
+        monkeypatch.setattr(series, "MAX_POWER_BITS", 64)
+        for c, k in ((3, 32), (-3, 32), (2**31, 2), (1, 10**30), (-1, 10**30 + 1), (0, 10**30)):
+            assert series._raised(c, k) == c**k  # k * c.bit_length() <= 64, or |c| < 2
+        for c, k in ((3, 33), (-2, 33), (2**32, 2), (3 * 2**64, 1)):
+            with pytest.raises(OverflowError, match=rf"^cannot raise {c} to the power {k}: over 64 bits$"):
+                series._raised(c, k)
+
+    @pytest.mark.parametrize("text", ["(2*t)^K", "(t/2)^K", "(-2*t*u/3)^K"])
+    def test_parsed_and_computed_powers_of_one_term_are_refused(self, text):
+        K = 2**40
+        with pytest.raises(OverflowError, match=f"to the power {K}: over {series.MAX_POWER_BITS} bits"):
+            parse_rational(text.replace("K", str(K)), 2)
+        with pytest.raises(OverflowError, match=f"to the power {K}: over {series.MAX_POWER_BITS} bits"):
+            parse_rational(text.replace("^K", ""), 2) ** K
+        for f in (QPoly.constant(2, Fraction(1, 2)), parse_poly("2*t", 2)):
+            with pytest.raises(OverflowError, match=f"to the power {K}"):
+                f**K
+        assert parse_poly(f"-t^{K}", 2) == -(parse_poly("t", 2) ** K)
+
+
+class TestKeptSquare:
+    """f * f is kept on f, so every RationalFunction over one den shares one den^2."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3], ids=["m1", "m2", "m3"])
+    def test_a_square_is_made_once_and_kept(self, m, monkeypatch):
+        rng = random.Random(229 + m)
+        products = []
+        product = series._product
+        monkeypatch.setattr(series, "_product", lambda f, g: products.append(1) or product(f, g))
+        for _ in range(20):
+            f = qpoly(rng, m)
+            products.clear()
+            square = f * f
+            assert square is f * f and len(products) == 1
+            assert canonical(square) and square == f**2 == f * QPoly(m, f.terms)
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+    def test_rational_functions_over_one_den_share_its_square(self, m):
+        rng = random.Random(233 + m)
+        for _ in range(20):
+            d = qpoly(rng, m)
+            p, q, r = (RationalFunction(qpoly(rng, m), d) for _ in range(3))
+            assert p.partial(0).den is q.partial(0).den is r.partial(m - 1).den is d * d
+            assert (p + q).den is (q + r).den is d * d
+            assert (p + q).partial(0).den is (q + r).partial(0).den is (d * d) * (d * d)
+
 
 class TestPartialMemo:
     """RationalFunction.partial keeps its results on the value, whose num and den are read-only."""

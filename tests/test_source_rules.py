@@ -10,9 +10,10 @@ CLI call, and dataclasses alone pulls in inspect, ast, dis and tokenize.
 tests/test_startup.py also catches a heavy module that comes in through
 another import.
 
-QPoly's integer representation is private to series: no other module names
-one of its fields, as an attribute or as a string (getattr).  The field
-names are read from QPoly itself, so renaming them keeps the rule in force.
+QPoly's integer representation, and the hash and square it keeps, are
+private to series: no other module names one of its fields, as an attribute
+or as a string (getattr).  The field names are read from QPoly itself, so
+renaming them keeps the rule in force.
 Likewise a class that keeps values derived from an object on it declares
 private slots only (underscore names in __slots__), so what they were
 derived from is read through read-only properties and cannot be rebound
@@ -20,7 +21,7 @@ under a kept value.  Each such slot is private to the module of the class,
 and one memo rule covers every one: only weights names a private slot of
 BooleanWeight (its set, its shifts, its vertex set and its substitution
 polynomials), only series one of RationalFunction (num, den, the unit-ball
-verdict, the square of den and the partial derivatives), and only diffpoly
+verdict and the partial derivatives), and only diffpoly
 one of DiffMonomial (its factors, its kept hash and its bumps).  So no
 module can plant a kept value that its owner would trust.  The slot names
 are read from the classes, so a new slot is covered as soon as it is
@@ -222,7 +223,7 @@ def test_the_memo_rule_sees_each_offence():
 
 
 def test_the_verdict_rule_sees_each_offence():
-    # RationalFunction's private slots: num, den, the verdict, the square and the partials
+    # RationalFunction's private slots: num, den, the verdict and the partials
     assert_memo_rule_sees_each_offence("series.py")
 
 

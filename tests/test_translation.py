@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     diff_monomial,
     diffpoly,
+    distinct_nonzero_pairwise,
     exponent,
     finite_weight,
     matrix_order as random_matrix_order,
@@ -561,6 +562,28 @@ class TestGenerators:
     def test_empty_input(self):
         assert translate_generators([], [W], 3) == []
         assert initial_generators([], [W], T_LEX, 3) == []
+
+    @pytest.mark.parametrize("m", [1, 2, 3], ids=["m1", "m2", "m3"])
+    def test_repeats_are_dropped_as_the_pairwise_route_drops_them(self, m):
+        rng = random.Random(211 + m)
+        for _ in range(30):
+            images = [DiffPoly.zero(m, 2)]
+            for _ in range(rng.randint(1, 4)):
+                P = diffpoly(rng, m, 2)
+                images.append(P)
+                # one monomial set, other coefficients
+                images.append(P * 2)
+                images.append(P + DiffPoly(m, 2, {next(iter(P.terms)): 1}))
+                # equal to P, its coefficients over other representatives
+                f = qpoly(rng, m, 2, 2)
+                images.append(DiffPoly._trusted(m, 2, {
+                    mono: RationalFunction._trusted(c.num * f, c.den * f) for mono, c in P.terms.items()
+                }))
+            images = [rng.choice(images) for _ in range(3 * len(images))]
+            got = translation._distinct_nonzero(iter(images))
+            want = distinct_nonzero_pairwise(images)
+            assert [id(image) for image in got] == [id(image) for image in want]
+            assert len(want) < len(images)
 
 
 class TestOneShiftPerFactor:
