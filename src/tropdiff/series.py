@@ -45,6 +45,12 @@ Likewise there is one product and one power of int polynomials, _product and
 _power, used by QPoly's *, ** and product and by the parser.  _product does
 only the term products a result needs: a one-term factor translates the
 other, with no sum, and f * f on one dict takes each cross term once, doubled.
+Every exponent sum of a product, in _product and QPoly.sum_of_products here
+and in VertexPoly's products, is the one adder vertexpoly._adder(m), built
+once per width and kept for the process; _product reads m from a key of its
+operands.  A sparse product is bound by this monomial step, not by the
+coefficient arithmetic (Monagan and Pearce, CASC 2007), and the adder's one
+tuple display of m sums runs no iterator per sum.
 A QPoly power takes no gcd: by Gauss's lemma the content of num^k is
 content(num)^k, which shares no factor with den^k, so num^k over den^k is
 already in lowest terms.  QPoly.product of several factors and
@@ -81,7 +87,7 @@ from .errors import (
     width,
 )
 from .orders import EQ, GT, LT, MonomialOrder
-from .vertexpoly import VertexFraction, VertexPoly
+from .vertexpoly import VertexFraction, VertexPoly, _adder
 
 Exponent = tuple[int, ...]
 
@@ -104,30 +110,30 @@ def _product(f: dict, g: dict) -> dict:
 
     A one-term factor translates the other: its exponents stay distinct and
     no int product is zero, so nothing is summed.  f * f on one dict takes
-    each cross term once, doubled.
+    each cross term once, doubled.  The width of the adder is read from a
+    key, so an empty factor gives {} first.
     """
+    if not f or not g:
+        return {}
+    add = _adder(len(next(iter(f))))
     if len(g) == 1:
         f, g = g, f
     if len(f) == 1:
         [(e1, c1)] = f.items()
-        return {tuple(map(operator.add, e1, e2)): c1 * c2 for e2, c2 in g.items()}
+        return {add(e1, e2): c1 * c2 for e2, c2 in g.items()}
     if f is g:
         items = list(f.items())
         doubled = [(e, 2 * c) for e, c in items]
         return _summed(
-            (tuple(map(operator.add, e1, e2)), c1 * c2)
+            (add(e1, e2), c1 * c2)
             for i, (e1, c1) in enumerate(items)
             for e2, c2 in ((e1, c1), *doubled[i + 1 :])
         )
-    return _summed(
-        (tuple(map(operator.add, e1, e2)), c1 * c2)
-        for e1, c1 in f.items()
-        for e2, c2 in g.items()
-    )
+    return _summed((add(e1, e2), c1 * c2) for e1, c1 in f.items() for e2, c2 in g.items())
 
 
 # the most bits that c ** k may have, by the bound k * c.bit_length(), for |c| >= 2
-MAX_POWER_BITS = 2**28
+MAX_POWER_BITS = 2**22
 
 
 def _raised(c: int, k: int) -> int:
@@ -412,8 +418,9 @@ class QPoly:
         for a, b in pairs:
             s = den // (a._den * b._den)
             scaled.append((a._ints if s == 1 else {e: c * s for e, c in a._ints.items()}, b._ints))
+        add = _adder(m)
         ints = _summed(
-            (tuple(map(operator.add, e1, e2)), c1 * c2)
+            (add(e1, e2), c1 * c2)
             for f, g in scaled
             for e1, c1 in f.items()
             for e2, c2 in g.items()

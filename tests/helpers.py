@@ -123,6 +123,12 @@ def quotient_partial(q: RationalFunction, k: int) -> RationalFunction:
     return RationalFunction(q.num.partial(k) * q.den - q.num * q.den.partial(k), q.den * q.den)
 
 
+def exponent_sum(a, b):
+    """The exponent sum a + b spelled as every product spelled it before
+    vertexpoly._adder: the oracle for the adder."""
+    return tuple(map(operator.add, a, b))
+
+
 class FractionQPoly:
     """QPoly as it was with Fraction coefficients: exponent -> Fraction in terms.
 
@@ -181,7 +187,7 @@ class FractionQPoly:
         if other is None:
             return NotImplemented
         products = (
-            (tuple(map(operator.add, e1, e2)), c1 * c2)
+            (exponent_sum(e1, e2), c1 * c2)
             for e1, c1 in self.terms.items()
             for e2, c2 in other.terms.items()
         )

@@ -396,11 +396,23 @@ class TestFactorPowers:
         assert run(capsys, *argv) == (2, "", want)
 
     def test_a_power_of_a_one_term_polynomial_within_the_cap_is_computed(self, capsys):
-        # (2*t)^K has about K bits, under the bound 2K that the cap is held against
-        code, out, err = run(capsys, "trop", "--m", "1", "(2*t)^100000000")
-        assert (code, err) == (0, "")
-        assert json.loads(out) == {"num": [[100000000]], "den": [[0]]}
+        from tropdiff import series
+
+        for base, k in ((2, 2000000), (3, 1398101)):
+            # 2 and 3 each have 2 bits, and the bound 2K that the cap is held against is under it
+            assert 2 * k <= series.MAX_POWER_BITS
+            code, out, err = run(capsys, "trop", "--m", "1", f"({base}*t)^{k}")
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {"num": [[k]], "den": [[0]]}
         assert run(capsys, "trop", "--m", "1", f"t^{2**40}")[0] == 0  # 1 takes any power
+
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_a_power_whose_int_would_take_long_to_build_fails_at_once(self, capsys, base):
+        from tropdiff import series
+
+        # 3 ** 10**8 alone takes minutes to build; the cap refuses it before it starts
+        want = f"error: OverflowError: cannot raise {base} to the power 100000000: over {series.MAX_POWER_BITS} bits\n"
+        assert run(capsys, "trop", "--m", "1", f"({base}*t)^100000000") == (2, "", want)
 
     @pytest.mark.parametrize("command", ["tropw", "prolong"])
     def test_the_commands_without_substitution_read_the_same_files(self, capsys, tmp_path, command):

@@ -27,11 +27,15 @@ module can plant a kept value that its owner would trust.  The slot names
 are read from the classes, so a new slot is covered as soon as it is
 declared.
 
-Exponents are added in two places only: series, whose _product is the one
-product of int polynomials (QPoly and the parser both use it), and
-vertexpoly, whose product adds vertex sets.  So no other module names
-operator.add, as an attribute or by importing it from operator, and a second
-spelling of the polynomial product cannot come back.
+Exponents are added by one function: vertexpoly._adder(m), the exponent sum
+at width m, which the products of series (_product, the one product of int
+polynomials that QPoly and the parser use, and QPoly.sum_of_products) and of
+vertexpoly (VertexPoly's * and sum_of_products) call.  So no module names
+operator.add, as an attribute or by importing it from operator; only
+vertexpoly defines _adder, and only series and vertexpoly name it; and eval,
+by which _adder builds its function, is named nowhere in the package but
+inside vertexpoly._adder.  A second spelling of the exponent sum cannot come
+back, and no other text is run as code.
 
 The math layer knows no schema and no process: only the modules that read
 and write the CLI's formats (cli and jsonio) name SchemaError, besides errors,
@@ -232,35 +236,57 @@ def test_the_monomial_rule_sees_each_offence():
     assert_memo_rule_sees_each_offence("diffpoly.py")
 
 
-EXPONENT_ADDERS = ("series.py", "vertexpoly.py")
+# the one module that defines the exponent adder, and the modules that may name it
+ADDER_MODULE = "vertexpoly.py"
+ADDER_USERS = ("series.py", "vertexpoly.py")
 
 
-def exponent_sums(source: str) -> list[str]:
-    """Names of operator.add: the attribute, and the name imported from operator."""
+def exponent_sums(source: str, module: str = "") -> list[str]:
+    """What the exponent-sum rule forbids in module's source: any name of
+    operator.add (the attribute, and the name imported from operator); a
+    definition of _adder outside ADDER_MODULE, and any name of it outside
+    ADDER_USERS; and any name of eval (a call, an alias, a getattr) but inside
+    ADDER_MODULE's _adder."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and node.module == "operator":
-            found += [
-                f"line {node.lineno}: imports {alias.name}"
-                for alias in node.names
-                if alias.name in ("add", "*")
-            ]
-        elif isinstance(node, ast.Attribute) and node.attr == "add":
-            if getattr(node.value, "id", None) == "operator":
-                found.append(f"line {node.lineno}: uses operator.add")
-    return found
+    for statement in ast.parse(source).body:
+        in_adder = module == ADDER_MODULE and isinstance(statement, ast.FunctionDef) and statement.name == "_adder"
+        for node in ast.walk(statement):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                found += [(node.lineno, f"imports {alias.name}") for alias in node.names if alias.name in ("add", "*")]
+            elif isinstance(node, ast.Attribute) and node.attr == "add":
+                if getattr(node.value, "id", None) == "operator":
+                    found.append((node.lineno, "uses operator.add"))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names, bound = [node.name], [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [n for alias in node.names for n in (alias.name, alias.asname)]
+                bound = [alias.asname for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names, bound = [node.id], [node.id] if isinstance(node.ctx, ast.Store) else []
+            else:
+                names = [getattr(node, "attr", None), getattr(node, "value", None)]
+                bound = []
+            if "_adder" in bound and module != ADDER_MODULE:
+                found.append((node.lineno, "defines _adder"))
+            elif "_adder" in names and module not in ADDER_USERS:
+                found.append((node.lineno, "names _adder"))
+            if "eval" in names and not in_adder:
+                found.append((node.lineno, "names eval"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name not in EXPONENT_ADDERS], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_series_and_vertexpoly_add_exponents(path):
-    assert exponent_sums(path.read_text(encoding="utf-8")) == []
+    assert exponent_sums(path.read_text(encoding="utf-8"), path.name) == []
 
 
 def test_the_exponent_sum_rule_sees_each_use():
-    for name in EXPONENT_ADDERS:
-        assert exponent_sums(PACKAGE.joinpath(name).read_text(encoding="utf-8"))
+    # read as any other module's, both modules name the adder, and vertexpoly defines and builds it
+    for name in ADDER_USERS:
+        uses = exponent_sums(PACKAGE.joinpath(name).read_text(encoding="utf-8"))
+        assert {use.split(": ")[1] for use in uses} >= {"names _adder"}
+    uses = exponent_sums(PACKAGE.joinpath(ADDER_MODULE).read_text(encoding="utf-8"))
+    assert {use.split(": ")[1] for use in uses} == {"defines _adder", "names _adder", "names eval"}
     source = (
         "import operator\n"
         "from operator import add\n"
@@ -271,14 +297,37 @@ def test_the_exponent_sum_rule_sees_each_use():
         "y = operator.sub(1, 2)\n"
         "z = seen.add(1)\n"
         "from .series import add\n"
+        "from .vertexpoly import _adder\n"
+        "s = vertexpoly._adder(2)(a, b)\n"
+        "f = getattr(vertexpoly, '_adder')\n"
+        "def _adder(m):\n"
+        "    return eval('lambda a, b: ()')\n"
+        "_adder = None\n"
+        "from .parsing import plus as _adder\n"
+        "w = eval('1')\n"
+        "v = builtins.eval('1')\n"
+        "u = evaluate('1')\n"
+        "adder = _adders\n"
+        "run = eval\n"
+        "g = getattr(builtins, 'eval')\n"
+        "from builtins import eval as e\n"
     )
-    assert exponent_sums(source) == [
+    sums = [
         "line 2: imports add",
         "line 3: imports add",
         "line 4: imports *",
         "line 5: uses operator.add",
         "line 6: uses operator.add",
     ]
+    evals = [f"line {line}: names eval" for line in (17, 18, 21, 22, 23)]
+    definitions = ["line 13: defines _adder", "line 15: defines _adder", "line 16: defines _adder"]
+    names = ["line 10: names _adder", "line 11: names _adder", "line 12: names _adder"]
+    assert exponent_sums(source, "weights.py") == sorted(
+        [*sums, *definitions, *names, "line 14: names eval", *evals], key=lambda line: int(line.split()[1][:-1])
+    )
+    assert exponent_sums(source, "series.py") == [*sums, definitions[0], "line 14: names eval", *definitions[1:], *evals]
+    # in vertexpoly the top-level def _adder may define the adder and call eval, and nothing else may name eval
+    assert exponent_sums(source, ADDER_MODULE) == [*sums, *evals]
 
 
 def lp_uses(source: str) -> list[str]:
