@@ -31,7 +31,7 @@ constructor, _checked and a product of monomials alike; only bump, derive's
 memoized hot path, edits a copy of the factors in place.  str of a DiffPoly
 is series._signed_sum of its terms, the signed-sum text of QPoly too.
 
-evaluate() substitutes honest polynomials for the unknowns, turning x_{i,J}
+evaluate() substitutes polynomials of width m for the unknowns, turning x_{i,J}
 into the J-th derivative of the i-th argument.  It is the semantic anchor
 for everything the translation layer does combinatorially.
 """
@@ -42,11 +42,8 @@ import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
-from .errors import DimensionMismatch, direction, exponent, integers, shown, width
+from .errors import DimensionMismatch, direction, exponent, integers, same_width, shown, width
 from .series import QPoly, RationalFunction, _iterated, _signed_sum, _summed, fraction_text
-
-# what a DiffPoly adds and subtracts as a constant term
-_SCALARS = (RationalFunction, QPoly, Fraction, int)
 
 Var = tuple[int, tuple[int, ...]]  # (unknown index from 1, derivative multi-index)
 Factor = tuple[Var, int]
@@ -213,9 +210,7 @@ class DiffPoly:
         if isinstance(c, QPoly):
             c = RationalFunction(c)
         if isinstance(c, RationalFunction):
-            if c.m != self.m:
-                raise DimensionMismatch(f"coefficient has m={c.m}, expected {self.m}")
-            return c
+            return same_width(self.m, c)
         return RationalFunction.constant(self.m, c)
 
     @classmethod
@@ -237,18 +232,21 @@ class DiffPoly:
     def monomials(self) -> set[DiffMonomial]:
         return set(self.terms)
 
-    def _check(self, other: "DiffPoly"):
-        if (self.m, self.n) != (other.m, other.n):
-            raise DimensionMismatch(
-                f"mixing (m,n)=({self.m},{self.n}) with ({other.m},{other.n})"
-            )
+    def _lifted(self, other) -> "DiffPoly | None":
+        """other as a DiffPoly of this m and n, a coefficient as a constant term; else None."""
+        if isinstance(other, DiffPoly):
+            same_width(self.m, other)
+            if other.n != self.n:
+                raise DimensionMismatch(f"mixing n={self.n} with n={other.n}")
+            return other
+        if isinstance(other, (RationalFunction, QPoly, Fraction, int)):
+            return DiffPoly(self.m, self.n, {DiffMonomial.one(): other})
+        return None
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            other = DiffPoly(self.m, self.n, {DiffMonomial.one(): other})
-        if not isinstance(other, DiffPoly):
+        other = self._lifted(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
         pairs = itertools.chain(self.terms.items(), other.terms.items())
         return DiffPoly._trusted(self.m, self.n, _summed(pairs))
 
@@ -258,7 +256,8 @@ class DiffPoly:
         return DiffPoly._trusted(self.m, self.n, {mono: -c for mono, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, (DiffPoly, *_SCALARS)):
+        other = self._lifted(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -266,14 +265,9 @@ class DiffPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (RationalFunction, QPoly)):
-            other = self._coerce_coeff(other)
-        if isinstance(other, (RationalFunction, Fraction, int)):
-            scaled = ((mono, v * other) for mono, v in self.terms.items())
-            return DiffPoly._trusted(self.m, self.n, _summed(scaled))
-        if not isinstance(other, DiffPoly):
+        other = self._lifted(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
         products = (
             (m1 * m2, c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()
         )
@@ -303,6 +297,8 @@ class DiffPoly:
         """Substitute polynomials for the unknowns: x_{i,J} becomes d^J args[i-1]."""
         if len(args) != self.n:
             raise DimensionMismatch(f"expected {self.n} arguments, got {len(args)}")
+        for arg in args:
+            same_width(self.m, arg)
         total = RationalFunction(QPoly.zero(self.m))
         for mono, c in self.terms.items():
             val = QPoly.one(self.m)

@@ -10,6 +10,8 @@ inside the library, is checked without a copy.
 width() is the one check of a width: the number m of t-variables and the
 number n of unknowns must each be an int from 1 to MAX_WIDTH wherever they
 enter.
+same_width() is the one check that the operands of one operation share m;
+every operation asks it of each operand before any work.
 power() and direction() are the one checks of a power k in x ** k, for every
 type that has one, and of the direction k of a derivative d/dt_k.
 shown() renders an offending value for a message, so a refusal of a huge
@@ -82,6 +84,13 @@ def width(m, what: str = "m") -> int:
     if m > MAX_WIDTH:
         raise ValueError(f"{what} must be at most {MAX_WIDTH}, got {shown(m)}")
     return m
+
+
+def same_width(m: int, value):
+    """value, when it lives over m t-variables (value.m == m); else DimensionMismatch."""
+    if value.m != m:
+        raise DimensionMismatch(f"mixing m={m} with m={value.m}")
+    return value
 
 
 def power(k) -> None:

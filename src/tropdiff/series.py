@@ -83,6 +83,7 @@ from .errors import (
     direction,
     exponent,
     power,
+    same_width,
     shown,
     width,
 )
@@ -323,9 +324,7 @@ class QPoly:
 
     def _coerce(self, other):
         if isinstance(other, QPoly):
-            if other.m != self.m:
-                raise DimensionMismatch(f"mixing m={self.m} with m={other.m}")
-            return other
+            return same_width(self.m, other)
         if isinstance(other, (int, Fraction)):
             return QPoly.constant(self.m, other)
         return None
@@ -393,8 +392,7 @@ class QPoly:
         """
         ints, den = None, 1
         for f in factors:
-            if f.m != m:
-                raise DimensionMismatch(f"mixing m={m} with m={f.m}")
+            same_width(m, f)
             ints = f._ints if ints is None else _product(ints, f._ints)
             den *= f._den
         if ints is None:
@@ -411,8 +409,8 @@ class QPoly:
         """
         pairs = list(pairs)
         for a, b in pairs:
-            if a.m != m or b.m != m:
-                raise DimensionMismatch(f"mixing m={m} with m={a.m} and m={b.m}")
+            same_width(m, a)
+            same_width(m, b)
         den = math.lcm(*(a._den * b._den for a, b in pairs))
         scaled = []
         for a, b in pairs:
@@ -521,8 +519,7 @@ class RationalFunction:
     def __init__(self, num: QPoly, den: QPoly | None = None):
         if den is None:
             den = QPoly.one(num.m)
-        if num.m != den.m:
-            raise DimensionMismatch(f"mixing m={num.m} with m={den.m}")
+        same_width(num.m, den)
         if den.is_zero:
             raise ZeroDenominator("rational function with zero denominator")
         self._num = num
@@ -554,12 +551,10 @@ class RationalFunction:
         return not self._num.is_zero
 
     def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            if other._num.m != self._num.m:
-                raise DimensionMismatch(f"mixing m={self._num.m} with m={other._num.m}")
-            return other
         if isinstance(other, QPoly):
-            return RationalFunction(other)
+            other = RationalFunction(other)
+        if isinstance(other, RationalFunction):
+            return same_width(self._num.m, other)
         if isinstance(other, (int, Fraction)):
             return RationalFunction.constant(self._num.m, other)
         return None
@@ -749,8 +744,7 @@ def residue(q, order: MonomialOrder) -> Fraction:
     representative and is a ring homomorphism onto Q.
     """
     q = _as_rf(q)
-    if order.m != q.m:
-        raise DimensionMismatch(f"order on m={order.m}, element has m={q.m}")
+    same_width(q.m, order)
     if not in_unit_ball(q):
         raise NotInUnitBall(f"residue of {q} is undefined: tropical value exceeds 1")
     return _quotient_at(q, order.min(q._den._ints.keys()))

@@ -10,6 +10,8 @@ substitution polynomial of the shifted weight, and the whole thing is scaled
 by the reciprocal of tropw(P) read as an honest rational function (coefficient
 1 on every vertex).  The point of the scaling is that every coefficient of
 the result lands in the unit ball, so initial_form can take residues.
+Before any work tropw checks the count and the m of the weights, translate
+its kernel, and initial_form its order's m, even if no residue is then taken.
 
 tropw extracts its numerator once.  With num_i/den_i the value of term i
 (its coefficient's value times its factors' vertex sets), the tropical sum
@@ -44,19 +46,11 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 
 from .diffpoly import DiffPoly, prolong
-from .errors import DimensionMismatch, InternalInconsistency, ZeroTropicalValue
+from .errors import DimensionMismatch, InternalInconsistency, ZeroTropicalValue, same_width
 from .orders import MonomialOrder
 from .series import QPoly, RationalFunction, in_unit_ball, residue, trop_frac
 from .vertexpoly import VertexFraction, VertexPoly
-from .weights import BooleanWeight, SubstitutionKernel, substitution_poly
-
-
-def _check_weights(P: DiffPoly, weights: Sequence[BooleanWeight]):
-    if len(weights) != P.n:
-        raise DimensionMismatch(f"expected {P.n} weights, got {len(weights)}")
-    for w in weights:
-        if w.m != P.m:
-            raise DimensionMismatch(f"weight over m={w.m}, polynomial over m={P.m}")
+from .weights import BooleanWeight, SubstitutionKernel, check_kernel, substitution_poly
 
 
 def _ones_poly(vp: VertexPoly) -> QPoly:
@@ -65,8 +59,11 @@ def _ones_poly(vp: VertexPoly) -> QPoly:
 
 def tropw(P: DiffPoly, weights: Sequence[BooleanWeight]) -> VertexFraction:
     """Tropical value of P along the weights, with one extraction for its numerator."""
-    _check_weights(P, weights)
+    if len(weights) != P.n:
+        raise DimensionMismatch(f"expected {P.n} weights, got {len(weights)}")
     m = P.m
+    for w in weights:
+        same_width(m, w)
     one = VertexPoly.one(m)
     kept = []
     for mono, c in P.terms.items():
@@ -112,6 +109,7 @@ def translate(
     Keeps the monomial structure of P (some terms may drop when a shift
     empties a weight); every surviving coefficient has tropical value <= 1.
     """
+    check_kernel(kernel)
     value = tropw(P, weights)
     if value.is_zero:
         return DiffPoly.zero(P.m, P.n)
@@ -140,6 +138,7 @@ def initial_form(
     kernel: SubstitutionKernel = SubstitutionKernel.INDICATOR,
 ) -> DiffPoly:
     """Termwise residue of the translation: a constant-coefficient DiffPoly."""
+    same_width(P.m, order)
     moved = translate(P, weights, kernel)
     out: dict = {}
     for mono, c in moved.terms.items():

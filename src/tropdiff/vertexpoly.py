@@ -84,7 +84,7 @@ import functools
 import operator
 from collections.abc import Callable, Iterable, Sequence
 
-from .errors import DimensionMismatch, InternalInconsistency, ZeroDenominator, exponent, power, width
+from .errors import InternalInconsistency, ZeroDenominator, exponent, power, same_width, width
 from .feasibility import covered
 
 Point = tuple[int, ...]
@@ -188,14 +188,10 @@ class VertexPoly:
     def is_one(self) -> bool:
         return self.points == ((0,) * self.m,)
 
-    def _check(self, other: "VertexPoly"):
-        if self.m != other.m:
-            raise DimensionMismatch(f"mixing m={self.m} with m={other.m}")
-
     def __add__(self, other: "VertexPoly") -> "VertexPoly":
         if not isinstance(other, VertexPoly):
             return NotImplemented
-        self._check(other)
+        same_width(self.m, other)
         if self.is_zero:
             return other
         if other.is_zero:
@@ -205,7 +201,7 @@ class VertexPoly:
     def __mul__(self, other: "VertexPoly") -> "VertexPoly":
         if not isinstance(other, VertexPoly):
             return NotImplemented
-        self._check(other)
+        same_width(self.m, other)
         a, b = self, other
         if len(a.points) == 1 and (len(b.points) != 1 or not any(a.points[0])):
             a, b = b, a
@@ -226,8 +222,8 @@ class VertexPoly:
         sums: set[Point] = set()
         add = _adder(m)
         for a, b in pairs:
-            if a.m != m or b.m != m:
-                raise DimensionMismatch(f"mixing m={m} with m={a.m} and m={b.m}")
+            same_width(m, a)
+            same_width(m, b)
             sums.update(add(p, q) for p in a.points for q in b.points)
         return cls._trusted(m, _vertices(sums))
 
@@ -292,8 +288,7 @@ class VertexFraction:
     def __init__(self, num: VertexPoly, den: VertexPoly | None = None):
         if den is None:
             den = VertexPoly.one(num.m)
-        if num.m != den.m:
-            raise DimensionMismatch(f"mixing m={num.m} with m={den.m}")
+        same_width(num.m, den)
         if den.is_zero:
             raise ZeroDenominator("vertex fraction with zero denominator")
         self.num = num

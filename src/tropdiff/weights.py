@@ -28,7 +28,7 @@ A weight is read-only (m, is_cofinite and data cannot be rebound), so what
 it has made stays true and is kept: shift(J) builds the shifted weight once
 per multi-index J (checked on every call, before the lookup), vertices()
 makes the vertex set once, and substitution_poly builds its polynomial once
-per J and kernel (both checked first; a kernel must be a SubstitutionKernel).
+per J and kernel (both checked first; check_kernel, which translate asks too).
 The memo lives as long as the weight (the CLI decodes its weights once per
 call, so there for one command) and holds one entry per distinct J (and
 kernel) asked of that weight.  == and hash read only the set.
@@ -153,6 +153,12 @@ class SubstitutionKernel(enum.Enum):
     FACTORIAL = "factorial"
 
 
+def check_kernel(kernel) -> None:
+    """Refuse a kernel that is not a SubstitutionKernel, such as its text value."""
+    if type(kernel) is not SubstitutionKernel:
+        raise ValueError(f"kernel must be a SubstitutionKernel, got {shown(kernel)}")
+
+
 def substitution_poly(
     weight: BooleanWeight, J: Sequence[int], kernel: SubstitutionKernel = SubstitutionKernel.INDICATOR
 ) -> QPoly:
@@ -161,8 +167,7 @@ def substitution_poly(
     Supported on the vertices of the shifted weight; zero when the shift
     empties the support.
     """
-    if type(kernel) is not SubstitutionKernel:
-        raise ValueError(f"kernel must be a SubstitutionKernel, got {shown(kernel)}")
+    check_kernel(kernel)
     J = exponent(J, weight._m, "multi-index")  # a tuple: the factorial kernel reads it again
     key = (J, kernel)
     if key not in weight._substitutions:

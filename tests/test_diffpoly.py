@@ -438,6 +438,13 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatch):
             running_example().evaluate([])
 
+    @pytest.mark.parametrize("P", [DiffPoly(2, 1, {DiffMonomial.one(): 1}), running_example()],
+                             ids=["no-factor", "factors"])
+    def test_an_argument_of_another_width_is_refused(self, P):
+        # before, the first gave 1 and the second named a multi-index of 2 coordinates
+        with pytest.raises(DimensionMismatch, match="^mixing m=2 with m=3$"):
+            P.evaluate([parse_poly("t1*t2*t3", 3)])
+
 
 class TestMultiIndices:
     def test_order_golden(self):

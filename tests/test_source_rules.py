@@ -47,6 +47,13 @@ The exact simplex has one caller: only vertexpoly imports feasibility.covered
 or calls it, and inside vertexpoly only the function _vertices names covered
 or the Pareto filter _pareto_minimal, so every vertex extraction, with its
 small-input exit and its quick accepts, goes through vertexpoly._vertices.
+
+Two widths that differ are refused in one place: only errors raises a
+DimensionMismatch under a test that compares one m with another (==, !=, is
+or is not, in either branch of the if), and every other module asks
+errors.same_width.  A count or index refusal (an unknown index above n, a
+variable index above m, a count of weights or arguments) compares an index
+or a length, not two widths, and stays where it is.
 """
 
 import ast
@@ -481,3 +488,86 @@ def test_the_boundary_rule_sees_each_use():
         "line 6: names SchemaError",
         "line 7: names SchemaError",
     ]
+
+
+# the one module that may refuse two widths that differ
+WIDTH_MODULE = "errors.py"
+# the comparisons that can say whether two widths agree
+AGREEMENT = (ast.Eq, ast.NotEq, ast.Is, ast.IsNot)
+
+
+def reads_a_width(node: ast.AST) -> bool:
+    """Does node read an m, as a name or as an attribute?"""
+    return any(
+        getattr(inner, "id", None) == "m" or getattr(inner, "attr", None) == "m"
+        for inner in ast.walk(node)
+    )
+
+
+def compares_widths(test: ast.AST) -> bool:
+    """Does test hold an ==, !=, is or is not with an m on each side?"""
+    return any(
+        isinstance(node, ast.Compare)
+        and any(isinstance(op, AGREEMENT) for op in node.ops)
+        and reads_a_width(node.left)
+        and any(reads_a_width(c) for c in node.comparators)
+        for node in ast.walk(test)
+    )
+
+
+def width_refusals(source: str) -> list[str]:
+    """Each raise of DimensionMismatch in an if (either branch) whose test
+    compares one m with another; a count or index refusal, which compares
+    an index or a length with m or n, is not one."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.If) and compares_widths(node.test)):
+            continue
+        for statement in (*node.body, *node.orelse):
+            for inner in ast.walk(statement):
+                if isinstance(inner, ast.Raise) and inner.exc is not None and any(
+                    "DimensionMismatch" in (getattr(n, "id", None), getattr(n, "attr", None))
+                    for n in ast.walk(inner.exc)
+                ):
+                    found.add(inner.lineno)
+    return [f"line {line}: refuses two widths" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != WIDTH_MODULE], ids=lambda p: p.name)
+def test_only_errors_refuses_two_widths(path):
+    assert width_refusals(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_width_rule_sees_each_refusal():
+    assert width_refusals(PACKAGE.joinpath(WIDTH_MODULE).read_text(encoding="utf-8"))
+    source = (
+        "def f(self, other, order, weights, args, i, n, m):\n"
+        "    if other.m != self.m:\n"
+        "        raise DimensionMismatch(f'mixing m={self.m} with m={other.m}')\n"
+        "    if a.m != m or b.m != m:\n"
+        "        raise errors.DimensionMismatch('mixing')\n"
+        "    if (self.m, self.n) != (other.m, other.n):\n"
+        "        raise DimensionMismatch('mixing (m,n)')\n"
+        "    if order.m is not q.m:\n"
+        "        raise DimensionMismatch('order')\n"
+        "    if not order.m == m:\n"
+        "        raise DimensionMismatch('order')\n"
+        "    if w.m == m:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise DimensionMismatch('weight')\n"
+        "    if len(args) != self.n:\n"
+        "        raise DimensionMismatch('expected n arguments')\n"
+        "    if len(weights) != m:\n"
+        "        raise DimensionMismatch('expected m weights')\n"
+        "    if n is not None and i > n:\n"
+        "        raise DimensionMismatch('unknown index')\n"
+        "    if not 1 <= i <= width(m):\n"
+        "        raise DimensionMismatch('variable index')\n"
+        "    if self.m != other.m:\n"
+        "        return False\n"
+        "    if self.m != other.m:\n"
+        "        raise ValueError('mixing')\n"
+        "    return same_width(self.m, other)\n"
+    )
+    assert width_refusals(source) == [f"line {line}: refuses two widths" for line in (3, 5, 7, 9, 11, 15)]

@@ -357,6 +357,16 @@ class TestTranslate:
                 continue
             assert translate(derived, [W]) == derived
 
+    @pytest.mark.parametrize("bad", ["indicator", "bogus", None])
+    def test_a_kernel_that_is_not_a_substitution_kernel_is_refused_before_any_work(self, bad, monkeypatch):
+        # P has no factor, so no substitution polynomial would read the kernel
+        monkeypatch.setattr(translation, "tropw", lambda *args: pytest.fail("valued"))
+        P = DiffPoly(2, 1, {DiffMonomial.one(): 1})
+        for run in (lambda: translate(P, [BooleanWeight.full(2)], bad),
+                    lambda: initial_form(P, [BooleanWeight.full(2)], T_LEX, bad)):
+            with pytest.raises(ValueError, match="^kernel must be a SubstitutionKernel, got "):
+                run()
+
     def test_factorial_kernel_golden(self):
         got = translate(running_example(), [W], FACT)
         want = DiffPoly(
@@ -433,6 +443,14 @@ class TestInitialForm:
         P = DiffPoly(2, 1, {X((1, 1)): 1})
         got = initial_form(P, [BooleanWeight.finite(2, [(0, 0)])], T_LEX)
         assert got.is_zero
+
+    @pytest.mark.parametrize("points", [[], [(0, 0)]], ids=["all-terms-vanish", "a-term-stays"])
+    def test_an_order_of_another_width_is_refused_before_any_work(self, points, monkeypatch):
+        # with every term vanished no residue is taken, and the order is refused all the same
+        monkeypatch.setattr(translation, "translate", lambda *args: pytest.fail("translated"))
+        P = DiffPoly(2, 1, {X((0, 0)): 1})
+        with pytest.raises(DimensionMismatch, match="^mixing m=2 with m=3$"):
+            initial_form(P, [BooleanWeight.finite(2, points)], order_standard("lex", 3))
 
     def test_multiplicative(self):
         rng = random.Random(127)
