@@ -163,7 +163,7 @@ def _selected(problem: jsonio.ProblemFile, names: Sequence[str]):
     table = dict(problem.polynomials)
     missing = [name for name in names if name not in table]
     if missing:
-        raise SchemaError(f"unknown polynomial name(s): {', '.join(missing)}")
+        raise SchemaError(f"unknown polynomial name(s): {shown(missing)}")
     return [(name, table[name]) for name in names]
 
 
@@ -182,7 +182,7 @@ def _bound_of(args, problem: jsonio.ProblemFile, generators: int) -> int:
     """The prolongation bound, refused when the derivatives would exceed the cap."""
     bound = problem.prolong_bound if args.bound is None else args.bound
     if bound < 0:
-        raise SchemaError(f"--bound must be a nonnegative integer, got {args.bound!r}")
+        raise SchemaError(f"--bound must be a nonnegative integer, got {shown(args.bound)}")
     size = generators * math.comb(bound + problem.m, problem.m)
     if size > MAX_DERIVATIVES:
         raise SchemaError(
@@ -279,7 +279,7 @@ def cmd_order_recover(args) -> int:
         direct = order.compare(I, J)
         if recovered != direct:
             raise InternalInconsistency(
-                f"membership oracle recovered {_REL_NAME[recovered]} for {I}, {J} "
+                f"membership oracle recovered {_REL_NAME[recovered]} for {shown(I)}, {shown(J)} "
                 f"but direct comparison says {_REL_NAME[direct]}"
             )
         relations.append((list(I), list(J), recovered))
@@ -298,7 +298,7 @@ def cmd_bezout(args) -> int:
 
 def cmd_omega_chain(args) -> int:
     if not 1 <= args.count <= MAX_OMEGA_COUNT:
-        raise SchemaError(f"count must be between 1 and {MAX_OMEGA_COUNT}, got {args.count}")
+        raise SchemaError(f"count must be between 1 and {MAX_OMEGA_COUNT}, got {shown(args.count)}")
     chain = omega_chain(args.count)
     for earlier, later in zip(chain, chain[1:]):
         if not (earlier <= later and earlier != later):
@@ -497,7 +497,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the str of an OSError writes its file name raw
+        where = "" if exc.filename is None else f": {shown(exc.filename)}"
+        print(f"error: [Errno {exc.errno}] {exc.strerror}{where}", file=sys.stderr)
         return 2
 
 

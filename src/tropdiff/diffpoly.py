@@ -160,9 +160,9 @@ def checked_variable(i, J, m: int | None = None, n: int | None = None) -> Var:
     if type(i) is not int:
         (i,) = integers((i,), "variable indices")
     if i < 1:
-        raise ValueError(f"variable indices start at 1, got {i}")
+        raise ValueError(f"variable indices start at 1, got {shown(i)}")
     if n is not None and i > n:
-        raise DimensionMismatch(f"unknown index {i} out of range for n={n}")
+        raise DimensionMismatch(f"unknown index {shown(i)} out of range for n={n}")
     return i, exponent(J, m, "multi-index")
 
 
@@ -347,7 +347,7 @@ def multi_indices(m: int, bound: int) -> list[tuple[int, ...]]:
     """
     width(m)
     if type(bound) is not int or bound < 0:
-        raise ValueError(f"bound must be a nonnegative int, got {bound!r}")
+        raise ValueError(f"bound must be a nonnegative int, got {shown(bound)}")
     out: list[tuple[int, ...]] = []
     for d in range(bound + 1):
         for directions in itertools.combinations_with_replacement(range(m), d):

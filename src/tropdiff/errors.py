@@ -11,11 +11,13 @@ width() is the one check of a width: the number m of t-variables and the
 number n of unknowns must each be an int from 1 to MAX_WIDTH wherever they
 enter.
 same_width() is the one check that the operands of one operation share m;
-every operation asks it of each operand before any work.
+every operation asks it of each operand before any work, and a non-value
+where a value is due (a str for an order, say) is a TypeError there.
 power() and direction() are the one checks of a power k in x ** k, for every
 type that has one, and of the direction k of a derivative d/dt_k.
 shown() renders an offending value for a message, so a refusal of a huge
-input stays short.
+input stays short: every message the package builds writes a value from
+outside through it, and never raw.
 """
 
 import operator
@@ -35,7 +37,9 @@ def shown(value: object) -> str:
     or the length of the repr for a value without one, such as an int).  A value
     that repr refuses, one nested too deep or one that holds an int with more
     digits than the interpreter writes as text, is shown by its type and its
-    length alone; such an int itself by its type and its bit length."""
+    length alone; such an int itself by its type and its bit length, and a value
+    with no length, such as a RationalFunction, by its type alone.  It never
+    raises, so a refusal that calls it raises its own class."""
     try:
         text = repr(value)
     except (RecursionError, ValueError):
@@ -45,6 +49,8 @@ def shown(value: object) -> str:
             return text
     if isinstance(value, int) and not text:
         return f"({type(value).__name__} of {value.bit_length()} bits)"
+    if not (text or hasattr(value, "__len__")):
+        return f"({type(value).__name__})"
     size = len(value) if hasattr(value, "__len__") else len(text)
     start = f"{text[:_SHOWN_LENGTH]}... " if text else ""
     return f"{start}({type(value).__name__} of length {size})"
@@ -87,9 +93,13 @@ def width(m, what: str = "m") -> int:
 
 
 def same_width(m: int, value):
-    """value, when it lives over m t-variables (value.m == m); else DimensionMismatch."""
-    if value.m != m:
-        raise DimensionMismatch(f"mixing m={m} with m={value.m}")
+    """value, when it lives over m t-variables (value.m == m); else DimensionMismatch,
+    or TypeError for a value with no width, such as a str."""
+    try:
+        if value.m != m:
+            raise DimensionMismatch(f"mixing m={m} with m={value.m}")
+    except AttributeError:
+        raise TypeError(f"expected a value over m={m}, got {shown(value)}") from None
     return value
 
 

@@ -188,7 +188,7 @@ def _write(value: object, newline: str, out: list, written: dict) -> None:
             opening = following
         out.append(newline + "]")
         return
-    raise TypeError(f"cannot write {kind.__name__} as JSON: {value!r}")
+    raise TypeError(f"cannot write {kind.__name__} as JSON: {shown(value)}")
 
 
 def _rational_pieces(q: RationalFunction, newline: str, written: dict) -> tuple[str, ...]:

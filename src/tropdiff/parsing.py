@@ -188,7 +188,7 @@ class _Parser:
             den = None
         elif kind == "var":
             if value > self.m:
-                raise UnknownVariable(f"variable t{value} exceeds m={self.m}", pos)
+                raise UnknownVariable(f"variable t{shown(value)} exceeds m={self.m}", pos)
             num = {self.one[: value - 1] + (1,) + self.one[value:]: 1}
             den = None
         elif kind == "(":

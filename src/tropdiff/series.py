@@ -286,9 +286,9 @@ class QPoly:
     def variable(cls, m: int, i: int) -> "QPoly":
         """The variable t_i, indexed from 1."""
         if type(i) is not int:
-            raise ValueError(f"variable index must be an int, got {i!r}")
+            raise ValueError(f"variable index must be an int, got {shown(i)}")
         if not 1 <= i <= width(m):
-            raise DimensionMismatch(f"variable index {i} out of range for m={m}")
+            raise DimensionMismatch(f"variable index {shown(i)} out of range for m={shown(m)}")
         return cls.monomial(tuple(1 if k == i - 1 else 0 for k in range(m)))
 
     # -- structure ---------------------------------------------------------
@@ -635,6 +635,9 @@ class RationalFunction:
         return self._num / self._den.constant_value()
 
     def __eq__(self, other):
+        # values of two widths differ, as for QPoly; _coerce would refuse them
+        if isinstance(other, (QPoly, RationalFunction)) and other.m != self._num.m:
+            return False
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -712,7 +715,7 @@ def divides_in_unit_ball(a, b) -> bool:
     a, b = _as_rf(a), _as_rf(b)
     for q in (a, b):
         if not in_unit_ball(q):
-            raise NotInUnitBall(f"{q} lies outside the unit ball")
+            raise NotInUnitBall(f"{shown(q)} lies outside the unit ball")
     if b.is_zero:
         return True
     if a.is_zero:
@@ -746,7 +749,7 @@ def residue(q, order: MonomialOrder) -> Fraction:
     q = _as_rf(q)
     same_width(q.m, order)
     if not in_unit_ball(q):
-        raise NotInUnitBall(f"residue of {q} is undefined: tropical value exceeds 1")
+        raise NotInUnitBall(f"residue of {shown(q)} is undefined: tropical value exceeds 1")
     return _quotient_at(q, order.min(q._den._ints.keys()))
 
 
@@ -778,7 +781,7 @@ def order_from_membership(
     if i_in and not j_in:
         return GT
     raise InconsistentOracle(
-        f"oracle puts {'both' if i_in else 'neither'} of t^{I}, t^{J} in the ideal"
+        f"oracle puts {'both' if i_in else 'neither'} of t^{shown(I)}, t^{shown(J)} in the ideal"
     )
 
 
@@ -793,7 +796,7 @@ def separating_constants(q) -> tuple[Fraction, ...]:
     q = _as_rf(q)
     value = trop_frac(q)
     if not value.in_unit_ball():
-        raise NotInUnitBall(f"separating constants of {q} need tropical value <= 1")
+        raise NotInUnitBall(f"separating constants of {shown(q)} need tropical value <= 1")
     if value.absorbed_by(VertexFraction.one(q.m)):
         return (Fraction(0),)
     return tuple(_quotient_at(q, v) for v in reversed(value.den.points))

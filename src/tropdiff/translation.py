@@ -12,6 +12,9 @@ by the reciprocal of tropw(P) read as an honest rational function (coefficient
 the result lands in the unit ball, so initial_form can take residues.
 Before any work tropw checks the count and the m of the weights, translate
 its kernel, and initial_form its order's m, even if no residue is then taken.
+The generator variants make the same checks before they build any
+derivative, and with no generator they still refuse a bad kernel, and
+weights or an order of two widths.
 
 tropw extracts its numerator once.  With num_i/den_i the value of term i
 (its coefficient's value times its factors' vertex sets), the tropical sum
@@ -46,7 +49,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 
 from .diffpoly import DiffPoly, prolong
-from .errors import DimensionMismatch, InternalInconsistency, ZeroTropicalValue, same_width
+from .errors import DimensionMismatch, InternalInconsistency, ZeroTropicalValue, same_width, shown
 from .orders import MonomialOrder
 from .series import QPoly, RationalFunction, in_unit_ball, residue, trop_frac
 from .vertexpoly import VertexFraction, VertexPoly
@@ -57,13 +60,18 @@ def _ones_poly(vp: VertexPoly) -> QPoly:
     return QPoly._trusted(vp.m, dict.fromkeys(vp.points, 1))
 
 
-def tropw(P: DiffPoly, weights: Sequence[BooleanWeight]) -> VertexFraction:
-    """Tropical value of P along the weights, with one extraction for its numerator."""
+def _check_weights(P: DiffPoly, weights: Sequence[BooleanWeight]) -> None:
+    """Refuse weights that P cannot be read against: one per unknown, each over P's m."""
     if len(weights) != P.n:
         raise DimensionMismatch(f"expected {P.n} weights, got {len(weights)}")
-    m = P.m
     for w in weights:
-        same_width(m, w)
+        same_width(P.m, w)
+
+
+def tropw(P: DiffPoly, weights: Sequence[BooleanWeight]) -> VertexFraction:
+    """Tropical value of P along the weights, with one extraction for its numerator."""
+    _check_weights(P, weights)
+    m = P.m
     one = VertexPoly.one(m)
     kept = []
     for mono, c in P.terms.items():
@@ -126,7 +134,7 @@ def translate(
             continue
         moved = RationalFunction._trusted(num, pref.den * c.den)
         if not in_unit_ball(moved):
-            raise InternalInconsistency(f"translated coefficient {moved} left the unit ball")
+            raise InternalInconsistency(f"translated coefficient {shown(moved)} left the unit ball")
         out[mono] = moved
     return DiffPoly._trusted(P.m, P.n, out)
 
@@ -167,9 +175,23 @@ def _distinct_nonzero(images: Iterable[DiffPoly]) -> list[DiffPoly]:
 
 
 def _prolonged_nonzero(
-    generators: Sequence[DiffPoly], bound: int, step: Callable[[DiffPoly], DiffPoly]
+    generators: Sequence[DiffPoly],
+    weights: Sequence[BooleanWeight],
+    bound: int,
+    step: Callable[[DiffPoly], DiffPoly],
+    *orders: MonomialOrder,
 ) -> list[DiffPoly]:
-    """step(d^J g) for every generator g and |J| <= bound, zeros and repeats dropped."""
+    """step(d^J g) for every generator g and |J| <= bound, zeros and repeats dropped.
+
+    Before any derivative is built, each generator is checked against the
+    weights as tropw checks it, and the weights and the orders must share one
+    m, so weights or an order of two widths are refused with no generator too.
+    """
+    for g in generators:
+        _check_weights(g, weights)
+    widths = [*weights, *orders]
+    for value in widths[1:]:
+        same_width(widths[0].m, value)
     return _distinct_nonzero(step(q) for g in generators for q in prolong(g, bound))
 
 
@@ -180,7 +202,8 @@ def translate_generators(
     kernel: SubstitutionKernel = SubstitutionKernel.INDICATOR,
 ) -> list[DiffPoly]:
     """Nonzero translations of all derivatives up to the bound, deduplicated."""
-    return _prolonged_nonzero(generators, bound, lambda q: translate(q, weights, kernel))
+    check_kernel(kernel)
+    return _prolonged_nonzero(generators, weights, bound, lambda q: translate(q, weights, kernel))
 
 
 def initial_generators(
@@ -191,6 +214,7 @@ def initial_generators(
     kernel: SubstitutionKernel = SubstitutionKernel.INDICATOR,
 ) -> list[DiffPoly]:
     """Nonzero initial forms of all derivatives up to the bound, deduplicated."""
+    check_kernel(kernel)
     return _prolonged_nonzero(
-        generators, bound, lambda q: initial_form(q, weights, order, kernel)
+        generators, weights, bound, lambda q: initial_form(q, weights, order, kernel), order
     )

@@ -84,7 +84,7 @@ import functools
 import operator
 from collections.abc import Callable, Iterable, Sequence
 
-from .errors import InternalInconsistency, ZeroDenominator, exponent, power, same_width, width
+from .errors import InternalInconsistency, ZeroDenominator, exponent, power, same_width, shown, width
 from .feasibility import covered
 
 Point = tuple[int, ...]
@@ -146,7 +146,7 @@ def _vertices(points: set[Point]) -> tuple[Point, ...]:
             # y over mins is a vertex outside kept; p is kept once it is p
             q = min(mins, key=lambda q: (sum(map(operator.mul, y, q)), q))
             if q in kept:
-                raise InternalInconsistency(f"separator {y} of {p} is least on the vertex {q}")
+                raise InternalInconsistency(f"separator {shown(y)} of {shown(p)} is least on the vertex {shown(q)}")
             kept.add(q)
     return tuple(sorted(kept))
 
@@ -338,7 +338,7 @@ class VertexFraction:
     def __eq__(self, other):
         if not isinstance(other, VertexFraction):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.m == other.m and self.num * other.den == other.num * self.den
 
     __hash__ = None  # equality is up to cross-multiplication
 

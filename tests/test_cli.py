@@ -975,6 +975,14 @@ def problem_with_coeff(tmp_path, coeff):
     return problem_with(tmp_path, json.dumps(problem))
 
 
+def problem_with_x_index(tmp_path, index):
+    """A problem at n = 1 whose one monomial is x_index at J = (0, 0), in a file of its own."""
+    x = [{"coeff": "1", "monomial": [{"var": [index, [0, 0]], "pow": 1}]}]
+    source = tmp_path / f"x_index_{'below' if index < 1 else 'above'}.json"
+    source.write_text(json.dumps({"m": 2, "n": 1, "polynomials": [{"name": "P", "poly": x}]}))
+    return str(source)
+
+
 def nested(depth):
     return "[" * depth + "]" * depth
 
@@ -1226,6 +1234,24 @@ class TestInputLimits:
             assert err.startswith("error: " + start)
             assert err.endswith(end)
             assert len(err.encode()) < 1024
+        # a value of 4,000 digits or 100,000 characters from a problem file or
+        # the command line, which each refusal used to write whole
+        nines = "9" * 4000
+        x_at = lambda index: problem_with_x_index(tmp_path, index)
+        argvs = [
+            (["tropw", "--input", x_at(-int(nines))], "SchemaError: variable indices start at 1, got -9999"),
+            (["tropw", "--input", x_at(int(nines))], "SchemaError: unknown index 9999"),
+            (["tropw", "--input", PROBLEM, huge], "SchemaError: unknown polynomial name(s): ['xxxx"),
+            (["prolong", "--input", PROBLEM, "--bound", "-" + nines], "SchemaError: --bound must be"),
+            (["omega-chain", "--count", nines], "SchemaError: count must be between 1 and"),
+            (["trop", "--m", "2", "t" + nines], "UnknownVariable: variable t9999"),
+            (["trop", "--input", huge], "[Errno 36] File name too long: 'xxxx"),
+        ]
+        for argv, start in argvs:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv[0]
+            assert err.startswith("error: " + start), err[:300]
+            assert len(err.encode()) < 1024, argv[0]
 
     @pytest.mark.parametrize(
         "command", ["trop", "tropw", "translate", "initial", "prolong", "order-recover"]

@@ -5,7 +5,10 @@ VertexPoly, VertexFraction and DiffPoly, each product and sum of products,
 and each pairing of a value with an order, a weight or an argument refuses
 an operand of another width with one message, "mixing m=A with m=B".  A
 foreign operand, such as a str, is a TypeError, as Python gives when both
-sides answer NotImplemented; == with one is False.
+sides answer NotImplemented; == with one is False.  == across widths is
+False for every kind, so `in` and list comparison never raise; and a
+non-value where a value is due (a str for a denominator, a factor, a weight
+or an order) is a TypeError from same_width that shows the value.
 """
 
 import operator
@@ -63,7 +66,6 @@ MIXED = {
     "RationalFunction -": lambda a, b: a["RationalFunction"] - b["RationalFunction"],
     "RationalFunction *": lambda a, b: a["RationalFunction"] * b["RationalFunction"],
     "RationalFunction /": lambda a, b: a["RationalFunction"] / b["RationalFunction"],
-    "RationalFunction ==": lambda a, b: a["RationalFunction"] == b["RationalFunction"],
     "RationalFunction + QPoly": lambda a, b: a["RationalFunction"] + b["QPoly"],
     "QPoly + RationalFunction": lambda a, b: a["QPoly"] + b["RationalFunction"],
     "RationalFunction * QPoly": lambda a, b: a["RationalFunction"] * b["QPoly"],
@@ -76,7 +78,6 @@ MIXED = {
     "VertexFraction +": lambda a, b: a["VertexFraction"] + b["VertexFraction"],
     "VertexFraction *": lambda a, b: a["VertexFraction"] * b["VertexFraction"],
     "VertexFraction <=": lambda a, b: a["VertexFraction"] <= b["VertexFraction"],
-    "VertexFraction ==": lambda a, b: a["VertexFraction"] == b["VertexFraction"],
     "DiffPoly(m, n, terms)": lambda a, b: DiffPoly(a["m"], 1, {a["x"]: b["RationalFunction"]}),
     "DiffPoly +": lambda a, b: a["DiffPoly"] + b["DiffPoly"],
     "DiffPoly -": lambda a, b: a["DiffPoly"] - b["DiffPoly"],
@@ -97,6 +98,55 @@ def test_mixed_widths_are_refused_with_the_one_message(operation):
     for a, b in ((A, B), (B, A)):
         with pytest.raises(DimensionMismatch, match="^mixing m=(2 with m=3|3 with m=2)$"):
             operation(a, b)
+
+
+# == of a value at m = 2 (a) and one at m = 3 (b), for each kind and across QPoly and RationalFunction
+EQUALS = {
+    "QPoly": lambda a, b: a["QPoly"] == b["QPoly"],
+    "RationalFunction": lambda a, b: a["RationalFunction"] == b["RationalFunction"],
+    "RationalFunction == QPoly": lambda a, b: a["RationalFunction"] == b["QPoly"],
+    "QPoly == RationalFunction": lambda a, b: a["QPoly"] == b["RationalFunction"],
+    "VertexPoly": lambda a, b: a["VertexPoly"] == b["VertexPoly"],
+    "VertexFraction": lambda a, b: a["VertexFraction"] == b["VertexFraction"],
+    "DiffPoly": lambda a, b: a["DiffPoly"] == b["DiffPoly"],
+    "one RationalFunction": lambda a, b: RationalFunction(QPoly.one(a["m"])) == RationalFunction(QPoly.one(b["m"])),
+    "one VertexFraction": lambda a, b: VertexFraction.one(a["m"]) == VertexFraction.one(b["m"]),
+}
+
+
+@pytest.mark.parametrize("operation", EQUALS.values(), ids=EQUALS.keys())
+def test_values_of_two_widths_are_unequal(operation):
+    for a, b in ((A, B), (B, A)):
+        assert operation(a, b) is False
+
+
+@pytest.mark.parametrize("kind", ["QPoly", "RationalFunction", "VertexPoly", "VertexFraction", "DiffPoly"])
+def test_membership_and_list_comparison_across_widths_never_raise(kind):
+    assert A[kind] not in [B[kind]] and [A[kind]] != [B[kind]]
+    assert A[kind] in [B[kind], A[kind]]
+
+
+# each asks same_width of a str where a value over m = 2 is due
+NON_VALUES = {
+    "RationalFunction(num, den)": lambda a: RationalFunction(a["QPoly"], "x"),
+    "VertexFraction(num, den)": lambda a: VertexFraction(a["VertexPoly"], "x"),
+    "residue": lambda a: residue(a["RationalFunction"], "lex"),
+    "tropw": lambda a: tropw(a["DiffPoly"], ["x"]),
+    "initial_form": lambda a: initial_form(a["DiffPoly"], [a["weight"]], "lex"),
+    "QPoly.product": lambda a: QPoly.product(a["m"], ["x"]),
+}
+
+
+@pytest.mark.parametrize("operation", NON_VALUES.values(), ids=NON_VALUES.keys())
+def test_a_non_value_where_a_value_is_due_is_a_type_error(operation):
+    with pytest.raises(TypeError, match="^expected a value over m=2, got '(x|lex)'$"):
+        operation(A)
+
+
+def test_same_width_shows_a_huge_non_value_briefly():
+    with pytest.raises(TypeError) as info:
+        same_width(2, "x" * 100_000)
+    assert str(info.value).endswith("... (str of length 100000)") and len(str(info.value)) < 1024
 
 
 def test_mixed_n_is_refused_by_diffpoly():

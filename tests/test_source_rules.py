@@ -54,6 +54,19 @@ or is not, in either branch of the if), and every other module asks
 errors.same_width.  A count or index refusal (an unknown index above n, a
 variable index above m, a count of weights or arguments) compares an index
 or a length, not two widths, and stays where it is.
+
+A refusal writes the value it refuses through errors.shown alone, so its
+message stays short however large the value, and writing it cannot raise the
+interpreter's own digit-limit ValueError in place of the refusal.  Every value
+that a raise, or a print to stderr (cli.main's error lines), writes into its
+text (each {...} of an f-string, each str(), repr(), format(), .format() or
+.join() call, and the operand of a % or a + on text) is shown(...), len(...),
+a type's name, a module constant or an entry of one, a constant, the caller's
+`what` label, the message of a caught refusal (not an OSError's, whose str
+writes its file name raw), or one of the few values each module lists in
+CHECKED: a width, a count or a position it has checked, one character the
+lexer read, or a text built of shown values.  Every CHECKED entry is written
+by its module, so the list cannot grow stale.
 """
 
 import ast
@@ -571,3 +584,162 @@ def test_the_width_rule_sees_each_refusal():
         "    return same_width(self.m, other)\n"
     )
     assert width_refusals(source) == [f"line {line}: refuses two widths" for line in (3, 5, 7, 9, 11, 15)]
+
+
+# What a refusal may write as it is, by module, besides shown(...), len(...), a
+# type's name, a module constant, the caller's `what` label and the message of a
+# caught refusal: each is an int the code has checked (a width, a count or a
+# position), one character the lexer read, or a text built of shown values.
+CHECKED = {
+    "cli.py": {"sys.get_int_max_str_digits()", "exc.reason", "exc.start", "exc.errno", "exc.strerror", "where"},
+    "diffpoly.py": {"n", "self.n", "other.n"},
+    "errors.py": {"m", "m - 1", "value.m"},
+    "jsonio.py": {"m", "n", "order.m", "named"},
+    "orders.py": {"k + 1"},
+    "parsing.py": {"ch", "pos", "self.m"},
+    "translation.py": {"P.n"},
+}
+# the calls that turn a value into text
+TEXT_CALLS = ("str", "repr", "format", "join")
+
+
+def module_constants(tree: ast.Module) -> set[str]:
+    """The upper-case names a module assigns or imports at its top level."""
+    names = set()
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign):
+            names.update(t.id for t in statement.targets if isinstance(t, ast.Name))
+        elif isinstance(statement, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name for alias in statement.names)
+    return {name for name in names if name.lstrip("_").isupper()}
+
+
+def interpolations(node: ast.AST):
+    """The values node writes into text: each {...} of an f-string, each str(),
+    repr(), format(), .format() or .join() call, and the other operand of a %
+    or a + on text.  What such a value holds is not searched further."""
+    if isinstance(node, ast.FormattedValue):
+        yield node.value
+        return
+    if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in TEXT_CALLS:
+        yield node
+        return
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mod, ast.Add)):
+        text = [isinstance(side, ast.JoinedStr) or (isinstance(side, ast.Constant) and isinstance(side.value, str))
+                for side in (node.left, node.right)]
+        if any(text):
+            for side, is_text in zip((node.left, node.right), text):
+                yield from interpolations(side) if is_text else (side,)
+            return
+    for child in ast.iter_child_nodes(node):
+        yield from interpolations(child)
+
+
+def written_safely(value: ast.AST, checked: set[str], constants: set[str], caught: str | None) -> bool:
+    """May a refusal write value as it is?"""
+    if isinstance(value, ast.Constant):
+        return True
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("shown", "len"):
+        return True
+    if isinstance(value, ast.Attribute) and value.attr == "__name__":
+        return True
+    if isinstance(value, ast.IfExp):
+        return all(written_safely(v, checked, constants, caught) for v in (value.body, value.orelse))
+    # a module constant, or an entry of a table that is one
+    if getattr(value.value if isinstance(value, ast.Subscript) else value, "id", None) in constants | {"what"}:
+        return True
+    text = ast.unparse(value)
+    return text in checked or (caught is not None and text in (caught, f"str({caught})"))
+
+
+def refusal_writes(source: str, module: str) -> list[str]:
+    """Each value that a raise, or a print to stderr, writes into its message
+    other than through shown(...) or as one of the values allowed above.  The
+    message of a caught exception is a refusal the package built, except an
+    OSError's, whose str writes its file name raw."""
+    tree = ast.parse(source)
+    checked, constants = CHECKED.get(module, set()), module_constants(tree)
+    found = []
+
+    def visit(node: ast.AST, caught: str | None) -> None:
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            os_error = any(getattr(t, "id", getattr(t, "attr", None)) == "OSError" for t in types)
+            caught = None if os_error else node.name
+        message = None
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            message = node.exc
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print" and any(
+            k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords
+        ):
+            message = node
+        if message is not None:
+            found.extend(
+                (node.lineno, ast.unparse(value))
+                for value in interpolations(message)
+                if not written_safely(value, checked, constants, caught)
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, caught)
+
+    visit(tree, None)
+    return [f"line {line}: writes {text}" for line, text in sorted(set(found))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_shown_writes_a_refused_value(path):
+    assert refusal_writes(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_the_refusal_rule_sees_each_raw_value():
+    source = (
+        "from .errors import MAX_WIDTH, shown\n"
+        "_NAMES = {1: 'one'}\n"
+        "def f(x, i, m, n, what, exc):\n"
+        "    raise ValueError(f'got {x}')\n"
+        "    raise ValueError(f'got {x!r} and {shown(x)}')\n"
+        "    raise ValueError('got ' + str(x))\n"
+        "    raise ValueError('got %s' % (x,))\n"
+        "    raise ValueError('got {}'.format(x))\n"
+        "    raise ValueError(f\"names: {', '.join(x)}\")\n"
+        "    raise ValueError(f'{what} is {i} over {m} in {len(x)}, {type(x).__name__}, {MAX_WIDTH}')\n"
+        "    raise ValueError(f\"{_NAMES[i]} {'a' if x else 'b'} {n}\")\n"
+        "    raise ValueError(repr(x))\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError as exc:\n"
+        "        raise TypeError(str(exc)) from None\n"
+        "    except OSError as exc:\n"
+        "        print(f'error: {exc}', file=sys.stderr)\n"
+        "        raise TypeError(str(exc))\n"
+        "    print(f'ok: {x}')\n"
+        "    print(f'error: {exc}', file=sys.stderr)\n"
+    )
+    assert refusal_writes(source, "sample.py") == [
+        "line 4: writes x",
+        "line 5: writes x",
+        "line 6: writes str(x)",
+        "line 7: writes (x,)",
+        "line 8: writes 'got {}'.format(x)",
+        "line 9: writes ', '.join(x)",
+        "line 10: writes i",
+        "line 10: writes m",
+        "line 11: writes n",
+        "line 12: writes repr(x)",
+        "line 18: writes exc",
+        "line 19: writes str(exc)",
+        "line 21: writes exc",
+    ]
+    # the values a module has checked are its own: errors may write m, and still not i
+    in_errors = refusal_writes(source, "errors.py")
+    assert "line 10: writes m" not in in_errors and "line 10: writes i" in in_errors
+
+
+@pytest.mark.parametrize("module", sorted(CHECKED))
+def test_each_checked_value_is_written_by_its_module(module, monkeypatch):
+    # an entry that no refusal writes would only widen the rule
+    source = PACKAGE.joinpath(module).read_text(encoding="utf-8")
+    for text in CHECKED[module]:
+        monkeypatch.setitem(CHECKED, module, CHECKED[module] - {text})
+        assert any(found.endswith(f": writes {text}") for found in refusal_writes(source, module)), text
+        monkeypatch.undo()

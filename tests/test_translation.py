@@ -581,6 +581,41 @@ class TestGenerators:
         assert translate_generators([], [W], 3) == []
         assert initial_generators([], [W], T_LEX, 3) == []
 
+    @pytest.mark.parametrize(
+        "error, run",
+        [
+            (ValueError, lambda P: translate_generators([P], [W], 3, "bogus")),
+            (ValueError, lambda P: initial_generators([P], [W], T_LEX, 3, "indicator")),
+            (DimensionMismatch, lambda P: translate_generators([P], [BooleanWeight.full(3)], 3)),
+            (DimensionMismatch, lambda P: initial_generators([P], [W, W], T_LEX, 3)),
+            (DimensionMismatch, lambda P: initial_generators([P], [W], order_standard("lex", 3), 3)),
+            (TypeError, lambda P: initial_generators([P], [W], "lex", 3)),
+        ],
+        ids=["translate-kernel", "initial-kernel", "weight-width", "weight-count", "order-width", "order-str"],
+    )
+    def test_a_bad_kernel_weight_or_order_is_refused_before_any_derivative(self, monkeypatch, error, run):
+        derive = DiffPoly.derive
+        calls = []
+        monkeypatch.setattr(DiffPoly, "derive", lambda self, k: calls.append(k) or derive(self, k))
+        P = DiffPoly(2, 1, {X((1, 1)): 1, X((0, 0)): parse_rational("t/(t+u)", 2)})
+        with pytest.raises(error):
+            run(P)
+        assert calls == []
+        # the prolongation a good call builds first: 9 derivatives at bound 3
+        initial_generators([P], [W], T_LEX, 3)
+        assert len(calls) == 9
+
+    def test_with_no_generator_the_kernel_and_the_widths_are_still_checked(self):
+        # the one width there is, that of the weights and the order, must agree, as for one generator
+        with pytest.raises(DimensionMismatch, match="^mixing m=2 with m=3$"):
+            initial_generators([], [BooleanWeight.full(2)], order_standard("lex", 3), 2)
+        with pytest.raises(DimensionMismatch, match="^mixing m=2 with m=3$"):
+            translate_generators([], [BooleanWeight.full(2), BooleanWeight.full(3)], 2)
+        with pytest.raises(ValueError, match="^kernel must be a SubstitutionKernel, got 'bogus'$"):
+            translate_generators([], [W], 2, "bogus")
+        assert initial_generators([], [BooleanWeight.full(2)], order_standard("lex", 2), 2) == []
+        assert initial_generators([], [], T_LEX, 2) == translate_generators([], [], 2) == []
+
     @pytest.mark.parametrize("m", [1, 2, 3], ids=["m1", "m2", "m3"])
     def test_repeats_are_dropped_as_the_pairwise_route_drops_them(self, m):
         rng = random.Random(211 + m)
